@@ -11,15 +11,11 @@ __version__ = "0.1.0"
 from .config import MotorConfig, load_motor_config
 from .control import (
     LqrWeights,
-    ReferenceState,
     RiccatiSolution,
-    ScheduleWeights,
-    barycentric_weights,
     control_input,
     maps_gain,
     solve_dare,
     synthesize_vertex_gains,
-    vertex_matrix,
 )
 from .errors import (
     CertificationError,
@@ -65,9 +61,8 @@ from .motor import (
     build_vertex_set,
     discretize_exact_zoh,
     discretize_forward_euler,
-    friction_torque,
 )
-from .plant import BACKEND, plant_step
+from .plant import plant_step
 from .stability import (
     MismatchAssumptions,
     StabilityCert,

@@ -1,8 +1,6 @@
-"""Pure-Python RK4 kernel for the nonlinear motor truth plant.
+"""Fixed-step RK4 kernel for the nonlinear motor truth plant.
 
-Fallback for environments without the compiled extension. The arithmetic
-(operation order included) mirrors _plant_cy.pyx exactly so both backends
-produce the same trajectories.
+`plant.plant_step` falls back to it on ticks that change friction regime.
 """
 
 

@@ -7,7 +7,6 @@ Subcommands: ident, gains, certify, run, compare. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -102,8 +101,7 @@ def _cmd_gains(args) -> int:
         print(f"vertex {entry['index']}: rho = {entry['rho']:.6e}")
         print(f"  K = [{K}]")
         print(f"  closed-loop |eig| = [{moduli}]")
-        print(f"  riccati residual = {entry['riccati_residual']:.3e} "
-              f"({entry['riccati_iterations']} iterations)")
+        print(f"  riccati residual = {entry['riccati_residual']:.3e}")
     if args.json:
         write_gain_report(args.json, report)
         print(f"wrote {args.json}")
@@ -126,7 +124,6 @@ def _cmd_certify(args) -> int:
     print(f"alpha (worst vertex margin) = {cert.alpha:.6e}")
     print("vertex margins              = "
           + ", ".join(f"{m:.6e}" for m in cert.vertex_margins))
-    print(f"sampled margin minimum      = {cert.sampled_margins_min:.6e}")
     print(f"L_phi = {cert.L_phi:.6e}  L_k = {cert.L_k:.6e}  L = {cert.L:.6e}")
     print(f"eps_star = {cert.eps_star:.6e}")
     print(f"C = {cert.C:.6e}  lambda = {cert.lambda_:.6e} "

@@ -8,6 +8,7 @@ syntax (see harness.scenario_from_config for the scenario keys).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,9 +90,12 @@ def parse_kv_file(path) -> dict:
 
 def _to_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+    return number
 
 
 def motor_config_from_entries(entries: dict) -> MotorConfig:

@@ -1,34 +1,26 @@
 """LQR synthesis and probabilistically scheduled gain computation.
 
-The Riccati equation is solved by fixed-point iteration (the plant is 3x3,
-so a structured eigensolver buys nothing), vertex gains are synthesized
-offline, and the per-tick scheduled gain is the probability-weighted convex
-combination of the vertex gains. Sign convention: K is the regulator gain
-for which u = -K x stabilizes, applied as u = K (x_ref - x_hat), so every
-closed loop is Phi - Gamma K.
+The Riccati equation is solved by scipy's Schur (QZ) method and then
+checked against a residual bound, vertex gains are synthesized offline, and
+the per-tick scheduled gain is the probability-weighted convex combination
+of the vertex gains. Sign convention: K is the regulator gain for which
+u = -K x stabilizes, applied as u = K (x_ref - x_hat), so every closed loop
+is Phi - Gamma K.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_discrete_are
 
 from .errors import NumericalError, ParameterError
-from .motor import DiscreteModel, VertexSet
+from .motor import DiscreteModel, VertexSet, _frozen
 
-DARE_TOL = 1e-12
-DARE_MAX_ITER = 100_000
 RESIDUAL_LIMIT = 1e-9
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,6 @@ class LqrWeights:
 class RiccatiSolution:
     P: np.ndarray
     K: np.ndarray
-    iterations: int
     residual: float
 
     def __post_init__(self):
@@ -70,35 +61,6 @@ class RiccatiSolution:
             )
 
 
-@dataclass(frozen=True)
-class ScheduleWeights:
-    """Convex weights over the polytope vertices (entries in [0, 1] up to
-    round-off for scheduling values inside the polytope)."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        xi = _frozen(self.xi)
-        if abs(xi.sum() - 1.0) > 1e-12:
-            raise ParameterError("scheduling weights must sum to 1")
-        if np.any(xi < -1e-12) or np.any(xi > 1.0 + 1e-12):
-            raise ParameterError("scheduling weights must lie in [0, 1]")
-        object.__setattr__(self, "xi", xi)
-
-
-@dataclass(frozen=True)
-class ReferenceState:
-    """Full-state reference (theta_ref, omega_ref, i_ref)."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = _frozen(np.asarray(self.vector, dtype=float).reshape(-1))
-        if v.size != 3 or not np.all(np.isfinite(v)):
-            raise ParameterError("reference state must be a finite 3-vector")
-        object.__setattr__(self, "vector", v)
-
-
 def dare_residual(Phi, Gamma, Q, R, P) -> float:
     """Max-norm defect of P in the discrete algebraic Riccati equation."""
     G = Gamma.T @ P @ Gamma + R
@@ -107,39 +69,22 @@ def dare_residual(Phi, Gamma, Q, R, P) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def solve_dare(model: DiscreteModel, weights: LqrWeights,
-               tol: float = DARE_TOL, max_iter: int = DARE_MAX_ITER) -> RiccatiSolution:
-    """Fixed-point Riccati iteration from P0 = Q with gain extraction.
+def solve_dare(model: DiscreteModel, weights: LqrWeights) -> RiccatiSolution:
+    """Stabilizing DARE solution and its LQR gain.
 
-    Iterates until the update stalls below `tol` in max norm; the returned
-    solution is additionally validated against the residual bound, and the
-    closed loop Phi - Gamma K must be Schur stable.
+    The solution is validated against the residual bound, and the closed
+    loop Phi - Gamma K must be Schur stable.
     """
     Phi, Gamma = model.Phi, model.Gamma
     Q, R = weights.Q, weights.R
-    P = Q.copy()
-    delta = np.inf
-    iterations = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
-            G = Gamma.T @ P @ Gamma + R
-            PPhi = P @ Phi
-            P_next = Phi.T @ PPhi - (PPhi.T @ Gamma) @ np.linalg.solve(G, Gamma.T @ PPhi) + Q
-            P_next = 0.5 * (P_next + P_next.T)
-            delta = float(np.max(np.abs(P_next - P)))
-            if not np.isfinite(delta) or not np.all(np.isfinite(P_next)):
-                raise NumericalError(
-                    f"Riccati iteration diverged after {iterations} iterations; "
-                    "the model/weight pair is likely not stabilizable"
-                )
-            P = P_next
-            if delta < tol:
-                break
-    residual = dare_residual(Phi, Gamma, Q, R, P)
-    if delta >= tol and not residual <= RESIDUAL_LIMIT:
+    try:
+        P = solve_discrete_are(Phi, Gamma, Q, R)
+    except (LinAlgError, ValueError) as exc:
         raise NumericalError(
-            f"Riccati iteration did not converge: update {delta:.3e}, residual {residual:.3e}"
-        )
+            f"Riccati equation has no stabilizing solution ({exc}); "
+            "the model/weight pair is likely not stabilizable"
+        ) from None
+    residual = dare_residual(Phi, Gamma, Q, R, P)
     K = np.linalg.solve(Gamma.T @ P @ Gamma + R, Gamma.T @ P @ Phi)
     closed = Phi - Gamma @ K
     radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
@@ -148,7 +93,7 @@ def solve_dare(model: DiscreteModel, weights: LqrWeights,
             f"closed loop is not Schur stable (spectral radius {radius:.6f}); "
             "the model/weight pair is not stabilizable-detectable"
         )
-    return RiccatiSolution(P=P, K=K, iterations=iterations, residual=residual)
+    return RiccatiSolution(P=P, K=K, residual=residual)
 
 
 def synthesize_vertex_gains(vertices: VertexSet, Gamma, weights: LqrWeights) -> VertexSet:
@@ -159,37 +104,6 @@ def synthesize_vertex_gains(vertices: VertexSet, Gamma, weights: LqrWeights) -> 
         model = DiscreteModel(Phi=phi, Gamma=Gamma, H=vertices.H, T=vertices.T)
         gains.append(solve_dare(model, weights).K)
     return vertices.with_gains(gains)
-
-
-def vertex_matrix(rho_values) -> np.ndarray:
-    """Vertex matrix [[rho...], [1...]] whose columns are the polytope corners."""
-    rho = np.asarray(rho_values, dtype=float)
-    return np.vstack([rho, np.ones_like(rho)])
-
-
-def barycentric_weights(V: np.ndarray, rho: float) -> ScheduleWeights:
-    """Convex weights xi with V xi = [rho, 1]: the weighted vertices
-    reproduce the scheduling value and the weights sum to one.
-
-    Values of rho outside the vertex interval are clamped onto it first (a
-    configuration error upstream, since mode probabilities live on the
-    simplex), with a warning.
-    """
-    V = np.asarray(V, dtype=float)
-    if V.shape[0] != V.shape[1]:
-        raise ParameterError("vertex matrix must be square for barycentric inversion")
-    lo, hi = float(np.min(V[0])), float(np.max(V[0]))
-    if rho < lo or rho > hi:
-        warnings.warn(
-            f"scheduling value {rho:.6g} outside the vertex polytope [{lo:.6g}, {hi:.6g}]; clamping"
-        )
-        rho = min(max(rho, lo), hi)
-    rhs = np.array([rho, 1.0])
-    try:
-        xi = np.linalg.solve(V, rhs)
-    except np.linalg.LinAlgError:
-        raise ParameterError("vertex matrix is singular; vertices must be distinct") from None
-    return ScheduleWeights(xi=xi)
 
 
 def maps_gain(mu, vertices: VertexSet) -> np.ndarray:
@@ -205,14 +119,14 @@ def maps_gain(mu, vertices: VertexSet) -> np.ndarray:
     return K
 
 
-def control_input(K: np.ndarray, x_ref: ReferenceState, x_hat, v_limit: float):
-    """Error-feedback law u = K (x_ref - x_hat), saturated to +/- v_limit.
+def control_input(K: np.ndarray, x_ref, x_hat, v_limit: float):
+    """Error-feedback law u = K (x_ref - x_hat) on the full-state reference
+    (theta_ref, omega_ref, i_ref), saturated to +/- v_limit.
 
     Returns (u, saturated) so callers can count saturation events.
     """
     K = np.asarray(K, dtype=float).reshape(-1)
-    ref = x_ref.vector if isinstance(x_ref, ReferenceState) else np.asarray(x_ref, dtype=float)
-    e = ref - np.asarray(x_hat, dtype=float).reshape(-1)
+    e = np.asarray(x_ref, dtype=float) - np.asarray(x_hat, dtype=float).reshape(-1)
     u = float(K @ e)
     if u > v_limit:
         return v_limit, True
@@ -239,7 +153,6 @@ def gain_report(vertices: VertexSet, solutions=None) -> dict:
         }
         if solutions is not None:
             entry["riccati_residual"] = solutions[i].residual
-            entry["riccati_iterations"] = solutions[i].iterations
             entry["P"] = np.asarray(solutions[i].P).tolist()
         report["vertices"].append(entry)
     return report

@@ -8,15 +8,13 @@ state values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .motor import DiscreteModel
+from .motor import DiscreteModel, _frozen
 
 # probability floors sit above the subnormal range so normalization stays finite
 LIKELIHOOD_FLOOR = 1e-300
@@ -30,12 +28,6 @@ DEFAULT_P0_DIAG = (1e-3, 1e-1, 1e-2)
 def _sym(P: np.ndarray) -> np.ndarray:
     """Symmetrize a covariance, or each of a stack of them."""
     return 0.5 * (P + P.swapaxes(-1, -2))
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -345,22 +337,3 @@ def imm_step(state: ImmState, u: float, z, noise: NoiseConfig):
                        likelihoods=likelihoods, rho_hat=rho_hat)
     return next_state, output
 
-
-def write_filter_trace(path, time, z, mu, x_hat, rho_hat) -> None:
-    """Export a filter run as CSV rows: time, z, per-mode mu, fused state,
-    rho_hat."""
-    time = np.asarray(time)
-    mu = np.atleast_2d(np.asarray(mu))
-    x_hat = np.atleast_2d(np.asarray(x_hat))
-    nv = mu.shape[1]
-    header = (
-        ["time", "z"]
-        + [f"mu_{j + 1}" for j in range(nv)]
-        + ["theta_est", "omega_est", "current_est", "rho_hat"]
-    )
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(time.size):
-            row = [time[k], z[k], *mu[k], *x_hat[k], rho_hat[k]]
-            writer.writerow([repr(float(v)) for v in row])

@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MOTOR_KEYS, MotorConfig, motor_config_from_entries, parse_kv_file
-from .control import (
-    LqrWeights,
-    ReferenceState,
-    control_input,
-    maps_gain,
-    synthesize_vertex_gains,
+from .config import (
+    MOTOR_KEYS,
+    MotorConfig,
+    _to_float,
+    motor_config_from_entries,
+    parse_kv_file,
 )
+from .control import LqrWeights, control_input, maps_gain, synthesize_vertex_gains
 from .errors import ConfigError, ParameterError
 from .estimation import (
     NoiseConfig,
@@ -104,19 +104,6 @@ class FrictionSchedule:
 
 def constant_schedule(b: float, coulomb_on: bool = False) -> FrictionSchedule:
     return FrictionSchedule(segments=(FrictionSegment(0.0, b, coulomb_on),))
-
-
-def max_rho_step(schedule: FrictionSchedule, tick: float, duration: float) -> float:
-    """Largest per-tick change of the scheduled friction value; the quantity
-    a slow-variation bound delta is validated against."""
-    n = int(round(duration / tick))
-    worst = 0.0
-    prev = schedule.at(0.0)[0]
-    for k in range(1, n):
-        cur = schedule.at(k * tick)[0]
-        worst = max(worst, abs(cur - prev))
-        prev = cur
-    return worst
 
 
 def load_window_schedule(b_low: float, b_high: float, start: float = 10.0,
@@ -365,7 +352,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
             u, saturated = _clamp(ref[0], spec.v_limit)
         else:
             K = maps_gain(mu, vertices) if ctl_kind == "maps" else vertices.K_vertices[ctl_idx]
-            u, saturated = control_input(K, ReferenceState(ref), x_hat, spec.v_limit)
+            u, saturated = control_input(K, ref, x_hat, spec.v_limit)
         saturations += saturated
 
         rec.time[k] = t
@@ -544,12 +531,7 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
 
     def fget(key, default):
-        if key not in entries:
-            return default
-        try:
-            return float(entries[key])
-        except ValueError:
-            raise ConfigError(f"scenario key {key!r} must be a number") from None
+        return _to_float(key, entries[key]) if key in entries else default
 
     seed = entries.get("seed", "1")
     env_seed = os.environ.get("MAPS_SEED")

@@ -59,36 +59,6 @@ def regress_slope(samples) -> tuple[float, float]:
     return mu, residual_rms
 
 
-def regress_slope_with_intercept(samples) -> tuple[float, float, float]:
-    """Diagnostic fit V = mu*omega + c; not used for the coefficient itself."""
-    samples = list(samples)
-    if len(samples) < 2:
-        raise ParameterError("need at least 2 steady-state samples")
-    omega = np.array([s.velocity for s in samples])
-    volts = np.array([s.voltage for s in samples])
-    if np.unique(omega).size < 2:
-        raise ParameterError("need at least two distinct velocities")
-    design = np.column_stack([omega, np.ones_like(omega)])
-    (mu, c), *_ = np.linalg.lstsq(design, volts, rcond=None)
-    resid = volts - (mu * omega + c)
-    return float(mu), float(c), float(np.sqrt(np.mean(resid**2)))
-
-
-def regress_slope_weighted(samples, sigmas) -> tuple[float, float]:
-    """Origin-constrained fit with inverse-variance weights on the voltages."""
-    samples = list(samples)
-    w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
-    if len(w) != len(samples):
-        raise ParameterError("one sigma per sample required")
-    omega = np.array([s.velocity for s in samples])
-    volts = np.array([s.voltage for s in samples])
-    if np.all(omega == 0.0):
-        raise ParameterError("all velocities are zero; slope is undefined")
-    mu = float(np.sum(w * volts * omega) / np.sum(w * omega**2))
-    residual_rms = float(np.sqrt(np.mean((volts - mu * omega) ** 2)))
-    return mu, residual_rms
-
-
 def viscous_from_slope(params: MotorParams, mu: float) -> float:
     """b = (Kt/Rm) * (mu - Ke); may be negative, the caller decides what to do."""
     return params.Kt / params.Rm * (mu - params.Ke)

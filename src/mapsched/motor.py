@@ -1,5 +1,5 @@
 """DC motor models: physical parameters, linear state-space models
-(continuous and discrete), the nonlinear friction torque, and the
+(continuous and discrete), the friction parameters, and the
 polytopic vertex models used by the scheduled controller.
 
 State ordering is [theta, omega, i] (rad, rad/s, A) throughout; the single
@@ -19,7 +19,8 @@ from .errors import ParameterError
 OMEGA_REST = 1e-6
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """Read-only float copy, for the arrays held by frozen dataclasses."""
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -220,19 +221,6 @@ def discretize_exact_zoh(model: ContinuousModel, T: float) -> DiscreteModel:
         raise ParameterError("sample time must be positive")
     Phi, Gamma = zoh_discretize(model.A, model.B, T)
     return DiscreteModel(Phi=Phi, Gamma=Gamma, H=model.C, T=T)
-
-
-def friction_torque(omega: float, applied_torque: float, f: FrictionModel,
-                    omega_rest: float = OMEGA_REST) -> float:
-    """Total friction torque opposing the motion.
-
-    At rest (|omega| < omega_rest) with sub-threshold applied torque the
-    stiction branch reports a torque exactly cancelling the applied one, so
-    the rotor stays held. Otherwise Coulomb + viscous friction applies.
-    """
-    if abs(omega) < omega_rest and abs(applied_torque) < f.tau_s:
-        return applied_torque
-    return f.tau_c * float(np.sign(omega)) + f.b * omega
 
 
 def build_vertex_set(params: MotorParams, rho_values, T: float,

@@ -13,35 +13,19 @@ tick has a closed-form solution:
   (u - Ke omega) / Rm.
 
 A tick that enters the rest band, breaks away or changes sign is integrated
-with fixed-step RK4 at dt/substeps instead. The compiled RK4 kernel is used
-when the extension built; set MAPS_PURE_PYTHON=1 to force the pure-Python
-one (used by the backend-comparison benchmark).
+with fixed-step RK4 at dt/substeps instead (`_plant_py.motor_rk4`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
+from ._plant_py import motor_rk4
 from .errors import NumericalError, ParameterError
 from .motor import OMEGA_REST, FrictionModel, MotorParams, zoh_discretize
-
-if os.environ.get("MAPS_PURE_PYTHON", "") == "1":
-    from . import _plant_py as _kernel
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _plant_cy as _kernel  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _plant_py as _kernel
-
-        BACKEND = "python"
 
 # inner RK4 step small enough for the stiff electrical time constant
 MAX_INNER_STEP = 1e-5
@@ -154,7 +138,7 @@ def plant_step(state, u: float, f: FrictionModel, params: MotorParams,
     else:
         nxt = None
     if nxt is None:
-        nxt = _kernel.motor_rk4(
+        nxt = motor_rk4(
             theta, omega, cur, u, float(dt), int(substeps),
             params.Kt, params.Ke, params.Jeq, params.Lm, params.Rm,
             f.tau_s, f.tau_c, f.b, OMEGA_REST, tau_ext,

@@ -1,9 +1,11 @@
 """Quadratic stability certification of the scheduled closed loop.
 
 A common Lyapunov matrix for all vertex closed loops certifies every convex
-combination; on top of that, Lipschitz constants of the polytopic maps give
-the largest scheduling mismatch eps_star for which exponential stability
-survives, with overshoot constant C and contraction rate lambda.
+combination: A' P A - P < 0 is, by a Schur complement, an LMI linear in A,
+so it holds on the convex hull once it holds at the vertices. On top of
+that, Lipschitz constants of the polytopic maps give the largest scheduling
+mismatch eps_star for which exponential stability survives, with overshoot
+constant C and contraction rate lambda.
 
 The common-P search is a heuristic (averaged Lyapunov solutions), so failure
 is reported as "not certified", never as "unstable".
@@ -14,18 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import CertificationError, NumericalError, ParameterError
-from .motor import VertexSet
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+from .motor import VertexSet, _frozen
 
 
 @dataclass(frozen=True)
@@ -42,18 +36,13 @@ class MismatchAssumptions:
 
 @dataclass(frozen=True)
 class LyapunovSearch:
-    """Outcome of the common-P search: P, per-vertex margins, the minimum
-    margin over sampled convex combinations, and feasibility."""
+    """Outcome of the common-P search: P, per-vertex margins and
+    feasibility."""
 
     P: np.ndarray
     vertex_margins: np.ndarray
     certified: bool
     rounds: int
-    sampled_margin_min: float = float("nan")
-
-    @property
-    def alpha(self) -> float:
-        return float(np.min(self.vertex_margins))
 
     @property
     def worst_margin(self) -> float:
@@ -65,7 +54,6 @@ class StabilityCert:
     P_lyap: np.ndarray
     alpha: float
     vertex_margins: np.ndarray
-    sampled_margins_min: float
     L_phi: float
     L_k: float
     L: float
@@ -80,42 +68,14 @@ class StabilityCert:
         object.__setattr__(self, "vertex_margins", _frozen(self.vertex_margins))
 
 
-def spectral_norm(M: np.ndarray, tol: float = POWER_TOL,
-                  max_iter: int = POWER_MAX_ITER) -> float:
-    """Largest singular value by power iteration on M'M."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0.0
-    G = M.T @ M
-    v = np.ones(G.shape[0]) / np.sqrt(G.shape[0])
-    sigma_sq = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v_next = w / norm
-        if abs(norm - sigma_sq) <= tol * max(1.0, norm):
-            sigma_sq = norm
-            break
-        sigma_sq = norm
-        v = v_next
-    return float(np.sqrt(sigma_sq))
-
-
 def dlyap_series(A: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """Solve A' P A - P = -rhs by summing the convergent series
-    P = sum_k (A')^k rhs A^k, with squaring for speed."""
+    """Solve A' P A - P = -rhs (rhs defaults to I) for a Schur-stable A, whose
+    solution is the convergent series P = sum_k (A')^k rhs A^k."""
     A = np.asarray(A, dtype=float)
     if float(np.max(np.abs(np.linalg.eigvals(A)))) >= 1.0:
         raise NumericalError("Lyapunov series diverges: spectral radius >= 1")
-    P = np.eye(A.shape[0]) if rhs is None else np.asarray(rhs, dtype=float).copy()
-    M = A.copy()
-    for _ in range(200):
-        if float(np.max(np.abs(M))) < 1e-150:
-            break
-        P = P + M.T @ P @ M
-        M = M @ M
+    rhs = np.eye(A.shape[0]) if rhs is None else np.asarray(rhs, dtype=float)
+    P = solve_discrete_lyapunov(A.T, rhs)
     return 0.5 * (P + P.T)
 
 
@@ -130,16 +90,14 @@ def vertex_margins(P: np.ndarray, closed_loops) -> np.ndarray:
     return np.array(margins)
 
 
-def find_common_lyapunov(closed_loops, max_rounds: int = 500,
-                         n_samples: int = 1000, seed: int = 42) -> LyapunovSearch:
+def find_common_lyapunov(closed_loops, max_rounds: int = 500) -> LyapunovSearch:
     """Search for a single P certifying every vertex closed loop.
 
     Starts from the Lyapunov solution of the first vertex and repeatedly
-    averages in the Lyapunov solutions of violating vertices; a candidate
-    only counts as certified once the decrease inequality also holds on
-    `n_samples` random convex combinations. Each vertex must be Schur
-    stable on its own (precondition); an exhausted search is an
-    inconclusive report, not an instability proof.
+    averages in the Lyapunov solutions of violating vertices until every
+    vertex margin is positive, which certifies the whole convex hull. Each
+    vertex must be Schur stable on its own (precondition); an exhausted
+    search is an inconclusive report, not an instability proof.
     """
     loops = [np.asarray(A, dtype=float) for A in closed_loops]
     if not loops:
@@ -155,21 +113,13 @@ def find_common_lyapunov(closed_loops, max_rounds: int = 500,
     for rounds in range(1, max_rounds + 1):
         margins = vertex_margins(P, loops)
         if np.all(margins > 0.0):
-            sampled = verify_convex_stability(P, loops, n_samples=n_samples, seed=seed)
-            return LyapunovSearch(
-                P=P, vertex_margins=margins, certified=sampled > 0.0,
-                rounds=rounds, sampled_margin_min=sampled,
-            )
+            break
         for i in np.flatnonzero(margins <= 0.0):
             P = 0.5 * (P + dlyap_series(loops[i]))
-    margins = vertex_margins(P, loops)
-    if np.all(margins > 0.0):
-        sampled = verify_convex_stability(P, loops, n_samples=n_samples, seed=seed)
-        return LyapunovSearch(
-            P=P, vertex_margins=margins, certified=sampled > 0.0,
-            rounds=rounds, sampled_margin_min=sampled,
-        )
-    return LyapunovSearch(P=P, vertex_margins=margins, certified=False, rounds=rounds)
+    else:
+        margins = vertex_margins(P, loops)
+    return LyapunovSearch(P=P, vertex_margins=margins, certified=bool(np.all(margins > 0.0)),
+                          rounds=rounds)
 
 
 def sample_simplex(n_samples: int, nv: int, seed: int = 42) -> np.ndarray:
@@ -180,7 +130,11 @@ def sample_simplex(n_samples: int, nv: int, seed: int = 42) -> np.ndarray:
 def verify_convex_stability(P: np.ndarray, closed_loops, n_samples: int = 1000,
                             seed: int = 42) -> float:
     """Minimum Lyapunov decrease margin over randomly sampled convex
-    combinations of the vertex closed loops; deterministic for a given seed."""
+    combinations of the vertex closed loops; deterministic for a given seed.
+
+    Not part of `certify`: the margin is concave over the simplex, so it is
+    never below the worst vertex margin. Kept as a reference check.
+    """
     loops = np.stack([np.asarray(A, dtype=float) for A in closed_loops])
     weights = sample_simplex(n_samples, loops.shape[0], seed=seed)
     worst = np.inf
@@ -210,15 +164,11 @@ def lipschitz_constants(vertices: VertexSet, Gamma) -> tuple[float, float, float
             gap = vertices.rho[j] - vertices.rho[i]
             if gap <= 0.0:
                 raise ParameterError("coincident scheduling vertices")
-            L_phi = max(
-                L_phi,
-                spectral_norm(vertices.Phi_vertices[j] - vertices.Phi_vertices[i]) / gap,
-            )
-            L_k = max(
-                L_k,
-                spectral_norm(vertices.K_vertices[j] - vertices.K_vertices[i]) / gap,
-            )
-    L = L_phi + spectral_norm(Gamma) * L_k
+            dphi = vertices.Phi_vertices[j] - vertices.Phi_vertices[i]
+            dk = vertices.K_vertices[j] - vertices.K_vertices[i]
+            L_phi = max(L_phi, float(np.linalg.norm(dphi, 2)) / gap)
+            L_k = max(L_k, float(np.linalg.norm(dk, 2)) / gap)
+    L = L_phi + float(np.linalg.norm(Gamma, 2)) * L_k
     return L_phi, L_k, L
 
 
@@ -251,12 +201,11 @@ def epsilon_star(P: np.ndarray, alpha: float, L: float,
 
 
 def certify(vertices: VertexSet, Gamma=None,
-            assumptions: MismatchAssumptions | None = None,
-            n_samples: int = 1000, seed: int = 42) -> StabilityCert:
+            assumptions: MismatchAssumptions | None = None) -> StabilityCert:
     """Full certification pipeline for a gain-filled vertex set.
 
-    Raises CertificationError when the common-P heuristic fails or the
-    sampled convex combinations violate the decrease inequality.
+    Raises CertificationError when the common-P heuristic finds no P with a
+    positive decrease margin at every vertex.
     """
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
@@ -264,23 +213,20 @@ def certify(vertices: VertexSet, Gamma=None,
     loops = [
         phi - Gamma @ K for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices)
     ]
-    search = find_common_lyapunov(loops, n_samples=n_samples, seed=seed)
+    search = find_common_lyapunov(loops)
     if not search.certified:
         raise CertificationError(
             "no common Lyapunov matrix found "
-            f"(worst vertex margin {search.worst_margin:.3e}, sampled margin "
-            f"{search.sampled_margin_min:.3e}, after {search.rounds} rounds); "
+            f"(worst vertex margin {search.worst_margin:.3e}, after {search.rounds} rounds); "
             "this does not prove instability"
         )
-    sampled_min = search.sampled_margin_min
     L_phi, L_k, L = lipschitz_constants(vertices, Gamma)
     eps_used = assumptions.epsilon if assumptions is not None else None
-    eps_star, C, lam = epsilon_star(search.P, search.alpha, L, epsilon=eps_used)
+    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=eps_used)
     return StabilityCert(
         P_lyap=search.P,
-        alpha=search.alpha,
+        alpha=search.worst_margin,
         vertex_margins=search.vertex_margins,
-        sampled_margins_min=sampled_min,
         L_phi=L_phi,
         L_k=L_k,
         L=L,

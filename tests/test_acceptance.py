@@ -277,7 +277,7 @@ def test_criterion_6_stability_certification(design_euler):
         ]
         search = find_common_lyapunov(loops)
         assert search.certified
-        assert search.alpha > 0.0
+        assert search.worst_margin > 0.0
         sampled = verify_convex_stability(search.P, loops, n_samples=1000, seed=42)
         assert sampled > 0.0
         cert = certify(design_euler)

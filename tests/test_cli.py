@@ -92,9 +92,19 @@ def test_missing_file_exit_one(tmp_path):
     assert out.returncode == 1
 
 
+def test_non_finite_duration_exit_one(tmp_path):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("duration = inf\nfriction = constant\n")
+    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert "invalid config" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_numerical_failure_exit_two(tmp_path):
     # forward Euler with a microsecond electrical constant at a 2 ms tick is
-    # far outside the solvable regime: the Riccati iteration diverges
+    # far outside the well-conditioned regime: the Riccati residual misses
+    # its bound
     cfg = tmp_path / "stiff.cfg"
     cfg.write_text("lm = 1e-6\n")
     out = run_cli("gains", "--motor", str(cfg))

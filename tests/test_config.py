@@ -61,6 +61,14 @@ def test_non_numeric_value_rejected(tmp_path):
         load_motor_config(path)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_value_rejected(tmp_path, value):
+    path = tmp_path / "motor.cfg"
+    path.write_text(f"kt = {value}\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_motor_config(path)
+
+
 def test_friction_helper_toggles_coulomb():
     cfg = load_motor_config()
     on = cfg.friction(cfg.b_max, coulomb_on=True)

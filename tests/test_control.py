@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +8,12 @@ from scipy.linalg import solve_discrete_are
 
 from mapsched.control import (
     LqrWeights,
-    ReferenceState,
-    barycentric_weights,
     control_input,
     dare_residual,
     gain_report,
     maps_gain,
     solve_dare,
     synthesize_vertex_gains,
-    vertex_matrix,
 )
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.motor import DiscreteModel, build_vertex_set
@@ -69,6 +65,19 @@ class TestSolveDare:
             assert sol.residual <= 1e-9
             assert dare_residual(mdl.Phi, mdl.Gamma, weights.Q, weights.R, sol.P) <= 1e-9
 
+    def test_pinned_gains_euler_1ms(self, motor, weights):
+        # Euler, T = 1 ms, b_max = 6e-4: the b_max vertex took the former
+        # fixed-point iteration to its 100k-step cap; these gains are what
+        # that iteration returned
+        pinned = (
+            [0.4876469109705959, 0.01393943684978135, -6.956799150669618],
+            [0.4926684553752959, -0.0006540751422416855, -6.980618093608604],
+        )
+        vs = build_vertex_set(motor.params, (B_MIN, 6e-4), 0.001, mode="euler")
+        for model, K_ref in zip(vs.models(), pinned):
+            K = solve_dare(model, weights).K.reshape(-1)
+            assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
+
     def test_unstabilizable_pair_rejected(self):
         # uncontrollable unstable mode: Gamma = 0
         with pytest.raises(NumericalError):
@@ -115,47 +124,6 @@ class TestVertexGains:
         assert gap > 1e-10
 
 
-class TestBarycentricWeights:
-    def test_vertex_selects_unit_weight(self):
-        V = np.array([[B_MAX, B_MIN], [1.0, 1.0]])
-        xi = barycentric_weights(V, B_MIN).xi
-        assert np.allclose(xi, [0.0, 1.0], atol=1e-12)
-
-    def test_midpoint_symmetry(self):
-        V = np.array([[B_MAX, B_MIN], [1.0, 1.0]])
-        xi = barycentric_weights(V, 0.5 * (B_MIN + B_MAX)).xi
-        assert np.allclose(xi, [0.5, 0.5], atol=1e-9)
-
-    def test_quarter_point(self):
-        V = np.array([[B_MAX, B_MIN], [1.0, 1.0]])
-        rho = B_MIN + 0.25 * (B_MAX - B_MIN)
-        xi = barycentric_weights(V, rho).xi
-        assert np.allclose(xi, [0.25, 0.75], atol=1e-9)
-
-    def test_out_of_polytope_clamps_with_warning(self):
-        V = np.array([[B_MAX, B_MIN], [1.0, 1.0]])
-        with pytest.warns(UserWarning):
-            xi = barycentric_weights(V, 2.0 * B_MAX).xi
-        assert np.allclose(xi, [1.0, 0.0], atol=1e-12)
-
-    def test_singular_vertex_matrix_rejected(self):
-        V = np.array([[B_MIN, B_MIN], [1.0, 1.0]])
-        with pytest.raises(ParameterError):
-            barycentric_weights(V, B_MIN)
-
-    def test_vertex_matrix_layout(self):
-        V = vertex_matrix((B_MIN, B_MAX))
-        assert V.shape == (2, 2)
-        assert np.array_equal(V[1], [1.0, 1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for i, rho in enumerate((B_MIN, B_MAX)):
-                xi = barycentric_weights(V, rho).xi
-                expect = np.zeros(2)
-                expect[i] = 1.0
-                assert np.allclose(xi, expect, atol=1e-12)
-
-
 class TestMapsGain:
     def test_pure_mode(self, vertices_euler):
         K = maps_gain(np.array([1.0, 0.0]), vertices_euler)
@@ -191,9 +159,10 @@ class TestMapsGain:
     def test_equals_barycentric_interpolation_at_rho_hat(self, vertices_euler):
         # for two vertices both schedules are the same affine map of rho
         mu = np.array([0.37, 0.63])
+        lo, hi = vertices_euler.rho
         rho_hat = float(mu @ np.array(vertices_euler.rho))
-        V = vertex_matrix(vertices_euler.rho)
-        xi = barycentric_weights(V, rho_hat).xi
+        frac = (rho_hat - lo) / (hi - lo)
+        xi = np.array([1.0 - frac, frac])
         K_mu = maps_gain(mu, vertices_euler)
         K_xi = maps_gain(xi, vertices_euler)
         assert np.allclose(K_mu, K_xi, atol=1e-12)
@@ -205,28 +174,24 @@ class TestMapsGain:
 
 class TestControlInput:
     def test_zero_error_zero_input(self):
-        ref = ReferenceState(np.array([1.0, 0.0, 0.0]))
+        ref = np.array([1.0, 0.0, 0.0])
         u, sat = control_input(np.array([5.0, 1.0, 0.5]), ref, np.array([1.0, 0.0, 0.0]), 10.0)
         assert u == 0.0 and not sat
 
     def test_proportional_channel(self):
-        ref = ReferenceState(np.array([2.0, 0.0, 0.0]))
+        ref = np.array([2.0, 0.0, 0.0])
         u, sat = control_input(np.array([1.0, 0.0, 0.0]), ref, np.zeros(3), 10.0)
         assert u == pytest.approx(2.0) and not sat
 
     def test_saturation_flagged(self):
-        ref = ReferenceState(np.array([2.0, 0.0, 0.0]))
+        ref = np.array([2.0, 0.0, 0.0])
         u, sat = control_input(np.array([10.0, 0.0, 0.0]), ref, np.zeros(3), 4.0)
         assert u == 4.0 and sat
 
     def test_negative_saturation(self):
-        ref = ReferenceState(np.array([-2.0, 0.0, 0.0]))
+        ref = np.array([-2.0, 0.0, 0.0])
         u, sat = control_input(np.array([10.0, 0.0, 0.0]), ref, np.zeros(3), 4.0)
         assert u == -4.0 and sat
-
-    def test_reference_state_requires_finite(self):
-        with pytest.raises(ParameterError):
-            ReferenceState(np.array([np.inf, 0.0, 0.0]))
 
 
 def test_gain_report_shape(vertices_euler):

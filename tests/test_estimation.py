@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -20,9 +21,8 @@ from mapsched.estimation import (
     initial_imm_state,
     kf_predict,
     kf_update,
-    write_filter_trace,
 )
-from mapsched.harness import toggle_schedule
+from mapsched.harness import ScenarioSpec, run_scenario, toggle_schedule, write_trace_csv
 from mapsched.motor import DiscreteModel
 from mapsched.plant import plant_step
 
@@ -369,19 +369,17 @@ class TestStateValidation:
             NoiseConfig(Q=np.eye(3) * 1e-6, R=np.array([[0.0]]))
 
 
-def test_filter_trace_csv(tmp_path, vertices_zoh, noise):
-    state = initial_imm_state(vertices_zoh.models(), vertices_zoh.rho)
-    rows = {"time": [], "z": [], "mu": [], "x": [], "rho": []}
-    for k in range(5):
-        z = 0.001 * k
-        state, out = imm_step(state, 0.0, z, noise)
-        rows["time"].append(0.002 * k)
-        rows["z"].append(z)
-        rows["mu"].append(out.mu)
-        rows["x"].append(out.fused.mean)
-        rows["rho"].append(out.rho_hat)
+def test_filter_trace_csv(tmp_path, motor_zoh, vertices_zoh):
+    # the run trace carries the IMM outputs of every tick, round-tripped exactly
+    rec = run_scenario(ScenarioSpec(duration=0.01, seed=3), motor_zoh, vertices_zoh)
     path = tmp_path / "trace.csv"
-    write_filter_trace(path, rows["time"], rows["z"], rows["mu"], rows["x"], rows["rho"])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,z,mu_1,mu_2,theta_est,omega_est,current_est,rho_hat"
-    assert len(lines) == 6
+    write_trace_csv(path, rec)
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for k, row in enumerate(rows):
+        assert [float(row[c]) for c in ("mu_1", "mu_2")] == rec.mu[k].tolist()
+        assert [float(row[c]) for c in ("theta_est", "omega_est", "current_est")] == (
+            rec.estimate[k].tolist()
+        )
+        assert float(row["rho_hat"]) == rec.rho_hat[k]

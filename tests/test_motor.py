@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapsched import _plant_py
 from mapsched.errors import ParameterError
 from mapsched.motor import (
+    OMEGA_REST,
     FrictionModel,
     MotorParams,
     build_continuous_model,
@@ -14,7 +16,6 @@ from mapsched.motor import (
     discretize_exact_zoh,
     discretize_forward_euler,
     euler_discretize,
-    friction_torque,
     zoh_discretize,
 )
 
@@ -140,6 +141,14 @@ class TestExactZoh:
             errs.append(np.max(np.abs(pz - pe)))
         ratio = errs[0] / errs[1]
         assert 50.0 < ratio < 150.0
+
+
+def friction_torque(omega, applied_torque, f):
+    """Friction torque of the truth plant's RK4 right-hand side: applied
+    torque minus net torque, at unit inertia."""
+    net = _plant_py._domega(omega, 0.0, applied_torque, 1.0, 1.0,
+                            f.tau_s, f.tau_c, f.b, OMEGA_REST)
+    return applied_torque - net
 
 
 class TestFrictionTorque:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,18 +6,7 @@ from scipy.optimize import minimize_scalar
 from mapsched import _plant_py, plant
 from mapsched.errors import ParameterError
 from mapsched.motor import OMEGA_REST, FrictionModel, MotorParams, build_continuous_model
-from mapsched.plant import BACKEND, default_substeps, plant_step
-
-try:
-    from mapsched import _plant_cy
-except ImportError:
-    _plant_cy = None
-
-
-KERNEL_ARGS = dict(
-    kt=0.042, ke=0.042, jeq=2.06e-5, lm=1.16e-3, rm=8.4,
-    tau_s=0.003, tau_c=0.002, b=2.46e-6, omega_rest=1e-6, tau_ext=0.0,
-)
+from mapsched.plant import default_substeps, plant_step
 
 
 def test_default_substeps_keeps_inner_step_small():
@@ -91,17 +78,15 @@ STOCK_FRICTION = FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6)
 
 
 def _rk4(state, u, f, params, substeps, tau_ext=0.0):
-    return plant._kernel.motor_rk4(
+    return _plant_py.motor_rk4(
         *(float(v) for v in state), u, 0.002, substeps,
         params.Kt, params.Ke, params.Jeq, params.Lm, params.Rm,
         f.tau_s, f.tau_c, f.b, OMEGA_REST, tau_ext,
     )
 
 
-class _NoFallback:
-    @staticmethod
-    def motor_rk4(*args):
-        raise AssertionError("tick left the exact path")
+def _no_fallback(*args):
+    raise AssertionError("tick left the exact path")
 
 
 @pytest.mark.parametrize(
@@ -119,7 +104,7 @@ class _NoFallback:
 )
 def test_exact_ticks_match_converged_rk4(motor, monkeypatch, state, u, f, tau_ext):
     ref = np.array(_rk4(state, u, f, motor.params, 400, tau_ext=tau_ext))
-    monkeypatch.setattr(plant, "_kernel", _NoFallback)
+    monkeypatch.setattr(plant, "motor_rk4", _no_fallback)
     got = plant_step(np.array(state), u, f, motor.params, 0.002, tau_ext=tau_ext)
     assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-12)) < 1e-9
 
@@ -170,21 +155,3 @@ def test_oscillatory_modes_fall_back_to_rk4():
     state = [0.0, 3.0, 0.1]
     got = plant_step(np.array(state), 2.0, STOCK_FRICTION, p, 0.002, substeps=50)
     assert tuple(got) == _rk4(state, 2.0, STOCK_FRICTION, p, 50)
-
-
-@pytest.mark.skipif(_plant_cy is None, reason="compiled kernel not built")
-class TestBackendEquivalence:
-    def test_single_tick_bitwise(self):
-        args = (0.1, 3.7, -0.05, 2.5, 0.002, 200, *KERNEL_ARGS.values())
-        assert _plant_py.motor_rk4(*args) == _plant_cy.motor_rk4(*args)
-
-    def test_long_horizon_bitwise(self):
-        sa = sb = (0.0, 0.0, 0.0)
-        for k in range(300):
-            u = 2.0 * math.sin(2.0 * math.pi * 0.5 * k * 0.002)
-            sa = _plant_py.motor_rk4(*sa, u, 0.002, 200, *KERNEL_ARGS.values())
-            sb = _plant_cy.motor_rk4(*sb, u, 0.002, 200, *KERNEL_ARGS.values())
-        assert sa == sb
-
-    def test_selected_backend_reported(self):
-        assert BACKEND in ("compiled", "python")
