@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
 )
 from .estimation import (
+    FilterBank,
     GaussianBelief,
     ImmOutput,
     ImmState,

@@ -106,28 +106,30 @@ def synthesize_vertex_gains(vertices: VertexSet, Gamma, weights: LqrWeights) -> 
     return vertices.with_gains(gains)
 
 
-def maps_gain(mu, vertices: VertexSet) -> np.ndarray:
-    """Probability-scheduled gain K = sum_i mu_i K[i]."""
-    mu = np.asarray(mu, dtype=float)
-    if vertices.K_vertices is None:
-        raise ParameterError("vertex gains have not been synthesized")
-    if mu.size != len(vertices.K_vertices):
+def maps_gain(mu, gains) -> tuple:
+    """Probability-scheduled gain K = sum_i mu_i K[i], with each vertex gain
+    K[i] given as a row of 3 floats; returns the 3 gain entries."""
+    if len(mu) != len(gains):
         raise ValueError("one probability per vertex gain required")
-    K = np.zeros_like(vertices.K_vertices[0])
-    for w, Kv in zip(mu, vertices.K_vertices):
-        K = K + w * Kv
-    return K
+    k0 = k1 = k2 = 0.0
+    for w, (g0, g1, g2) in zip(mu, gains):
+        k0 += w * g0
+        k1 += w * g1
+        k2 += w * g2
+    return k0, k1, k2
 
 
-def control_input(K: np.ndarray, x_ref, x_hat, v_limit: float):
-    """Error-feedback law u = K (x_ref - x_hat) on the full-state reference
-    (theta_ref, omega_ref, i_ref), saturated to +/- v_limit.
+def control_input(K, x_ref, x_hat, v_limit: float, feedforward: float = 0.0):
+    """Error-feedback law u = K (x_ref - x_hat) + feedforward * theta_ref on
+    the full-state reference (theta_ref, omega_ref, i_ref), saturated to
+    +/- v_limit. Open-loop drive is K = 0 with feedforward 1.
 
     Returns (u, saturated) so callers can count saturation events.
     """
-    K = np.asarray(K, dtype=float).reshape(-1)
-    e = np.asarray(x_ref, dtype=float) - np.asarray(x_hat, dtype=float).reshape(-1)
-    u = float(K @ e)
+    k0, k1, k2 = K
+    r0, r1, r2 = x_ref
+    e0, e1, e2 = x_hat
+    u = k0 * (r0 - e0) + k1 * (r1 - e1) + k2 * (r2 - e2) + feedforward * r0
     if u > v_limit:
         return v_limit, True
     if u < -v_limit:

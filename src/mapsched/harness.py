@@ -1,10 +1,11 @@
 """Scenario simulation harness.
 
 Runs the nonlinear truth plant in closed loop with a chosen estimator
-(single Kalman filter or IMM) and controller (fixed vertex gain or the
-probability-scheduled gain), under a scheduled friction profile, and
-computes tracking/estimation metrics. Runs are deterministic for a given
-seed; measurement noise is the only random input by default.
+(single Kalman filter or IMM) and controller (fixed vertex gain, the
+probability-scheduled gain, or open-loop drive), under a scheduled friction
+profile, and computes tracking/estimation metrics. Every variant runs the
+same loop on plain floats. Runs are deterministic for a given seed;
+measurement noise is the only random input by default.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +29,11 @@ from .config import (
 )
 from .control import LqrWeights, control_input, maps_gain, synthesize_vertex_gains
 from .errors import ConfigError, ParameterError
-from .estimation import (
-    NoiseConfig,
-    imm_step,
-    initial_belief,
-    initial_imm_state,
-    kf_predict,
-    kf_update,
-)
+from .estimation import FilterBank, NoiseConfig, default_transition_matrix
+
+# not called here since the loop runs FilterBank.step; perfbench's tracer
+# looks these names up on this module, so they stay importable from it
+from .estimation import imm_step, kf_predict, kf_update  # noqa: F401
 from .motor import VertexSet, build_vertex_set
 from .plant import default_substeps, plant_step
 
@@ -46,6 +45,16 @@ SCENARIO_KEYS = frozenset(
         "ramp_time", "process_noise_std", "meas_noise_std", "substeps",
     }
 )
+
+# caps on the work one scenario may ask for: its ticks are logged in memory
+# (~150 bytes each), and each RK4 fallback tick costs about 1.5 us per substep
+MAX_TICKS = 1_000_000
+MAX_SUBSTEPS = 10_000
+
+# rows formatted per write; a chunk's Python floats and strings take ~1.5 KB
+# per row, so small chunks keep the writers' peak memory low (1,024 rows
+# added ~1.7 MiB of peak RSS to a 6 s run, 128 rows ~0.1 MiB)
+CSV_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -166,10 +175,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.reference not in ("sine", "step"):
             raise ConfigError(f"unknown reference kind {self.reference!r}")
-        if not self.duration > 0.0:
-            raise ConfigError("duration must be positive")
-        if not self.sample_rate > 0.0:
-            raise ConfigError("sample_rate must be positive")
+        _tick_count(self.duration, self.sample_rate)
         if not 0.0 < self.amplitude <= 100.0:
             raise ConfigError("reference amplitude must be in (0, 100] rad")
         if self.reference == "sine" and not self.frequency > 0.0:
@@ -178,28 +184,43 @@ class ScenarioSpec:
             raise ConfigError("step period must be positive")
         if not self.v_limit > 0.0:
             raise ConfigError("v_limit must be positive")
+        if self.substeps is not None and not 1 <= self.substeps <= MAX_SUBSTEPS:
+            raise ConfigError(f"substeps must be in [1, {MAX_SUBSTEPS}], got {self.substeps}")
         _parse_choice(self.controller, "controller", ("maps", "fixed", "open"))
         _parse_choice(self.estimator, "estimator", ("imm", "kf"))
 
     @property
     def n_ticks(self) -> int:
-        return int(round(self.duration * self.sample_rate))
+        return _tick_count(self.duration, self.sample_rate)
 
     @property
     def tick(self) -> float:
         return 1.0 / self.sample_rate
 
-    def reference_state(self, t: float) -> np.ndarray:
-        """Full-state reference: position signal, its analytic derivative,
-        zero current."""
+    def reference_state(self, t: float) -> tuple:
+        """Full-state reference (theta, omega, current): position signal, its
+        analytic derivative, zero current."""
         if self.reference == "sine":
             w = 2.0 * math.pi * self.frequency
-            return np.array(
-                [self.amplitude * math.sin(w * t), self.amplitude * w * math.cos(w * t), 0.0]
-            )
+            return (self.amplitude * math.sin(w * t), self.amplitude * w * math.cos(w * t), 0.0)
         phase = math.fmod(t, self.period)
         level = self.amplitude if phase < 0.5 * self.period else -self.amplitude
-        return np.array([level, 0.0, 0.0])
+        return (level, 0.0, 0.0)
+
+
+def _tick_count(duration: float, sample_rate: float) -> int:
+    """Ticks of a run; refuses a non-positive duration or sample rate and
+    more than MAX_TICKS ticks."""
+    if not duration > 0.0:
+        raise ConfigError("duration must be positive")
+    if not sample_rate > 0.0:
+        raise ConfigError("sample_rate must be positive")
+    ticks = duration * sample_rate
+    if not ticks <= MAX_TICKS:
+        raise ConfigError(
+            f"duration x sample_rate = {ticks:.6g} ticks exceeds the cap of {MAX_TICKS}"
+        )
+    return int(round(ticks))
 
 
 def _parse_choice(text: str, what: str, allowed) -> tuple[str, int]:
@@ -216,14 +237,6 @@ def _parse_choice(text: str, what: str, allowed) -> tuple[str, int]:
     if idx:
         raise ConfigError(f"{what} {kind!r} takes no index")
     return kind, 0
-
-
-def _clamp(value: float, limit: float) -> tuple[float, bool]:
-    if value > limit:
-        return limit, True
-    if value < -limit:
-        return -limit, True
-    return value, False
 
 
 @dataclass
@@ -271,7 +284,14 @@ class MetricsReport:
 def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
                  weights: LqrWeights | None = None,
                  noise: NoiseConfig | None = None) -> RunRecord:
-    """Simulate one closed-loop run of the spec against the truth plant."""
+    """Simulate one closed-loop run of the spec against the truth plant.
+
+    Every variant runs one loop. The estimator is a `FilterBank`: `imm`
+    holds every vertex model, `kf:<i>` the one model i. The controller
+    weights the vertex gains by `scale * mu + offset`: the mode
+    probabilities for `maps`, vertex i for `fixed:<i>`, nothing for `open`,
+    which feeds theta_ref forward as the voltage instead.
+    """
     noise = noise if noise is not None else NoiseConfig.default()
     weights = weights if weights is not None else LqrWeights.default()
     if vertices.K_vertices is None:
@@ -292,88 +312,72 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     if ctl_kind == "fixed" and not 0 <= ctl_idx < nv:
         raise ConfigError(f"fixed gain index {ctl_idx} out of range")
 
-    if est_kind == "imm":
-        imm_state = initial_imm_state(models, vertices.rho)
-    else:
-        belief = initial_belief()
+    # the vertex each filter mode stands for
+    slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
+    bank = FilterBank([models[i] for i in slots], default_transition_matrix(len(slots)), noise)
+    means, covs, mu = bank.initial()
+    gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
+    scale = 1.0 if ctl_kind == "maps" else 0.0
+    offset = tuple(1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in range(nv))
+    feedforward = 1.0 if ctl_kind == "open" else 0.0
 
     n = spec.n_ticks
-    rec = RunRecord(
-        spec=spec,
-        time=np.empty(n),
-        z=np.empty(n),
-        truth=np.empty((n, 3)),
-        estimate=np.empty((n, 3)),
-        mu=np.empty((n, nv)),
-        rho_hat=np.empty(n),
-        gain=np.empty((n, 3)),
-        u=np.empty(n),
-        reference=np.empty((n, 3)),
-        b_true=np.empty(n),
-        saturation_count=0,
-    )
-
-    rng = np.random.default_rng(spec.seed)
+    # one row per tick: time, z, truth (3), estimate (3), mu (nv), rho_hat,
+    # gain (3), u, reference (3), b_true
+    log = np.empty((n, 17 + nv))
+    normal = np.random.default_rng(spec.seed).standard_normal
     meas_std = (
         spec.meas_noise_std
         if spec.meas_noise_std is not None
         else math.sqrt(float(noise.R[0, 0]))
     )
+    dist_std = spec.process_noise_std
     substeps = spec.substeps if spec.substeps is not None else default_substeps(T)
-    truth = np.zeros(3)
-    u_prev = 0.0
+    step, reference, friction_at = bank.step, spec.reference_state, spec.friction.at
+    # one FrictionModel per schedule segment, not per tick; a ramp misses
+    friction = lru_cache(maxsize=16)(motor.friction)
+    params, v_limit, rho = motor.params, spec.v_limit, vertices.rho
+    truth = [0.0, 0.0, 0.0]
+    u = 0.0
     saturations = 0
 
     for k in range(n):
         t = k * T
-        z = truth[0] + meas_std * rng.standard_normal()
-        tau_dist = (
-            spec.process_noise_std * rng.standard_normal()
-            if spec.process_noise_std > 0.0
-            else 0.0
-        )
-
-        if est_kind == "imm":
-            imm_state, out = imm_step(imm_state, u_prev, z, noise)
-            x_hat = out.fused.mean
-            mu = out.mu
-            rho_hat = out.rho_hat
-        else:
-            belief = kf_predict(belief, models[est_idx], u_prev, noise.Q)
-            belief, _, _ = kf_update(belief, models[est_idx], z, noise.R)
-            x_hat = belief.mean
-            mu = np.zeros(nv)
-            mu[est_idx] = 1.0
-            rho_hat = vertices.rho[est_idx]
-
-        ref = spec.reference_state(t)
-        if ctl_kind == "open":
-            K = np.zeros(3)
-            u, saturated = _clamp(ref[0], spec.v_limit)
-        else:
-            K = maps_gain(mu, vertices) if ctl_kind == "maps" else vertices.K_vertices[ctl_idx]
-            u, saturated = control_input(K, ref, x_hat, spec.v_limit)
+        z = truth[0] + meas_std * normal()
+        tau_dist = dist_std * normal() if dist_std > 0.0 else 0.0
+        means, covs, mu, _, x_hat = step(means, covs, mu, u, z)
+        mu_v = [0.0] * nv
+        for slot, m in zip(slots, mu):
+            mu_v[slot] = m
+        rho_hat = 0.0
+        for m, r in zip(mu_v, rho):
+            rho_hat += m * r
+        K = maps_gain([scale * m + o for m, o in zip(mu_v, offset)], gains)
+        ref = reference(t)
+        u, saturated = control_input(K, ref, x_hat, v_limit, feedforward)
         saturations += saturated
-
-        rec.time[k] = t
-        rec.z[k] = z
-        rec.truth[k] = truth
-        rec.estimate[k] = x_hat
-        rec.mu[k] = mu
-        rec.rho_hat[k] = rho_hat
-        rec.gain[k] = np.asarray(K).reshape(-1)
-        rec.u[k] = u
-        rec.reference[k] = ref
-        b_t, coulomb_on = spec.friction.at(t)
-        rec.b_true[k] = b_t
+        b_t, coulomb_on = friction_at(t)
+        log[k] = (t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t)
         truth = plant_step(
-            truth, u, motor.friction(b_t, coulomb_on), motor.params, T,
+            truth, u, friction(b_t, coulomb_on), params, T,
             substeps=substeps, tau_ext=tau_dist,
-        )
-        u_prev = u
+        ).tolist()
 
-    rec.saturation_count = saturations
-    return rec
+    c = 8 + nv
+    return RunRecord(
+        spec=spec,
+        time=log[:, 0],
+        z=log[:, 1],
+        truth=log[:, 2:5],
+        estimate=log[:, 5:8],
+        mu=log[:, 8:c],
+        rho_hat=log[:, c],
+        gain=log[:, c + 1:c + 4],
+        u=log[:, c + 4],
+        reference=log[:, c + 5:c + 8],
+        b_true=log[:, c + 8],
+        saturation_count=saturations,
+    )
 
 
 def compute_metrics(record: RunRecord, channel: str = "tracking") -> MetricsReport:
@@ -405,39 +409,35 @@ class Comparison:
 
     def delta_percent(self, attr: str, i: int = 1, base: int = 0) -> float:
         """Percent change of metric `attr` of variant i relative to `base`."""
-        ref = getattr(self.metrics[base], attr)
-        val = getattr(self.metrics[i], attr)
-        return 100.0 * (val - ref) / ref
+        return _percent_change(getattr(self.metrics[base], attr), getattr(self.metrics[i], attr))
+
+    def _rows(self) -> list:
+        """(label, value per variant, percent change of the second variant
+        against the first) for the tracking metrics and per-state
+        estimation RMSE."""
+        table = [(attr, [getattr(m, attr) for m in self.metrics])
+                 for attr in ("rmse", "mae", "iae")]
+        table += [(f"est_rmse_{state}", [float(m.est_rmse[j]) for m in self.metrics])
+                  for j, state in enumerate(("theta", "omega", "current"))]
+        return [(label, vals, _percent_change(*vals[:2]) if len(vals) > 1 else 0.0)
+                for label, vals in table]
 
     def to_text(self) -> str:
-        rows = [f"{'metric':<14}" + "".join(f"{n:>14}" for n in self.names) + f"{'delta%':>10}"]
-        for attr in ("rmse", "mae", "iae"):
-            cells = "".join(f"{getattr(m, attr):>14.6f}" for m in self.metrics)
-            delta = self.delta_percent(attr) if len(self.metrics) > 1 else 0.0
-            rows.append(f"{attr:<14}{cells}{delta:>10.2f}")
-        for j, state in enumerate(("theta", "omega", "current")):
-            cells = "".join(f"{float(m.est_rmse[j]):>14.6f}" for m in self.metrics)
-            if len(self.metrics) > 1:
-                ref = float(self.metrics[0].est_rmse[j])
-                delta = 100.0 * (float(self.metrics[1].est_rmse[j]) - ref) / ref if ref else 0.0
-            else:
-                delta = 0.0
-            rows.append(f"est_rmse_{state:<5}{cells}{delta:>10.2f}")
-        return "\n".join(rows)
+        lines = [f"{'metric':<14}" + "".join(f"{n:>14}" for n in self.names) + f"{'delta%':>10}"]
+        for label, vals, delta in self._rows():
+            lines.append(f"{label:<14}" + "".join(f"{v:>14.6f}" for v in vals) + f"{delta:>10.2f}")
+        return "\n".join(lines)
 
     def to_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", *self.names, "delta_percent"])
-            for attr in ("rmse", "mae", "iae"):
-                vals = [getattr(m, attr) for m in self.metrics]
-                delta = self.delta_percent(attr) if len(vals) > 1 else 0.0
-                writer.writerow([attr, *[repr(v) for v in vals], repr(delta)])
-            for j, state in enumerate(("theta", "omega", "current")):
-                vals = [float(m.est_rmse[j]) for m in self.metrics]
-                ref = vals[0]
-                delta = 100.0 * (vals[1] - ref) / ref if len(vals) > 1 and ref else 0.0
-                writer.writerow([f"est_rmse_{state}", *[repr(v) for v in vals], repr(delta)])
+            for label, vals, delta in self._rows():
+                writer.writerow([label, *[repr(v) for v in vals], repr(delta)])
+
+
+def _percent_change(ref: float, val: float) -> float:
+    return 100.0 * (val - ref) / ref if ref else 0.0
 
 
 def compare_runs(spec: ScenarioSpec, variants, motor: MotorConfig,
@@ -465,6 +465,18 @@ TRACE_HEADER = [
 ]
 
 
+def _write_table(path, header, columns) -> None:
+    """Write equal-length float columns (1-D, or 2-D blocks of columns) as
+    CSV, each value in shortest round-trip form: the bytes csv.writer writes
+    for repr(float(v)), CSV_CHUNK rows at a time."""
+    n = len(columns[0])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, CSV_CHUNK):
+            rows = np.column_stack([c[start:start + CSV_CHUNK] for c in columns]).tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+
+
 def write_trace_csv(path, record: RunRecord) -> None:
     """One row per tick with every logged signal; floats use shortest
     round-trip formatting so identical runs write identical bytes."""
@@ -475,17 +487,10 @@ def write_trace_csv(path, record: RunRecord) -> None:
         + ["rho_hat", "k_theta", "k_omega", "k_current", "u",
            "theta_ref", "omega_ref", "current_ref"]
     )
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(record.time.size):
-            row = [
-                record.time[k], record.z[k],
-                *record.truth[k], *record.estimate[k],
-                *record.mu[k], record.rho_hat[k],
-                *record.gain[k], record.u[k], *record.reference[k],
-            ]
-            writer.writerow([repr(float(v)) for v in row])
+    _write_table(path, header, [
+        record.time, record.z, record.truth, record.estimate, record.mu,
+        record.rho_hat, record.gain, record.u, record.reference,
+    ])
 
 
 def write_plot_csv(path, record: RunRecord) -> None:
@@ -496,17 +501,11 @@ def write_plot_csv(path, record: RunRecord) -> None:
         + [f"mu_{j + 1}" for j in range(nv)]
         + ["rho_hat", "b_true", "u"]
     )
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(record.time.size):
-            row = [
-                record.time[k], record.reference[k, 0], record.truth[k, 0],
-                record.estimate[k, 0],
-                record.reference[k, 0] - record.truth[k, 0],
-                *record.mu[k], record.rho_hat[k], record.b_true[k], record.u[k],
-            ]
-            writer.writerow([repr(float(v)) for v in row])
+    theta_ref, theta = record.reference[:, 0], record.truth[:, 0]
+    _write_table(path, header, [
+        record.time, theta_ref, theta, record.estimate[:, 0], theta_ref - theta,
+        record.mu, record.rho_hat, record.b_true, record.u,
+    ])
 
 
 def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:
@@ -544,7 +543,10 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
 
     kind = entries.get("friction", "constant")
     duration = fget("duration", 30.0)
+    sample_rate = fget("sample_rate", 1.0 / motor.sample_time)
     ramp_time = fget("ramp_time", 0.0)
+    # refuse oversized runs before any schedule is built
+    ticks = _tick_count(duration, sample_rate)
     if kind == "constant":
         schedule = constant_schedule(motor.b_min)
     elif kind == "window":
@@ -554,10 +556,14 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
             ramp_time=ramp_time,
         )
     elif kind == "toggle":
+        first, period = fget("toggle_start", 0.3), fget("toggle_period", 5.0)
+        # segments = 1 + ceil((duration - first) / period)
+        if period > 0.0 and (duration - first) / period > ticks - 1:
+            raise ConfigError(
+                f"toggle_period {period!r} gives more friction segments than the {ticks} ticks"
+            )
         schedule = toggle_schedule(
-            motor.b_min, motor.b_max,
-            first=fget("toggle_start", 0.3), period=fget("toggle_period", 5.0),
-            duration=duration,
+            motor.b_min, motor.b_max, first=first, period=period, duration=duration,
         )
     else:
         raise ConfigError(f"unknown friction schedule {kind!r}")
@@ -576,7 +582,7 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
         frequency=fget("frequency", 0.5),
         period=fget("period", 10.0),
         duration=duration,
-        sample_rate=fget("sample_rate", 1.0 / motor.sample_time),
+        sample_rate=sample_rate,
         friction=schedule,
         seed=seed,
         controller=entries.get("controller", "maps"),

@@ -79,17 +79,21 @@ class DiscreteModel:
     Gamma: np.ndarray
     H: np.ndarray
     T: float
-    d: int = 1
 
     def __post_init__(self):
         if not self.T > 0.0:
             raise ParameterError("sample time must be positive")
         Phi, Gamma, H = _frozen(self.Phi), _frozen(self.Gamma), _frozen(self.H)
-        if H.shape[0] != self.d:
-            raise ParameterError("meas_dim must equal the number of rows of H")
+        if H.ndim != 2:
+            raise ParameterError("H must be a matrix, one row per measurement")
         object.__setattr__(self, "Phi", Phi)
         object.__setattr__(self, "Gamma", Gamma)
         object.__setattr__(self, "H", H)
+
+    @property
+    def d(self) -> int:
+        """Measurement dimension: the number of rows of H."""
+        return self.H.shape[0]
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,21 @@ def test_non_finite_duration_exit_one(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("text", [
+    "duration = 1e9\n",                                     # 5e11 ticks
+    "friction = toggle\ntoggle_period = 1e-9\n",            # 3e10 segments
+    "substeps = 1000000000\n",
+], ids=["ticks", "toggle_segments", "substeps"])
+def test_oversized_work_exit_one(tmp_path, text):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert "invalid config" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exit_two(tmp_path):
     # forward Euler with a microsecond electrical constant at a 2 ms tick is
     # far outside the well-conditioned regime: the Riccati residual misses

@@ -124,20 +124,18 @@ class TestVertexGains:
         assert gap > 1e-10
 
 
+def gain_rows(vertices):
+    return [tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices]
+
+
 class TestMapsGain:
     def test_pure_mode(self, vertices_euler):
-        K = maps_gain(np.array([1.0, 0.0]), vertices_euler)
-        assert np.array_equal(K, vertices_euler.K_vertices[0])
+        K = maps_gain([1.0, 0.0], gain_rows(vertices_euler))
+        assert np.array_equal(K, vertices_euler.K_vertices[0][0])
 
-    def test_arithmetic_mean(self, vertices_euler):
-        import dataclasses
-
-        vs = dataclasses.replace(
-            vertices_euler,
-            K_vertices=(np.array([[1.0, 2.0, 3.0]]), np.array([[3.0, 4.0, 5.0]])),
-        )
-        K = maps_gain(np.array([0.5, 0.5]), vs)
-        assert np.allclose(K, [[2.0, 3.0, 4.0]])
+    def test_arithmetic_mean(self):
+        K = maps_gain([0.5, 0.5], [(1.0, 2.0, 3.0), (3.0, 4.0, 5.0)])
+        assert np.allclose(K, [2.0, 3.0, 4.0])
 
     def test_rho_hat_weighting(self):
         mu = np.array([0.3, 0.7])
@@ -147,29 +145,30 @@ class TestMapsGain:
     @given(alpha=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
     def test_affine_in_mu(self, vertices_euler, alpha):
+        gains = gain_rows(vertices_euler)
         mu1 = np.array([0.9, 0.1])
         mu2 = np.array([0.2, 0.8])
         blended = alpha * mu1 + (1.0 - alpha) * mu2
-        K_blend = maps_gain(blended, vertices_euler)
-        K_mix = alpha * maps_gain(mu1, vertices_euler) + (1.0 - alpha) * maps_gain(
-            mu2, vertices_euler
+        K_blend = np.array(maps_gain(blended.tolist(), gains))
+        K_mix = alpha * np.array(maps_gain(mu1.tolist(), gains)) + (1.0 - alpha) * np.array(
+            maps_gain(mu2.tolist(), gains)
         )
         assert np.allclose(K_blend, K_mix, atol=1e-12)
 
     def test_equals_barycentric_interpolation_at_rho_hat(self, vertices_euler):
         # for two vertices both schedules are the same affine map of rho
+        gains = gain_rows(vertices_euler)
         mu = np.array([0.37, 0.63])
         lo, hi = vertices_euler.rho
         rho_hat = float(mu @ np.array(vertices_euler.rho))
         frac = (rho_hat - lo) / (hi - lo)
-        xi = np.array([1.0 - frac, frac])
-        K_mu = maps_gain(mu, vertices_euler)
-        K_xi = maps_gain(xi, vertices_euler)
+        K_mu = maps_gain(mu.tolist(), gains)
+        K_xi = maps_gain([1.0 - frac, frac], gains)
         assert np.allclose(K_mu, K_xi, atol=1e-12)
 
     def test_length_mismatch(self, vertices_euler):
         with pytest.raises(ValueError):
-            maps_gain(np.array([0.2, 0.3, 0.5]), vertices_euler)
+            maps_gain([0.2, 0.3, 0.5], gain_rows(vertices_euler))
 
 
 class TestControlInput:
@@ -191,6 +190,15 @@ class TestControlInput:
     def test_negative_saturation(self):
         ref = np.array([-2.0, 0.0, 0.0])
         u, sat = control_input(np.array([10.0, 0.0, 0.0]), ref, np.zeros(3), 4.0)
+        assert u == -4.0 and sat
+
+    def test_feedforward_drives_reference_open_loop(self):
+        # open-loop drive: no gain, theta_ref applied as the voltage, saturated
+        u, sat = control_input((0.0, 0.0, 0.0), (1.5, 3.0, 0.0), (9.0, 9.0, 9.0), 4.0,
+                               feedforward=1.0)
+        assert u == 1.5 and not sat
+        u, sat = control_input((0.0, 0.0, 0.0), (-6.0, 0.0, 0.0), (0.0, 0.0, 0.0), 4.0,
+                               feedforward=1.0)
         assert u == -4.0 and sat
 
 

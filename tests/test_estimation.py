@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import (
+    FilterBank,
     GaussianBelief,
     ImmState,
     NoiseConfig,
@@ -88,14 +89,6 @@ class TestKfUpdate:
     def test_huge_r_keeps_prior(self):
         post, _, _ = kf_update(belief1(0.4, 1.0), scalar_model(1.0), 100.0, R=np.array([[1e12]]))
         assert post.mean[0] == pytest.approx(0.4, abs=1e-9)
-
-    def test_joseph_form_matches_short_form(self, vertices_euler, noise):
-        mdl = vertices_euler.models()[0]
-        b = initial_belief()
-        b = kf_predict(b, mdl, 0.5, noise.Q)
-        short, _, _ = kf_update(b, mdl, 0.01, noise.R, joseph=False)
-        joseph, _, _ = kf_update(b, mdl, 0.01, noise.R, joseph=True)
-        assert np.allclose(short.cov, joseph.cov, atol=1e-15)
 
     def test_indefinite_innovation_rejected(self):
         b = belief1(0.0, 0.0)
@@ -249,7 +242,7 @@ class TestImmStep:
             assert np.all(out.mu >= 0.0)
 
     def test_vector_measurement_rejected(self, noise):
-        mdl = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)), H=np.eye(3)[:2], T=1.0, d=2)
+        mdl = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)), H=np.eye(3)[:2], T=1.0)
         state = initial_imm_state((mdl, mdl), (0.0, 1.0))
         with pytest.raises(ParameterError):
             imm_step(state, 0.0, np.zeros(2), noise)
@@ -261,6 +254,21 @@ class TestImmStep:
             state, out = imm_step(state, rng.uniform(-2, 2), 0.2 * rng.standard_normal(), noise)
             for b in (*state.modes, out.fused):
                 assert float(np.linalg.eigvalsh(b.cov)[0]) >= -1e-9
+
+
+class TestFilterBank:
+    def test_rejects_models_that_are_not_three_state(self, noise):
+        with pytest.raises(ParameterError):
+            FilterBank([scalar_model(1.0)], [[1.0]], noise)
+
+    def test_rejects_vector_measurement(self, noise):
+        mdl = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)), H=np.eye(3)[:2], T=1.0)
+        with pytest.raises(ParameterError):
+            FilterBank([mdl], [[1.0]], noise)
+        vector_r = NoiseConfig(Q=noise.Q, R=np.eye(2) * 1e-5)
+        with pytest.raises(ParameterError):
+            FilterBank([DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)),
+                                      H=np.eye(3)[:1], T=1.0)], [[1.0]], vector_r)
 
 
 def per_mode_imm_step(state, u, z, noise):

@@ -1,10 +1,20 @@
+import csv
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from mapsched import harness
 from mapsched.errors import ConfigError, ParameterError
+from mapsched.estimation import (
+    NoiseConfig,
+    imm_step,
+    initial_belief,
+    initial_imm_state,
+    kf_predict,
+    kf_update,
+)
 from mapsched.harness import (
     FrictionSchedule,
     FrictionSegment,
@@ -180,6 +190,54 @@ class TestRunScenario:
         assert np.all(rec.gain == 0.0)
 
 
+def friction_switch_run(motor, vertices, estimator, noise=None):
+    """2 s of the friction-switch scenario: b_min -> b_max at 0.3 s, a
+    0.25 rad step reference with a 2 s period, fixed vertex-0 gain."""
+    spec = short_spec(
+        reference="step", amplitude=0.25, period=2.0, duration=2.0, seed=7,
+        friction=toggle_schedule(B_MIN, B_MAX, first=0.3, period=5.0, duration=2.0),
+        controller="fixed:0", estimator=estimator,
+    )
+    return run_scenario(spec, motor, vertices, noise=noise)
+
+
+class TestRunPathEstimators:
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_kf_matches_single_filter_loop(self, motor_zoh, vertices_zoh, noise, index):
+        # the one-mode bank of the run loop is the plain Kalman filter
+        rec = friction_switch_run(motor_zoh, vertices_zoh, f"kf:{index}")
+        model = vertices_zoh.models()[index]
+        belief, u_prev, worst = initial_belief(), 0.0, 0.0
+        for k in range(rec.time.size):
+            belief = kf_predict(belief, model, u_prev, noise.Q)
+            belief, _, _ = kf_update(belief, model, rec.z[k], noise.R)
+            worst = max(worst, float(np.max(np.abs(rec.estimate[k] - belief.mean))))
+            u_prev = rec.u[k]
+        assert worst <= 1e-12
+
+    def test_imm_matches_imm_step_loop(self, motor_zoh, vertices_zoh, noise):
+        # imm_step and the run loop share one cycle
+        rec = friction_switch_run(motor_zoh, vertices_zoh, "imm")
+        state = initial_imm_state(vertices_zoh.models(), vertices_zoh.rho)
+        u_prev = 0.0
+        for k in range(rec.time.size):
+            state, out = imm_step(state, u_prev, rec.z[k], noise)
+            assert np.array_equal(rec.estimate[k], out.fused.mean)
+            assert np.array_equal(rec.mu[k], out.mu)
+            assert rec.rho_hat[k] == out.rho_hat
+            u_prev = rec.u[k]
+
+    def test_asymmetric_process_noise_folded_to_symmetric_part(self, motor_zoh, vertices_zoh):
+        Q = np.diag([1e-6, 1e-6, 1e-6])
+        Q[0, 1] = 4e-7
+        asym = NoiseConfig(Q=Q, R=np.array([[1e-5]]))
+        sym = NoiseConfig(Q=0.5 * (Q + Q.T), R=np.array([[1e-5]]))
+        a = friction_switch_run(motor_zoh, vertices_zoh, "imm", noise=asym)
+        b = friction_switch_run(motor_zoh, vertices_zoh, "imm", noise=sym)
+        assert np.array_equal(a.estimate, b.estimate)
+        assert np.array_equal(a.mu, b.mu)
+
+
 class TestMetrics:
     def test_constant_error(self):
         rec = synthetic_record([0.5] * 10)
@@ -301,6 +359,46 @@ class TestTraceOutputs:
         assert payload["seed"] == rec.spec.seed
         assert payload["rmse"] == met.rmse
         assert set(payload["estimation_rmse"]) == {"theta", "omega", "current"}
+
+
+def csv_module_reference(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_writers_match_csv_module_bytes(tmp_path, monkeypatch):
+    # chunks of 2 rows, so a 5-row record spans three of them
+    monkeypatch.setattr(harness, "CSV_CHUNK", 2)
+    rec = synthetic_record([0.5, -1e-05, 3.0e-300, -0.0, 123456789.125])
+    n = rec.time.size
+    rec.estimate = np.array([[1e-05, -2.5, 7.0], [0.1, 0.2, 0.3], [-1e-300, 1e300, 0.0],
+                             [5e-324, -5e-324, 2.0 / 3.0], [1.0, -1.0, 1e-05]])
+    rec.mu = np.array([[0.25, 0.75], [1.0, 0.0], [1e-05, 1.0 - 1e-05],
+                       [0.5, 0.5], [0.0, 1.0]])
+    rec.gain = np.arange(3 * n, dtype=float).reshape(n, 3) * -0.1
+    rec.u = np.linspace(-4.0, 4.0, n)
+    rec.b_true = np.full(n, 1.63e-4)
+
+    write_trace_csv(tmp_path / "trace.csv", rec)
+    header = (["time", "z", "theta_true", "omega_true", "current_true",
+               "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
+               "k_theta", "k_omega", "k_current", "u", "theta_ref", "omega_ref", "current_ref"])
+    rows = [[rec.time[k], rec.z[k], *rec.truth[k], *rec.estimate[k], *rec.mu[k],
+             rec.rho_hat[k], *rec.gain[k], rec.u[k], *rec.reference[k]] for k in range(n)]
+    csv_module_reference(tmp_path / "trace_ref.csv", header, rows)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "trace_ref.csv").read_bytes()
+
+    write_plot_csv(tmp_path / "plot.csv", rec)
+    header = ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
+              "mu_1", "mu_2", "rho_hat", "b_true", "u"]
+    rows = [[rec.time[k], rec.reference[k, 0], rec.truth[k, 0], rec.estimate[k, 0],
+             rec.reference[k, 0] - rec.truth[k, 0], *rec.mu[k], rec.rho_hat[k],
+             rec.b_true[k], rec.u[k]] for k in range(n)]
+    csv_module_reference(tmp_path / "plot_ref.csv", header, rows)
+    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "plot_ref.csv").read_bytes()
 
 
 class TestScenarioConfig:
