@@ -26,17 +26,11 @@ from .errors import (
 )
 from .estimation import (
     FilterBank,
-    GaussianBelief,
-    ImmOutput,
-    ImmState,
     NoiseConfig,
-    imm_combine,
     imm_likelihood,
-    imm_mix,
     imm_step,
     imm_update_probabilities,
     initial_belief,
-    initial_imm_state,
     kf_predict,
     kf_update,
 )

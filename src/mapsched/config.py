@@ -70,7 +70,10 @@ class MotorConfig:
 def parse_kv_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
     entries = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -29,11 +29,12 @@ from .config import (
 )
 from .control import LqrWeights, control_input, maps_gain, synthesize_vertex_gains
 from .errors import ConfigError, ParameterError
-from .estimation import FilterBank, NoiseConfig, default_transition_matrix
+from .estimation import FilterBank, NoiseConfig, default_transition_matrix, imm_step
 
-# not called here since the loop runs FilterBank.step; perfbench's tracer
-# looks these names up on this module, so they stay importable from it
-from .estimation import imm_step, kf_predict, kf_update  # noqa: F401
+# not called here: `kf:<i>` runs the one-mode bank through imm_step. The
+# benchmark's tracer looks these names up on this module, so they stay
+# importable from it
+from .estimation import kf_predict, kf_update  # noqa: F401
 from .motor import VertexSet, build_vertex_set
 from .plant import default_substeps, plant_step
 
@@ -47,7 +48,8 @@ SCENARIO_KEYS = frozenset(
 )
 
 # caps on the work one scenario may ask for: its ticks are logged in memory
-# (~150 bytes each), and each RK4 fallback tick costs about 1.5 us per substep
+# (~150 bytes each), and each RK4 fallback tick costs about 1.5 us per
+# substep, explicit or the plant's default (a 0.1 s tick reaches the cap)
 MAX_TICKS = 1_000_000
 MAX_SUBSTEPS = 10_000
 
@@ -184,8 +186,17 @@ class ScenarioSpec:
             raise ConfigError("step period must be positive")
         if not self.v_limit > 0.0:
             raise ConfigError("v_limit must be positive")
-        if self.substeps is not None and not 1 <= self.substeps <= MAX_SUBSTEPS:
-            raise ConfigError(f"substeps must be in [1, {MAX_SUBSTEPS}], got {self.substeps}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        try:
+            substeps = self.n_substeps
+        except OverflowError:  # the default count of an infinite tick
+            substeps = math.inf
+        if not 1 <= substeps <= MAX_SUBSTEPS:
+            raise ConfigError(
+                f"substeps must be in [1, {MAX_SUBSTEPS}], got {substeps} "
+                f"for a {self.tick:.6g} s tick"
+            )
         _parse_choice(self.controller, "controller", ("maps", "fixed", "open"))
         _parse_choice(self.estimator, "estimator", ("imm", "kf"))
 
@@ -196,6 +207,12 @@ class ScenarioSpec:
     @property
     def tick(self) -> float:
         return 1.0 / self.sample_rate
+
+    @property
+    def n_substeps(self) -> int:
+        """RK4 substeps of a fallback plant tick: `substeps`, or the plant's
+        default for the tick."""
+        return self.substeps if self.substeps is not None else default_substeps(self.tick)
 
     def reference_state(self, t: float) -> tuple:
         """Full-state reference (theta, omega, current): position signal, its
@@ -286,11 +303,11 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
                  noise: NoiseConfig | None = None) -> RunRecord:
     """Simulate one closed-loop run of the spec against the truth plant.
 
-    Every variant runs one loop. The estimator is a `FilterBank`: `imm`
-    holds every vertex model, `kf:<i>` the one model i. The controller
-    weights the vertex gains by `scale * mu + offset`: the mode
-    probabilities for `maps`, vertex i for `fixed:<i>`, nothing for `open`,
-    which feeds theta_ref forward as the voltage instead.
+    Every variant runs one loop. The estimator is `imm_step` over a
+    `FilterBank`: `imm` holds every vertex model, `kf:<i>` the one model i.
+    The controller weights the vertex gains by `scale * mu + offset`: the
+    mode probabilities for `maps`, vertex i for `fixed:<i>`, nothing for
+    `open`, which feeds theta_ref forward as the voltage instead.
     """
     noise = noise if noise is not None else NoiseConfig.default()
     weights = weights if weights is not None else LqrWeights.default()
@@ -332,8 +349,8 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
         else math.sqrt(float(noise.R[0, 0]))
     )
     dist_std = spec.process_noise_std
-    substeps = spec.substeps if spec.substeps is not None else default_substeps(T)
-    step, reference, friction_at = bank.step, spec.reference_state, spec.friction.at
+    substeps = spec.n_substeps
+    reference, friction_at = spec.reference_state, spec.friction.at
     # one FrictionModel per schedule segment, not per tick; a ramp misses
     friction = lru_cache(maxsize=16)(motor.friction)
     params, v_limit, rho = motor.params, spec.v_limit, vertices.rho
@@ -345,7 +362,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
         t = k * T
         z = truth[0] + meas_std * normal()
         tau_dist = dist_std * normal() if dist_std > 0.0 else 0.0
-        means, covs, mu, _, x_hat = step(means, covs, mu, u, z)
+        means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
         mu_v = [0.0] * nv
         for slot, m in zip(slots, mu):
             mu_v[slot] = m

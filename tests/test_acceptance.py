@@ -14,10 +14,11 @@ import pytest
 from mapsched.config import load_motor_config
 from mapsched.control import LqrWeights, solve_dare
 from mapsched.estimation import (
+    FilterBank,
     NoiseConfig,
+    default_transition_matrix,
     imm_step,
     initial_belief,
-    initial_imm_state,
     kf_predict,
     kf_update,
 )
@@ -55,6 +56,22 @@ HARDWARE_ROWS_30S = [
     ("sine_load_fixed", 0.7485, 22.4560),
     ("sine_load_sched", 0.6344, 19.0336),
 ]
+
+
+def full_covariances(upper):
+    """(..., 3, 3) symmetric matrices from the (..., 6) upper triangles
+    imm_step returns."""
+    rows, cols = np.triu_indices(3)
+    out = np.empty(upper.shape[:-1] + (3, 3))
+    out[..., rows, cols] = upper
+    out[..., cols, rows] = upper
+    return out
+
+
+def fused_covariances(mus, fused_means, mode_means, mode_covs):
+    """Moment-matched covariance of each tick's mu-weighted mode beliefs."""
+    d = mode_means - fused_means[:, None, :]
+    return np.einsum("ki,kiab->kab", mus, mode_covs + d[..., :, None] * d[..., None, :])
 
 
 @contextmanager
@@ -159,33 +176,42 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
             truth = plant_step(truth, us[k], motor_zoh.friction(b, coul),
                                motor_zoh.params, T)
 
-        state = initial_imm_state(models, design_zoh.rho)
+        bank = FilterBank(models, default_transition_matrix(2), noise)
+        means, covs, mu = bank.initial()
         u_prev = 0.0
-        covs = np.empty((n, 3, 3, 3))
+        fused_means = np.empty((n, 3))
+        mode_means = np.empty((n, 2, 3))
+        mode_covs = np.empty((n, 2, 6))
+        mus = np.empty((n, 2))
         for k in range(n):
-            state, out = imm_step(state, u_prev, zs[k], noise)
-            assert abs(float(out.mu.sum()) - 1.0) <= 1e-12
-            assert np.all(out.mu >= 0.0)
-            covs[k, 0] = state.modes[0].cov
-            covs[k, 1] = state.modes[1].cov
-            covs[k, 2] = out.fused.cov
+            means, covs, mu, _, fused_means[k] = imm_step(bank, means, covs, mu, u_prev, zs[k])
+            assert abs(sum(mu) - 1.0) <= 1e-12
+            assert min(mu) >= 0.0
+            mode_means[k], mode_covs[k], mus[k] = means, covs, mu
             u_prev = us[k]
-        min_eigs = np.linalg.eigvalsh(covs.reshape(-1, 3, 3))[:, 0]
+        full = full_covariances(mode_covs)
+        fused = fused_covariances(mus, fused_means, mode_means, full)
+        min_eigs = np.linalg.eigvalsh(np.concatenate([full.reshape(-1, 3, 3), fused]))[:, 0]
         assert float(min_eigs.min()) >= -1e-9
 
         # a bank of identical models must collapse to the standard KF
         mdl = models[0]
-        state = initial_imm_state((mdl, mdl), (design_zoh.rho[0], design_zoh.rho[0]))
-        belief = initial_belief()
+        bank = FilterBank((mdl, mdl), default_transition_matrix(2), noise)
+        means, covs, mu = bank.initial()
+        x, P = initial_belief()
+        kf_means = np.empty((n, 3))
+        kf_covs = np.empty((n, 3, 3))
         u_prev = 0.0
-        worst = 0.0
         for k in range(n):
-            state, out = imm_step(state, u_prev, zs[k], noise)
-            belief = kf_predict(belief, mdl, u_prev, noise.Q)
-            belief, _, _ = kf_update(belief, mdl, zs[k], noise.R)
-            worst = max(worst, float(np.max(np.abs(out.fused.mean - belief.mean))))
-            worst = max(worst, float(np.max(np.abs(out.fused.cov - belief.cov))))
+            means, covs, mu, _, fused_means[k] = imm_step(bank, means, covs, mu, u_prev, zs[k])
+            mode_means[k], mode_covs[k], mus[k] = means, covs, mu
+            x, P = kf_predict(x, P, mdl, u_prev, noise.Q)
+            x, P, _, _ = kf_update(x, P, mdl, zs[k], noise.R)
+            kf_means[k], kf_covs[k] = x, P
             u_prev = us[k]
+        fused = fused_covariances(mus, fused_means, mode_means, full_covariances(mode_covs))
+        worst = max(float(np.max(np.abs(fused_means - kf_means))),
+                    float(np.max(np.abs(fused - kf_covs))))
         assert worst <= 1e-9
 
 

@@ -105,7 +105,8 @@ def test_non_finite_duration_exit_one(tmp_path):
     "duration = 1e9\n",                                     # 5e11 ticks
     "friction = toggle\ntoggle_period = 1e-9\n",            # 3e10 segments
     "substeps = 1000000000\n",
-], ids=["ticks", "toggle_segments", "substeps"])
+    "sample_time = 20.0\n",                                 # 2e6 default substeps
+], ids=["ticks", "toggle_segments", "substeps", "default_substeps"])
 def test_oversized_work_exit_one(tmp_path, text):
     cfg = tmp_path / "big.cfg"
     cfg.write_text(text)
@@ -151,6 +152,20 @@ def test_maps_seed_env_override(tmp_path, scenario_cfg):
     assert out.returncode == 0
     metrics = json.loads((d1 / "metrics.json").read_text())
     assert metrics["seed"] == 123
+
+
+@pytest.mark.parametrize("text,env", [
+    ("seed = -1\n", None),
+    ("", {"MAPS_SEED": "-1"}),
+], ids=["file", "env"])
+def test_negative_seed_exit_one(tmp_path, text, env):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("duration = 0.1\n" + text)
+    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"), env=env)
+    assert out.returncode == 1
+    assert "invalid config" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_default_variants(scenario_cfg, tmp_path):

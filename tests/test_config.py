@@ -1,7 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapsched.config import MOTOR_DEFAULTS, load_motor_config
+from mapsched.config import (
+    MOTOR_DEFAULTS,
+    MOTOR_KEYS,
+    load_motor_config,
+    motor_config_from_entries,
+)
 from mapsched.errors import ConfigError, ParameterError
+from mapsched.harness import MAX_SUBSTEPS, MAX_TICKS, SCENARIO_KEYS, scenario_from_entries
 
 
 def test_defaults_without_file():
@@ -69,9 +78,47 @@ def test_non_finite_value_rejected(tmp_path, value):
         load_motor_config(path)
 
 
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "motor.cfg"
+    path.write_bytes(b"kt = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_motor_config(path)
+
+
 def test_friction_helper_toggles_coulomb():
     cfg = load_motor_config()
     on = cfg.friction(cfg.b_max, coulomb_on=True)
     off = cfg.friction(cfg.b_min, coulomb_on=False)
     assert on.tau_c == cfg.tau_c and on.b == cfg.b_max
     assert off.tau_c == 0.0 and off.b == cfg.b_min
+
+
+WORDS = ("sine", "step", "maps", "open", "fixed", "fixed:1", "fixed:x", "kf:0", "kf:9",
+         "imm", "imm:1", "constant", "window", "toggle", "zoh", "euler", "ZOH", "")
+VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.floats(min_value=-30.0, max_value=30.0).map(lambda e: f"1e{e:.0f}"),
+    st.sampled_from(WORDS),
+    st.text(min_size=1),
+)
+
+
+@given(entries=st.dictionaries(st.sampled_from(sorted(SCENARIO_KEYS | MOTOR_KEYS | {"bogus"})),
+                               VALUES, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_entries_are_refused_or_bounded(entries):
+    # every scenario + motor input either fails as a ConfigError or asks for
+    # bounded work: ticks, RK4 substeps and a seed the generator accepts
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("MAPS_SEED", raising=False)
+            motor = motor_config_from_entries(
+                {k: v for k, v in entries.items() if k in MOTOR_KEYS})
+            spec = scenario_from_entries(
+                {k: v for k, v in entries.items() if k not in MOTOR_KEYS}, motor)
+    except ConfigError:
+        return
+    assert 0 <= spec.n_ticks <= MAX_TICKS
+    assert 1 <= spec.n_substeps <= MAX_SUBSTEPS
+    np.random.default_rng(spec.seed)

@@ -8,10 +8,11 @@ import pytest
 from mapsched import harness
 from mapsched.errors import ConfigError, ParameterError
 from mapsched.estimation import (
+    FilterBank,
     NoiseConfig,
+    default_transition_matrix,
     imm_step,
     initial_belief,
-    initial_imm_state,
     kf_predict,
     kf_update,
 )
@@ -142,6 +143,11 @@ class TestReferenceSignals:
             short_spec(estimator="ekf")
         with pytest.raises(ConfigError):
             short_spec(amplitude=0.0)
+        with pytest.raises(ConfigError):
+            short_spec(seed=-1)
+        with pytest.raises(ConfigError):
+            # 1 / 5e-324 s is an infinite tick: no default substep count
+            short_spec(sample_rate=5e-324)
 
 
 class TestRunScenario:
@@ -207,24 +213,28 @@ class TestRunPathEstimators:
         # the one-mode bank of the run loop is the plain Kalman filter
         rec = friction_switch_run(motor_zoh, vertices_zoh, f"kf:{index}")
         model = vertices_zoh.models()[index]
-        belief, u_prev, worst = initial_belief(), 0.0, 0.0
+        (x, P), u_prev, worst = initial_belief(), 0.0, 0.0
         for k in range(rec.time.size):
-            belief = kf_predict(belief, model, u_prev, noise.Q)
-            belief, _, _ = kf_update(belief, model, rec.z[k], noise.R)
-            worst = max(worst, float(np.max(np.abs(rec.estimate[k] - belief.mean))))
+            x, P = kf_predict(x, P, model, u_prev, noise.Q)
+            x, P, _, _ = kf_update(x, P, model, rec.z[k], noise.R)
+            worst = max(worst, float(np.max(np.abs(rec.estimate[k] - x))))
             u_prev = rec.u[k]
         assert worst <= 1e-12
 
     def test_imm_matches_imm_step_loop(self, motor_zoh, vertices_zoh, noise):
-        # imm_step and the run loop share one cycle
+        # the run loop is a loop of imm_step calls
         rec = friction_switch_run(motor_zoh, vertices_zoh, "imm")
-        state = initial_imm_state(vertices_zoh.models(), vertices_zoh.rho)
+        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        means, covs, mu = bank.initial()
         u_prev = 0.0
         for k in range(rec.time.size):
-            state, out = imm_step(state, u_prev, rec.z[k], noise)
-            assert np.array_equal(rec.estimate[k], out.fused.mean)
-            assert np.array_equal(rec.mu[k], out.mu)
-            assert rec.rho_hat[k] == out.rho_hat
+            means, covs, mu, _, fused = imm_step(bank, means, covs, mu, u_prev, rec.z[k])
+            assert rec.estimate[k].tolist() == list(fused)
+            assert rec.mu[k].tolist() == mu
+            rho_hat = 0.0
+            for m, r in zip(mu, vertices_zoh.rho):
+                rho_hat += m * r
+            assert rec.rho_hat[k] == rho_hat
             u_prev = rec.u[k]
 
     def test_asymmetric_process_noise_folded_to_symmetric_part(self, motor_zoh, vertices_zoh):
