@@ -227,7 +227,7 @@ class ScenarioSpec:
 
 def _tick_count(duration: float, sample_rate: float) -> int:
     """Ticks of a run; refuses a non-positive duration or sample rate and
-    more than MAX_TICKS ticks."""
+    fewer than 1 or more than MAX_TICKS ticks."""
     if not duration > 0.0:
         raise ConfigError("duration must be positive")
     if not sample_rate > 0.0:
@@ -237,7 +237,12 @@ def _tick_count(duration: float, sample_rate: float) -> int:
         raise ConfigError(
             f"duration x sample_rate = {ticks:.6g} ticks exceeds the cap of {MAX_TICKS}"
         )
-    return int(round(ticks))
+    n = int(round(ticks))
+    if n < 1:
+        raise ConfigError(
+            f"duration x sample_rate = {ticks:.6g} ticks rounds to no tick"
+        )
+    return n
 
 
 def _parse_choice(text: str, what: str, allowed) -> tuple[str, int]:

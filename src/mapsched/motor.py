@@ -90,11 +90,6 @@ class DiscreteModel:
         object.__setattr__(self, "Gamma", Gamma)
         object.__setattr__(self, "H", H)
 
-    @property
-    def d(self) -> int:
-        """Measurement dimension: the number of rows of H."""
-        return self.H.shape[0]
-
 
 @dataclass(frozen=True)
 class FrictionModel:

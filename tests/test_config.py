@@ -119,6 +119,6 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
                 {k: v for k, v in entries.items() if k not in MOTOR_KEYS}, motor)
     except ConfigError:
         return
-    assert 0 <= spec.n_ticks <= MAX_TICKS
+    assert 1 <= spec.n_ticks <= MAX_TICKS
     assert 1 <= spec.n_substeps <= MAX_SUBSTEPS
     np.random.default_rng(spec.seed)

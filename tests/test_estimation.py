@@ -170,19 +170,24 @@ class TestImmProbabilityUpdate:
         assert np.allclose(mu, [1.0, 0.0])
 
 
-class TestFusedMean:
+class TestFusedMoments:
     def test_point_mass(self):
-        _, _, _, fused = hold_step(np.eye(2), (belief3(1.0, 2.0), belief3(9.0, 5.0)), [1.0, 0.0])
+        means, covs, mu, fused = hold_step(
+            np.eye(2), (belief3(1.0, 2.0), belief3(9.0, 5.0)), [1.0, 0.0])
         assert fused[0] == 1.0
+        assert fused_cov(means, covs, mu)[0, 0] == 2.0
 
-    def test_mixture_mean(self):
-        _, _, _, fused = hold_step(np.eye(2), (belief3(0.0, 1.0), belief3(2.0, 1.0)), [0.5, 0.5])
+    def test_mixture_moments(self):
+        means, covs, mu, fused = hold_step(
+            np.eye(2), (belief3(0.0, 1.0), belief3(2.0, 1.0)), [0.5, 0.5])
         assert fused[0] == pytest.approx(1.0)
+        assert fused_cov(means, covs, mu)[0, 0] == pytest.approx(2.0)
 
-    def test_identical_modes(self):
+    def test_identical_modes_no_spread(self):
         b = belief3(0.7, 1.3)
-        _, _, _, fused = hold_step(np.eye(2), (b, b), [0.4, 0.6])
+        means, covs, mu, fused = hold_step(np.eye(2), (b, b), [0.4, 0.6])
         assert fused[0] == pytest.approx(0.7, rel=1e-15)
+        assert fused_cov(means, covs, mu)[0, 0] == pytest.approx(1.3, rel=1e-15)
 
 
 class TestImmStep:

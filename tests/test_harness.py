@@ -148,6 +148,9 @@ class TestReferenceSignals:
         with pytest.raises(ConfigError):
             # 1 / 5e-324 s is an infinite tick: no default substep count
             short_spec(sample_rate=5e-324)
+        with pytest.raises(ConfigError):
+            # under half a tick at 500 Hz rounds to an empty run
+            short_spec(duration=0.001, sample_rate=500.0)
 
 
 class TestRunScenario:

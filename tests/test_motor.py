@@ -232,7 +232,7 @@ class TestVertexSet:
             assert np.array_equal(mdl.Gamma, vs.Gamma)
             assert np.array_equal(mdl.H, [[1.0, 0.0, 0.0]])
             assert mdl.T == 0.002
-            assert mdl.d == 1
+            assert mdl.H.shape[0] == 1
 
     def test_with_gains_requires_one_per_vertex(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
