@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--motor", help="motor config file", default=None)
     p_cert.add_argument("--epsilon", type=float, default=None,
                         help="scheduling mismatch bound to evaluate the rate at")
-    p_cert.add_argument("--delta", type=float, default=0.0,
-                        help="per-tick parameter drift bound (reported only)")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     p_run.add_argument("scenario", help="scenario config file (key = value lines)")
@@ -116,7 +114,7 @@ def _cmd_certify(args) -> int:
     vertices = design_from_motor(motor)
     assumptions = None
     if args.epsilon is not None:
-        assumptions = MismatchAssumptions(epsilon=args.epsilon, delta=args.delta)
+        assumptions = MismatchAssumptions(epsilon=args.epsilon)
     cert = certify(vertices, assumptions=assumptions)
     with np.printoptions(precision=6, suppress=False):
         print("common Lyapunov matrix P:")
@@ -128,8 +126,6 @@ def _cmd_certify(args) -> int:
     print(f"eps_star = {cert.eps_star:.6e}")
     print(f"C = {cert.C:.6e}  lambda = {cert.lambda_:.6e} "
           f"(at epsilon = {cert.epsilon_used:.6e})")
-    if cert.delta:
-        print(f"delta (reported only) = {cert.delta:.6e}")
     print("certified: yes")
     return 0
 

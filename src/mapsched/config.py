@@ -34,6 +34,9 @@ MOTOR_DEFAULTS = {
 
 MOTOR_KEYS = frozenset(MOTOR_DEFAULTS)
 
+# scheduled viscous coefficients may range over [0, B_RANGE * b_max]
+B_RANGE = 10.0
+
 
 @dataclass(frozen=True)
 class MotorConfig:
@@ -54,6 +57,17 @@ class MotorConfig:
             raise ParameterError("discretization must be 'euler' or 'zoh'")
         if not self.sample_time > 0.0:
             raise ParameterError("sample_time must be positive")
+        # the truth plant solves the slipping dynamics over their two real
+        # (omega, i) modes; their discriminant (b/J - R/L)^2 - 4 Kt Ke/(J L)
+        # is positive over every b in [0, B_RANGE b_max] iff the interval of
+        # b/J - R/L lies below -2 sqrt(Kt Ke/(J L))
+        p = self.params
+        if not B_RANGE * self.b_max / p.Jeq - p.Rm / p.Lm < -2.0 * math.sqrt(
+                p.Kt * p.Ke / p.Jeq / p.Lm):
+            raise ParameterError(
+                "the motor's (omega, i) modes are not real and distinct for every "
+                f"viscous coefficient in [0, {B_RANGE * self.b_max:.3e}]"
+            )
 
     def friction(self, b: float, coulomb_on: bool = True) -> FrictionModel:
         return FrictionModel(

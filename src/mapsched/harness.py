@@ -4,8 +4,10 @@ Runs the nonlinear truth plant in closed loop with a chosen estimator
 (single Kalman filter or IMM) and controller (fixed vertex gain, the
 probability-scheduled gain, or open-loop drive), under a scheduled friction
 profile, and computes tracking/estimation metrics. Every variant runs the
-same loop on plain floats. Runs are deterministic for a given seed;
-measurement noise is the only random input by default.
+same loop on plain floats. The truth plant is solved exactly, friction
+events included (`plant.plant_step`), so a scenario has no integration
+setting. Runs are deterministic for a given seed; measurement noise is the
+only random input by default.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    B_RANGE,
     MOTOR_KEYS,
     MotorConfig,
     _to_float,
@@ -36,22 +39,20 @@ from .estimation import FilterBank, NoiseConfig, default_transition_matrix, imm_
 # importable from it
 from .estimation import kf_predict, kf_update  # noqa: F401
 from .motor import VertexSet, build_vertex_set
-from .plant import default_substeps, plant_step
+from .plant import plant_step
 
 SCENARIO_KEYS = frozenset(
     {
         "reference", "amplitude", "frequency", "period", "duration",
         "sample_rate", "seed", "controller", "estimator", "v_limit",
         "friction", "load_start", "load_end", "toggle_start", "toggle_period",
-        "ramp_time", "process_noise_std", "meas_noise_std", "substeps",
+        "ramp_time", "process_noise_std", "meas_noise_std",
     }
 )
 
-# caps on the work one scenario may ask for: its ticks are logged in memory
-# (~150 bytes each), and each RK4 fallback tick costs about 1.5 us per
-# substep, explicit or the plant's default (a 0.1 s tick reaches the cap)
+# cap on the ticks one scenario may ask for: they are logged in memory
+# (~150 bytes each)
 MAX_TICKS = 1_000_000
-MAX_SUBSTEPS = 10_000
 
 # rows formatted per write; a chunk's Python floats and strings take ~1.5 KB
 # per row, so small chunks keep the writers' peak memory low (1,024 rows
@@ -90,9 +91,9 @@ class FrictionSchedule:
 
     def validate_range(self, b_max: float) -> None:
         for s in self.segments:
-            if not (0.0 <= s.b <= 10.0 * b_max):
+            if not (0.0 <= s.b <= B_RANGE * b_max):
                 raise ParameterError(
-                    f"scheduled friction {s.b:.3e} outside [0, {10 * b_max:.3e}]"
+                    f"scheduled friction {s.b:.3e} outside [0, {B_RANGE * b_max:.3e}]"
                 )
 
     def at(self, t: float) -> tuple[float, bool]:
@@ -172,7 +173,6 @@ class ScenarioSpec:
     v_limit: float = 4.0
     process_noise_std: float = 0.0   # torque disturbance, default off
     meas_noise_std: float | None = None  # None -> sqrt(R) of the filter config
-    substeps: int | None = None
 
     def __post_init__(self):
         if self.reference not in ("sine", "step"):
@@ -188,15 +188,6 @@ class ScenarioSpec:
             raise ConfigError("v_limit must be positive")
         if not self.seed >= 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        try:
-            substeps = self.n_substeps
-        except OverflowError:  # the default count of an infinite tick
-            substeps = math.inf
-        if not 1 <= substeps <= MAX_SUBSTEPS:
-            raise ConfigError(
-                f"substeps must be in [1, {MAX_SUBSTEPS}], got {substeps} "
-                f"for a {self.tick:.6g} s tick"
-            )
         _parse_choice(self.controller, "controller", ("maps", "fixed", "open"))
         _parse_choice(self.estimator, "estimator", ("imm", "kf"))
 
@@ -207,12 +198,6 @@ class ScenarioSpec:
     @property
     def tick(self) -> float:
         return 1.0 / self.sample_rate
-
-    @property
-    def n_substeps(self) -> int:
-        """RK4 substeps of a fallback plant tick: `substeps`, or the plant's
-        default for the tick."""
-        return self.substeps if self.substeps is not None else default_substeps(self.tick)
 
     def reference_state(self, t: float) -> tuple:
         """Full-state reference (theta, omega, current): position signal, its
@@ -354,12 +339,11 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
         else math.sqrt(float(noise.R[0, 0]))
     )
     dist_std = spec.process_noise_std
-    substeps = spec.n_substeps
     reference, friction_at = spec.reference_state, spec.friction.at
     # one FrictionModel per schedule segment, not per tick; a ramp misses
     friction = lru_cache(maxsize=16)(motor.friction)
     params, v_limit, rho = motor.params, spec.v_limit, vertices.rho
-    truth = [0.0, 0.0, 0.0]
+    truth = (0.0, 0.0, 0.0)
     u = 0.0
     saturations = 0
 
@@ -380,10 +364,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
         saturations += saturated
         b_t, coulomb_on = friction_at(t)
         log[k] = (t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t)
-        truth = plant_step(
-            truth, u, friction(b_t, coulomb_on), params, T,
-            substeps=substeps, tau_ext=tau_dist,
-        ).tolist()
+        truth = plant_step(truth, u, friction(b_t, coulomb_on), params, T, tau_dist)
 
     c = 8 + nv
     return RunRecord(
@@ -590,12 +571,6 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     else:
         raise ConfigError(f"unknown friction schedule {kind!r}")
 
-    substeps = entries.get("substeps")
-    if substeps is not None:
-        try:
-            substeps = int(substeps)
-        except ValueError:
-            raise ConfigError("substeps must be an integer") from None
     meas_noise_std = fget("meas_noise_std", -1.0)
 
     return ScenarioSpec(
@@ -612,7 +587,6 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
         v_limit=fget("v_limit", 4.0),
         process_noise_std=fget("process_noise_std", 0.0),
         meas_noise_std=meas_noise_std if meas_noise_std >= 0.0 else None,
-        substeps=substeps,
     )
 
 

@@ -1,19 +1,36 @@
-"""Truth-plant integration: an exact step per friction regime, RK4 across
-regime changes.
+"""Truth-plant integration: exact segments split at friction events.
 
 The voltage u and the external torque tau_ext are held over a control tick,
-so within one friction regime the motor is an affine linear system and the
-tick has a closed-form solution:
+so between friction events the motor is an affine linear system with a
+closed-form solution:
 
-- slipping (|omega| >= OMEGA_REST over the whole tick, sign s fixed):
-  x+ = Ad(b) x + Bd(b) [tau_ext - tau_c s, u], with (Ad, Bd) from one
-  augmented matrix exponential, cached per (params, b, dt);
-- stuck (|omega| < OMEGA_REST and |Kt i + tau_ext| < tau_s): omega is held,
-  theta advances by omega dt and i relaxes exponentially toward
-  (u - Ke omega) / Rm.
+- slipping with sign s: Jeq omega' = Kt i + tau_ext - tau_c s - b omega.
+  omega(t) = w_ss + a1 e^(lam1 t) + a2 e^(lam2 t) over the two real (omega, i)
+  modes; a whole tick that keeps its sign outside the rest band takes the
+  one-tick map x+ = Ad(b) x + Bd(b) [tau_ext - tau_c s, u], cached per
+  (params, b, dt);
+- at rest (|omega| <= OMEGA_REST) with |Kt i + tau_ext| below the breakaway
+  torque: stuck. omega is held, theta advances by omega dt and i relaxes
+  exponentially toward (u - Ke omega) / Rm.
 
-A tick that enters the rest band, breaks away or changes sign is integrated
-with fixed-step RK4 at dt/substeps instead (`_plant_py.motor_rk4`).
+A tick that changes regime is chained from such segments, split at its
+friction events, after Karnopp's stick-slip model (ASME J. Dyn. Sys.,
+Meas., Control 107, 1985):
+
+- band entry: slipping ends where s omega falls to OMEGA_REST, a root of the
+  closed form on a monotone piece of omega. If the motor torque drives the
+  rotor the other way harder than Coulomb friction resists,
+  -s (Kt i + tau_ext) > tau_c, it reverses and slips on with sign -s;
+  otherwise it stops, omega = 0, and is stuck. So static friction holds a
+  rotor at rest, not one whose velocity only passes through zero: this is
+  what a fixed-step integrator of the same model does at any practical
+  step, since it steps over the band;
+- breakaway: a rotor at rest is held while |Kt i + tau_ext| stays below the
+  breakaway torque, and slips off with the sign of that torque where the
+  relaxing current brings it there (one log).
+
+At most MAX_EVENTS events are located per tick. Motors whose (omega, i)
+modes are complex are refused.
 """
 
 from __future__ import annotations
@@ -23,32 +40,34 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._plant_py import motor_rk4
 from .errors import NumericalError, ParameterError
 from .motor import OMEGA_REST, FrictionModel, MotorParams, zoh_discretize
 
-# inner RK4 step small enough for the stiff electrical time constant
-MAX_INNER_STEP = 1e-5
+# friction events (band entries and breakaways) located within one tick
+MAX_EVENTS = 8
 
-
-def default_substeps(dt: float) -> int:
-    return max(1, math.ceil(dt / MAX_INNER_STEP))
+# Newton iterations of an event-time solve; each one that leaves the bracket
+# bisects it instead, so 64 cover any tick to float resolution. A scipy
+# root finder would cost ~0.2 s of import in every run.
+MAX_ROOT_ITER = 64
 
 
 @lru_cache(maxsize=256)
 def _slip_model(kt, ke, jeq, lm, rm, b, dt):
     """One-tick maps and modal data of the slipping dynamics at viscous
-    coefficient b, or None when the (omega, i) modes are not real and
-    distinct.
+    coefficient b.
 
     Returns (Ad rows, Bd rows, lam_slow, lam_fast, m_slow, m_fast), where
-    [1, m] is the (omega, i) eigenvector of each mode.
+    [1, m] is the (omega, i) eigenvector of each mode. Raises ParameterError
+    when the modes are not real and distinct.
     """
     tr = -(b / jeq + rm / lm)
     det = (b * rm + kt * ke) / (jeq * lm)
     disc = tr * tr - 4.0 * det
     if not disc > 0.0:
-        return None
+        raise ParameterError(
+            f"the motor's (omega, i) modes are not real and distinct at b = {b:.3e}"
+        )
     lam_fast = 0.5 * (tr - math.sqrt(disc))
     lam_slow = det / lam_fast  # product of the roots; avoids cancellation
     A = np.array([
@@ -65,33 +84,42 @@ def _slip_model(kt, ke, jeq, lm, rm, b, dt):
     )
 
 
-def _slip_step(theta, omega, cur, u, tau_ext, f, p, dt):
-    """Exact tick when omega keeps its sign and stays outside the rest band
-    throughout; None otherwise.
-
-    omega(t) = w_ss + a1 e^(lam_slow t) + a2 e^(lam_fast t) has at most one
-    interior extremum, so the band test at both ends and at that extremum
-    covers the whole tick.
-    """
-    model = _slip_model(p.Kt, p.Ke, p.Jeq, p.Lm, p.Rm, f.b, dt)
-    if model is None:
-        return None
-    ad, bd, lam1, lam2, m1, m2 = model
-    s = 1.0 if omega > 0.0 else -1.0
-    torque = tau_ext - f.tau_c * s
+def _modes(omega, cur, u, torque, f, p, m1, m2):
+    """(w_ss, i_ss, a1, a2): the steady state of the slipping dynamics under
+    the constant torque `torque` and the offset from it split over the
+    eigenvectors [1, m1], [1, m2]."""
     w_ss = (p.Kt * u + p.Rm * torque) / (f.b * p.Rm + p.Kt * p.Ke)
-    dw, di = omega - w_ss, cur - (u - p.Ke * w_ss) / p.Rm
-    # split the offset from steady state over the eigenvectors [1, m]
+    i_ss = (u - p.Ke * w_ss) / p.Rm
+    dw, di = omega - w_ss, cur - i_ss
     a1 = (di - m2 * dw) / (m1 - m2)
-    a2 = dw - a1
+    return w_ss, i_ss, a1, dw - a1
+
+
+def _extremum(a1, a2, lam1, lam2):
+    """Time of the one extremum of a1 e^(lam1 t) + a2 e^(lam2 t), or None."""
     if a1 != 0.0 and a2 != 0.0:
         ratio = -(a2 * lam2) / (a1 * lam1)
         if ratio > 0.0:
-            t_ext = math.log(ratio) / (lam1 - lam2)
-            if 0.0 < t_ext < dt:
-                w_ext = w_ss + a1 * math.exp(lam1 * t_ext) + a2 * math.exp(lam2 * t_ext)
-                if not s * w_ext >= OMEGA_REST:
-                    return None
+            return math.log(ratio) / (lam1 - lam2)
+    return None
+
+
+def _slip_step(theta, omega, cur, u, tau_ext, f, p, dt, model):
+    """Exact tick when omega keeps its sign and stays outside the rest band
+    throughout; None otherwise.
+
+    omega(t) has at most one interior extremum, so the band test at both
+    ends and at that extremum covers the whole tick.
+    """
+    ad, bd, lam1, lam2, m1, m2 = model
+    s = 1.0 if omega > 0.0 else -1.0
+    torque = tau_ext - f.tau_c * s
+    w_ss, _, a1, a2 = _modes(omega, cur, u, torque, f, p, m1, m2)
+    t_ext = _extremum(a1, a2, lam1, lam2)
+    if t_ext is not None and 0.0 < t_ext < dt:
+        w_ext = w_ss + a1 * math.exp(lam1 * t_ext) + a2 * math.exp(lam2 * t_ext)
+        if not s * w_ext >= OMEGA_REST:
+            return None
     out = tuple(
         row[0] * theta + row[1] * omega + row[2] * cur + g[0] * torque + g[1] * u
         for row, g in zip(ad, bd)
@@ -101,51 +129,140 @@ def _slip_step(theta, omega, cur, u, tau_ext, f, p, dt):
     return out
 
 
-def _stuck_step(theta, omega, cur, u, tau_ext, f, p, dt):
-    """Exact tick while stiction holds the rotor; None on breakaway.
+def _entry_time(h, dh, lo, hi, h_lo, h_hi):
+    """Root of h on [lo, hi], where h falls monotonically from h_lo > 0 to
+    h_hi <= 0: Newton steps from the secant guess, each step that leaves
+    the shrinking bracket replaced by its midpoint."""
+    tol = 1e-15 * hi
+    t = lo + (hi - lo) * h_lo / (h_lo - h_hi)
+    for _ in range(MAX_ROOT_ITER):
+        v = h(t)
+        if v > 0.0:
+            lo = t
+        else:
+            hi = t
+        d = dh(t)
+        nxt = t - v / d if d != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= tol:
+            return nxt
+        t = nxt
+    return hi
 
-    i relaxes monotonically, so the motor torque stays below the threshold
-    over the whole tick iff it does at both ends.
-    """
-    i_ss = (u - p.Ke * omega) / p.Rm
-    cur_end = i_ss + (cur - i_ss) * math.exp(-p.Rm * dt / p.Lm)
-    if not abs(p.Kt * cur_end + tau_ext) < f.tau_s:
-        return None
-    return theta + omega * dt, omega, cur_end
+
+def _band_entry(s, w_ss, a1, a2, lam1, lam2, span):
+    """First time in (0, span] at which s omega(t) falls to OMEGA_REST, or
+    None. omega(t) = w_ss + a1 e^(lam1 t) + a2 e^(lam2 t) is split into
+    monotone pieces at its extremum; a piece that starts inside the band
+    after a maximum (a peak within the band) enters it at its start."""
+    def h(t):
+        return s * (w_ss + a1 * math.exp(lam1 * t) + a2 * math.exp(lam2 * t)) - OMEGA_REST
+
+    def dh(t):
+        return s * (a1 * lam1 * math.exp(lam1 * t) + a2 * lam2 * math.exp(lam2 * t))
+
+    cuts = [0.0, span]
+    t_ext = _extremum(a1, a2, lam1, lam2)
+    # an extremum within rounding of t = 0, where omega' = 0 at the start
+    # (a breakaway at exactly tau_c), is no split
+    if t_ext is not None and 1e-12 / (lam1 - lam2) < t_ext < span:
+        cuts.insert(1, t_ext)
+    h_a, rose = h(0.0), False
+    for a, c in zip(cuts, cuts[1:]):
+        h_c = h(c)
+        if h_c < h_a:
+            if h_a <= 0.0:
+                # a peak within the band; a piece falling from inside the
+                # band at t = 0 only rounds, since a rotor slips off from
+                # rest toward its torque
+                if rose:
+                    return a
+            elif h_c <= 0.0:
+                return _entry_time(h, dh, a, c, h_a, h_c)
+        h_a, rose = h_c, h_c > h_a
+    return None
+
+
+def _event_step(theta, omega, cur, u, tau_ext, f, p, dt, model):
+    """Tick chained from exact segments, stuck or slipping with a fixed
+    sign, split where the rotor enters the rest band or breaks away. A tick
+    that stays stuck is one segment: the stuck map."""
+    _, _, lam1, lam2, m1, m2 = model
+    # breakaway torque: tau_s, or tau_c + b OMEGA_REST where that is larger
+    # (tau_s = tau_c), so a rotor breaking away anywhere in the rest band
+    # accelerates out of it
+    tau_b = max(f.tau_s, f.tau_c + f.b * OMEGA_REST)
+    sign = math.copysign(1.0, omega) if abs(omega) > OMEGA_REST else 0.0
+    left = dt
+    for _ in range(MAX_EVENTS + 1):
+        if sign == 0.0:
+            torque = p.Kt * cur + tau_ext
+            if abs(torque) > tau_b:
+                sign = math.copysign(1.0, torque)
+        if sign == 0.0:
+            # stuck: i relaxes toward i_ss, and the torque with it
+            i_ss = (u - p.Ke * omega) / p.Rm
+            tau_ss = p.Kt * i_ss + tau_ext
+            span = left
+            if abs(tau_ss) > tau_b:
+                ratio = (torque - tau_ss) / (math.copysign(tau_b, tau_ss) - tau_ss)
+                span = min(left, p.Lm / p.Rm * math.log(max(ratio, 1.0)))
+            cur = i_ss + (cur - i_ss) * math.exp(-p.Rm * span / p.Lm)
+            theta += omega * span
+            if span >= left:
+                return theta, omega, cur
+            sign = math.copysign(1.0, tau_ss)
+        else:
+            w_ss, i_ss, a1, a2 = _modes(omega, cur, u, tau_ext - f.tau_c * sign, f, p, m1, m2)
+            entry = _band_entry(sign, w_ss, a1, a2, lam1, lam2, left)
+            span = left if entry is None else entry
+            e1, e2 = math.exp(lam1 * span), math.exp(lam2 * span)
+            theta += (w_ss * span + a1 * math.expm1(lam1 * span) / lam1
+                      + a2 * math.expm1(lam2 * span) / lam2)
+            cur = i_ss + a1 * m1 * e1 + a2 * m2 * e2
+            omega = w_ss + a1 * e1 + a2 * e2
+            if entry is None:
+                return theta, omega, cur
+            if -sign * (p.Kt * cur + tau_ext) > f.tau_c:
+                # the torque carries the rotor on through zero against
+                # Coulomb friction: it reverses without coming to rest
+                sign = -sign
+            else:
+                omega, sign = 0.0, 0.0  # it stops; static friction holds it
+            if span >= left:
+                return theta, omega, cur
+        left -= span
+    raise NumericalError(
+        f"truth plant tick needs more than {MAX_EVENTS} friction events "
+        f"(u={u}, tau_ext={tau_ext}, b={f.b})"
+    )
 
 
 def plant_step(state, u: float, f: FrictionModel, params: MotorParams,
-               dt: float, substeps: int | None = None,
-               tau_ext: float = 0.0) -> np.ndarray:
+               dt: float, tau_ext: float = 0.0) -> tuple:
     """Advance the nonlinear truth plant one control tick of length dt.
 
     Solves theta' = omega, Jeq omega' = Kt i + tau_ext - tau_fric,
-    Lm i' = -Rm i - Ke omega + u with u and tau_ext held. A tick that stays
-    in one friction regime (slipping with a fixed sign, or stuck) takes the
-    exact affine step; any other tick is integrated with fixed-step RK4 at
-    dt/substeps, so `substeps` only sets that fallback.
+    Lm i' = -Rm i - Ke omega + u with u and tau_ext held, exactly: a tick
+    that stays in one friction regime (slipping with a fixed sign, or stuck)
+    takes its one-tick map, any other tick is chained from exact segments
+    split at its friction events. `state` is any 3-sequence
+    (theta, omega, i); returns the next state as a 3-tuple of floats.
     """
-    if substeps is None:
-        substeps = default_substeps(dt)
-    if substeps < 1:
-        raise ParameterError("substeps must be at least 1")
-    theta, omega, cur = (float(v) for v in np.asarray(state, dtype=float).reshape(3))
+    theta, omega, cur = state
+    theta, omega, cur = float(theta), float(omega), float(cur)
     u, tau_ext = float(u), float(tau_ext)
-    if abs(omega) >= OMEGA_REST:
-        nxt = _slip_step(theta, omega, cur, u, tau_ext, f, params, dt)
-    elif abs(params.Kt * cur + tau_ext) < f.tau_s:
-        nxt = _stuck_step(theta, omega, cur, u, tau_ext, f, params, dt)
-    else:
-        nxt = None
+    p = params
+    model = _slip_model(p.Kt, p.Ke, p.Jeq, p.Lm, p.Rm, f.b, dt)
+    nxt = None
+    if abs(omega) > OMEGA_REST:
+        nxt = _slip_step(theta, omega, cur, u, tau_ext, f, p, dt, model)
     if nxt is None:
-        nxt = motor_rk4(
-            theta, omega, cur, u, float(dt), int(substeps),
-            params.Kt, params.Ke, params.Jeq, params.Lm, params.Rm,
-            f.tau_s, f.tau_c, f.b, OMEGA_REST, tau_ext,
-        )
+        nxt = _event_step(theta, omega, cur, u, tau_ext, f, p, dt, model)
     theta, omega, cur = nxt
     if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(cur)):
         raise NumericalError(
             f"truth plant diverged (state=({theta}, {omega}, {cur}), u={u}, b={f.b})"
         )
-    return np.array([theta, omega, cur])
+    return nxt

@@ -24,14 +24,13 @@ from .motor import VertexSet, _frozen
 
 @dataclass(frozen=True)
 class MismatchAssumptions:
-    """Bounds on the scheduling estimation error and per-tick parameter drift."""
+    """Bound on the scheduling estimation error."""
 
     epsilon: float
-    delta: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0.0 or self.delta < 0.0:
-            raise ParameterError("mismatch bounds must be non-negative")
+        if self.epsilon < 0.0:
+            raise ParameterError("mismatch bound must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class StabilityCert:
     C: float
     lambda_: float
     epsilon_used: float
-    delta: float
 
     def __post_init__(self):
         object.__setattr__(self, "P_lyap", _frozen(self.P_lyap))
@@ -234,5 +232,4 @@ def certify(vertices: VertexSet, Gamma=None,
         C=C,
         lambda_=lam,
         epsilon_used=eps_used if eps_used is not None else 0.5 * eps_star,
-        delta=assumptions.delta if assumptions is not None else 0.0,
     )

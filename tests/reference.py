@@ -1,6 +1,10 @@
-"""Fixed-step RK4 kernel for the nonlinear motor truth plant.
+"""Fixed-step RK4 of the nonlinear motor truth plant: the converged reference
+the tests hold `mapsched.plant.plant_step` against.
 
-`plant.plant_step` falls back to it on ticks that change friction regime.
+On a tick that changes friction regime its error is first order in the
+substep: the friction torque jumps inside the substep that straddles the
+event. It resolves sticking only when one substep moves omega less than the
+rest band's width.
 """
 
 

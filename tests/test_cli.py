@@ -104,9 +104,8 @@ def test_non_finite_duration_exit_one(tmp_path):
 @pytest.mark.parametrize("text", [
     "duration = 1e9\n",                                     # 5e11 ticks
     "friction = toggle\ntoggle_period = 1e-9\n",            # 3e10 segments
-    "substeps = 1000000000\n",
-    "sample_time = 20.0\n",                                 # 2e6 default substeps
-], ids=["ticks", "toggle_segments", "substeps", "default_substeps"])
+    "substeps = 1000000000\n",                              # not a scenario key
+], ids=["ticks", "toggle_segments", "substeps"])
 def test_oversized_work_exit_one(tmp_path, text):
     cfg = tmp_path / "big.cfg"
     cfg.write_text(text)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapsched.config import (
+    B_RANGE,
     MOTOR_DEFAULTS,
     MOTOR_KEYS,
     load_motor_config,
     motor_config_from_entries,
 )
 from mapsched.errors import ConfigError, ParameterError
-from mapsched.harness import MAX_SUBSTEPS, MAX_TICKS, SCENARIO_KEYS, scenario_from_entries
+from mapsched.harness import MAX_TICKS, SCENARIO_KEYS, scenario_from_entries
 
 
 def test_defaults_without_file():
@@ -106,10 +107,13 @@ VALUES = st.one_of(
 
 @given(entries=st.dictionaries(st.sampled_from(sorted(SCENARIO_KEYS | MOTOR_KEYS | {"bogus"})),
                                VALUES, max_size=12))
+@example(entries={"lm": "1e0"})       # complex (omega, i) modes at every b
+@example(entries={"b_max": "2e-2"})   # complex modes for b in (0.138, 0.160)
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_entries_are_refused_or_bounded(entries):
     # every scenario + motor input either fails as a ConfigError or asks for
-    # bounded work: ticks, RK4 substeps and a seed the generator accepts
+    # bounded work (ticks and a seed the generator accepts) of a motor whose
+    # (omega, i) modes are real and distinct over the scheduled friction range
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.delenv("MAPS_SEED", raising=False)
@@ -120,5 +124,8 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
     except ConfigError:
         return
     assert 1 <= spec.n_ticks <= MAX_TICKS
-    assert 1 <= spec.n_substeps <= MAX_SUBSTEPS
+    p = motor.params
+    for b in (0.0, B_RANGE * motor.b_max):
+        assert (b / p.Jeq - p.Rm / p.Lm) ** 2 > 4.0 * p.Kt * p.Ke / (p.Jeq * p.Lm)
+    assert B_RANGE * motor.b_max / p.Jeq < p.Rm / p.Lm
     np.random.default_rng(spec.seed)

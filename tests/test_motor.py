@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import _domega
 
-from mapsched import _plant_py
 from mapsched.errors import ParameterError
 from mapsched.motor import (
     OMEGA_REST,
@@ -146,8 +146,8 @@ class TestExactZoh:
 def friction_torque(omega, applied_torque, f):
     """Friction torque of the truth plant's RK4 right-hand side: applied
     torque minus net torque, at unit inertia."""
-    net = _plant_py._domega(omega, 0.0, applied_torque, 1.0, 1.0,
-                            f.tau_s, f.tau_c, f.b, OMEGA_REST)
+    net = _domega(omega, 0.0, applied_torque, 1.0, 1.0,
+                  f.tau_s, f.tau_c, f.b, OMEGA_REST)
     return applied_torque - net
 
 

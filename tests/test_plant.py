@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
+from reference import motor_rk4
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
-from mapsched import _plant_py, plant
-from mapsched.errors import ParameterError
+from mapsched import plant
+from mapsched.config import motor_config_from_entries
+from mapsched.errors import ConfigError, NumericalError, ParameterError
 from mapsched.motor import OMEGA_REST, FrictionModel, MotorParams, build_continuous_model
-from mapsched.plant import default_substeps, plant_step
-
-
-def test_default_substeps_keeps_inner_step_small():
-    assert default_substeps(0.002) == 200
-    assert 0.002 / default_substeps(0.002) <= 1e-5
-    assert default_substeps(1e-6) == 1
+from mapsched.plant import plant_step
 
 
 def test_equilibrium_under_stiction(motor):
@@ -45,14 +41,6 @@ def test_steady_state_velocity_matches_regression_model(motor):
     assert state[1] == pytest.approx(expected, rel=0.02)
 
 
-def test_substep_doubling_converged(motor):
-    f = FrictionModel(tau_s=0.003, tau_c=0.002, b=1.63e-4)
-    start = np.array([0.1, 3.0, -0.02])
-    a = plant_step(start, 2.0, f, motor.params, 0.002, substeps=200)
-    b = plant_step(start, 2.0, f, motor.params, 0.002, substeps=400)
-    assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)) < 1e-9
-
-
 def test_passive_decay_with_zero_input(motor):
     f = FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6)
     state = np.array([0.0, 5.0, 0.0])
@@ -60,69 +48,52 @@ def test_passive_decay_with_zero_input(motor):
     for _ in range(1000):
         state = plant_step(state, 0.0, f, motor.params, 0.002)
         norms.append(float(np.linalg.norm(state)))
-    # after the initial transient the norm never grows beyond the Coulomb
-    # chatter resolution of the fixed-step integrator
+    # after the initial transient the norm never grows: the rotor comes to
+    # rest and sticks
     tail = np.array(norms[250:])
     assert np.all(np.diff(tail) <= 1e-8)
     assert tail[-1] <= tail[0] + 1e-6
     assert abs(state[1]) < 1e-3  # spun down
 
 
-def test_substeps_must_be_positive(motor):
-    f = FrictionModel()
-    with pytest.raises(ParameterError):
-        plant_step(np.zeros(3), 0.0, f, motor.params, 0.002, substeps=0)
-
-
 STOCK_FRICTION = FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6)
 
 
-def _rk4(state, u, f, params, substeps, tau_ext=0.0):
-    return _plant_py.motor_rk4(
-        *(float(v) for v in state), u, 0.002, substeps,
+def _rk4(state, u, f, params, substeps, tau_ext=0.0, dt=0.002):
+    return motor_rk4(
+        *(float(v) for v in state), u, dt, substeps,
         params.Kt, params.Ke, params.Jeq, params.Lm, params.Rm,
         f.tau_s, f.tau_c, f.b, OMEGA_REST, tau_ext,
     )
 
 
-def _no_fallback(*args):
-    raise AssertionError("tick left the exact path")
-
-
+# `expected` pins each tick's one-regime map output bit for bit
 @pytest.mark.parametrize(
-    "state, u, f, tau_ext",
+    "state, u, f, tau_ext, expected",
     [
-        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0),
-        ([0.1, -3.0, 0.02], -2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0),
-        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.0, 2.46e-6), 0.0),
-        ([-0.2, -30.0, 0.3], 1.0, FrictionModel(0.003, 0.0, 2.46e-6), 1e-3),
-        ([0.3, 0.0, 0.01], 0.3, STOCK_FRICTION, 0.0),
-        ([0.3, 5e-7, 0.01], -0.2, STOCK_FRICTION, 1e-3),
+        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0,
+         (0.10653540639538725, 3.5906879496974673, 0.22036580185391436)),
+        ([0.1, -3.0, 0.02], -2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0,
+         (0.09346459360461276, -3.5906879496974673, -0.22036580185391436)),
+        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.0, 2.46e-6), 0.0,
+         (0.1067774987983865, 3.8336157780868554, 0.21923578908716723)),
+        ([-0.2, -30.0, 0.3], 1.0, FrictionModel(0.003, 0.0, 2.46e-6), 1e-3,
+         (-0.25878933004716687, -28.800858389413587, 0.26345929030017323)),
+        ([0.3, 0.0, 0.01], 0.3, STOCK_FRICTION, 0.0,
+         (0.3, 0.0, 0.03571427251980467)),
+        ([0.3, 5e-7, 0.01], -0.2, STOCK_FRICTION, 1e-3,
+         (0.300000001, 5e-07, -0.02380950896122338)),
     ],
     ids=["slip+coulomb", "slip-coulomb", "slip+viscous", "slip-viscous-load",
          "stuck", "stuck-creeping"],
 )
-def test_exact_ticks_match_converged_rk4(motor, monkeypatch, state, u, f, tau_ext):
+def test_one_regime_ticks_exact(motor, state, u, f, tau_ext, expected):
+    # bitwise the one-regime map, and within 1e-9 of RK4 at 400 substeps
     ref = np.array(_rk4(state, u, f, motor.params, 400, tau_ext=tau_ext))
-    monkeypatch.setattr(plant, "motor_rk4", _no_fallback)
-    got = plant_step(np.array(state), u, f, motor.params, 0.002, tau_ext=tau_ext)
-    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-12)) < 1e-9
-
-
-@pytest.mark.parametrize(
-    "state, u, f",
-    [
-        ([0.0, 1.01e-6, 0.0], 0.0, FrictionModel(0.003, 0.0, 2.46e-6)),  # coasts into the band
-        ([0.0, 0.0, 0.0], 5.0, STOCK_FRICTION),    # current builds past the stiction torque
-        ([0.0, 0.0, 0.1], 1.0, STOCK_FRICTION),    # starts above the stiction torque
-        ([0.0, 0.05, 0.0], -4.0, STOCK_FRICTION),  # reverses within the tick
-    ],
-    ids=["enter-band", "breakaway", "break-at-start", "cross-zero"],
-)
-@pytest.mark.parametrize("substeps", [50, 200])
-def test_regime_changes_fall_back_to_rk4(motor, state, u, f, substeps):
-    got = plant_step(np.array(state), u, f, motor.params, 0.002, substeps=substeps)
-    assert tuple(got) == _rk4(state, u, f, motor.params, substeps)
+    got = plant_step(state, u, f, motor.params, 0.002, tau_ext=tau_ext)
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert got == expected
+    assert np.max(np.abs(np.array(got) - ref) / np.maximum(np.abs(ref), 1e-12)) < 1e-9
 
 
 def _slipping_omega(state, u, f, params, t):
@@ -136,22 +107,114 @@ def _slipping_omega(state, u, f, params, t):
 
 
 @pytest.mark.parametrize("omega0", [0.1457725, 0.12], ids=["graze-band", "reverse-and-back"])
-def test_interior_dip_into_rest_band_falls_back(motor, omega0):
+def test_interior_dip_reaches_rest_band(motor, omega0):
     # a negative current brakes the rotor while the voltage reverses it, so
     # omega dips to its minimum about 0.17 ms into the tick and ends fast;
-    # both ends of the tick lie far outside the rest band
+    # both ends of the tick lie far outside the rest band. These ticks are
+    # inputs of test_event_ticks_match_reference
     state, u, p = [0.0, omega0, -1.0], 4.0, motor.params
     ends = [_slipping_omega(state, u, STOCK_FRICTION, p, t) for t in (0.0, 0.002)]
     dip = minimize_scalar(lambda t: _slipping_omega(state, u, STOCK_FRICTION, p, t),
                           bounds=(0.0, 0.002), method="bounded", options={"xatol": 1e-12})
     assert min(ends) > 0.1 and dip.fun < OMEGA_REST
-    got = plant_step(np.array(state), u, STOCK_FRICTION, p, 0.002, substeps=50)
-    assert tuple(got) == _rk4(state, u, STOCK_FRICTION, p, 50)
 
 
-def test_oscillatory_modes_fall_back_to_rk4():
+EVENT_TICKS = [
+    ([0.0, 1.01e-6, 0.0], 0.0, FrictionModel(0.003, 0.0, 2.46e-6), 0.0),
+    ([0.0, 0.0, 0.0], 5.0, STOCK_FRICTION, 0.0),
+    ([0.0, 0.0, 0.0], 3.0, STOCK_FRICTION, -1e-3),
+    ([0.0, 0.0, 0.1], 1.0, STOCK_FRICTION, 0.0),
+    ([0.0, 0.05, 0.0], -4.0, STOCK_FRICTION, 0.0),
+    # reversals with tau_c < |Kt i| < tau_s: the rotor passes through zero
+    ([0.0, 0.01, -0.0238], -0.2, FrictionModel(0.003, 0.0, 2.46e-6), 0.0),
+    ([0.0, 0.01, -0.0595], -0.5, STOCK_FRICTION, 0.0),
+    ([0.0, 0.1457725, -1.0], 4.0, STOCK_FRICTION, 0.0),
+    ([0.0, 0.12, -1.0], 4.0, STOCK_FRICTION, 0.0),
+    # omega' = 0 at the start, so rounding alone would pick a direction: the
+    # torque at exactly tau_s = tau_c and falling, or no friction at all
+    ([0.0, 0.0, 0.003 / 0.042], -0.6, FrictionModel(0.003, 0.003, 0.0), 0.0),
+    ([0.0, 0.0, 0.0], -0.6, FrictionModel(0.0, 0.0, 0.0), 0.0),
+    ([0.0, OMEGA_REST, 0.0], 1.07, FrictionModel(0.0, 0.0, 0.0), 0.0),
+]
+EVENT_IDS = ["enter-band", "breakaway", "breakaway-load", "break-at-start", "reversal",
+             "reversal-below-stiction", "reversal-below-stiction-coulomb",
+             "graze-band", "reverse-and-back",
+             "balanced-at-breakaway", "frictionless", "frictionless-band-edge"]
+
+
+@pytest.mark.parametrize("state, u, f, tau_ext", EVENT_TICKS, ids=EVENT_IDS)
+def test_event_ticks_match_reference(motor, state, u, f, tau_ext):
+    # the reference's own error on these ticks is first order: the friction
+    # torque jumps inside the substep h that straddles each of the tick's
+    # (at most two) events, so omega is off by up to 2 (tau_s + tau_c) h / Jeq,
+    # which halves with each doubling of the substeps; 1e-12 covers round-off
+    p, dt = motor.params, 0.002
+    got = np.array(plant_step(state, u, f, p, dt, tau_ext=tau_ext))
+    refs = {n: np.array(_rk4(state, u, f, p, n, tau_ext=tau_ext)) for n in (400, 800, 1600, 3200)}
+    scale = np.array([dt, 1.0, p.Ke * dt / p.Lm])  # omega's error carried into theta and i
+    for n in (400, 800, 1600):
+        tol = (2.0 * (f.tau_s + f.tau_c) / p.Jeq * (dt / n) + 1e-12) * scale
+        assert np.all(np.abs(refs[n] - refs[2 * n]) <= tol)
+        assert np.all(np.abs(got - refs[n]) <= tol)
+
+
+def test_coulomb_stick_matches_fine_reference(motor):
+    # Coulomb friction stops the rotor at ~100 rad/s^2; the reference only
+    # lands in the 2e-6 rad/s rest band when a substep moves omega less than
+    # that, here at 15 ns. It then holds omega inside the band, where the
+    # event step holds omega = 0
+    p, dt = motor.params, 5e-4
+    state = (0.0, 0.02, 0.0)
+    got = plant_step(state, 0.0, STOCK_FRICTION, p, dt)
+    ref = _rk4(state, 0.0, STOCK_FRICTION, p, 32768, dt=dt)
+    assert got[1] == 0.0 and abs(ref[1]) < OMEGA_REST
+    assert abs(got[0] - ref[0]) <= OMEGA_REST * dt
+    assert abs(got[2] - ref[2]) <= 1e-8
+
+
+def test_coast_down_sticks_and_holds(motor):
+    # from a spin with no voltage, Coulomb friction brings the rotor to rest
+    # in ~50 ms; it then stays stuck, omega exactly 0 and theta fixed
+    state = (0.0, 5.0, 0.0)
+    thetas, omegas = [], []
+    for _ in range(500):
+        state = plant_step(state, 0.0, STOCK_FRICTION, motor.params, 0.002)
+        thetas.append(state[0])
+        omegas.append(state[1])
+    rest = next(k for k, w in enumerate(omegas) if abs(w) <= OMEGA_REST)
+    assert rest < 40
+    assert all(w == 0.0 for w in omegas[rest:])
+    assert state[0] == thetas[rest]
+    assert abs(state[2]) < 1e-6
+
+
+def test_event_cap_raises(motor, monkeypatch):
+    # the graze tick takes two events: stick at the dip, then break away
+    state, u = (0.0, 0.1457725, -1.0), 4.0
+    monkeypatch.setattr(plant, "MAX_EVENTS", 2)
+    plant_step(state, u, STOCK_FRICTION, motor.params, 0.002)
+    monkeypatch.setattr(plant, "MAX_EVENTS", 1)
+    with pytest.raises(NumericalError, match="friction events"):
+        plant_step(state, u, STOCK_FRICTION, motor.params, 0.002)
+
+
+def test_complex_modes_refused(motor):
     # a large inductance makes the (omega, i) modes a complex pair
-    p = MotorParams(Lm=1.0)
-    state = [0.0, 3.0, 0.1]
-    got = plant_step(np.array(state), 2.0, STOCK_FRICTION, p, 0.002, substeps=50)
-    assert tuple(got) == _rk4(state, 2.0, STOCK_FRICTION, p, 50)
+    with pytest.raises(ParameterError, match="not real and distinct"):
+        plant_step((0.0, 3.0, 0.1), 2.0, STOCK_FRICTION, MotorParams(Lm=1.0), 0.002)
+    with pytest.raises(ConfigError, match="not real and distinct"):
+        motor_config_from_entries({"lm": "1.0"})
+
+
+def test_config_refuses_complex_modes_inside_schedule_range(motor):
+    # the modes are complex for b/Jeq within 2 sqrt(Kt Ke / (Jeq Lm)) of
+    # Rm/Lm, b in about (0.138, 0.160) for the stock motor. b_max = 0.02 is
+    # real at both vertices, but schedules may reach 10 b_max
+    p = motor.params
+    for b in (0.0, 0.02, 0.2):
+        plant_step((0.0, 3.0, 0.1), 2.0, FrictionModel(b=b), p, 0.002)
+    with pytest.raises(ParameterError):
+        plant_step((0.0, 3.0, 0.1), 2.0, FrictionModel(b=0.15), p, 0.002)
+    with pytest.raises(ConfigError, match="not real and distinct"):
+        motor_config_from_entries({"b_max": "0.02"})
+    assert motor_config_from_entries({"b_max": "0.013"}).b_max == 0.013

@@ -201,9 +201,8 @@ class TestCertify:
     def test_reports_assumed_epsilon(self, vertices_zoh):
         cert0 = certify(vertices_zoh)
         eps = 0.25 * cert0.eps_star
-        cert = certify(vertices_zoh, assumptions=MismatchAssumptions(epsilon=eps, delta=1e-5))
+        cert = certify(vertices_zoh, assumptions=MismatchAssumptions(epsilon=eps))
         assert cert.epsilon_used == eps
-        assert cert.delta == 1e-5
         # smaller mismatch leaves more decrease: faster certified rate
         assert cert.lambda_ < certify(
             vertices_zoh, assumptions=MismatchAssumptions(epsilon=0.9 * cert0.eps_star)
