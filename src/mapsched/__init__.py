@@ -29,7 +29,6 @@ from .estimation import (
     NoiseConfig,
     imm_likelihood,
     imm_step,
-    imm_update_probabilities,
     initial_belief,
     kf_predict,
     kf_update,
@@ -54,8 +53,6 @@ from .motor import (
     VertexSet,
     build_continuous_model,
     build_vertex_set,
-    discretize_exact_zoh,
-    discretize_forward_euler,
 )
 from .plant import plant_step
 from .stability import (

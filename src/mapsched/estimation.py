@@ -9,8 +9,8 @@ the 3-state motor models with the scalar angle measurement: per mode a mean
 3-tuple and the upper triangle (p00, p01, p02, p11, p12, p22) of its
 covariance. A `FilterBank` holds the models, Pi and noise it reads. A single
 Kalman filter is the one-mode bank with Pi = [[1]]. `kf_predict`,
-`kf_update`, `imm_likelihood` and `imm_update_probabilities` are the
-per-mode array forms the tests check the cycle against.
+`kf_update` and `imm_likelihood` are the per-mode array forms the tests
+check the cycle against.
 """
 
 from __future__ import annotations
@@ -110,16 +110,6 @@ def imm_likelihood(r: float, s: float) -> float:
     if not s > 0.0:
         raise NumericalError("innovation covariance is not positive definite")
     return math.exp(-0.5 * (_LOG_2PI + math.log(s) + r ** 2 / s))
-
-
-def imm_update_probabilities(likelihoods: np.ndarray, mu_pred: np.ndarray) -> np.ndarray:
-    """Bayes update of the mode probabilities; if every product underflows to
-    zero the measurement carries no information and mu_pred is kept."""
-    w = np.asarray(likelihoods, dtype=float) * np.asarray(mu_pred, dtype=float)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return np.asarray(mu_pred, dtype=float).copy()
-    return w / total
 
 
 def _spread(weights, x, means, covs):

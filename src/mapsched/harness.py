@@ -16,8 +16,11 @@ import csv
 import json
 import math
 import os
+from bisect import bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +57,11 @@ SCENARIO_KEYS = frozenset(
 # (~150 bytes each)
 MAX_TICKS = 1_000_000
 
-# rows formatted per write; a chunk's Python floats and strings take ~1.5 KB
-# per row, so small chunks keep the writers' peak memory low (1,024 rows
-# added ~1.7 MiB of peak RSS to a 6 s run, 128 rows ~0.1 MiB)
-CSV_CHUNK = 128
+# rows formatted per write; a chunk holds both files' columns as Python
+# floats and strings, ~5 KB per row, so small chunks keep the writers' peak
+# memory low (on a 6 s run, against not writing, 1,024 rows added ~4.9 MiB
+# of peak RSS, 128 rows ~0.45 MiB, 64 rows ~0.25 MiB)
+CSV_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,7 @@ class FrictionSchedule:
     segments: tuple
     interpolation: str = "step"
     ramp_time: float = 0.0
+    _starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -88,6 +93,7 @@ class FrictionSchedule:
         if self.interpolation == "ramp" and not self.ramp_time > 0.0:
             raise ParameterError("ramp interpolation needs ramp_time > 0")
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_starts", tuple(starts))
 
     def validate_range(self, b_max: float) -> None:
         for s in self.segments:
@@ -97,13 +103,9 @@ class FrictionSchedule:
                 )
 
     def at(self, t: float) -> tuple[float, bool]:
-        """Friction value and Coulomb flag active at time t."""
-        idx = 0
-        for i, seg in enumerate(self.segments):
-            if seg.start <= t:
-                idx = i
-            else:
-                break
+        """Friction value and Coulomb flag active at time t: those of the
+        last segment starting at or before t, the first segment before that."""
+        idx = max(bisect_right(self._starts, t) - 1, 0)
         seg = self.segments[idx]
         if self.interpolation == "ramp" and idx > 0:
             lapsed = t - seg.start
@@ -410,10 +412,6 @@ class Comparison:
     metrics: tuple          # MetricsReport per variant
     records: tuple
 
-    def delta_percent(self, attr: str, i: int = 1, base: int = 0) -> float:
-        """Percent change of metric `attr` of variant i relative to `base`."""
-        return _percent_change(getattr(self.metrics[base], attr), getattr(self.metrics[i], attr))
-
     def _rows(self) -> list:
         """(label, value per variant, percent change of the second variant
         against the first) for the tracking metrics and per-state
@@ -461,54 +459,60 @@ def compare_runs(spec: ScenarioSpec, variants, motor: MotorConfig,
     return Comparison(names=tuple(names), metrics=tuple(metrics), records=tuple(records))
 
 
-TRACE_HEADER = [
-    "time", "z",
-    "theta_true", "omega_true", "current_true",
-    "theta_est", "omega_est", "current_est",
-]
+def write_run_csvs(trace_path, plot_path, record: RunRecord) -> None:
+    """Write trace.csv (every logged signal) and plot.csv (a reduced table
+    for plotting tools) in one pass; either path may be None to skip that
+    file.
 
-
-def _write_table(path, header, columns) -> None:
-    """Write equal-length float columns (1-D, or 2-D blocks of columns) as
-    CSV, each value in shortest round-trip form: the bytes csv.writer writes
-    for repr(float(v)), CSV_CHUNK rows at a time."""
-    n = len(columns[0])
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, n, CSV_CHUNK):
-            rows = np.column_stack([c[start:start + CSV_CHUNK] for c in columns]).tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+    CSV_CHUNK rows of the union of the two files' columns are stacked at a
+    time and every value is formatted once, in shortest round-trip form (the
+    bytes csv.writer writes for repr(float(v))), so identical runs write
+    identical bytes. Each file's rows are joined from those same cells.
+    """
+    nv = record.mu.shape[1]
+    mu_names = [f"mu_{j + 1}" for j in range(nv)]
+    # the union row: the trace.csv columns, then tracking_error and b_true
+    width = 16 + nv
+    trace = (
+        ["time", "z", "theta_true", "omega_true", "current_true",
+         "theta_est", "omega_est", "current_est", *mu_names, "rho_hat",
+         "k_theta", "k_omega", "k_current", "u",
+         "theta_ref", "omega_ref", "current_ref"],
+        itemgetter(slice(0, width)),
+    )
+    plot = (
+        ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
+         *mu_names, "rho_hat", "b_true", "u"],
+        itemgetter(0, width - 3, 2, 5, width, *range(8, 9 + nv), width + 1, width - 4),
+    )
+    theta_ref, theta = record.reference[:, 0], record.truth[:, 0]
+    columns = [
+        record.time, record.z, record.truth, record.estimate, record.mu,
+        record.rho_hat, record.gain, record.u, record.reference,
+        theta_ref - theta, record.b_true,
+    ]
+    with ExitStack() as stack:
+        outputs = []
+        for path, (header, cells) in ((trace_path, trace), (plot_path, plot)):
+            if path is not None:
+                fh = stack.enter_context(Path(path).open("w", newline=""))
+                fh.write(",".join(header) + "\r\n")
+                outputs.append((fh, cells))
+        for start in range(0, len(record.time), CSV_CHUNK):
+            block = np.column_stack([c[start:start + CSV_CHUNK] for c in columns])
+            rows = [list(map(repr, row)) for row in block.tolist()]
+            for fh, cells in outputs:
+                fh.write("".join([",".join(cells(row)) + "\r\n" for row in rows]))
 
 
 def write_trace_csv(path, record: RunRecord) -> None:
-    """One row per tick with every logged signal; floats use shortest
-    round-trip formatting so identical runs write identical bytes."""
-    nv = record.mu.shape[1]
-    header = (
-        TRACE_HEADER
-        + [f"mu_{j + 1}" for j in range(nv)]
-        + ["rho_hat", "k_theta", "k_omega", "k_current", "u",
-           "theta_ref", "omega_ref", "current_ref"]
-    )
-    _write_table(path, header, [
-        record.time, record.z, record.truth, record.estimate, record.mu,
-        record.rho_hat, record.gain, record.u, record.reference,
-    ])
+    """trace.csv alone, from the pass `maps run` writes both files with."""
+    write_run_csvs(path, None, record)
 
 
 def write_plot_csv(path, record: RunRecord) -> None:
-    """Reduced per-tick table for plotting tools."""
-    nv = record.mu.shape[1]
-    header = (
-        ["time", "theta_ref", "theta_true", "theta_est", "tracking_error"]
-        + [f"mu_{j + 1}" for j in range(nv)]
-        + ["rho_hat", "b_true", "u"]
-    )
-    theta_ref, theta = record.reference[:, 0], record.truth[:, 0]
-    _write_table(path, header, [
-        record.time, theta_ref, theta, record.estimate[:, 0], theta_ref - theta,
-        record.mu, record.rho_hat, record.b_true, record.u,
-    ])
+    """plot.csv alone, from the pass `maps run` writes both files with."""
+    write_run_csvs(None, path, record)
 
 
 def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:

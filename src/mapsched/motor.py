@@ -206,22 +206,6 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, T: float):
     return E[:n, :n], E[:n, n:]
 
 
-def discretize_forward_euler(model: ContinuousModel, T: float) -> DiscreteModel:
-    """Discretize with forward Euler: Phi = I + T*A, Gamma = T*B, H = C."""
-    if not T > 0.0:
-        raise ParameterError("sample time must be positive")
-    Phi, Gamma = euler_discretize(model.A, model.B, T)
-    return DiscreteModel(Phi=Phi, Gamma=Gamma, H=model.C, T=T)
-
-
-def discretize_exact_zoh(model: ContinuousModel, T: float) -> DiscreteModel:
-    """Discretize exactly under a zero-order hold on the input."""
-    if not T > 0.0:
-        raise ParameterError("sample time must be positive")
-    Phi, Gamma = zoh_discretize(model.A, model.B, T)
-    return DiscreteModel(Phi=Phi, Gamma=Gamma, H=model.C, T=T)
-
-
 def build_vertex_set(params: MotorParams, rho_values, T: float,
                      mode: str = "euler") -> VertexSet:
     """Construct the polytopic vertex models at the given scheduling values.

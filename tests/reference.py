@@ -1,11 +1,20 @@
-"""Fixed-step RK4 of the nonlinear motor truth plant: the converged reference
-the tests hold `mapsched.plant.plant_step` against.
+"""Reference implementations the tests hold the package against.
 
-On a tick that changes friction regime its error is first order in the
-substep: the friction torque jumps inside the substep that straddles the
-event. It resolves sticking only when one substep moves omega less than the
-rest band's width.
+`motor_rk4` is a fixed-step RK4 of the nonlinear motor truth plant: the
+converged reference for `mapsched.plant.plant_step`. On a tick that changes
+friction regime its error is first order in the substep: the friction torque
+jumps inside the substep that straddles the event. It resolves sticking only
+when one substep moves omega less than the rest band's width.
+
+The rest are array or plain-loop forms of what the package computes another
+way: the IMM probability update, single-model discretizations, the percent
+change of a comparison and a friction lookup by linear scan.
 """
+
+import numpy as np
+
+from mapsched.harness import _percent_change
+from mapsched.motor import DiscreteModel, euler_discretize, zoh_discretize
 
 
 def _domega(omega, cur, tau_ext, kt, jeq, tau_s, tau_c, b, omega_rest):
@@ -53,3 +62,50 @@ def motor_rk4(theta, omega, cur, u, dt, substeps,
         omega = omega + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         cur = cur + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
     return theta, omega, cur
+
+
+def imm_update_probabilities(likelihoods, mu_pred):
+    """Bayes update of the mode probabilities; if every product underflows to
+    zero the measurement carries no information and mu_pred is kept."""
+    w = np.asarray(likelihoods, dtype=float) * np.asarray(mu_pred, dtype=float)
+    total = w.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        return np.asarray(mu_pred, dtype=float).copy()
+    return w / total
+
+
+def discretize_forward_euler(model, T):
+    """Discretize with forward Euler: Phi = I + T*A, Gamma = T*B, H = C."""
+    Phi, Gamma = euler_discretize(model.A, model.B, T)
+    return DiscreteModel(Phi=Phi, Gamma=Gamma, H=model.C, T=T)
+
+
+def discretize_exact_zoh(model, T):
+    """Discretize exactly under a zero-order hold on the input."""
+    Phi, Gamma = zoh_discretize(model.A, model.B, T)
+    return DiscreteModel(Phi=Phi, Gamma=Gamma, H=model.C, T=T)
+
+
+def delta_percent(comparison, attr, i=1, base=0):
+    """Percent change of metric `attr` of variant i relative to `base`."""
+    return _percent_change(getattr(comparison.metrics[base], attr),
+                           getattr(comparison.metrics[i], attr))
+
+
+def friction_by_scan(schedule, times):
+    """`FrictionSchedule.at` at each of the ascending `times`, by one scan
+    over the segments in time order."""
+    segs = schedule.segments
+    out, idx = [], 0
+    for t in times:
+        while idx + 1 < len(segs) and segs[idx + 1].start <= t:
+            idx += 1
+        seg, value = segs[idx], (segs[idx].b, segs[idx].coulomb_on)
+        if schedule.interpolation == "ramp" and idx > 0:
+            lapsed = t - seg.start
+            if lapsed < schedule.ramp_time:
+                prev = segs[idx - 1]
+                frac = lapsed / schedule.ramp_time
+                value = (prev.b + frac * (seg.b - prev.b), seg.coulomb_on)
+        out.append(value)
+    return out

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mapsched import cli
+from mapsched.config import MOTOR_DEFAULTS
 
 CLI = [sys.executable, "-m", "mapsched"]
 
@@ -182,3 +191,57 @@ def test_compare_custom_variants(scenario_cfg):
     )
     assert out.returncode == 0
     assert "a" in out.stdout and "b" in out.stdout
+
+
+STOCK_MOTOR = "".join(f"{k} = {v}\n" for k, v in MOTOR_DEFAULTS.items())
+
+
+@st.composite
+def mutated_stock_motor(draw):
+    """The stock motor file with up to three lines dropped, duplicated,
+    rescaled or given another value, then up to two bytes overwritten or
+    inserted."""
+    lines = {k: [f"{k} = {v}\n"] for k, v in MOTOR_DEFAULTS.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(lines)))
+        action = draw(st.sampled_from(("drop", "twice", "scale", "value")))
+        value = MOTOR_DEFAULTS[key]
+        if action == "scale" and isinstance(value, float):
+            value *= 10.0 ** draw(st.integers(-4, 4)) * draw(st.sampled_from((1, 1, 1, -1)))
+        elif action == "value":
+            value = draw(st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                st.sampled_from(("0", "-0", "1e308", "1e-320", "zoh", "euler", "", "=", "#")),
+                st.text(max_size=8),
+            ))
+        lines[key] = {"drop": [], "twice": lines[key] * 2}.get(action, [f"{key} = {value}\n"])
+    data = bytearray("".join(line for key in MOTOR_DEFAULTS for line in lines[key]).encode())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        if draw(st.booleans()) and at < len(data):
+            data[at] = byte
+        else:
+            data.insert(at, byte)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("command", ["gains", "certify"])
+@given(data=st.one_of(st.binary(max_size=300), mutated_stock_motor()))
+@example(data=STOCK_MOTOR.encode())
+@example(data=b"\xff\xfe")
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_motor_file_exits_with_a_documented_code(command, data):
+    # `gains` and `certify` design from the motor file and simulate nothing;
+    # whatever its bytes, they exit 0-3 with a message and no traceback (an
+    # exception escaping main fails the test on its own)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "motor.cfg"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--motor", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ")

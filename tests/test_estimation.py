@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import imm_update_probabilities
 
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import (
@@ -13,7 +14,6 @@ from mapsched.estimation import (
     default_transition_matrix,
     imm_likelihood,
     imm_step,
-    imm_update_probabilities,
     initial_belief,
     kf_predict,
     kf_update,

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from reference import delta_percent, friction_by_scan
 
 from mapsched import harness
 from mapsched.errors import ConfigError, ParameterError
@@ -31,6 +32,7 @@ from mapsched.harness import (
     toggle_schedule,
     write_metrics_json,
     write_plot_csv,
+    write_run_csvs,
     write_trace_csv,
 )
 
@@ -102,6 +104,26 @@ class TestFrictionSchedule:
         sched = constant_schedule(100.0)
         with pytest.raises(ParameterError):
             sched.validate_range(B_MAX)
+
+    def test_bisected_lookup_matches_linear_scan(self):
+        rng = np.random.default_rng(0)
+        n = 12_000
+        starts = np.cumsum(rng.uniform(1e-4, 3e-3, n)) + 0.5
+        segs = tuple(FrictionSegment(float(t), float(b), bool(c)) for t, b, c in
+                     zip(starts, rng.uniform(0.0, B_MAX, n), rng.integers(0, 2, n)))
+        gaps = np.diff(starts)
+        times = sorted(float(t) for t in (
+            *starts,                            # every segment start
+            *(starts[:-1] + 0.5 * gaps),        # between starts
+            *(starts[:-1] + 0.999 * gaps),
+            starts[-1] + 1.0,                   # past the last start
+            -1.0, 0.0, 0.25, 0.5 * starts[0],   # before the first start
+        ))
+        step = FrictionSchedule(segments=segs)
+        # a ramp longer than some gaps and shorter than others
+        ramp = FrictionSchedule(segments=segs, interpolation="ramp", ramp_time=1.5e-3)
+        for sched in (step, ramp):
+            assert [sched.at(t) for t in times] == friction_by_scan(sched, times)
 
     def test_max_rho_step_for_slow_variation_bound(self):
         def max_rho_step(schedule, tick, duration):
@@ -300,7 +322,7 @@ class TestCompareRuns:
             spec, [("a", "maps", "imm"), ("b", "maps", "imm")], motor_zoh, vertices_zoh
         )
         for attr in ("rmse", "mae", "iae"):
-            assert cmpr.delta_percent(attr) == pytest.approx(0.0, abs=1e-12)
+            assert delta_percent(cmpr, attr) == pytest.approx(0.0, abs=1e-12)
         text = cmpr.to_text()
         assert "rmse" in text and "a" in text and "b" in text
 
@@ -393,25 +415,39 @@ def test_writers_match_csv_module_bytes(tmp_path, monkeypatch):
                        [0.5, 0.5], [0.0, 1.0]])
     rec.gain = np.arange(3 * n, dtype=float).reshape(n, 3) * -0.1
     rec.u = np.linspace(-4.0, 4.0, n)
-    rec.b_true = np.full(n, 1.63e-4)
+    rec.b_true = np.array([5e-324, 1e-05, 1.63e-4, 1e16, 2.46e-6])
+    # theta_ref - theta_true is -0.0 - 0.0 = -0.0 in row 3
+    rec.reference[:, 0] = [1e-05, 0.1, 1e300, -0.0, 2.0 / 3.0]
 
-    write_trace_csv(tmp_path / "trace.csv", rec)
-    header = (["time", "z", "theta_true", "omega_true", "current_true",
-               "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
-               "k_theta", "k_omega", "k_current", "u", "theta_ref", "omega_ref", "current_ref"])
-    rows = [[rec.time[k], rec.z[k], *rec.truth[k], *rec.estimate[k], *rec.mu[k],
-             rec.rho_hat[k], *rec.gain[k], rec.u[k], *rec.reference[k]] for k in range(n)]
-    csv_module_reference(tmp_path / "trace_ref.csv", header, rows)
-    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "trace_ref.csv").read_bytes()
+    trace_header = [
+        "time", "z", "theta_true", "omega_true", "current_true",
+        "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
+        "k_theta", "k_omega", "k_current", "u", "theta_ref", "omega_ref", "current_ref",
+    ]
+    trace_rows = [[rec.time[k], rec.z[k], *rec.truth[k], *rec.estimate[k], *rec.mu[k],
+                   rec.rho_hat[k], *rec.gain[k], rec.u[k], *rec.reference[k]]
+                  for k in range(n)]
+    csv_module_reference(tmp_path / "trace_ref.csv", trace_header, trace_rows)
+    plot_header = ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
+                   "mu_1", "mu_2", "rho_hat", "b_true", "u"]
+    plot_rows = [[rec.time[k], rec.reference[k, 0], rec.truth[k, 0], rec.estimate[k, 0],
+                  rec.reference[k, 0] - rec.truth[k, 0], *rec.mu[k], rec.rho_hat[k],
+                  rec.b_true[k], rec.u[k]] for k in range(n)]
+    assert "-0.0" in [repr(float(row[4])) for row in plot_rows]
+    csv_module_reference(tmp_path / "plot_ref.csv", plot_header, plot_rows)
+    trace_ref = (tmp_path / "trace_ref.csv").read_bytes()
+    plot_ref = (tmp_path / "plot_ref.csv").read_bytes()
 
-    write_plot_csv(tmp_path / "plot.csv", rec)
-    header = ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
-              "mu_1", "mu_2", "rho_hat", "b_true", "u"]
-    rows = [[rec.time[k], rec.reference[k, 0], rec.truth[k, 0], rec.estimate[k, 0],
-             rec.reference[k, 0] - rec.truth[k, 0], *rec.mu[k], rec.rho_hat[k],
-             rec.b_true[k], rec.u[k]] for k in range(n)]
-    csv_module_reference(tmp_path / "plot_ref.csv", header, rows)
-    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "plot_ref.csv").read_bytes()
+    # both files from the one pass `maps run` makes
+    write_run_csvs(tmp_path / "trace.csv", tmp_path / "plot.csv", rec)
+    assert (tmp_path / "trace.csv").read_bytes() == trace_ref
+    assert (tmp_path / "plot.csv").read_bytes() == plot_ref
+
+    # each file alone
+    write_trace_csv(tmp_path / "trace_alone.csv", rec)
+    write_plot_csv(tmp_path / "plot_alone.csv", rec)
+    assert (tmp_path / "trace_alone.csv").read_bytes() == trace_ref
+    assert (tmp_path / "plot_alone.csv").read_bytes() == plot_ref
 
 
 class TestScenarioConfig:

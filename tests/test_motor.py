@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _domega
+from reference import _domega, discretize_exact_zoh, discretize_forward_euler
 
 from mapsched.errors import ParameterError
 from mapsched.motor import (
@@ -13,8 +13,6 @@ from mapsched.motor import (
     MotorParams,
     build_continuous_model,
     build_vertex_set,
-    discretize_exact_zoh,
-    discretize_forward_euler,
     euler_discretize,
     zoh_discretize,
 )
