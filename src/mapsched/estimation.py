@@ -186,10 +186,10 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         # array form does: the likelihood ratio scales the last bit of the
         # mixed angle by r/s (up to ~700 per rad on the motor), and the two
         # forms of the cycle agree to 1e-12 in mu only this way.
-        mu_pred = (bank.pi_t @ np.array(mu)).tolist()
+        mu_pred = np.dot(bank.pi_t, mu).tolist()
         mixing = [[p * m / max(c, MIX_FLOOR) for p, m in zip(col, mu)]
                   for col, c in zip(bank.pi_cols, mu_pred)]
-        mixed_means = (np.array(mixing) @ np.array(means)).tolist()
+        mixed_means = np.dot(mixing, means).tolist()
         priors = [(x, _spread(w, x, means, covs)) for w, x in zip(mixing, mixed_means)]
     out_means, out_covs, liks = [], [], []
     for j in range(nv):
@@ -216,13 +216,19 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         n11 = a10 * f10 + a11 * f11 + a12 * f12 + q11
         n12 = a10 * f20 + a11 * f21 + a12 * f22 + q12
         n22 = a20 * f20 + a21 * f21 + a22 * f22 + q22
-        # scalar measurement update; the likelihood refuses s <= 0
+        # scalar measurement update and the likelihood, as imm_likelihood
         v0 = n00 * h0 + n01 * h1 + n02 * h2
         v1 = n01 * h0 + n11 * h1 + n12 * h2
         v2 = n02 * h0 + n12 * h1 + n22 * h2
         s = h0 * v0 + h1 * v1 + h2 * v2 + R
+        if not s > 0.0:
+            raise NumericalError("innovation covariance is not positive definite")
         res = z - (h0 * y0 + h1 * y1 + h2 * y2)
-        liks.append(max(imm_likelihood(res, s), LIKELIHOOD_FLOOR))
+        try:
+            lik = math.exp(-0.5 * (_LOG_2PI + math.log(s) + res ** 2 / s))
+        except OverflowError:
+            raise NumericalError(f"innovation {res!r} overflows the likelihood") from None
+        liks.append(max(lik, LIKELIHOOD_FLOOR))
         k0, k1, k2 = v0 / s, v1 / s, v2 / s
         out_means.append((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res))
         out_covs.append((n00 - k0 * v0, n01 - k0 * v1, n02 - k0 * v2,

@@ -20,6 +20,7 @@ from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -173,8 +174,8 @@ class ScenarioSpec:
     controller: str = "maps"         # "maps" | "fixed:<vertex>" | "open"
     estimator: str = "imm"           # "imm" | "kf:<model>"
     v_limit: float = 4.0
-    process_noise_std: float = 0.0   # torque disturbance, default off
-    meas_noise_std: float | None = None  # None -> sqrt(R) of the filter config
+    process_noise_std: float = 0.0   # N*m torque disturbance, default off
+    meas_noise_std: float | None = None  # rad; None -> sqrt(R) of the filter config
 
     def __post_init__(self):
         if self.reference not in ("sine", "step"):
@@ -190,6 +191,10 @@ class ScenarioSpec:
             raise ConfigError("v_limit must be positive")
         if not self.seed >= 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        for key in ("process_noise_std", "meas_noise_std"):
+            std = getattr(self, key)
+            if std is not None and not 0.0 <= std < math.inf:
+                raise ConfigError(f"{key} must be a finite number >= 0, got {std!r}")
         _parse_choice(self.controller, "controller", ("maps", "fixed", "open"))
         _parse_choice(self.estimator, "estimator", ("imm", "kf"))
 
@@ -297,9 +302,11 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
 
     Every variant runs one loop. The estimator is `imm_step` over a
     `FilterBank`: `imm` holds every vertex model, `kf:<i>` the one model i.
-    The controller weights the vertex gains by `scale * mu + offset`: the
-    mode probabilities for `maps`, vertex i for `fixed:<i>`, nothing for
-    `open`, which feeds theta_ref forward as the voltage instead.
+    The gain is `maps_gain` of the mode probabilities for `maps`, formed
+    every tick; `fixed:<i>` takes vertex gain i and `open` a zero gain,
+    feeding theta_ref forward as the voltage instead, both formed once per
+    run. The loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise
+    in one call and stores its log rows in one assignment.
     """
     noise = noise if noise is not None else NoiseConfig.default()
     weights = weights if weights is not None else LqrWeights.default()
@@ -326,8 +333,11 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     bank = FilterBank([models[i] for i in slots], default_transition_matrix(len(slots)), noise)
     means, covs, mu = bank.initial()
     gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
-    scale = 1.0 if ctl_kind == "maps" else 0.0
-    offset = tuple(1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in range(nv))
+    # fixed:<i> and open weigh the vertex gains the same on every tick,
+    # one-hot at i or not at all, so their gain is formed once
+    fixed_gain = None if ctl_kind == "maps" else maps_gain(
+        [1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in range(nv)], gains
+    )
     feedforward = 1.0 if ctl_kind == "open" else 0.0
 
     n = spec.n_ticks
@@ -349,24 +359,36 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     u = 0.0
     saturations = 0
 
-    for k in range(n):
-        t = k * T
-        z = truth[0] + meas_std * normal()
-        tau_dist = dist_std * normal() if dist_std > 0.0 else 0.0
-        means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
-        mu_v = [0.0] * nv
-        for slot, m in zip(slots, mu):
-            mu_v[slot] = m
-        rho_hat = 0.0
-        for m, r in zip(mu_v, rho):
-            rho_hat += m * r
-        K = maps_gain([scale * m + o for m, o in zip(mu_v, offset)], gains)
-        ref = reference(t)
-        u, saturated = control_input(K, ref, x_hat, v_limit, feedforward)
-        saturations += saturated
-        b_t, coulomb_on = friction_at(t)
-        log[k] = (t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t)
-        truth = plant_step(truth, u, friction(b_t, coulomb_on), params, T, tau_dist)
+    for start in range(0, n, CSV_CHUNK):
+        stop = min(start + CSV_CHUNK, n)
+        # a tick draws its measurement noise, then its torque noise when that
+        # is on: row-major (ticks, 2) draws are the same stream as scalar draws
+        if dist_std > 0.0:
+            draws = normal((stop - start, 2)).tolist()
+        else:
+            draws = zip(normal(stop - start).tolist(), repeat(0.0))
+        rows = []
+        for k, (e_z, e_d) in zip(range(start, stop), draws):
+            t = k * T
+            z = truth[0] + meas_std * e_z
+            tau_dist = dist_std * e_d
+            means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
+            if est_kind == "imm":
+                mu_v = mu
+            else:
+                mu_v = [0.0] * nv
+                mu_v[est_idx] = mu[0]
+            rho_hat = 0.0
+            for m, r in zip(mu_v, rho):
+                rho_hat += m * r
+            K = maps_gain(mu_v, gains) if fixed_gain is None else fixed_gain
+            ref = reference(t)
+            u, saturated = control_input(K, ref, x_hat, v_limit, feedforward)
+            saturations += saturated
+            b_t, coulomb_on = friction_at(t)
+            rows.append((t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t))
+            truth = plant_step(truth, u, friction(b_t, coulomb_on), params, T, tau_dist)
+        log[start:stop] = rows
 
     c = 8 + nv
     return RunRecord(
@@ -575,8 +597,6 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     else:
         raise ConfigError(f"unknown friction schedule {kind!r}")
 
-    meas_noise_std = fget("meas_noise_std", -1.0)
-
     return ScenarioSpec(
         reference=entries.get("reference", "sine"),
         amplitude=fget("amplitude", 2.0),
@@ -590,7 +610,7 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
         estimator=entries.get("estimator", "imm"),
         v_limit=fget("v_limit", 4.0),
         process_noise_std=fget("process_noise_std", 0.0),
-        meas_noise_std=meas_noise_std if meas_noise_std >= 0.0 else None,
+        meas_noise_std=fget("meas_noise_std", None),
     )
 
 

@@ -57,9 +57,10 @@ def _slip_model(kt, ke, jeq, lm, rm, b, dt):
     """One-tick maps and modal data of the slipping dynamics at viscous
     coefficient b.
 
-    Returns (Ad rows, Bd rows, lam_slow, lam_fast, m_slow, m_fast), where
-    [1, m] is the (omega, i) eigenvector of each mode. Raises ParameterError
-    when the modes are not real and distinct.
+    Returns (Ad, Bd, lam_slow, lam_fast, m_slow, m_fast): Ad and Bd as flat
+    row-major float tuples (9 and 6 entries), and [1, m] the (omega, i)
+    eigenvector of each mode. Raises ParameterError when the modes are not
+    real and distinct.
     """
     tr = -(b / jeq + rm / lm)
     det = (b * rm + kt * ke) / (jeq * lm)
@@ -78,7 +79,7 @@ def _slip_model(kt, ke, jeq, lm, rm, b, dt):
     B = np.array([[0.0, 0.0], [1.0 / jeq, 0.0], [0.0, 1.0 / lm]])
     Ad, Bd = zoh_discretize(A, B, dt)
     return (
-        tuple(map(tuple, Ad.tolist())), tuple(map(tuple, Bd.tolist())),
+        tuple(Ad.reshape(-1).tolist()), tuple(Bd.reshape(-1).tolist()),
         lam_slow, lam_fast,
         (lam_slow + b / jeq) * jeq / kt, (lam_fast + b / jeq) * jeq / kt,
     )
@@ -120,13 +121,14 @@ def _slip_step(theta, omega, cur, u, tau_ext, f, p, dt, model):
         w_ext = w_ss + a1 * math.exp(lam1 * t_ext) + a2 * math.exp(lam2 * t_ext)
         if not s * w_ext >= OMEGA_REST:
             return None
-    out = tuple(
-        row[0] * theta + row[1] * omega + row[2] * cur + g[0] * torque + g[1] * u
-        for row, g in zip(ad, bd)
-    )
-    if not s * out[1] >= OMEGA_REST:
+    # the omega row first: a tick that ends inside the band needs no more
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = ad
+    b00, b01, b10, b11, b20, b21 = bd
+    w = a10 * theta + a11 * omega + a12 * cur + b10 * torque + b11 * u
+    if not s * w >= OMEGA_REST:
         return None
-    return out
+    return (a00 * theta + a01 * omega + a02 * cur + b00 * torque + b01 * u, w,
+            a20 * theta + a21 * omega + a22 * cur + b20 * torque + b21 * u)
 
 
 def _entry_time(h, dh, lo, hi, h_lo, h_hi):

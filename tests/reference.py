@@ -8,13 +8,20 @@ when one substep moves omega less than the rest band's width.
 
 The rest are array or plain-loop forms of what the package computes another
 way: the IMM probability update, single-model discretizations, the percent
-change of a comparison and a friction lookup by linear scan.
+change of a comparison, a friction lookup by linear scan and the closed
+loop run tick by tick.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
-from mapsched.harness import _percent_change
+from mapsched.control import control_input, maps_gain
+from mapsched.estimation import FilterBank, NoiseConfig, default_transition_matrix, imm_step
+from mapsched.harness import _parse_choice, _percent_change
 from mapsched.motor import DiscreteModel, euler_discretize, zoh_discretize
+from mapsched.plant import plant_step
 
 
 def _domega(omega, cur, tau_ext, kt, jeq, tau_s, tau_c, b, omega_rest):
@@ -109,3 +116,61 @@ def friction_by_scan(schedule, times):
                 value = (prev.b + frac * (seg.b - prev.b), seg.coulomb_on)
         out.append(value)
     return out
+
+
+def closed_loop_by_tick(spec, motor, vertices, noise=None):
+    """`harness.run_scenario`'s loop one tick at a time: scalar draws from
+    the seed's generator (the measurement noise, then the torque noise when
+    it is on), the controller weights `scale * mu + offset` and the gain
+    recomputed every tick, one log row stored per tick. `vertices` must
+    carry gains.
+
+    Returns (log columns by RunRecord field, saturation count).
+    """
+    noise = noise if noise is not None else NoiseConfig.default()
+    nv = vertices.n_vertices
+    est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
+    ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
+    slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
+    models = vertices.models()
+    bank = FilterBank([models[i] for i in slots], default_transition_matrix(len(slots)), noise)
+    means, covs, mu = bank.initial()
+    gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
+    scale = 1.0 if ctl_kind == "maps" else 0.0
+    offset = tuple(1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in range(nv))
+    feedforward = 1.0 if ctl_kind == "open" else 0.0
+    normal = np.random.default_rng(spec.seed).standard_normal
+    meas_std = (spec.meas_noise_std if spec.meas_noise_std is not None
+                else math.sqrt(float(noise.R[0, 0])))
+    dist_std = spec.process_noise_std
+    friction = lru_cache(maxsize=16)(motor.friction)
+    T = spec.tick
+    rows = []
+    truth, u, saturations = (0.0, 0.0, 0.0), 0.0, 0
+    for k in range(spec.n_ticks):
+        t = k * T
+        z = truth[0] + meas_std * normal()
+        tau_dist = dist_std * normal() if dist_std > 0.0 else 0.0
+        means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
+        mu_v = [0.0] * nv
+        for slot, m in zip(slots, mu):
+            mu_v[slot] = m
+        rho_hat = 0.0
+        for m, r in zip(mu_v, vertices.rho):
+            rho_hat += m * r
+        K = maps_gain([scale * m + o for m, o in zip(mu_v, offset)], gains)
+        ref = spec.reference_state(t)
+        u, saturated = control_input(K, ref, x_hat, spec.v_limit, feedforward)
+        saturations += saturated
+        b_t, coulomb_on = spec.friction.at(t)
+        rows.append((t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t))
+        truth = plant_step(truth, u, friction(b_t, coulomb_on), motor.params, T, tau_dist)
+    log = np.array(rows)
+    c = 8 + nv
+    columns = {
+        "time": log[:, 0], "z": log[:, 1], "truth": log[:, 2:5],
+        "estimate": log[:, 5:8], "mu": log[:, 8:c], "rho_hat": log[:, c],
+        "gain": log[:, c + 1:c + 4], "u": log[:, c + 4],
+        "reference": log[:, c + 5:c + 8], "b_true": log[:, c + 8],
+    }
+    return columns, saturations

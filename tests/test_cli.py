@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapsched import cli
+from mapsched import cli, harness
 from mapsched.config import MOTOR_DEFAULTS
 
 CLI = [sys.executable, "-m", "mapsched"]
@@ -176,6 +176,20 @@ def test_negative_seed_exit_one(tmp_path, text, env):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "process_noise_std = -1\n",
+    "meas_noise_std = -0.5\n",
+], ids=["process", "meas"])
+def test_negative_noise_exit_one(tmp_path, text):
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text("duration = 0.1\n" + text)
+    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert "invalid config" in out.stderr and "noise_std" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_default_variants(scenario_cfg, tmp_path):
     out_csv = tmp_path / "cmp.csv"
     out = run_cli("compare", str(scenario_cfg), "--out", str(out_csv))
@@ -196,26 +210,39 @@ def test_compare_custom_variants(scenario_cfg):
 STOCK_MOTOR = "".join(f"{k} = {v}\n" for k, v in MOTOR_DEFAULTS.items())
 
 
-@st.composite
-def mutated_stock_motor(draw):
-    """The stock motor file with up to three lines dropped, duplicated,
-    rescaled or given another value, then up to two bytes overwritten or
-    inserted."""
-    lines = {k: [f"{k} = {v}\n"] for k, v in MOTOR_DEFAULTS.items()}
+# every scenario key, at its default but for a 0.4 s run (200 ticks at the
+# stock 500 Hz) with a load window, and the design the gates use
+STOCK_SCENARIO = {
+    "reference": "sine", "amplitude": 2.0, "frequency": 0.5, "period": 10.0,
+    "duration": 0.4, "sample_rate": 500.0, "seed": 1, "controller": "maps",
+    "estimator": "imm", "v_limit": 4.0, "friction": "window", "load_start": 0.1,
+    "load_end": 0.3, "toggle_start": 0.3, "toggle_period": 5.0, "ramp_time": 0.0,
+    "process_noise_std": 0.0, "meas_noise_std": 0.003, "discretization": "zoh",
+}
+SCENARIO_WORDS = ("sine", "step", "maps", "open", "fixed:1", "fixed:2", "kf:0", "kf:1", "kf:-1",
+                  "imm", "imm:0", "constant", "window", "toggle", "euler")
+
+
+def mutate_file(draw, stock: dict, words=()) -> bytes:
+    """`key = value` lines of `stock` with up to three of them dropped,
+    duplicated, rescaled or given another value, then up to two bytes
+    overwritten or inserted."""
+    lines = {k: [f"{k} = {v}\n"] for k, v in stock.items()}
     for _ in range(draw(st.integers(0, 3))):
         key = draw(st.sampled_from(sorted(lines)))
         action = draw(st.sampled_from(("drop", "twice", "scale", "value")))
-        value = MOTOR_DEFAULTS[key]
+        value = stock[key]
         if action == "scale" and isinstance(value, float):
             value *= 10.0 ** draw(st.integers(-4, 4)) * draw(st.sampled_from((1, 1, 1, -1)))
         elif action == "value":
             value = draw(st.one_of(
                 st.floats(allow_nan=True, allow_infinity=True).map(repr),
-                st.sampled_from(("0", "-0", "1e308", "1e-320", "zoh", "euler", "", "=", "#")),
+                st.sampled_from(("0", "-0", "1e308", "1e-320", "zoh", "euler", "", "=", "#",
+                                 *words)),
                 st.text(max_size=8),
             ))
         lines[key] = {"drop": [], "twice": lines[key] * 2}.get(action, [f"{key} = {value}\n"])
-    data = bytearray("".join(line for key in MOTOR_DEFAULTS for line in lines[key]).encode())
+    data = bytearray("".join(line for key in stock for line in lines[key]).encode())
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(data)))
         byte = draw(st.integers(0, 255))
@@ -224,6 +251,18 @@ def mutated_stock_motor(draw):
         else:
             data.insert(at, byte)
     return bytes(data)
+
+
+@st.composite
+def mutated_stock_motor(draw):
+    """The stock motor file, mutated by `mutate_file`."""
+    return mutate_file(draw, MOTOR_DEFAULTS)
+
+
+@st.composite
+def mutated_stock_scenario(draw):
+    """The stock scenario file, mutated by `mutate_file`."""
+    return mutate_file(draw, STOCK_SCENARIO, SCENARIO_WORDS)
 
 
 @pytest.mark.parametrize("command", ["gains", "certify"])
@@ -241,6 +280,31 @@ def test_fuzzed_motor_file_exits_with_a_documented_code(command, data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, "--motor", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ")
+
+
+STOCK_SCENARIO_TEXT = "".join(f"{k} = {v}\n" for k, v in STOCK_SCENARIO.items())
+
+
+@given(data=mutated_stock_scenario())
+@example(data=STOCK_SCENARIO_TEXT.encode())
+@example(data=STOCK_SCENARIO_TEXT.replace("= 0.003", "= 1e200").encode())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_scenario_file_exits_with_a_documented_code(data):
+    # `run` on mutated scenario bytes exits 0-3 with a message and no
+    # traceback; the tick cap is lowered to the stock file's 200 ticks, so a
+    # mutation that asks for more is refused before any work
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "MAX_TICKS", 200)
+        mp.delenv("MAPS_SEED", raising=False)
+        path = Path(tmp) / "scenario.cfg"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code:

@@ -109,11 +109,14 @@ VALUES = st.one_of(
                                VALUES, max_size=12))
 @example(entries={"lm": "1e0"})       # complex (omega, i) modes at every b
 @example(entries={"b_max": "2e-2"})   # complex modes for b in (0.138, 0.160)
+@example(entries={"process_noise_std": "-1"})
+@example(entries={"meas_noise_std": "-0.5"})
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_entries_are_refused_or_bounded(entries):
     # every scenario + motor input either fails as a ConfigError or asks for
     # bounded work (ticks and a seed the generator accepts) of a motor whose
-    # (omega, i) modes are real and distinct over the scheduled friction range
+    # (omega, i) modes are real and distinct over the scheduled friction range,
+    # with noise of a non-negative spread
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.delenv("MAPS_SEED", raising=False)
@@ -128,4 +131,6 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
     for b in (0.0, B_RANGE * motor.b_max):
         assert (b / p.Jeq - p.Rm / p.Lm) ** 2 > 4.0 * p.Kt * p.Ke / (p.Jeq * p.Lm)
     assert B_RANGE * motor.b_max / p.Jeq < p.Rm / p.Lm
+    assert spec.process_noise_std >= 0.0
+    assert spec.meas_noise_std is None or spec.meas_noise_std >= 0.0
     np.random.default_rng(spec.seed)

@@ -255,6 +255,18 @@ class TestImmStep:
                 assert float(np.linalg.eigvalsh(P)[0]) >= -1e-9
 
 
+    def test_refuses_innovations_without_a_likelihood(self, vertices_zoh, noise):
+        # s is NaN for a NaN prior covariance; a residual past ~1e154
+        # overflows r ** 2: both are numerical failures, not a traceback
+        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        means, covs, mu = bank.initial()
+        nan_covs = [(math.nan,) * 6] * 2
+        with pytest.raises(NumericalError, match="positive definite"):
+            imm_step(bank, means, nan_covs, mu, 0.0, 0.0)
+        with pytest.raises(NumericalError, match="overflows"):
+            imm_step(bank, means, covs, mu, 0.0, 1e200)
+
+
 class TestFilterBank:
     def test_rejects_models_that_are_not_three_state(self, noise):
         with pytest.raises(ParameterError):

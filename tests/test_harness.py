@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from reference import delta_percent, friction_by_scan
+from reference import closed_loop_by_tick, delta_percent, friction_by_scan
 
 from mapsched import harness
 from mapsched.errors import ConfigError, ParameterError
@@ -173,6 +173,11 @@ class TestReferenceSignals:
         with pytest.raises(ConfigError):
             # under half a tick at 500 Hz rounds to an empty run
             short_spec(duration=0.001, sample_rate=500.0)
+        for key in ("process_noise_std", "meas_noise_std"):
+            for std in (-0.5, -5e-324, float("inf"), float("nan")):
+                with pytest.raises(ConfigError, match=key):
+                    short_spec(**{key: std})
+            assert getattr(short_spec(**{key: 0.0}), key) == 0.0
 
 
 class TestRunScenario:
@@ -261,6 +266,30 @@ class TestRunPathEstimators:
                 rho_hat += m * r
             assert rec.rho_hat[k] == rho_hat
             u_prev = rec.u[k]
+
+    @pytest.mark.parametrize("kw", [
+        dict(friction=load_window_schedule(B_MIN, B_MAX, start=0.6, end=1.4, ramp_time=0.3)),
+        dict(reference="step", amplitude=3.0, period=1.0, controller="fixed:1",
+             estimator="kf:1", friction=toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.4,
+                                                       duration=2.0, coulomb_on_high=True)),
+        dict(controller="open", estimator="kf:0", amplitude=1.0, process_noise_std=2e-3),
+        dict(duration=617 / 500.0, process_noise_std=1e-4, meas_noise_std=1e-2,
+             friction=load_window_schedule(B_MIN, B_MAX, start=0.3, end=0.9)),
+    ], ids=["maps-imm-ramp", "fixed1-kf1-coulomb-toggle", "open-kf0-process-noise",
+            "617-ticks"])
+    def test_chunked_loop_matches_tick_by_tick_loop(self, motor_zoh, vertices_zoh, kw):
+        # chunked noise draws and row stores, and the gain of fixed:<i> and
+        # open formed once, change no bit of the run
+        spec = short_spec(**kw)
+        rec = run_scenario(spec, motor_zoh, vertices_zoh)
+        columns, saturations = closed_loop_by_tick(spec, motor_zoh, vertices_zoh)
+        for name, column in columns.items():
+            got = getattr(rec, name)
+            assert got.shape == column.shape, name
+            assert got.tobytes() == column.tobytes(), name
+        assert rec.saturation_count == saturations
+        if spec.controller == "fixed:1":
+            assert saturations > 0
 
     def test_asymmetric_process_noise_folded_to_symmetric_part(self, motor_zoh, vertices_zoh):
         Q = np.diag([1e-6, 1e-6, 1e-6])
