@@ -68,6 +68,16 @@ class MotorConfig:
                 "the motor's (omega, i) modes are not real and distinct for every "
                 f"viscous coefficient in [0, {B_RANGE * self.b_max:.3e}]"
             )
+        # the plant forms that discriminant as tr^2 - 4 det, largest at the
+        # ends of the range; a motor whose terms overflow or divide by an
+        # underflowed J L has no float modes to solve over
+        for b in (0.0, B_RANGE * self.b_max):
+            tr = b / p.Jeq + p.Rm / p.Lm
+            jl = p.Jeq * p.Lm
+            if not (jl > 0.0 and math.isfinite(tr * tr - 4.0 * (b * p.Rm + p.Kt * p.Ke) / jl)):
+                raise ParameterError(
+                    f"the motor's (omega, i) modes at b = {b:.3e} are out of float range"
+                )
 
     def friction(self, b: float, coulomb_on: bool = True) -> FrictionModel:
         return FrictionModel(

@@ -7,16 +7,21 @@ gain scheduler downstream.
 `imm_step` is the one IMM cycle in the package. It runs on plain floats for
 the 3-state motor models with the scalar angle measurement: per mode a mean
 3-tuple and the upper triangle (p00, p01, p02, p11, p12, p22) of its
-covariance. A `FilterBank` holds the models, Pi and noise it reads. A single
-Kalman filter is the one-mode bank with Pi = [[1]]. `kf_predict`,
-`kf_update` and `imm_likelihood` are the per-mode array forms the tests
-check the cycle against.
+covariance. After the two mixing products it makes one pass over the modes:
+mixed prior covariance, prediction, update, likelihood and the mode's share
+of the probability update. A `FilterBank` holds what the cycle reads: one
+flat tuple of Phi, Gamma and H per mode, Pi and the noise. A single Kalman
+filter is the one-mode bank with Pi = [[1]], whose probability is exactly
+1.0 on every cycle. `kf_predict`, `kf_update` and `imm_likelihood` are the
+per-mode array forms the tests check the cycle against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -112,22 +117,6 @@ def imm_likelihood(r: float, s: float) -> float:
     return math.exp(-0.5 * (_LOG_2PI + math.log(s) + r ** 2 / s))
 
 
-def _spread(weights, x, means, covs):
-    """Covariance upper triangle of the Gaussian mixture
-    sum_i weights[i] N(means[i], covs[i]) whose mean is x."""
-    x0, x1, x2 = x
-    p00 = p01 = p02 = p11 = p12 = p22 = 0.0
-    for w, (m0, m1, m2), (c00, c01, c02, c11, c12, c22) in zip(weights, means, covs):
-        d0, d1, d2 = m0 - x0, m1 - x1, m2 - x2
-        p00 += w * (c00 + d0 * d0)
-        p01 += w * (c01 + d0 * d1)
-        p02 += w * (c02 + d0 * d2)
-        p11 += w * (c11 + d1 * d1)
-        p12 += w * (c12 + d1 * d2)
-        p22 += w * (c22 + d2 * d2)
-    return p00, p01, p02, p11, p12, p22
-
-
 class FilterBank:
     """Per-mode models, the transition matrix Pi and the noise of an IMM bank
     of 3-state filters with a scalar measurement, held as float tuples.
@@ -135,7 +124,7 @@ class FilterBank:
     Q is folded into its symmetric part, as `kf_predict` folds it.
     """
 
-    __slots__ = ("phi", "gamma", "h", "pi_t", "pi_cols", "q", "r")
+    __slots__ = ("modes", "pi_t", "pi_cols", "q", "r")
 
     def __init__(self, models, Pi, noise: NoiseConfig):
         models = tuple(models)
@@ -151,9 +140,11 @@ class FilterBank:
             raise ParameterError("each row of Pi must be a probability vector")
         if noise.Q.shape != (3, 3) or noise.R.shape != (1, 1):
             raise ParameterError("noise must be a 3x3 Q and a 1x1 R")
-        self.phi = tuple(tuple(m.Phi.reshape(-1).tolist()) for m in models)
-        self.gamma = tuple(tuple(m.Gamma[:, 0].tolist()) for m in models)
-        self.h = tuple(tuple(m.H[0].tolist()) for m in models)
+        # per mode: Phi row-major, Gamma, H
+        self.modes = tuple(
+            tuple(np.concatenate((m.Phi.reshape(-1), m.Gamma[:, 0], m.H[0])).tolist())
+            for m in models
+        )
         self.pi_t = _frozen(Pi).T
         self.pi_cols = tuple(map(tuple, Pi.T.tolist()))
         self.q = _upper(_sym(noise.Q))
@@ -163,40 +154,51 @@ class FilterBank:
         """(means, covs, mu): every mode starts from `initial_belief()`, with
         uniform mode probabilities."""
         x0, P0 = initial_belief()
-        nv = len(self.phi)
+        nv = len(self.modes)
         return [tuple(x0.tolist())] * nv, [_upper(P0)] * nv, [1.0 / nv] * nv
 
 
 def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
-    """One IMM cycle of `bank`: mix, per-mode predict and scalar update,
-    likelihoods, probability update, fused mean.
+    """One IMM cycle of `bank`: mix, then one pass over the modes that forms
+    each mode's mixed prior covariance, predicts, updates and weighs its
+    likelihood; then the probability update and the fused mean.
 
     Returns (means, covs, mu, likelihoods, fused mean), all floats.
     """
     q00, q01, q02, q11, q12, q22 = bank.q
     R = bank.r
-    nv = len(mu)
-    if nv == 1:
+    if len(mu) == 1:
         # Pi = [[1]]: the mode is its own mixed prior
-        mu_pred, priors = mu, [(means[0], covs[0])]
+        mu_pred, mixing, priors = mu, (None,), means
     else:
-        # interaction: mu_pred = Pi' mu and the mixed prior of every mode,
-        # mixing[j][i] = P(mode i previously | mode j now). mu_pred and the
-        # mixed means are numpy products so that they round as the per-mode
-        # array form does: the likelihood ratio scales the last bit of the
-        # mixed angle by r/s (up to ~700 per rad on the motor), and the two
-        # forms of the cycle agree to 1e-12 in mu only this way.
-        mu_pred = np.dot(bank.pi_t, mu).tolist()
-        mixing = [[p * m / max(c, MIX_FLOOR) for p, m in zip(col, mu)]
+        # interaction: mu_pred = Pi' mu and the mixed means, with
+        # mixing[j][i] = P(mode i previously | mode j now). Both products
+        # stay BLAS calls: OpenBLAS's kernel, chosen at run time, rounds
+        # w1 m1 + w0 m0 as fma(w1, m1, w0 m0), which a float loop does not
+        # reproduce, and the likelihood ratio scales the last bit of the
+        # mixed angle by r/s (up to ~700 per rad on the motor). Called as
+        # ndarray methods they skip np.dot's dispatch, with the same bits.
+        mu_pred = bank.pi_t.dot(mu).tolist()
+        mixing = [[p * m / (MIX_FLOOR if MIX_FLOOR > c else c) for p, m in zip(col, mu)]
                   for col, c in zip(bank.pi_cols, mu_pred)]
-        mixed_means = np.dot(mixing, means).tolist()
-        priors = [(x, _spread(w, x, means, covs)) for w, x in zip(mixing, mixed_means)]
-    out_means, out_covs, liks = [], [], []
-    for j in range(nv):
-        (m0, m1, m2), (p00, p01, p02, p11, p12, p22) = priors[j]
-        f00, f01, f02, f10, f11, f12, f20, f21, f22 = bank.phi[j]
-        g0, g1, g2 = bank.gamma[j]
-        h0, h1, h2 = bank.h[j]
+        priors = np.array(mixing).dot(np.array(means)).tolist()
+    out_means, out_covs, liks, w = [], [], [], []
+    total = 0.0
+    for mode, weights, (m0, m1, m2), mp in zip(bank.modes, mixing, priors, mu_pred):
+        if weights is None:
+            p00, p01, p02, p11, p12, p22 = covs[0]
+        else:
+            # mixed prior covariance: the weighted spread about the mixed mean
+            p00 = p01 = p02 = p11 = p12 = p22 = 0.0
+            for wi, (e0, e1, e2), (c00, c01, c02, c11, c12, c22) in zip(weights, means, covs):
+                d0, d1, d2 = e0 - m0, e1 - m1, e2 - m2
+                p00 += wi * (c00 + d0 * d0)
+                p01 += wi * (c01 + d0 * d1)
+                p02 += wi * (c02 + d0 * d2)
+                p11 += wi * (c11 + d1 * d1)
+                p12 += wi * (c12 + d1 * d2)
+                p22 += wi * (c22 + d2 * d2)
+        f00, f01, f02, f10, f11, f12, f20, f21, f22, g0, g1, g2, h0, h1, h2 = mode
         # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q
         y0 = f00 * m0 + f01 * m1 + f02 * m2 + g0 * u
         y1 = f10 * m0 + f11 * m1 + f12 * m2 + g1 * u
@@ -222,22 +224,25 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         v2 = n02 * h0 + n12 * h1 + n22 * h2
         s = h0 * v0 + h1 * v1 + h2 * v2 + R
         if not s > 0.0:
-            raise NumericalError("innovation covariance is not positive definite")
+            raise _innovation_error(
+                len(liks), means, covs, mu, u, z,
+                (p00, p01, p02, p11, p12, p22), (n00, n01, n02, n11, n12, n22), R)
         res = z - (h0 * y0 + h1 * y1 + h2 * y2)
         try:
             lik = math.exp(-0.5 * (_LOG_2PI + math.log(s) + res ** 2 / s))
         except OverflowError:
             raise NumericalError(f"innovation {res!r} overflows the likelihood") from None
-        liks.append(max(lik, LIKELIHOOD_FLOOR))
+        if lik < LIKELIHOOD_FLOOR:
+            lik = LIKELIHOOD_FLOOR
+        liks.append(lik)
         k0, k1, k2 = v0 / s, v1 / s, v2 / s
         out_means.append((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res))
         out_covs.append((n00 - k0 * v0, n01 - k0 * v1, n02 - k0 * v2,
                          n11 - k1 * v1, n12 - k1 * v2, n22 - k2 * v2))
+        wj = lik * mp
+        w.append(wj)
+        total += wj
     # Bayes update; if every product underflows the prediction is kept
-    w = [lik * m for lik, m in zip(liks, mu_pred)]
-    total = 0.0
-    for v in w:
-        total += v
     mu = [v / total for v in w] if 0.0 < total < math.inf else mu_pred
     x0 = x1 = x2 = 0.0
     for m, (e0, e1, e2) in zip(mu, out_means):
@@ -245,3 +250,22 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         x1 += m * e1
         x2 += m * e2
     return out_means, out_covs, mu, liks, (x0, x1, x2)
+
+
+def _innovation_error(j, means, covs, mu, u, z, prior, predicted, R) -> NumericalError:
+    """The failure of mode j's innovation variance. From finite inputs an
+    estimate that has diverged gets here two ways: its mixed prior or
+    predicted covariance overflows, or it grows until the round-off of
+    Phi P Phi' exceeds R and the covariance loses positive definiteness.
+    Anything else is reported as an indefinite innovation."""
+    if all(map(math.isfinite, chain((u, z), mu, *means, *covs))):
+        for name, cov in (("mixed prior", prior), ("predicted", predicted)):
+            if not all(map(math.isfinite, cov)):
+                return NumericalError(
+                    f"the estimate diverged: mode {j}'s {name} covariance is not finite")
+        size = max(map(abs, predicted))
+        if size * sys.float_info.epsilon > R:
+            return NumericalError(
+                f"the estimate diverged: mode {j}'s predicted covariance reached {size:.3g}, "
+                f"past float64 round-off against R = {R:.3g}")
+    return NumericalError("innovation covariance is not positive definite")

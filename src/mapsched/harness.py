@@ -305,8 +305,10 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     The gain is `maps_gain` of the mode probabilities for `maps`, formed
     every tick; `fixed:<i>` takes vertex gain i and `open` a zero gain,
     feeding theta_ref forward as the voltage instead, both formed once per
-    run. The loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise
-    in one call and stores its log rows in one assignment.
+    run. Under `kf:<i>` the weights and rho_hat are one-hot at i, also
+    formed once per run. The loop runs in chunks of CSV_CHUNK ticks: a
+    chunk draws its noise in one call and stores its log rows in one
+    assignment.
     """
     noise = noise if noise is not None else NoiseConfig.default()
     weights = weights if weights is not None else LqrWeights.default()
@@ -339,6 +341,15 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
         [1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in range(nv)], gains
     )
     feedforward = 1.0 if ctl_kind == "open" else 0.0
+    # kf:<i>'s one mode has probability lik / lik = 1.0 on every tick, so
+    # its weights are one-hot at i, and so is rho_hat, for the whole run
+    kf_weights = kf_rho_hat = None
+    if est_kind == "kf":
+        kf_weights = [0.0] * nv
+        kf_weights[est_idx] = 1.0
+        kf_rho_hat = 0.0
+        for m, r in zip(kf_weights, vertices.rho):
+            kf_rho_hat += m * r
 
     n = spec.n_ticks
     # one row per tick: time, z, truth (3), estimate (3), mu (nv), rho_hat,
@@ -373,14 +384,13 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
             z = truth[0] + meas_std * e_z
             tau_dist = dist_std * e_d
             means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
-            if est_kind == "imm":
+            if kf_weights is None:
                 mu_v = mu
+                rho_hat = 0.0
+                for m, r in zip(mu, rho):
+                    rho_hat += m * r
             else:
-                mu_v = [0.0] * nv
-                mu_v[est_idx] = mu[0]
-            rho_hat = 0.0
-            for m, r in zip(mu_v, rho):
-                rho_hat += m * r
+                mu_v, rho_hat = kf_weights, kf_rho_hat
             K = maps_gain(mu_v, gains) if fixed_gain is None else fixed_gain
             ref = reference(t)
             u, saturated = control_input(K, ref, x_hat, v_limit, feedforward)

@@ -8,8 +8,8 @@ when one substep moves omega less than the rest band's width.
 
 The rest are array or plain-loop forms of what the package computes another
 way: the IMM probability update, single-model discretizations, the percent
-change of a comparison, a friction lookup by linear scan and the closed
-loop run tick by tick.
+change of a comparison, a friction lookup by linear scan, the IMM cycle in
+two passes and the closed loop run tick by tick.
 """
 
 import math
@@ -18,7 +18,15 @@ from functools import lru_cache
 import numpy as np
 
 from mapsched.control import control_input, maps_gain
-from mapsched.estimation import FilterBank, NoiseConfig, default_transition_matrix, imm_step
+from mapsched.errors import NumericalError
+from mapsched.estimation import (
+    _LOG_2PI,
+    LIKELIHOOD_FLOOR,
+    MIX_FLOOR,
+    FilterBank,
+    NoiseConfig,
+    default_transition_matrix,
+)
 from mapsched.harness import _parse_choice, _percent_change
 from mapsched.motor import DiscreteModel, euler_discretize, zoh_discretize
 from mapsched.plant import plant_step
@@ -118,12 +126,100 @@ def friction_by_scan(schedule, times):
     return out
 
 
+def _spread(weights, x, means, covs):
+    """Covariance upper triangle of the Gaussian mixture
+    sum_i weights[i] N(means[i], covs[i]) whose mean is x."""
+    x0, x1, x2 = x
+    p00 = p01 = p02 = p11 = p12 = p22 = 0.0
+    for w, (m0, m1, m2), (c00, c01, c02, c11, c12, c22) in zip(weights, means, covs):
+        d0, d1, d2 = m0 - x0, m1 - x1, m2 - x2
+        p00 += w * (c00 + d0 * d0)
+        p01 += w * (c01 + d0 * d1)
+        p02 += w * (c02 + d0 * d2)
+        p11 += w * (c11 + d1 * d1)
+        p12 += w * (c12 + d1 * d2)
+        p22 += w * (c22 + d2 * d2)
+    return p00, p01, p02, p11, p12, p22
+
+
+def imm_step_two_pass(bank, means, covs, mu, u, z):
+    """`estimation.imm_step` as two passes: every mode's mixed prior first
+    (`np.dot` on lists, `_spread`), then predict and update mode by mode,
+    then the probability update over the list of weights. The package's
+    one-pass cycle must return the same bits."""
+    q00, q01, q02, q11, q12, q22 = bank.q
+    R = bank.r
+    nv = len(mu)
+    if nv == 1:
+        # Pi = [[1]]: the mode is its own mixed prior
+        mu_pred, priors = mu, [(means[0], covs[0])]
+    else:
+        mu_pred = np.dot(bank.pi_t, mu).tolist()
+        mixing = [[p * m / max(c, MIX_FLOOR) for p, m in zip(col, mu)]
+                  for col, c in zip(bank.pi_cols, mu_pred)]
+        mixed_means = np.dot(mixing, means).tolist()
+        priors = [(x, _spread(w, x, means, covs)) for w, x in zip(mixing, mixed_means)]
+    out_means, out_covs, liks = [], [], []
+    for j in range(nv):
+        (m0, m1, m2), (p00, p01, p02, p11, p12, p22) = priors[j]
+        f00, f01, f02, f10, f11, f12, f20, f21, f22, g0, g1, g2, h0, h1, h2 = bank.modes[j]
+        # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q
+        y0 = f00 * m0 + f01 * m1 + f02 * m2 + g0 * u
+        y1 = f10 * m0 + f11 * m1 + f12 * m2 + g1 * u
+        y2 = f20 * m0 + f21 * m1 + f22 * m2 + g2 * u
+        a00 = f00 * p00 + f01 * p01 + f02 * p02
+        a01 = f00 * p01 + f01 * p11 + f02 * p12
+        a02 = f00 * p02 + f01 * p12 + f02 * p22
+        a10 = f10 * p00 + f11 * p01 + f12 * p02
+        a11 = f10 * p01 + f11 * p11 + f12 * p12
+        a12 = f10 * p02 + f11 * p12 + f12 * p22
+        a20 = f20 * p00 + f21 * p01 + f22 * p02
+        a21 = f20 * p01 + f21 * p11 + f22 * p12
+        a22 = f20 * p02 + f21 * p12 + f22 * p22
+        n00 = a00 * f00 + a01 * f01 + a02 * f02 + q00
+        n01 = a00 * f10 + a01 * f11 + a02 * f12 + q01
+        n02 = a00 * f20 + a01 * f21 + a02 * f22 + q02
+        n11 = a10 * f10 + a11 * f11 + a12 * f12 + q11
+        n12 = a10 * f20 + a11 * f21 + a12 * f22 + q12
+        n22 = a20 * f20 + a21 * f21 + a22 * f22 + q22
+        # scalar measurement update and the likelihood, as imm_likelihood
+        v0 = n00 * h0 + n01 * h1 + n02 * h2
+        v1 = n01 * h0 + n11 * h1 + n12 * h2
+        v2 = n02 * h0 + n12 * h1 + n22 * h2
+        s = h0 * v0 + h1 * v1 + h2 * v2 + R
+        if not s > 0.0:
+            raise NumericalError("innovation covariance is not positive definite")
+        res = z - (h0 * y0 + h1 * y1 + h2 * y2)
+        try:
+            lik = math.exp(-0.5 * (_LOG_2PI + math.log(s) + res ** 2 / s))
+        except OverflowError:
+            raise NumericalError(f"innovation {res!r} overflows the likelihood") from None
+        liks.append(max(lik, LIKELIHOOD_FLOOR))
+        k0, k1, k2 = v0 / s, v1 / s, v2 / s
+        out_means.append((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res))
+        out_covs.append((n00 - k0 * v0, n01 - k0 * v1, n02 - k0 * v2,
+                         n11 - k1 * v1, n12 - k1 * v2, n22 - k2 * v2))
+    # Bayes update; if every product underflows the prediction is kept
+    w = [lik * m for lik, m in zip(liks, mu_pred)]
+    total = 0.0
+    for v in w:
+        total += v
+    mu = [v / total for v in w] if 0.0 < total < math.inf else mu_pred
+    x0 = x1 = x2 = 0.0
+    for m, (e0, e1, e2) in zip(mu, out_means):
+        x0 += m * e0
+        x1 += m * e1
+        x2 += m * e2
+    return out_means, out_covs, mu, liks, (x0, x1, x2)
+
+
 def closed_loop_by_tick(spec, motor, vertices, noise=None):
     """`harness.run_scenario`'s loop one tick at a time: scalar draws from
     the seed's generator (the measurement noise, then the torque noise when
-    it is on), the controller weights `scale * mu + offset` and the gain
-    recomputed every tick, one log row stored per tick. `vertices` must
-    carry gains.
+    it is on), the two-pass IMM cycle, the mode probabilities spread over
+    the vertices, rho_hat, the controller weights `scale * mu + offset` and
+    the gain recomputed every tick, one log row stored per tick. `vertices`
+    must carry gains.
 
     Returns (log columns by RunRecord field, saturation count).
     """
@@ -151,7 +247,7 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
         t = k * T
         z = truth[0] + meas_std * normal()
         tau_dist = dist_std * normal() if dist_std > 0.0 else 0.0
-        means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
+        means, covs, mu, _, x_hat = imm_step_two_pass(bank, means, covs, mu, u, z)
         mu_v = [0.0] * nv
         for slot, m in zip(slots, mu):
             mu_v[slot] = m

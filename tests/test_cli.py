@@ -190,6 +190,17 @@ def test_negative_noise_exit_one(tmp_path, text):
     assert not (tmp_path / "out").exists()
 
 
+def test_diverged_estimate_exit_two(tmp_path):
+    # a 1e100 N*m torque disturbance drives the estimate past what float64
+    # resolves against R; the filter's inputs stay finite to the end
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("duration = 0.4\ndiscretization = zoh\nprocess_noise_std = 1e100\n")
+    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: numerical failure: the estimate diverged")
+    assert "Traceback" not in out.stderr
+
+
 def test_compare_default_variants(scenario_cfg, tmp_path):
     out_csv = tmp_path / "cmp.csv"
     out = run_cli("compare", str(scenario_cfg), "--out", str(out_csv))
@@ -289,14 +300,11 @@ def test_fuzzed_motor_file_exits_with_a_documented_code(command, data):
 STOCK_SCENARIO_TEXT = "".join(f"{k} = {v}\n" for k, v in STOCK_SCENARIO.items())
 
 
-@given(data=mutated_stock_scenario())
-@example(data=STOCK_SCENARIO_TEXT.encode())
-@example(data=STOCK_SCENARIO_TEXT.replace("= 0.003", "= 1e200").encode())
-@settings(max_examples=60, deadline=None)
-def test_fuzzed_scenario_file_exits_with_a_documented_code(data):
-    # `run` on mutated scenario bytes exits 0-3 with a message and no
-    # traceback; the tick cap is lowered to the stock file's 200 ticks, so a
-    # mutation that asks for more is refused before any work
+def main_on_scenario_bytes(data, command, out_name):
+    """Exit code and stderr of `cli.main` running `command` on a scenario
+    file holding `data`, with `--out` a temporary path named `out_name`. The
+    tick cap is lowered to the stock file's 200 ticks, so a mutation that
+    asks for more is refused before any work."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "MAX_TICKS", 200)
         mp.delenv("MAPS_SEED", raising=False)
@@ -304,8 +312,34 @@ def test_fuzzed_scenario_file_exits_with_a_documented_code(data):
         path.write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+            code = cli.main([command, str(path), "--out", str(Path(tmp) / out_name)])
+    return code, err.getvalue()
+
+
+@given(data=mutated_stock_scenario())
+@example(data=STOCK_SCENARIO_TEXT.encode())
+@example(data=STOCK_SCENARIO_TEXT.replace("= 0.003", "= 1e200").encode())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_scenario_file_exits_with_a_documented_code(data):
+    # `run` on mutated scenario bytes exits 0-3 with a message and no
+    # traceback
+    code, err = main_on_scenario_bytes(data, "run", "out")
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code:
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
+
+
+@given(data=mutated_stock_scenario())
+@example(data=STOCK_SCENARIO_TEXT.encode())
+@example(data=STOCK_SCENARIO_TEXT.replace("noise_std = 0.0", "noise_std = 1e100").encode())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_scenario_file_under_compare_exits_with_a_documented_code(data):
+    # `compare` runs the scenario under maps/imm and fixed:0/kf:0 and
+    # writes their table; on mutated bytes it exits 0-3 with a message and
+    # no traceback
+    code, err = main_on_scenario_bytes(data, "compare", "cmp.csv")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")

@@ -109,6 +109,7 @@ VALUES = st.one_of(
                                VALUES, max_size=12))
 @example(entries={"lm": "1e0"})       # complex (omega, i) modes at every b
 @example(entries={"b_max": "2e-2"})   # complex modes for b in (0.138, 0.160)
+@example(entries={"lm": "3.35062960497086e-257"})  # (R/L)^2 overflows a float
 @example(entries={"process_noise_std": "-1"})
 @example(entries={"meas_noise_std": "-0.5"})
 @settings(max_examples=300, deadline=None)

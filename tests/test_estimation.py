@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import imm_update_probabilities
+from reference import imm_step_two_pass, imm_update_probabilities
 
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import (
@@ -19,7 +19,7 @@ from mapsched.estimation import (
     kf_update,
 )
 from mapsched.harness import ScenarioSpec, run_scenario, toggle_schedule, write_trace_csv
-from mapsched.motor import DiscreteModel
+from mapsched.motor import DiscreteModel, build_vertex_set
 from mapsched.plant import plant_step
 
 
@@ -266,6 +266,24 @@ class TestImmStep:
         with pytest.raises(NumericalError, match="overflows"):
             imm_step(bank, means, covs, mu, 0.0, 1e200)
 
+    def test_names_a_diverged_estimate(self, vertices_zoh, noise):
+        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        _, covs, mu = bank.initial()
+        # finite means 2e200 apart: the spread overflows, +inf and -inf meet
+        # in Phi P Phi' and s is NaN
+        apart = [(0.0, 1e200, -1e200), (0.0, -1e200, 1e200)]
+        with pytest.raises(NumericalError, match="diverged: mode 0's mixed prior covariance"):
+            imm_step(bank, apart, covs, mu, 0.0, 0.0)
+        # a finite covariance grown past round-off against R has lost its
+        # positive definiteness; a small indefinite one has not diverged
+        means = [(0.0, 0.0, 0.0)] * 2
+        grown = [(0.0, 0.0, 0.0, -1e200, 0.0, 0.0)] * 2
+        with pytest.raises(NumericalError, match="diverged: mode 0's predicted covariance"):
+            imm_step(bank, means, grown, mu, 0.0, 0.0)
+        indefinite = [(-1.0, 0.0, 0.0, 1e-3, 0.0, 1e-3)] * 2
+        with pytest.raises(NumericalError, match="positive definite"):
+            imm_step(bank, means, indefinite, mu, 0.0, 0.0)
+
 
 class TestFilterBank:
     def test_rejects_models_that_are_not_three_state(self, noise):
@@ -321,22 +339,31 @@ def per_mode_imm_step(Pi, models, means, covs, mu, u, z, noise):
     return x, 0.5 * (P + P.T), mu, post_means, post_covs
 
 
-def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh, noise):
-    # the friction-switch stream of acceptance criterion 3, 15000 ticks
+def friction_switch_stream(motor_zoh, noise):
+    """(previous input, measurement) per tick of acceptance criterion 3's
+    friction-switch stream: 15000 ticks of a 2 V, 0.5 Hz sine drive of the
+    truth plant with friction toggling every 5 s."""
     sched = toggle_schedule(motor_zoh.b_min, motor_zoh.b_max, first=0.3,
                             period=5.0, duration=30.0)
     rng = np.random.default_rng(2024)
     truth = np.zeros(3)
-    models, Pi = vertices_zoh.models(), default_transition_matrix(2)
-    bank = FilterBank(models, Pi, noise)
-    means, covs, mu = bank.initial()
     u_prev = 0.0
-    worst = 0.0
     for k in range(15_000):
         t = k * 0.002
         u = 2.0 * math.sin(2.0 * math.pi * 0.5 * t)
         z = truth[0] + math.sqrt(noise.R[0, 0]) * rng.standard_normal()
         truth = plant_step(truth, u, motor_zoh.friction(*sched.at(t)), motor_zoh.params, 0.002)
+        yield u_prev, z
+        u_prev = u
+
+
+def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh, noise):
+    # the friction-switch stream of acceptance criterion 3, 15000 ticks
+    models, Pi = vertices_zoh.models(), default_transition_matrix(2)
+    bank = FilterBank(models, Pi, noise)
+    means, covs, mu = bank.initial()
+    worst = 0.0
+    for u_prev, z in friction_switch_stream(motor_zoh, noise):
         # both cycles start from the same state each tick, so the check does
         # not depend on how round-off grows over the run
         x, P, mu_ref, ref_means, ref_covs = per_mode_imm_step(
@@ -346,8 +373,44 @@ def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh, noise):
         pairs += list(zip(means, ref_means))
         pairs += [(full(a), b) for a, b in zip(covs, ref_covs)]
         worst = max(worst, *(float(np.max(np.abs(np.subtract(a, b)))) for a, b in pairs))
-        u_prev = u
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("modes", ["two-vertex", "one-mode", "three-mode"])
+def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, noise, modes):
+    # the one-pass cycle returns the two-pass cycle's bits, every output on
+    # every tick of criterion 3's stream, each tick from the same state
+    models = vertices_zoh.models()
+    if modes == "one-mode":
+        models = models[1:]
+    elif modes == "three-mode":
+        b_mid = 0.5 * (motor_zoh.b_min + motor_zoh.b_max)
+        models = build_vertex_set(motor_zoh.params, (motor_zoh.b_min, b_mid, motor_zoh.b_max),
+                                  0.002, "zoh").models()
+    bank = FilterBank(models, default_transition_matrix(len(models)), noise)
+    state = bank.initial()
+    for u_prev, z in friction_switch_stream(motor_zoh, noise):
+        out = imm_step(bank, *state, u_prev, z)
+        assert out == imm_step_two_pass(bank, *state, u_prev, z)
+        state = out[:3]
+
+
+def test_one_pass_cycle_matches_two_pass_cycle_on_held_priors():
+    # hold_bank (H = 0) returns the mixed priors, so random beliefs and
+    # probabilities exercise the mixing and the spread on their own; under
+    # Pi = I a one-hot mu leaves predicted probabilities at the floor
+    rng = np.random.default_rng(7)
+    banks = (hold_bank(np.array([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]])),
+             hold_bank(np.eye(3)))
+    upper = np.triu_indices(3)
+    for k in range(2_000):
+        bank = banks[k % 2]
+        means = [tuple(rng.normal(0.0, 10.0 ** rng.integers(-3, 3), 3).tolist())
+                 for _ in range(3)]
+        covs = [tuple((A @ A.T)[upper].tolist()) for A in rng.normal(size=(3, 3, 3))]
+        mu = rng.dirichlet(np.ones(3)).tolist() if k % 3 else [0.0, 1.0, 0.0]
+        out = imm_step(bank, means, covs, mu, 0.0, 0.0)
+        assert out == imm_step_two_pass(bank, means, covs, mu, 0.0, 0.0)
 
 
 class TestNisConsistency:

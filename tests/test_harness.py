@@ -275,11 +275,14 @@ class TestRunPathEstimators:
         dict(controller="open", estimator="kf:0", amplitude=1.0, process_noise_std=2e-3),
         dict(duration=617 / 500.0, process_noise_std=1e-4, meas_noise_std=1e-2,
              friction=load_window_schedule(B_MIN, B_MAX, start=0.3, end=0.9)),
+        dict(estimator="kf:1", friction=toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.5,
+                                                        duration=2.0)),
     ], ids=["maps-imm-ramp", "fixed1-kf1-coulomb-toggle", "open-kf0-process-noise",
-            "617-ticks"])
+            "617-ticks", "maps-kf1-toggle"])
     def test_chunked_loop_matches_tick_by_tick_loop(self, motor_zoh, vertices_zoh, kw):
-        # chunked noise draws and row stores, and the gain of fixed:<i> and
-        # open formed once, change no bit of the run
+        # chunked noise draws and row stores, the gain of fixed:<i> and open
+        # and the weights of kf:<i> formed once, and the one-pass IMM cycle
+        # change no bit of the run
         spec = short_spec(**kw)
         rec = run_scenario(spec, motor_zoh, vertices_zoh)
         columns, saturations = closed_loop_by_tick(spec, motor_zoh, vertices_zoh)
