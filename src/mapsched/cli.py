@@ -31,7 +31,7 @@ from .harness import (
 # importable from it
 from .harness import write_plot_csv, write_trace_csv  # noqa: F401
 from .ident import identify, read_samples_csv
-from .motor import DiscreteModel
+from .motor import build_vertex_set
 from .stability import MismatchAssumptions, certify
 
 
@@ -89,13 +89,13 @@ def _cmd_ident(args) -> int:
 def _cmd_gains(args) -> int:
     motor = load_motor_config(args.motor)
     weights = LqrWeights.default()
-    vertices = design_from_motor(motor, weights)
-    solutions = [
-        solve_dare(DiscreteModel(Phi=phi, Gamma=vertices.Gamma, H=vertices.H, T=vertices.T),
-                   weights)
-        for phi in vertices.Phi_vertices
-    ]
-    report = gain_report(vertices, solutions)
+    # design_from_motor's design, keeping each vertex's Riccati solution
+    # for the report
+    vertices = build_vertex_set(
+        motor.params, motor.vertex_rho, motor.sample_time, mode=motor.discretization
+    )
+    solutions = [solve_dare(model, weights) for model in vertices.models()]
+    report = gain_report(vertices.with_gains([s.K for s in solutions]), solutions)
     print(f"discretization: {report['mode']}, sample time {report['sample_time']} s")
     for entry in report["vertices"]:
         K = ", ".join(f"{v: .6f}" for v in entry["K"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,10 @@ class LqrWeights:
         object.__setattr__(self, "R", R)
 
     @classmethod
+    @cache
     def default(cls) -> "LqrWeights":
+        """The stock weights: one validated, read-only instance, built on
+        first use and shared by every caller."""
         # tight position regulation, moderate input attenuation
         return cls(Q=np.diag([100.0, 1.0, 1.0]), R=np.array([[10.0]]))
 
@@ -61,33 +65,41 @@ class RiccatiSolution:
             )
 
 
+def _gain_and_defect(Phi, Gamma, Q, R, P) -> tuple:
+    """LQR gain K = (Gamma' P Gamma + R)^-1 Gamma' P Phi of a DARE solution P,
+    and the max-norm defect of P, Phi' P Phi - (Phi' P Gamma) K + Q - P."""
+    PhiT_P, GammaT_P = Phi.T @ P, Gamma.T @ P
+    K = np.linalg.solve(GammaT_P @ Gamma + R, GammaT_P @ Phi)
+    defect = PhiT_P @ Phi - PhiT_P @ Gamma @ K + Q - P
+    return K, float(np.max(np.abs(defect)))
+
+
 def dare_residual(Phi, Gamma, Q, R, P) -> float:
     """Max-norm defect of P in the discrete algebraic Riccati equation."""
-    G = Gamma.T @ P @ Gamma + R
-    correction = Phi.T @ P @ Gamma @ np.linalg.solve(G, Gamma.T @ P @ Phi)
-    defect = Phi.T @ P @ Phi - correction + Q - P
-    return float(np.max(np.abs(defect)))
+    return _gain_and_defect(Phi, Gamma, Q, R, P)[1]
 
 
 def solve_dare(model: DiscreteModel, weights: LqrWeights) -> RiccatiSolution:
     """Stabilizing DARE solution and its LQR gain.
 
     The solution is validated against the residual bound, and the closed
-    loop Phi - Gamma K must be Schur stable.
+    loop Phi - Gamma K must be Schur stable. A model whose entries overflow
+    the solver's arithmetic fails as a NumericalError: the solve and the
+    checks run with numpy's floating-point warnings off, and a non-finite
+    gain is refused by the eigenvalue solver.
     """
     Phi, Gamma = model.Phi, model.Gamma
     Q, R = weights.Q, weights.R
-    try:
-        P = solve_discrete_are(Phi, Gamma, Q, R)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(
-            f"Riccati equation has no stabilizing solution ({exc}); "
-            "the model/weight pair is likely not stabilizable"
-        ) from None
-    residual = dare_residual(Phi, Gamma, Q, R, P)
-    K = np.linalg.solve(Gamma.T @ P @ Gamma + R, Gamma.T @ P @ Phi)
-    closed = Phi - Gamma @ K
-    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    with np.errstate(all="ignore"):
+        try:
+            P = solve_discrete_are(Phi, Gamma, Q, R)
+            K, residual = _gain_and_defect(Phi, Gamma, Q, R, P)
+            radius = float(np.max(np.abs(np.linalg.eigvals(Phi - Gamma @ K))))
+        except (LinAlgError, ValueError) as exc:
+            raise NumericalError(
+                f"Riccati equation has no stabilizing solution ({exc}); "
+                "the model/weight pair is likely not stabilizable"
+            ) from None
     if not radius < 1.0:
         raise NumericalError(
             f"closed loop is not Schur stable (spectral radius {radius:.6f}); "

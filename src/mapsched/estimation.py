@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -66,7 +67,10 @@ class NoiseConfig:
         object.__setattr__(self, "R", R)
 
     @classmethod
+    @cache
     def default(cls) -> "NoiseConfig":
+        """The stock covariances: one validated, read-only instance, built
+        on first use and shared by every caller."""
         return cls(Q=np.diag([1e-6, 1e-6, 1e-6]), R=np.array([[1e-5]]))
 
 

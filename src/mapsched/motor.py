@@ -8,7 +8,8 @@ input is the armature voltage and the single measurement is theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -140,24 +141,34 @@ class VertexSet:
         object.__setattr__(self, "Gamma", _frozen(self.Gamma))
         object.__setattr__(self, "H", _frozen(self.H))
         if self.K_vertices is not None:
-            ks = tuple(_frozen(k) for k in self.K_vertices)
-            if len(ks) != len(rho):
-                raise ParameterError("one gain row per vertex required")
-            object.__setattr__(self, "K_vertices", ks)
+            object.__setattr__(self, "K_vertices", self._gain_rows(self.K_vertices))
         # the affine decomposition must reproduce the vertices exactly; only
-        # an over-determined fit (zoh with >2 vertices) is allowed residual
+        # an over-determined fit (zoh with >2 vertices) is allowed residual.
+        # On finite matrices this decides as np.allclose(phi, recon, rtol=0,
+        # atol=1e-10); a non-finite entry never passes
         if len(rho) == 2 or self.mode == "euler":
             for r, phi in zip(rho, phis):
                 recon = self.Phi0 + r * self.Phi_hat
-                if not np.allclose(phi, recon, rtol=0.0, atol=1e-10):
+                if not float(np.max(np.abs(phi - recon))) <= 1e-10:
                     raise ParameterError("vertex matrices do not match Phi0 + rho*Phi_hat")
+
+    def _gain_rows(self, gains) -> tuple:
+        ks = tuple(_frozen(k) for k in gains)
+        if len(ks) != len(self.rho):
+            raise ParameterError("one gain row per vertex required")
+        return ks
 
     @property
     def n_vertices(self) -> int:
         return len(self.rho)
 
     def with_gains(self, gains) -> "VertexSet":
-        return replace(self, K_vertices=tuple(gains))
+        """A copy holding `gains`; the models were validated when this set
+        was made, so only the gains are checked and frozen."""
+        ks = self._gain_rows(gains)
+        filled = copy.copy(self)
+        object.__setattr__(filled, "K_vertices", ks)
+        return filled
 
     def models(self) -> tuple:
         """Per-vertex discrete models sharing Gamma and H."""
@@ -241,6 +252,12 @@ def build_vertex_set(params: MotorParams, rho_values, T: float,
             phis.append(phi)
         nom = build_continuous_model(params, params.b_m)
         _, Gamma = zoh_discretize(nom.A, nom.B, T)
+    if not all(np.isfinite(a).all() for a in (*phis, Gamma)):
+        raise ParameterError(
+            f"the {mode} discrete model at T = {T!r} s is not finite; "
+            "the motor's time constants are out of float range at this sample time"
+        )
+    if mode == "zoh":
         # affine fit Phi(rho) ~ Phi0 + rho*Phi_hat, entrywise least squares
         design = np.column_stack([np.ones(len(rho)), rho])
         stacked = np.stack(phis).reshape(len(rho), 9)

@@ -72,6 +72,12 @@ def dlyap_series(A: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if float(np.max(np.abs(np.linalg.eigvals(A)))) >= 1.0:
         raise NumericalError("Lyapunov series diverges: spectral radius >= 1")
+    return _dlyap(A, rhs)
+
+
+def _dlyap(A: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """`dlyap_series` without its spectral-radius check, for a float array A
+    already known to be Schur stable."""
     rhs = np.eye(A.shape[0]) if rhs is None else np.asarray(rhs, dtype=float)
     P = solve_discrete_lyapunov(A.T, rhs)
     return 0.5 * (P + P.T)
@@ -106,14 +112,15 @@ def find_common_lyapunov(closed_loops, max_rounds: int = 500) -> LyapunovSearch:
             raise ParameterError(
                 f"vertex {i + 1} closed loop has spectral radius {radius:.6f} >= 1"
             )
-    P = dlyap_series(loops[0])
+    # every loop is Schur stable from here on, so each solve skips the check
+    P = _dlyap(loops[0])
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         margins = vertex_margins(P, loops)
         if np.all(margins > 0.0):
             break
         for i in np.flatnonzero(margins <= 0.0):
-            P = 0.5 * (P + dlyap_series(loops[i]))
+            P = 0.5 * (P + _dlyap(loops[i]))
     else:
         margins = vertex_margins(P, loops)
     return LyapunovSearch(P=P, vertex_margins=margins, certified=bool(np.all(margins > 0.0)),

@@ -9,16 +9,19 @@ when one substep moves omega less than the rest band's width.
 The rest are array or plain-loop forms of what the package computes another
 way: the IMM probability update, single-model discretizations, the percent
 change of a comparison, a friction lookup by linear scan, the IMM cycle in
-two passes and the closed loop run tick by tick.
+two passes, the closed loop run tick by tick, and the design path that
+solves, validates and checks everything as many times as it is used.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_discrete_are
 
-from mapsched.control import control_input, maps_gain
-from mapsched.errors import NumericalError
+from mapsched.control import RiccatiSolution, control_input, maps_gain
+from mapsched.errors import CertificationError, NumericalError, ParameterError
 from mapsched.estimation import (
     _LOG_2PI,
     LIKELIHOOD_FLOOR,
@@ -30,6 +33,14 @@ from mapsched.estimation import (
 from mapsched.harness import _parse_choice, _percent_change
 from mapsched.motor import DiscreteModel, euler_discretize, zoh_discretize
 from mapsched.plant import plant_step
+from mapsched.stability import (
+    LyapunovSearch,
+    StabilityCert,
+    dlyap_series,
+    epsilon_star,
+    lipschitz_constants,
+    vertex_margins,
+)
 
 
 def _domega(omega, cur, tau_ext, kt, jeq, tau_s, tau_c, b, omega_rest):
@@ -270,3 +281,108 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
         "reference": log[:, c + 5:c + 8], "b_true": log[:, c + 8],
     }
     return columns, saturations
+
+
+def dare_residual_two_solve(Phi, Gamma, Q, R, P) -> float:
+    """Max-norm defect of P in the discrete algebraic Riccati equation,
+    solving Gamma' P Gamma + R on its own."""
+    G = Gamma.T @ P @ Gamma + R
+    correction = Phi.T @ P @ Gamma @ np.linalg.solve(G, Gamma.T @ P @ Phi)
+    defect = Phi.T @ P @ Phi - correction + Q - P
+    return float(np.max(np.abs(defect)))
+
+
+def solve_dare_two_solve(model, weights) -> RiccatiSolution:
+    """`control.solve_dare` solving Gamma' P Gamma + R twice: once in the
+    residual, once for K."""
+    Phi, Gamma = model.Phi, model.Gamma
+    Q, R = weights.Q, weights.R
+    try:
+        P = solve_discrete_are(Phi, Gamma, Q, R)
+    except (LinAlgError, ValueError) as exc:
+        raise NumericalError(
+            f"Riccati equation has no stabilizing solution ({exc}); "
+            "the model/weight pair is likely not stabilizable"
+        ) from None
+    residual = dare_residual_two_solve(Phi, Gamma, Q, R, P)
+    K = np.linalg.solve(Gamma.T @ P @ Gamma + R, Gamma.T @ P @ Phi)
+    closed = Phi - Gamma @ K
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
+    if not radius < 1.0:
+        raise NumericalError(
+            f"closed loop is not Schur stable (spectral radius {radius:.6f}); "
+            "the model/weight pair is not stabilizable-detectable"
+        )
+    return RiccatiSolution(P=P, K=K, residual=residual)
+
+
+def gains_by_replace(vertices, weights):
+    """(gain-filled set, Riccati solutions): one `solve_dare_two_solve` per
+    vertex, the gains filled through `dataclasses.replace`, which validates
+    and freezes the whole set again."""
+    Gamma = np.asarray(vertices.Gamma, dtype=float)
+    solutions = [
+        solve_dare_two_solve(DiscreteModel(Phi=phi, Gamma=Gamma, H=vertices.H, T=vertices.T),
+                             weights)
+        for phi in vertices.Phi_vertices
+    ]
+    filled = dataclasses.replace(vertices, K_vertices=tuple(s.K for s in solutions))
+    return filled, solutions
+
+
+def find_common_lyapunov_checked(closed_loops, max_rounds: int = 500) -> LyapunovSearch:
+    """`stability.find_common_lyapunov` solving every Lyapunov equation
+    through `dlyap_series`, which checks the loop's spectral radius again."""
+    loops = [np.asarray(A, dtype=float) for A in closed_loops]
+    if not loops:
+        raise ParameterError("need at least one closed loop")
+    for i, A in enumerate(loops):
+        radius = float(np.max(np.abs(np.linalg.eigvals(A))))
+        if radius >= 1.0:
+            raise ParameterError(
+                f"vertex {i + 1} closed loop has spectral radius {radius:.6f} >= 1"
+            )
+    P = dlyap_series(loops[0])
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        margins = vertex_margins(P, loops)
+        if np.all(margins > 0.0):
+            break
+        for i in np.flatnonzero(margins <= 0.0):
+            P = 0.5 * (P + dlyap_series(loops[i]))
+    else:
+        margins = vertex_margins(P, loops)
+    return LyapunovSearch(P=P, vertex_margins=margins, certified=bool(np.all(margins > 0.0)),
+                          rounds=rounds)
+
+
+def certify_checked(vertices, Gamma=None, assumptions=None) -> StabilityCert:
+    """`stability.certify` over `find_common_lyapunov_checked`."""
+    if vertices.K_vertices is None:
+        raise ParameterError("vertex gains have not been synthesized")
+    Gamma = vertices.Gamma if Gamma is None else np.asarray(Gamma, dtype=float)
+    loops = [
+        phi - Gamma @ K for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices)
+    ]
+    search = find_common_lyapunov_checked(loops)
+    if not search.certified:
+        raise CertificationError(
+            "no common Lyapunov matrix found "
+            f"(worst vertex margin {search.worst_margin:.3e}, after {search.rounds} rounds); "
+            "this does not prove instability"
+        )
+    L_phi, L_k, L = lipschitz_constants(vertices, Gamma)
+    eps_used = assumptions.epsilon if assumptions is not None else None
+    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=eps_used)
+    return StabilityCert(
+        P_lyap=search.P,
+        alpha=search.worst_margin,
+        vertex_margins=search.vertex_margins,
+        L_phi=L_phi,
+        L_k=L_k,
+        L=L,
+        eps_star=eps_star,
+        C=C,
+        lambda_=lam,
+        epsilon_used=eps_used if eps_used is not None else 0.5 * eps_star,
+    )

@@ -4,13 +4,15 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_are
 
-from mapsched import cli, harness
+from mapsched import cli, control, harness
 from mapsched.config import MOTOR_DEFAULTS
 
 CLI = [sys.executable, "-m", "mapsched"]
@@ -134,6 +136,45 @@ def test_numerical_failure_exit_two(tmp_path):
     out = run_cli("gains", "--motor", str(cfg))
     assert out.returncode == 2
     assert "numerical failure" in out.stderr
+
+
+@pytest.mark.parametrize("discretization, code", [("zoh", 1), ("euler", 2)])
+@pytest.mark.parametrize("command", ["gains", "certify"])
+def test_non_finite_design_exits_with_its_code(tmp_path, command, discretization, code):
+    # lm = 1e-150 puts the electrical pole out of float range: under ZOH the
+    # matrix exponential is NaN, which the vertex set refuses (exit 1);
+    # under Euler Phi is finite (~1.7e151) and the Riccati solve fails (exit
+    # 2). Neither lets a floating-point warning escape.
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(f"lm = 1e-150\ndiscretization = {discretization}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert cli.main([command, "--motor", str(cfg)]) == code
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert f"the {discretization} discrete model at T = 0.002 s is not finite" in err.getvalue()
+
+
+def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
+    # `maps gains` reports the Riccati solutions of the design it prints,
+    # so it makes as many scipy solves as design_from_motor: one per vertex
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_discrete_are(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_discrete_are", counted)
+    n_vertices = len(motor.vertex_rho)
+    harness.design_from_motor(motor)
+    assert len(calls) == n_vertices
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gains"]) == 0
+    assert len(calls) == n_vertices
 
 
 def test_run_writes_outputs(tmp_path, scenario_cfg):

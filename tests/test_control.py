@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 
+from mapsched import control
 from mapsched.control import (
     LqrWeights,
     control_input,
@@ -16,6 +18,7 @@ from mapsched.control import (
     synthesize_vertex_gains,
 )
 from mapsched.errors import NumericalError, ParameterError
+from mapsched.estimation import NoiseConfig
 from mapsched.motor import DiscreteModel, build_vertex_set
 
 B_MIN, B_MAX = 2.46e-6, 1.63e-4
@@ -82,6 +85,16 @@ class TestSolveDare:
         # uncontrollable unstable mode: Gamma = 0
         with pytest.raises(NumericalError):
             solve_dare(scalar_model(2.0, 0.0), scalar_weights(1.0, 1.0))
+
+    def test_non_finite_gain_is_a_numerical_failure(self, monkeypatch, vertices_euler,
+                                                    weights):
+        # a Riccati solution so large that the gain overflows to NaN is
+        # refused by the eigenvalue solver: a numerical failure, no warning
+        monkeypatch.setattr(control, "solve_discrete_are", lambda *args: np.full((3, 3), 1e308))
+        with warnings.catch_warnings(), pytest.raises(NumericalError,
+                                                      match="no stabilizing solution"):
+            warnings.simplefilter("error")
+            solve_dare(vertices_euler.models()[0], weights)
 
     def test_weight_validation(self):
         with pytest.raises(ParameterError):
@@ -209,3 +222,18 @@ def test_gain_report_shape(vertices_euler):
     for entry in report["vertices"]:
         assert len(entry["K"]) == 3
         assert all(mod < 1.0 for mod in entry["closed_loop_eigenvalue_moduli"])
+
+
+@pytest.mark.parametrize("cls, Q, R", [
+    (LqrWeights, np.diag([100.0, 1.0, 1.0]), np.array([[10.0]])),
+    (NoiseConfig, np.diag([1e-6, 1e-6, 1e-6]), np.array([[1e-5]])),
+], ids=["LqrWeights", "NoiseConfig"])
+def test_default_is_one_shared_read_only_instance(cls, Q, R):
+    default = cls.default()
+    assert cls.default() is default
+    fresh = cls(Q=Q, R=R)
+    for name in ("Q", "R"):
+        held = getattr(default, name)
+        assert np.array_equal(held, getattr(fresh, name))
+        with pytest.raises(ValueError):
+            held[0, 0] = 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +232,24 @@ class TestVertexSet:
             assert np.array_equal(mdl.H, [[1.0, 0.0, 0.0]])
             assert mdl.T == 0.002
             assert mdl.H.shape[0] == 1
+
+    def test_with_gains_freezes_only_the_gains(self, motor):
+        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, mode="zoh")
+        gains = [np.ones((1, 3)), np.full((1, 3), 2.0)]
+        filled = vs.with_gains(gains)
+        gains[0][0, 0] = 5.0
+        assert vs.K_vertices is None
+        assert [K.tolist() for K in filled.K_vertices] == [[[1.0] * 3], [[2.0] * 3]]
+        assert not any(K.flags.writeable for K in filled.K_vertices)
+        # the models were validated and frozen when the set was made
+        for name in ("rho", "Phi_vertices", "Phi0", "Phi_hat", "Gamma", "H", "T", "mode"):
+            assert getattr(filled, name) is getattr(vs, name)
+
+    def test_refuses_a_non_finite_discrete_model(self, motor):
+        # an electrical pole out of float range: expm returns NaN
+        tiny = dataclasses.replace(motor.params, Lm=1e-150)
+        with pytest.raises(ParameterError, match="zoh discrete model at T = 0.002 s is not finite"):
+            build_vertex_set(tiny, (2.46e-6, 1.63e-4), 0.002, mode="zoh")
 
     def test_with_gains_requires_one_per_vertex(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)

@@ -3,11 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from reference import certify_checked, gains_by_replace
 
+from mapsched.control import solve_dare, synthesize_vertex_gains
 from mapsched.errors import CertificationError, ParameterError
 from mapsched.harness import design_from_motor
+from mapsched.motor import build_vertex_set
 from mapsched.stability import (
     MismatchAssumptions,
+    StabilityCert,
     certify,
     dlyap_series,
     epsilon_star,
@@ -209,8 +213,6 @@ class TestCertify:
         ).lambda_
 
     def test_gains_required(self, motor):
-        from mapsched.motor import build_vertex_set
-
         bare = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
         with pytest.raises(ParameterError):
             certify(bare)
@@ -236,3 +238,52 @@ class TestPerturbedSchedulingBound:
             x = A @ x
             bound = cert.C * cert.lambda_ ** (k + 1) * x0_norm * 1.1
             assert float(np.linalg.norm(x)) <= bound
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the benchmark's design grid, then a 3-vertex ZOH set whose affine fit is
+# over-determined
+DESIGNS = [*itertools.product(("euler", "zoh"), (0.001, 0.002), (1.63e-4, 6e-4)),
+           pytest.param("zoh", 0.002, (2.46e-6, 8.3e-5, 1.63e-4), id="zoh-0.002-3vertex")]
+
+
+@pytest.mark.parametrize("mode, T, b_max", DESIGNS)
+def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, b_max):
+    # the package solves each Riccati and Lyapunov equation once and
+    # validates each array once; the reference path solves Gamma' P Gamma + R
+    # twice per vertex, fills the gains through dataclasses.replace and
+    # checks every loop's spectral radius on every Lyapunov solve. Every
+    # bit of the design and of the certificate must agree.
+    if isinstance(b_max, tuple):
+        bare = build_vertex_set(motor.params, b_max, T, mode=mode)
+        vertices = synthesize_vertex_gains(bare, bare.Gamma, weights)
+    else:
+        designed = dataclasses.replace(motor, b_max=b_max, sample_time=T, discretization=mode)
+        bare = build_vertex_set(designed.params, designed.vertex_rho, T, mode=mode)
+        vertices = design_from_motor(designed, weights)
+    ref_vertices, ref_solutions = gains_by_replace(bare, weights)
+    for field in dataclasses.fields(vertices):
+        got, want = getattr(vertices, field.name), getattr(ref_vertices, field.name)
+        if isinstance(want, tuple) and want and isinstance(want[0], np.ndarray):
+            assert len(got) == len(want)
+            assert all(same_bits(g, w) for g, w in zip(got, want)), field.name
+        elif isinstance(want, np.ndarray):
+            assert same_bits(got, want), field.name
+        else:
+            assert got == want, field.name
+    for model, ref in zip(bare.models(), ref_solutions):
+        solution = solve_dare(model, weights)
+        assert same_bits(solution.K, ref.K)
+        assert same_bits(solution.P, ref.P)
+        assert solution.residual == ref.residual
+    cert, ref_cert = certify(vertices), certify_checked(ref_vertices)
+    for field in dataclasses.fields(StabilityCert):
+        got, want = getattr(cert, field.name), getattr(ref_cert, field.name)
+        if isinstance(want, np.ndarray):
+            assert same_bits(got, want), field.name
+        else:
+            assert type(got) is type(want) and got == want, field.name
