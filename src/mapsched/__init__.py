@@ -54,7 +54,7 @@ from .motor import (
     build_continuous_model,
     build_vertex_set,
 )
-from .plant import plant_step
+from .plant import TickMap, plant_step
 from .stability import (
     MismatchAssumptions,
     StabilityCert,

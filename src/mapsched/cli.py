@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: ident, gains, certify, run, compare. Exit codes: 0 success,
-1 invalid config, 2 numerical failure, 3 certification failure.
+1 invalid config or command line, 2 numerical failure, 3 certification
+failure.
 """
 
 from __future__ import annotations
@@ -35,8 +36,18 @@ from .motor import build_vertex_set
 from .stability import MismatchAssumptions, certify
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the code of an invalid
+    config, rather than argparse's 2, which here means a numerical failure.
+    Subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maps",
         description="Mode-aware probabilistic scheduling for a friction-varying DC motor",
     )

@@ -11,12 +11,13 @@ is Phi - Gamma K.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_discrete_are
+from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 
 from .errors import NumericalError, ParameterError
 from .motor import DiscreteModel, VertexSet, _frozen
@@ -85,20 +86,33 @@ def solve_dare(model: DiscreteModel, weights: LqrWeights) -> RiccatiSolution:
     The solution is validated against the residual bound, and the closed
     loop Phi - Gamma K must be Schur stable. A model whose entries overflow
     the solver's arithmetic fails as a NumericalError: the solve and the
-    checks run with numpy's floating-point warnings off, and a non-finite
-    gain is refused by the eigenvalue solver.
+    checks run with numpy's floating-point warnings off, a non-finite gain
+    is refused by the eigenvalue solver, and scipy's LinAlgWarning (its QZ
+    iteration failed, so the pencil it orders is not in Schur form) is
+    raised as the failure it reports. A failed solve of a model with an
+    entry past 1/eps is blamed on the model's float range, not on its
+    stabilizability.
     """
     Phi, Gamma = model.Phi, model.Gamma
     Q, R = weights.Q, weights.R
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
         try:
             P = solve_discrete_are(Phi, Gamma, Q, R)
             K, residual = _gain_and_defect(Phi, Gamma, Q, R, P)
             radius = float(np.max(np.abs(np.linalg.eigvals(Phi - Gamma @ K))))
+        except LinAlgWarning as exc:
+            raise NumericalError(f"Riccati solver failed: {exc}") from None
         except (LinAlgError, ValueError) as exc:
+            size = max(float(np.max(np.abs(Phi))), float(np.max(np.abs(Gamma))))
+            if not size * np.finfo(float).eps <= 1.0:
+                cause = (f"the discrete model's entries reach {size:.3g}, past float64 "
+                         "round-off against its unit diagonal: the motor's time constants "
+                         "are out of float range at this sample time")
+            else:
+                cause = "the model/weight pair is likely not stabilizable"
             raise NumericalError(
-                f"Riccati equation has no stabilizing solution ({exc}); "
-                "the model/weight pair is likely not stabilizable"
+                f"Riccati equation has no stabilizing solution ({exc}); {cause}"
             ) from None
     if not radius < 1.0:
         raise NumericalError(

@@ -9,11 +9,16 @@ the 3-state motor models with the scalar angle measurement: per mode a mean
 3-tuple and the upper triangle (p00, p01, p02, p11, p12, p22) of its
 covariance. After the two mixing products it makes one pass over the modes:
 mixed prior covariance, prediction, update, likelihood and the mode's share
-of the probability update. A `FilterBank` holds what the cycle reads: one
-flat tuple of Phi, Gamma and H per mode, Pi and the noise. A single Kalman
-filter is the one-mode bank with Pi = [[1]], whose probability is exactly
-1.0 on every cycle. `kf_predict`, `kf_update` and `imm_likelihood` are the
-per-mode array forms the tests check the cycle against.
+of the probability update. The cycle is folded for the motor's structure,
+H = [1, 0, 0] and Phi's first column e0: the products with those ones and
+zeros are left out, which changes no bit of a result, and the failures the
+left-out zeros would have turned into a NaN innovation variance are tested
+for explicitly. A `FilterBank` refuses any other model and holds what the
+cycle reads: Phi's last two columns and Gamma per mode as one flat tuple,
+Pi and the noise. A single Kalman filter is the one-mode bank with
+Pi = [[1]], whose probability is exactly 1.0 on every cycle. `kf_predict`,
+`kf_update` and `imm_likelihood` are the per-mode array forms the tests
+check the cycle against.
 """
 
 from __future__ import annotations
@@ -123,9 +128,15 @@ def imm_likelihood(r: float, s: float) -> float:
 
 class FilterBank:
     """Per-mode models, the transition matrix Pi and the noise of an IMM bank
-    of 3-state filters with a scalar measurement, held as float tuples.
+    of 3-state filters measuring the first state, held as float tuples.
 
-    Q is folded into its symmetric part, as `kf_predict` folds it.
+    Every model must have the motor's structure exactly: H = [1, 0, 0], and
+    Phi's first column e0 (the angle enters only its own integration). Both
+    hold for every model `build_vertex_set` makes: under Euler Phi = I + T A,
+    under ZOH Phi is the exponential of a matrix, and A's first column is
+    zero. So per mode only Phi's last two columns and Gamma are held, the
+    nine floats `imm_step` reads. Q is folded into its symmetric part, as
+    `kf_predict` folds it.
     """
 
     __slots__ = ("modes", "pi_t", "pi_cols", "q", "r")
@@ -137,6 +148,12 @@ class FilterBank:
                 raise ParameterError("the filter bank takes 3-state, single-input models")
             if m.H.shape != (1, 3):
                 raise ParameterError("the filter bank takes a scalar measurement")
+            if m.H[0].tolist() != [1.0, 0.0, 0.0]:
+                raise ParameterError("the filter bank takes the first state as its "
+                                     "measurement, H = [1, 0, 0] exactly")
+            if m.Phi[:, 0].tolist() != [1.0, 0.0, 0.0]:
+                raise ParameterError("the filter bank takes models whose first state "
+                                     "only integrates: Phi's first column e0 exactly")
         Pi = np.asarray(Pi, dtype=float)
         if not models or Pi.shape != (len(models), len(models)):
             raise ParameterError("Pi must be Nv x Nv for Nv >= 1 modes")
@@ -144,9 +161,9 @@ class FilterBank:
             raise ParameterError("each row of Pi must be a probability vector")
         if noise.Q.shape != (3, 3) or noise.R.shape != (1, 1):
             raise ParameterError("noise must be a 3x3 Q and a 1x1 R")
-        # per mode: Phi row-major, Gamma, H
+        # per mode: Phi's last two columns row-major, then Gamma
         self.modes = tuple(
-            tuple(np.concatenate((m.Phi.reshape(-1), m.Gamma[:, 0], m.H[0])).tolist())
+            tuple(np.concatenate((m.Phi[:, 1:].reshape(-1), m.Gamma[:, 0])).tolist())
             for m in models
         )
         self.pi_t = _frozen(Pi).T
@@ -202,36 +219,42 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
                 p11 += wi * (c11 + d1 * d1)
                 p12 += wi * (c12 + d1 * d2)
                 p22 += wi * (c22 + d2 * d2)
-        f00, f01, f02, f10, f11, f12, f20, f21, f22, g0, g1, g2, h0, h1, h2 = mode
-        # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q
-        y0 = f00 * m0 + f01 * m1 + f02 * m2 + g0 * u
-        y1 = f10 * m0 + f11 * m1 + f12 * m2 + g1 * u
-        y2 = f20 * m0 + f21 * m1 + f22 * m2 + g2 * u
-        a00 = f00 * p00 + f01 * p01 + f02 * p02
-        a01 = f00 * p01 + f01 * p11 + f02 * p12
-        a02 = f00 * p02 + f01 * p12 + f02 * p22
-        a10 = f10 * p00 + f11 * p01 + f12 * p02
-        a11 = f10 * p01 + f11 * p11 + f12 * p12
-        a12 = f10 * p02 + f11 * p12 + f12 * p22
-        a20 = f20 * p00 + f21 * p01 + f22 * p02
-        a21 = f20 * p01 + f21 * p11 + f22 * p12
-        a22 = f20 * p02 + f21 * p12 + f22 * p22
-        n00 = a00 * f00 + a01 * f01 + a02 * f02 + q00
-        n01 = a00 * f10 + a01 * f11 + a02 * f12 + q01
-        n02 = a00 * f20 + a01 * f21 + a02 * f22 + q02
-        n11 = a10 * f10 + a11 * f11 + a12 * f12 + q11
-        n12 = a10 * f20 + a11 * f21 + a12 * f22 + q12
-        n22 = a20 * f20 + a21 * f21 + a22 * f22 + q22
-        # scalar measurement update and the likelihood, as imm_likelihood
-        v0 = n00 * h0 + n01 * h1 + n02 * h2
-        v1 = n01 * h0 + n11 * h1 + n12 * h2
-        v2 = n02 * h0 + n12 * h1 + n22 * h2
-        s = h0 * v0 + h1 * v1 + h2 * v2 + R
-        if not s > 0.0:
-            raise _innovation_error(
-                len(liks), means, covs, mu, u, z,
-                (p00, p01, p02, p11, p12, p22), (n00, n01, n02, n11, n12, n22), R)
-        res = z - (h0 * y0 + h1 * y1 + h2 * y2)
+        f01, f02, f11, f12, f21, f22, g0, g1, g2 = mode
+        # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q, with Phi's
+        # first column e0: its 1.0 and 0.0 products drop out
+        y0 = m0 + f01 * m1 + f02 * m2 + g0 * u
+        y1 = f11 * m1 + f12 * m2 + g1 * u
+        y2 = f21 * m1 + f22 * m2 + g2 * u
+        a00 = p00 + f01 * p01 + f02 * p02
+        a01 = p01 + f01 * p11 + f02 * p12
+        a02 = p02 + f01 * p12 + f02 * p22
+        a11 = f11 * p11 + f12 * p12
+        a12 = f11 * p12 + f12 * p22
+        a21 = f21 * p11 + f22 * p12
+        a22 = f21 * p12 + f22 * p22
+        n00 = a00 + a01 * f01 + a02 * f02 + q00
+        n01 = a01 * f11 + a02 * f12 + q01
+        n02 = a01 * f21 + a02 * f22 + q02
+        n11 = a11 * f11 + a12 * f12 + q11
+        n12 = a11 * f21 + a12 * f22 + q12
+        n22 = a21 * f21 + a22 * f22 + q22
+        # scalar measurement update of the angle: P H' = (n00, n01, n02),
+        # s = n00 + R and the residual z - y0
+        s = n00 + R
+        # through Phi's and H's zeros the unfolded cycle's s is NaN where
+        # Phi P's first column (a00, a10, a20) or the predicted covariance
+        # past n00 is not finite. One sum tests them all; a sum that
+        # overflows from finite terms is tested again term by term
+        a10 = f11 * p01 + f12 * p02
+        a20 = f21 * p01 + f22 * p02
+        if not (s > 0.0 and (a00 + a10 + a20 + n01 + n02 + n11 + n12 + n22) * 0.0 == 0.0):
+            # the unfolded predicted covariance, NaN where those products are
+            unfolded = (n00, n01 + a00 * 0.0, n02 + a00 * 0.0,
+                        n11 + a10 * 0.0, n12 + a10 * 0.0, n22 + a20 * 0.0)
+            if not (s > 0.0 and all(map(math.isfinite, unfolded[1:]))):
+                raise _innovation_error(len(liks), means, covs, mu, u, z,
+                                        (p00, p01, p02, p11, p12, p22), unfolded, R)
+        res = z - y0
         try:
             lik = math.exp(-0.5 * (_LOG_2PI + math.log(s) + res ** 2 / s))
         except OverflowError:
@@ -239,10 +262,10 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         if lik < LIKELIHOOD_FLOOR:
             lik = LIKELIHOOD_FLOOR
         liks.append(lik)
-        k0, k1, k2 = v0 / s, v1 / s, v2 / s
+        k0, k1, k2 = n00 / s, n01 / s, n02 / s
         out_means.append((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res))
-        out_covs.append((n00 - k0 * v0, n01 - k0 * v1, n02 - k0 * v2,
-                         n11 - k1 * v1, n12 - k1 * v2, n22 - k2 * v2))
+        out_covs.append((n00 - k0 * n00, n01 - k0 * n01, n02 - k0 * n02,
+                         n11 - k1 * n01, n12 - k1 * n02, n22 - k2 * n02))
         wj = lik * mp
         w.append(wj)
         total += wj

@@ -43,7 +43,7 @@ from .estimation import FilterBank, NoiseConfig, default_transition_matrix, imm_
 # importable from it
 from .estimation import kf_predict, kf_update  # noqa: F401
 from .motor import VertexSet, build_vertex_set
-from .plant import plant_step
+from .plant import TickMap, plant_step
 
 SCENARIO_KEYS = frozenset(
     {
@@ -363,9 +363,13 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     )
     dist_std = spec.process_noise_std
     reference, friction_at = spec.reference_state, spec.friction.at
-    # one FrictionModel per schedule segment, not per tick; a ramp misses
-    friction = lru_cache(maxsize=16)(motor.friction)
     params, v_limit, rho = motor.params, spec.v_limit, vertices.rho
+
+    # one TickMap per schedule segment, not per tick; a ramp misses
+    @lru_cache(maxsize=16)
+    def tick_map(b, coulomb_on):
+        return TickMap(params, motor.friction(b, coulomb_on), T)
+
     truth = (0.0, 0.0, 0.0)
     u = 0.0
     saturations = 0
@@ -397,7 +401,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
             saturations += saturated
             b_t, coulomb_on = friction_at(t)
             rows.append((t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t))
-            truth = plant_step(truth, u, friction(b_t, coulomb_on), params, T, tau_dist)
+            truth = plant_step(truth, u, tick_map(b_t, coulomb_on), tau_dist)
         log[start:stop] = rows
 
     c = 8 + nv

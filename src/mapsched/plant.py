@@ -7,8 +7,7 @@ closed-form solution:
 - slipping with sign s: Jeq omega' = Kt i + tau_ext - tau_c s - b omega.
   omega(t) = w_ss + a1 e^(lam1 t) + a2 e^(lam2 t) over the two real (omega, i)
   modes; a whole tick that keeps its sign outside the rest band takes the
-  one-tick map x+ = Ad(b) x + Bd(b) [tau_ext - tau_c s, u], cached per
-  (params, b, dt);
+  one-tick map x+ = Ad(b) x + Bd(b) [tau_ext - tau_c s, u];
 - at rest (|omega| <= OMEGA_REST) with |Kt i + tau_ext| below the breakaway
   torque: stuck. omega is held, theta advances by omega dt and i relaxes
   exponentially toward (u - Ke omega) / Rm.
@@ -31,12 +30,16 @@ Meas., Control 107, 1985):
 
 At most MAX_EVENTS events are located per tick. Motors whose (omega, i)
 modes are complex are refused.
+
+A `TickMap` binds one motor, friction model and dt: the one-tick maps, the
+modes, and the motor and friction constants the closed forms read, as
+floats. It is built once per friction segment, so a slipping tick reads
+one flat tuple and looks nothing up.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,47 +55,62 @@ MAX_EVENTS = 8
 MAX_ROOT_ITER = 64
 
 
-@lru_cache(maxsize=256)
-def _slip_model(kt, ke, jeq, lm, rm, b, dt):
-    """One-tick maps and modal data of the slipping dynamics at viscous
-    coefficient b.
+class TickMap:
+    """The truth plant's constants for one motor, friction model and tick
+    length dt, built once and read by every `plant_step` on them.
 
-    Returns (Ad, Bd, lam_slow, lam_fast, m_slow, m_fast): Ad and Bd as flat
-    row-major float tuples (9 and 6 entries), and [1, m] the (omega, i)
-    eigenvector of each mode. Raises ParameterError when the modes are not
-    real and distinct.
+    `slip` is one flat float tuple, the slipping dynamics at viscous
+    coefficient b: the one-tick maps Ad and Bd row-major (9 and 6 entries),
+    the modes lam_slow and lam_fast with their (omega, i) eigenvectors
+    [1, m_slow] and [1, m_fast], m_slow - m_fast, dt, tau_c, Kt, Rm, Ke and
+    b Rm + Kt Ke. The stuck segments also read the breakaway torque tau_b,
+    Lm and Lm / Rm. Raises ParameterError when the modes are not real and
+    distinct.
     """
-    tr = -(b / jeq + rm / lm)
-    det = (b * rm + kt * ke) / (jeq * lm)
-    disc = tr * tr - 4.0 * det
-    if not disc > 0.0:
-        raise ParameterError(
-            f"the motor's (omega, i) modes are not real and distinct at b = {b:.3e}"
+
+    __slots__ = ("slip", "tau_b", "lm", "lm_rm", "b")
+
+    def __init__(self, params: MotorParams, friction: FrictionModel, dt: float):
+        kt, ke, jeq, lm, rm = params.Kt, params.Ke, params.Jeq, params.Lm, params.Rm
+        b = friction.b
+        tr = -(b / jeq + rm / lm)
+        det = (b * rm + kt * ke) / (jeq * lm)
+        disc = tr * tr - 4.0 * det
+        if not disc > 0.0:
+            raise ParameterError(
+                f"the motor's (omega, i) modes are not real and distinct at b = {b:.3e}"
+            )
+        lam_fast = 0.5 * (tr - math.sqrt(disc))
+        lam_slow = det / lam_fast  # product of the roots; avoids cancellation
+        m_slow = (lam_slow + b / jeq) * jeq / kt
+        m_fast = (lam_fast + b / jeq) * jeq / kt
+        A = np.array([
+            [0.0, 1.0, 0.0],
+            [0.0, -b / jeq, kt / jeq],
+            [0.0, -ke / lm, -rm / lm],
+        ])
+        B = np.array([[0.0, 0.0], [1.0 / jeq, 0.0], [0.0, 1.0 / lm]])
+        Ad, Bd = zoh_discretize(A, B, dt)
+        self.slip = (
+            *Ad.reshape(-1).tolist(), *Bd.reshape(-1).tolist(),
+            lam_slow, lam_fast, m_slow, m_fast, m_slow - m_fast,
+            dt, friction.tau_c, kt, rm, ke, b * rm + kt * ke,
         )
-    lam_fast = 0.5 * (tr - math.sqrt(disc))
-    lam_slow = det / lam_fast  # product of the roots; avoids cancellation
-    A = np.array([
-        [0.0, 1.0, 0.0],
-        [0.0, -b / jeq, kt / jeq],
-        [0.0, -ke / lm, -rm / lm],
-    ])
-    B = np.array([[0.0, 0.0], [1.0 / jeq, 0.0], [0.0, 1.0 / lm]])
-    Ad, Bd = zoh_discretize(A, B, dt)
-    return (
-        tuple(Ad.reshape(-1).tolist()), tuple(Bd.reshape(-1).tolist()),
-        lam_slow, lam_fast,
-        (lam_slow + b / jeq) * jeq / kt, (lam_fast + b / jeq) * jeq / kt,
-    )
+        # breakaway torque: tau_s, or tau_c + b OMEGA_REST where that is
+        # larger (tau_s = tau_c), so a rotor breaking away anywhere in the
+        # rest band accelerates out of it
+        self.tau_b = max(friction.tau_s, friction.tau_c + b * OMEGA_REST)
+        self.lm, self.lm_rm, self.b = lm, lm / rm, b
 
 
-def _modes(omega, cur, u, torque, f, p, m1, m2):
+def _modes(omega, cur, u, torque, kt, rm, ke, den, m2, dm):
     """(w_ss, i_ss, a1, a2): the steady state of the slipping dynamics under
     the constant torque `torque` and the offset from it split over the
-    eigenvectors [1, m1], [1, m2]."""
-    w_ss = (p.Kt * u + p.Rm * torque) / (f.b * p.Rm + p.Kt * p.Ke)
-    i_ss = (u - p.Ke * w_ss) / p.Rm
+    eigenvectors [1, m1], [1, m2]; den = b Rm + Kt Ke and dm = m1 - m2."""
+    w_ss = (kt * u + rm * torque) / den
+    i_ss = (u - ke * w_ss) / rm
     dw, di = omega - w_ss, cur - i_ss
-    a1 = (di - m2 * dw) / (m1 - m2)
+    a1 = (di - m2 * dw) / dm
     return w_ss, i_ss, a1, dw - a1
 
 
@@ -105,25 +123,24 @@ def _extremum(a1, a2, lam1, lam2):
     return None
 
 
-def _slip_step(theta, omega, cur, u, tau_ext, f, p, dt, model):
+def _slip_step(theta, omega, cur, u, tau_ext, slip):
     """Exact tick when omega keeps its sign and stays outside the rest band
     throughout; None otherwise.
 
     omega(t) has at most one interior extremum, so the band test at both
     ends and at that extremum covers the whole tick.
     """
-    ad, bd, lam1, lam2, m1, m2 = model
+    (a00, a01, a02, a10, a11, a12, a20, a21, a22, b00, b01, b10, b11, b20, b21,
+     lam1, lam2, _, m2, dm, dt, tau_c, kt, rm, ke, den) = slip
     s = 1.0 if omega > 0.0 else -1.0
-    torque = tau_ext - f.tau_c * s
-    w_ss, _, a1, a2 = _modes(omega, cur, u, torque, f, p, m1, m2)
+    torque = tau_ext - tau_c * s
+    w_ss, _, a1, a2 = _modes(omega, cur, u, torque, kt, rm, ke, den, m2, dm)
     t_ext = _extremum(a1, a2, lam1, lam2)
     if t_ext is not None and 0.0 < t_ext < dt:
         w_ext = w_ss + a1 * math.exp(lam1 * t_ext) + a2 * math.exp(lam2 * t_ext)
         if not s * w_ext >= OMEGA_REST:
             return None
     # the omega row first: a tick that ends inside the band needs no more
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = ad
-    b00, b01, b10, b11, b20, b21 = bd
     w = a10 * theta + a11 * omega + a12 * cur + b10 * torque + b11 * u
     if not s * w >= OMEGA_REST:
         return None
@@ -186,37 +203,35 @@ def _band_entry(s, w_ss, a1, a2, lam1, lam2, span):
     return None
 
 
-def _event_step(theta, omega, cur, u, tau_ext, f, p, dt, model):
+def _event_step(theta, omega, cur, u, tau_ext, tick):
     """Tick chained from exact segments, stuck or slipping with a fixed
     sign, split where the rotor enters the rest band or breaks away. A tick
     that stays stuck is one segment: the stuck map."""
-    _, _, lam1, lam2, m1, m2 = model
-    # breakaway torque: tau_s, or tau_c + b OMEGA_REST where that is larger
-    # (tau_s = tau_c), so a rotor breaking away anywhere in the rest band
-    # accelerates out of it
-    tau_b = max(f.tau_s, f.tau_c + f.b * OMEGA_REST)
+    (*_, lam1, lam2, m1, m2, dm, dt, tau_c, kt, rm, ke, den) = tick.slip
+    tau_b, lm, lm_rm = tick.tau_b, tick.lm, tick.lm_rm
     sign = math.copysign(1.0, omega) if abs(omega) > OMEGA_REST else 0.0
     left = dt
     for _ in range(MAX_EVENTS + 1):
         if sign == 0.0:
-            torque = p.Kt * cur + tau_ext
+            torque = kt * cur + tau_ext
             if abs(torque) > tau_b:
                 sign = math.copysign(1.0, torque)
         if sign == 0.0:
             # stuck: i relaxes toward i_ss, and the torque with it
-            i_ss = (u - p.Ke * omega) / p.Rm
-            tau_ss = p.Kt * i_ss + tau_ext
+            i_ss = (u - ke * omega) / rm
+            tau_ss = kt * i_ss + tau_ext
             span = left
             if abs(tau_ss) > tau_b:
                 ratio = (torque - tau_ss) / (math.copysign(tau_b, tau_ss) - tau_ss)
-                span = min(left, p.Lm / p.Rm * math.log(max(ratio, 1.0)))
-            cur = i_ss + (cur - i_ss) * math.exp(-p.Rm * span / p.Lm)
+                span = min(left, lm_rm * math.log(max(ratio, 1.0)))
+            cur = i_ss + (cur - i_ss) * math.exp(-rm * span / lm)
             theta += omega * span
             if span >= left:
                 return theta, omega, cur
             sign = math.copysign(1.0, tau_ss)
         else:
-            w_ss, i_ss, a1, a2 = _modes(omega, cur, u, tau_ext - f.tau_c * sign, f, p, m1, m2)
+            w_ss, i_ss, a1, a2 = _modes(omega, cur, u, tau_ext - tau_c * sign,
+                                        kt, rm, ke, den, m2, dm)
             entry = _band_entry(sign, w_ss, a1, a2, lam1, lam2, left)
             span = left if entry is None else entry
             e1, e2 = math.exp(lam1 * span), math.exp(lam2 * span)
@@ -226,7 +241,7 @@ def _event_step(theta, omega, cur, u, tau_ext, f, p, dt, model):
             omega = w_ss + a1 * e1 + a2 * e2
             if entry is None:
                 return theta, omega, cur
-            if -sign * (p.Kt * cur + tau_ext) > f.tau_c:
+            if -sign * (kt * cur + tau_ext) > tau_c:
                 # the torque carries the rotor on through zero against
                 # Coulomb friction: it reverses without coming to rest
                 sign = -sign
@@ -237,34 +252,32 @@ def _event_step(theta, omega, cur, u, tau_ext, f, p, dt, model):
         left -= span
     raise NumericalError(
         f"truth plant tick needs more than {MAX_EVENTS} friction events "
-        f"(u={u}, tau_ext={tau_ext}, b={f.b})"
+        f"(u={u}, tau_ext={tau_ext}, b={tick.b})"
     )
 
 
-def plant_step(state, u: float, f: FrictionModel, params: MotorParams,
-               dt: float, tau_ext: float = 0.0) -> tuple:
-    """Advance the nonlinear truth plant one control tick of length dt.
+def plant_step(state, u: float, tick: TickMap, tau_ext: float = 0.0) -> tuple:
+    """Advance the nonlinear truth plant one control tick of `tick`'s dt.
 
     Solves theta' = omega, Jeq omega' = Kt i + tau_ext - tau_fric,
     Lm i' = -Rm i - Ke omega + u with u and tau_ext held, exactly: a tick
     that stays in one friction regime (slipping with a fixed sign, or stuck)
     takes its one-tick map, any other tick is chained from exact segments
-    split at its friction events. `state` is any 3-sequence
-    (theta, omega, i); returns the next state as a 3-tuple of floats.
+    split at its friction events. `tick` holds the motor's and the friction
+    model's constants; `state` is any 3-sequence (theta, omega, i). Returns
+    the next state as a 3-tuple of floats.
     """
     theta, omega, cur = state
     theta, omega, cur = float(theta), float(omega), float(cur)
     u, tau_ext = float(u), float(tau_ext)
-    p = params
-    model = _slip_model(p.Kt, p.Ke, p.Jeq, p.Lm, p.Rm, f.b, dt)
     nxt = None
     if abs(omega) > OMEGA_REST:
-        nxt = _slip_step(theta, omega, cur, u, tau_ext, f, p, dt, model)
+        nxt = _slip_step(theta, omega, cur, u, tau_ext, tick.slip)
     if nxt is None:
-        nxt = _event_step(theta, omega, cur, u, tau_ext, f, p, dt, model)
+        nxt = _event_step(theta, omega, cur, u, tau_ext, tick)
     theta, omega, cur = nxt
     if not (math.isfinite(theta) and math.isfinite(omega) and math.isfinite(cur)):
         raise NumericalError(
-            f"truth plant diverged (state=({theta}, {omega}, {cur}), u={u}, b={f.b})"
+            f"truth plant diverged (state=({theta}, {omega}, {cur}), u={u}, b={tick.b})"
         )
     return nxt

@@ -29,8 +29,8 @@ class MismatchAssumptions:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ParameterError("mismatch bound must be non-negative")
+        if not self.epsilon >= 0.0:
+            raise ParameterError(f"mismatch bound must be a number >= 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

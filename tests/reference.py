@@ -28,11 +28,12 @@ from mapsched.estimation import (
     MIX_FLOOR,
     FilterBank,
     NoiseConfig,
+    _innovation_error,
     default_transition_matrix,
 )
 from mapsched.harness import _parse_choice, _percent_change
 from mapsched.motor import DiscreteModel, euler_discretize, zoh_discretize
-from mapsched.plant import plant_step
+from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     LyapunovSearch,
     StabilityCert,
@@ -153,11 +154,13 @@ def _spread(weights, x, means, covs):
     return p00, p01, p02, p11, p12, p22
 
 
-def imm_step_two_pass(bank, means, covs, mu, u, z):
+def imm_step_two_pass(bank, models, means, covs, mu, u, z):
     """`estimation.imm_step` as two passes: every mode's mixed prior first
-    (`np.dot` on lists, `_spread`), then predict and update mode by mode,
-    then the probability update over the list of weights. The package's
-    one-pass cycle must return the same bits."""
+    (`np.dot` on lists, `_spread`), then predict and update mode by mode
+    with the full Phi, Gamma and H of `models`, then the probability update
+    over the list of weights. Only Pi and the noise are read from `bank`.
+    The package's one-pass cycle, which folds H = e0 and Phi's first column
+    e0 into its arithmetic, must return the same bits."""
     q00, q01, q02, q11, q12, q22 = bank.q
     R = bank.r
     nv = len(mu)
@@ -173,7 +176,9 @@ def imm_step_two_pass(bank, means, covs, mu, u, z):
     out_means, out_covs, liks = [], [], []
     for j in range(nv):
         (m0, m1, m2), (p00, p01, p02, p11, p12, p22) = priors[j]
-        f00, f01, f02, f10, f11, f12, f20, f21, f22, g0, g1, g2, h0, h1, h2 = bank.modes[j]
+        (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = models[j].Phi.tolist()
+        g0, g1, g2 = models[j].Gamma[:, 0].tolist()
+        h0, h1, h2 = models[j].H[0].tolist()
         # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q
         y0 = f00 * m0 + f01 * m1 + f02 * m2 + g0 * u
         y1 = f10 * m0 + f11 * m1 + f12 * m2 + g1 * u
@@ -199,7 +204,8 @@ def imm_step_two_pass(bank, means, covs, mu, u, z):
         v2 = n02 * h0 + n12 * h1 + n22 * h2
         s = h0 * v0 + h1 * v1 + h2 * v2 + R
         if not s > 0.0:
-            raise NumericalError("innovation covariance is not positive definite")
+            raise _innovation_error(j, means, covs, mu, u, z, priors[j][1],
+                                    (n00, n01, n02, n11, n12, n22), R)
         res = z - (h0 * y0 + h1 * y1 + h2 * y2)
         try:
             lik = math.exp(-0.5 * (_LOG_2PI + math.log(s) + res ** 2 / s))
@@ -239,8 +245,8 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
     est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
     ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
     slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
-    models = vertices.models()
-    bank = FilterBank([models[i] for i in slots], default_transition_matrix(len(slots)), noise)
+    models = [vertices.models()[i] for i in slots]
+    bank = FilterBank(models, default_transition_matrix(len(slots)), noise)
     means, covs, mu = bank.initial()
     gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
     scale = 1.0 if ctl_kind == "maps" else 0.0
@@ -250,15 +256,19 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
     meas_std = (spec.meas_noise_std if spec.meas_noise_std is not None
                 else math.sqrt(float(noise.R[0, 0])))
     dist_std = spec.process_noise_std
-    friction = lru_cache(maxsize=16)(motor.friction)
     T = spec.tick
+
+    @lru_cache(maxsize=16)
+    def tick_map(b, coulomb_on):
+        return TickMap(motor.params, motor.friction(b, coulomb_on), T)
+
     rows = []
     truth, u, saturations = (0.0, 0.0, 0.0), 0.0, 0
     for k in range(spec.n_ticks):
         t = k * T
         z = truth[0] + meas_std * normal()
         tau_dist = dist_std * normal() if dist_std > 0.0 else 0.0
-        means, covs, mu, _, x_hat = imm_step_two_pass(bank, means, covs, mu, u, z)
+        means, covs, mu, _, x_hat = imm_step_two_pass(bank, models, means, covs, mu, u, z)
         mu_v = [0.0] * nv
         for slot, m in zip(slots, mu):
             mu_v[slot] = m
@@ -271,7 +281,7 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
         saturations += saturated
         b_t, coulomb_on = spec.friction.at(t)
         rows.append((t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t))
-        truth = plant_step(truth, u, friction(b_t, coulomb_on), motor.params, T, tau_dist)
+        truth = plant_step(truth, u, tick_map(b_t, coulomb_on), tau_dist)
     log = np.array(rows)
     c = 8 + nv
     columns = {

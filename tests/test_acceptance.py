@@ -33,7 +33,7 @@ from mapsched.harness import (
 )
 from mapsched.ident import SteadyStateSample, identify, viscous_from_slope
 from mapsched.motor import DiscreteModel
-from mapsched.plant import plant_step
+from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     certify,
     dlyap_series,
@@ -164,7 +164,11 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
         rng = np.random.default_rng(2024)
         meas_std = math.sqrt(noise.R[0, 0])
 
-        # open-loop drive: precompute one truth/measurement stream
+        # open-loop drive: precompute one truth/measurement stream, with one
+        # plant TickMap per friction value of the schedule
+        ticks = {(g.b, g.coulomb_on):
+                 TickMap(motor_zoh.params, motor_zoh.friction(g.b, g.coulomb_on), T)
+                 for g in sched.segments}
         truth = np.zeros(3)
         us = np.empty(n)
         zs = np.empty(n)
@@ -172,9 +176,7 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
             t = k * T
             us[k] = 2.0 * math.sin(2.0 * math.pi * 0.5 * t)
             zs[k] = truth[0] + meas_std * rng.standard_normal()
-            b, coul = sched.at(t)
-            truth = plant_step(truth, us[k], motor_zoh.friction(b, coul),
-                               motor_zoh.params, T)
+            truth = plant_step(truth, us[k], ticks[sched.at(t)])
 
         bank = FilterBank(models, default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import LinAlgWarning, solve_discrete_are
 
 from mapsched import cli, control, harness
 from mapsched.config import MOTOR_DEFAULTS
@@ -143,8 +143,9 @@ def test_numerical_failure_exit_two(tmp_path):
 def test_non_finite_design_exits_with_its_code(tmp_path, command, discretization, code):
     # lm = 1e-150 puts the electrical pole out of float range: under ZOH the
     # matrix exponential is NaN, which the vertex set refuses (exit 1);
-    # under Euler Phi is finite (~1.7e151) and the Riccati solve fails (exit
-    # 2). Neither lets a floating-point warning escape.
+    # under Euler Phi is finite (~1.7e148) and the Riccati solve fails (exit
+    # 2). Both messages name the float range, and neither lets a
+    # floating-point warning escape.
     cfg = tmp_path / "motor.cfg"
     cfg.write_text(f"lm = 1e-150\ndiscretization = {discretization}\n")
     out, err = io.StringIO(), io.StringIO()
@@ -156,6 +157,63 @@ def test_non_finite_design_exits_with_its_code(tmp_path, command, discretization
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert f"the {discretization} discrete model at T = 0.002 s is not finite" in err.getvalue()
+    else:
+        assert "model's entries reach 1.68e+148" in err.getvalue()
+        assert "not stabilizable" not in err.getvalue()
+    assert "out of float range" in err.getvalue()
+
+
+def test_riccati_qz_failure_exit_two(monkeypatch):
+    # scipy's QZ warning is the solve's failure: exit 2, no stray warning
+    def qz_fails(*args):
+        warnings.warn("The QZ iteration failed. (a,b) are not in Schur form",
+                      LinAlgWarning, stacklevel=1)
+        return solve_discrete_are(*args)
+
+    monkeypatch.setattr(control, "solve_discrete_are", qz_fails)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert cli.main(["gains"]) == 2
+    assert err.getvalue().startswith("error: numerical failure: Riccati solver failed: "
+                                     "The QZ iteration failed")
+
+
+@pytest.mark.parametrize("args", [
+    ["run"],                                    # no scenario
+    ["certify", "--epsilon", "abc"],            # not a number
+    ["bogus"],                                  # unknown subcommand
+    [],                                         # no subcommand
+    ["gains", "--bogus"],                       # unknown option
+], ids=["missing-scenario", "epsilon-text", "unknown-command", "no-command", "unknown-option"])
+def test_usage_error_exit_one(args):
+    # a command-line mistake is an invalid config (1), not argparse's 2,
+    # which the documented codes give to a numerical failure
+    out = run_cli(*args)
+    assert out.returncode == 1
+    assert out.stderr.startswith("usage: maps")
+    assert "error: " in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag):
+    out = run_cli(flag)
+    assert out.returncode == 0
+    assert out.stdout and not out.stderr
+
+
+@pytest.mark.parametrize("epsilon, code", [("nan", 1), ("-0.1", 1), ("inf", 3)])
+def test_certify_epsilon_outside_the_budget(epsilon, code):
+    # NaN is no mismatch bound (exit 1, as a negative one); an infinite one
+    # exceeds every certified budget (exit 3)
+    out = run_cli("certify", "--epsilon", epsilon)
+    assert out.returncode == code
+    assert "certified: yes" not in out.stdout
+    assert "Traceback" not in out.stderr
+    if code == 1:
+        assert "invalid config: mismatch bound must be a number >= 0" in out.stderr
 
 
 def test_each_riccati_equation_is_solved_once(monkeypatch, motor):

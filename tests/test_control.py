@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import LinAlgWarning, solve_discrete_are
 
 from mapsched import control
 from mapsched.control import (
@@ -19,7 +19,7 @@ from mapsched.control import (
 )
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import NoiseConfig
-from mapsched.motor import DiscreteModel, build_vertex_set
+from mapsched.motor import DiscreteModel, MotorParams, build_vertex_set
 
 B_MIN, B_MAX = 2.46e-6, 1.63e-4
 
@@ -83,8 +83,30 @@ class TestSolveDare:
 
     def test_unstabilizable_pair_rejected(self):
         # uncontrollable unstable mode: Gamma = 0
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="likely not stabilizable"):
             solve_dare(scalar_model(2.0, 0.0), scalar_weights(1.0, 1.0))
+
+    def test_qz_failure_is_a_numerical_failure(self, monkeypatch, vertices_euler, weights):
+        # scipy warns, and carries on with a pencil not in Schur form, when
+        # its QZ iteration fails; the solve reports that as its failure
+        def qz_fails(*args):
+            warnings.warn("The QZ iteration failed. (a,b) are not in Schur form",
+                          LinAlgWarning, stacklevel=1)
+            return solve_discrete_are(*args)
+
+        monkeypatch.setattr(control, "solve_discrete_are", qz_fails)
+        with warnings.catch_warnings(), pytest.raises(NumericalError,
+                                                      match="QZ iteration failed"):
+            warnings.simplefilter("error")
+            solve_dare(vertices_euler.models()[0], weights)
+
+    def test_model_out_of_float_range_is_named(self, weights):
+        # an Euler electrical pole 1 - T Rm / Lm of -1.7e148 (Lm = 1e-150):
+        # the solve fails because the model is past float64 round-off, not
+        # because the pair is not stabilizable
+        model = build_vertex_set(MotorParams(Lm=1e-150), (B_MIN, B_MAX), 0.002).models()[0]
+        with pytest.raises(NumericalError, match="reach 1.68e[+]148.*out of float range"):
+            solve_dare(model, weights)
 
     def test_non_finite_gain_is_a_numerical_failure(self, monkeypatch, vertices_euler,
                                                     weights):

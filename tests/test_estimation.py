@@ -20,7 +20,7 @@ from mapsched.estimation import (
 )
 from mapsched.harness import ScenarioSpec, run_scenario, toggle_schedule, write_trace_csv
 from mapsched.motor import DiscreteModel, build_vertex_set
-from mapsched.plant import plant_step
+from mapsched.plant import TickMap, plant_step
 
 
 def scalar_model(phi, gamma=0.0, h=1.0, T=1.0):
@@ -50,13 +50,19 @@ def belief3(x, p):
     return (x, 0.0, 0.0), (p, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 
+HOLD_MODEL = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)),
+                           H=np.array([[1.0, 0.0, 0.0]]), T=1.0)
+
+
 def hold_bank(Pi):
-    """A bank whose filters hold their priors: Phi = I, no input, H = 0 and
-    Q = 0. imm_step then returns the mixed priors as its means and
-    covariances, and every mode has the same likelihood, so mu is mu_pred."""
-    hold = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)), H=np.zeros((1, 3)), T=1.0)
-    noise = NoiseConfig(Q=np.zeros((3, 3)), R=np.array([[1.0]]))
-    return FilterBank([hold] * len(Pi), Pi, noise)
+    """A bank whose filters hold their priors: Phi = I, no input, Q = 0 and
+    the angle measured with R = 1e300. The update then moves a mean by
+    p0j r / R and a covariance entry by p0i p0j / R, far below the last bit
+    of the moderate beliefs used here, and every mode has the same
+    likelihood, so imm_step returns the mixed priors as its means and
+    covariances, and mu is mu_pred up to the rounding of the Bayes update."""
+    noise = NoiseConfig(Q=np.zeros((3, 3)), R=np.array([[1e300]]))
+    return FilterBank([HOLD_MODEL] * len(Pi), Pi, noise)
 
 
 def hold_step(Pi, beliefs, mu):
@@ -345,6 +351,9 @@ def friction_switch_stream(motor_zoh, noise):
     truth plant with friction toggling every 5 s."""
     sched = toggle_schedule(motor_zoh.b_min, motor_zoh.b_max, first=0.3,
                             period=5.0, duration=30.0)
+    ticks = {(g.b, g.coulomb_on):
+             TickMap(motor_zoh.params, motor_zoh.friction(g.b, g.coulomb_on), 0.002)
+             for g in sched.segments}
     rng = np.random.default_rng(2024)
     truth = np.zeros(3)
     u_prev = 0.0
@@ -352,7 +361,7 @@ def friction_switch_stream(motor_zoh, noise):
         t = k * 0.002
         u = 2.0 * math.sin(2.0 * math.pi * 0.5 * t)
         z = truth[0] + math.sqrt(noise.R[0, 0]) * rng.standard_normal()
-        truth = plant_step(truth, u, motor_zoh.friction(*sched.at(t)), motor_zoh.params, 0.002)
+        truth = plant_step(truth, u, ticks[sched.at(t)])
         yield u_prev, z
         u_prev = u
 
@@ -391,12 +400,12 @@ def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, noise, m
     state = bank.initial()
     for u_prev, z in friction_switch_stream(motor_zoh, noise):
         out = imm_step(bank, *state, u_prev, z)
-        assert out == imm_step_two_pass(bank, *state, u_prev, z)
+        assert out == imm_step_two_pass(bank, models, *state, u_prev, z)
         state = out[:3]
 
 
 def test_one_pass_cycle_matches_two_pass_cycle_on_held_priors():
-    # hold_bank (H = 0) returns the mixed priors, so random beliefs and
+    # hold_bank (R = 1e300) returns the mixed priors, so random beliefs and
     # probabilities exercise the mixing and the spread on their own; under
     # Pi = I a one-hot mu leaves predicted probabilities at the floor
     rng = np.random.default_rng(7)
@@ -410,7 +419,88 @@ def test_one_pass_cycle_matches_two_pass_cycle_on_held_priors():
         covs = [tuple((A @ A.T)[upper].tolist()) for A in rng.normal(size=(3, 3, 3))]
         mu = rng.dirichlet(np.ones(3)).tolist() if k % 3 else [0.0, 1.0, 0.0]
         out = imm_step(bank, means, covs, mu, 0.0, 0.0)
-        assert out == imm_step_two_pass(bank, means, covs, mu, 0.0, 0.0)
+        assert out == imm_step_two_pass(bank, [HOLD_MODEL] * 3, means, covs, mu, 0.0, 0.0)
+
+
+def _outcome(cycle, *args):
+    """repr of what one IMM cycle returns, or the type and message it raises."""
+    try:
+        return repr(cycle(*args))
+    except NumericalError as exc:
+        return f"NumericalError: {exc}"
+
+
+@pytest.mark.parametrize("nv", [1, 2])
+@pytest.mark.parametrize("mode", ["euler", "zoh"])
+def test_folded_cycle_fails_where_the_full_cycle_fails(motor, noise, mode, nv):
+    # the full cycle's s is NaN whenever any entry of the predicted
+    # covariance (or of Phi P's first column) is not finite, through its
+    # products with Phi's and H's zeros; the folded cycle tests those
+    # entries itself. One non-finite or overflowing entry in each position
+    # of one mode's prior covariance, from finite and non-finite inputs,
+    # must give the same error, or the same output where neither raises
+    models = build_vertex_set(motor.params, motor.vertex_rho, 0.002, mode).models()[:nv]
+    bank = FilterBank(models, default_transition_matrix(nv), noise)
+    means, covs, mu = bank.initial()
+    raised = 0
+    for pos in range(6):
+        for value in (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 1e160, -1e160):
+            bad = list(covs)
+            bad[0] = tuple(value if k == pos else c for k, c in enumerate(covs[0]))
+            want = _outcome(imm_step_two_pass, bank, models, means, bad, mu, 0.5, 0.01)
+            assert _outcome(imm_step, bank, means, bad, mu, 0.5, 0.01) == want
+            raised += want.startswith("NumericalError")
+    # every non-finite entry raises, and so do some overflowing ones
+    assert raised > 18
+
+
+def test_folded_cycle_names_each_diverged_covariance(motor, noise):
+    # finite means 2e150 to 2e300 apart, along each state: the two-mode
+    # spread overflows or it does not; each outcome, a failure's message
+    # included, is the full cycle's
+    models = build_vertex_set(motor.params, motor.vertex_rho, 0.002, "zoh").models()
+    bank = FilterBank(models, default_transition_matrix(2), noise)
+    _, covs, mu = bank.initial()
+    outcomes = []
+    for k in range(3):
+        for scale in (1e150, 1e200, 1e300):
+            apart = [tuple(scale if i == k else 0.0 for i in range(3)),
+                     tuple(-scale if i == k else 0.0 for i in range(3))]
+            want = _outcome(imm_step_two_pass, bank, models, apart, covs, mu, 0.0, 0.0)
+            assert _outcome(imm_step, bank, apart, covs, mu, 0.0, 0.0) == want
+            outcomes.append(want)
+    assert any("mode 0's mixed prior covariance is not finite" in o for o in outcomes)
+    assert not all(o.startswith("NumericalError") for o in outcomes)
+
+
+@pytest.mark.parametrize("b_max", [1.63e-4, 6e-4, 1.3e-2])
+@pytest.mark.parametrize("T", [1e-4, 5e-4, 1e-3, 2e-3, 1e-2])
+@pytest.mark.parametrize("mode", ["euler", "zoh"])
+def test_bank_takes_every_vertex_model(motor, noise, mode, T, b_max):
+    # H = e0 and Phi's first column e0 hold exactly for every model the
+    # vertex set builds, under either discretization
+    models = build_vertex_set(motor.params, (motor.b_min, b_max), T, mode).models()
+    for m in models:
+        assert m.H.tolist() == [[1.0, 0.0, 0.0]]
+        assert m.Phi[:, 0].tolist() == [1.0, 0.0, 0.0]
+    FilterBank(models, default_transition_matrix(2), noise)
+
+
+@pytest.mark.parametrize("H, Phi_col", [
+    ([[0.0, 0.0, 0.0]], [1.0, 0.0, 0.0]),
+    ([[1.0, 1e-300, 0.0]], [1.0, 0.0, 0.0]),
+    ([[2.0, 0.0, 0.0]], [1.0, 0.0, 0.0]),
+    ([[0.0, 1.0, 0.0]], [1.0, 0.0, 0.0]),
+    ([[1.0, 0.0, 0.0]], [1.0, 1e-300, 0.0]),
+    ([[1.0, 0.0, 0.0]], [1.0 + 2.0 ** -52, 0.0, 0.0]),
+    ([[1.0, 0.0, 0.0]], [1.0, 0.0, math.nan]),
+], ids=["H-zero", "H-tiny", "H-scaled", "H-omega", "Phi-tiny", "Phi-ulp", "Phi-nan"])
+def test_bank_refuses_models_without_the_motor_structure(noise, H, Phi_col):
+    Phi = np.eye(3)
+    Phi[:, 0] = Phi_col
+    model = DiscreteModel(Phi=Phi, Gamma=np.zeros((3, 1)), H=np.array(H), T=1.0)
+    with pytest.raises(ParameterError, match="first column e0|H = \\[1, 0, 0\\]"):
+        FilterBank([model], [[1.0]], noise)
 
 
 class TestNisConsistency:

@@ -294,6 +294,26 @@ class TestRunPathEstimators:
         if spec.controller == "fixed:1":
             assert saturations > 0
 
+    @pytest.mark.parametrize("estimator", ["imm", "kf:0"])
+    def test_plant_and_estimator_called_once_per_tick(self, monkeypatch, motor_zoh,
+                                                      vertices_zoh, estimator):
+        # the benchmark times the plant and the estimator layers by wrapping
+        # harness.plant_step and harness.imm_step where the loop looks them
+        # up, so the loop must call each of them once per tick
+        calls = {"plant_step": 0, "imm_step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(harness, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        spec = short_spec(reference="step", amplitude=0.25, period=1.0, controller="fixed:0",
+                          estimator=estimator,
+                          friction=toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.5,
+                                                   duration=2.0))
+        run_scenario(spec, motor_zoh, vertices_zoh)
+        assert calls == {"plant_step": spec.n_ticks, "imm_step": spec.n_ticks}
+
     def test_asymmetric_process_noise_folded_to_symmetric_part(self, motor_zoh, vertices_zoh):
         Q = np.diag([1e-6, 1e-6, 1e-6])
         Q[0, 1] = 4e-7

@@ -8,21 +8,21 @@ from mapsched import plant
 from mapsched.config import motor_config_from_entries
 from mapsched.errors import ConfigError, NumericalError, ParameterError
 from mapsched.motor import OMEGA_REST, FrictionModel, MotorParams, build_continuous_model
-from mapsched.plant import plant_step
+from mapsched.plant import TickMap, plant_step
 
 
 def test_equilibrium_under_stiction(motor):
     f = FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6)
-    state = plant_step(np.zeros(3), 0.0, f, motor.params, 0.002)
+    state = plant_step(np.zeros(3), 0.0, TickMap(motor.params, f, 0.002))
     assert np.array_equal(state, np.zeros(3))
 
 
 def test_small_torque_does_not_break_away(motor):
     # voltage small enough that Kt*i stays below the stiction threshold
-    f = FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6)
+    tick = TickMap(motor.params, FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6), 0.002)
     state = np.zeros(3)
     for _ in range(500):
-        state = plant_step(state, 0.3, f, motor.params, 0.002)
+        state = plant_step(state, 0.3, tick)
     assert state[1] == 0.0
     assert state[0] == 0.0
     assert state[2] > 0.0  # current flows, rotor held
@@ -32,21 +32,21 @@ def test_steady_state_velocity_matches_regression_model(motor):
     # after 2 s at constant voltage the speed sits on the steady-state line
     # omega = V / (Rm*b/Kt + Ke) used by the identification procedure
     b = 2.46e-6
-    f = FrictionModel(tau_s=0.003, tau_c=0.0, b=b)
     p = motor.params
+    tick = TickMap(p, FrictionModel(tau_s=0.003, tau_c=0.0, b=b), 0.002)
     state = np.zeros(3)
     for _ in range(1000):
-        state = plant_step(state, 1.0, f, p, 0.002)
+        state = plant_step(state, 1.0, tick)
     expected = 1.0 / (p.Rm * b / p.Kt + p.Ke)
     assert state[1] == pytest.approx(expected, rel=0.02)
 
 
 def test_passive_decay_with_zero_input(motor):
-    f = FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6)
+    tick = TickMap(motor.params, FrictionModel(tau_s=0.003, tau_c=0.002, b=2.46e-6), 0.002)
     state = np.array([0.0, 5.0, 0.0])
     norms = []
     for _ in range(1000):
-        state = plant_step(state, 0.0, f, motor.params, 0.002)
+        state = plant_step(state, 0.0, tick)
         norms.append(float(np.linalg.norm(state)))
     # after the initial transient the norm never grows: the rotor comes to
     # rest and sticks
@@ -90,7 +90,7 @@ def _rk4(state, u, f, params, substeps, tau_ext=0.0, dt=0.002):
 def test_one_regime_ticks_exact(motor, state, u, f, tau_ext, expected):
     # bitwise the one-regime map, and within 1e-9 of RK4 at 400 substeps
     ref = np.array(_rk4(state, u, f, motor.params, 400, tau_ext=tau_ext))
-    got = plant_step(state, u, f, motor.params, 0.002, tau_ext=tau_ext)
+    got = plant_step(state, u, TickMap(motor.params, f, 0.002), tau_ext=tau_ext)
     assert type(got) is tuple and all(type(v) is float for v in got)
     assert got == expected
     assert np.max(np.abs(np.array(got) - ref) / np.maximum(np.abs(ref), 1e-12)) < 1e-9
@@ -149,7 +149,7 @@ def test_event_ticks_match_reference(motor, state, u, f, tau_ext):
     # (at most two) events, so omega is off by up to 2 (tau_s + tau_c) h / Jeq,
     # which halves with each doubling of the substeps; 1e-12 covers round-off
     p, dt = motor.params, 0.002
-    got = np.array(plant_step(state, u, f, p, dt, tau_ext=tau_ext))
+    got = np.array(plant_step(state, u, TickMap(p, f, dt), tau_ext=tau_ext))
     refs = {n: np.array(_rk4(state, u, f, p, n, tau_ext=tau_ext)) for n in (400, 800, 1600, 3200)}
     scale = np.array([dt, 1.0, p.Ke * dt / p.Lm])  # omega's error carried into theta and i
     for n in (400, 800, 1600):
@@ -165,7 +165,7 @@ def test_coulomb_stick_matches_fine_reference(motor):
     # event step holds omega = 0
     p, dt = motor.params, 5e-4
     state = (0.0, 0.02, 0.0)
-    got = plant_step(state, 0.0, STOCK_FRICTION, p, dt)
+    got = plant_step(state, 0.0, TickMap(p, STOCK_FRICTION, dt))
     ref = _rk4(state, 0.0, STOCK_FRICTION, p, 32768, dt=dt)
     assert got[1] == 0.0 and abs(ref[1]) < OMEGA_REST
     assert abs(got[0] - ref[0]) <= OMEGA_REST * dt
@@ -175,10 +175,11 @@ def test_coulomb_stick_matches_fine_reference(motor):
 def test_coast_down_sticks_and_holds(motor):
     # from a spin with no voltage, Coulomb friction brings the rotor to rest
     # in ~50 ms; it then stays stuck, omega exactly 0 and theta fixed
+    tick = TickMap(motor.params, STOCK_FRICTION, 0.002)
     state = (0.0, 5.0, 0.0)
     thetas, omegas = [], []
     for _ in range(500):
-        state = plant_step(state, 0.0, STOCK_FRICTION, motor.params, 0.002)
+        state = plant_step(state, 0.0, tick)
         thetas.append(state[0])
         omegas.append(state[1])
     rest = next(k for k, w in enumerate(omegas) if abs(w) <= OMEGA_REST)
@@ -191,17 +192,18 @@ def test_coast_down_sticks_and_holds(motor):
 def test_event_cap_raises(motor, monkeypatch):
     # the graze tick takes two events: stick at the dip, then break away
     state, u = (0.0, 0.1457725, -1.0), 4.0
+    tick = TickMap(motor.params, STOCK_FRICTION, 0.002)
     monkeypatch.setattr(plant, "MAX_EVENTS", 2)
-    plant_step(state, u, STOCK_FRICTION, motor.params, 0.002)
+    plant_step(state, u, tick)
     monkeypatch.setattr(plant, "MAX_EVENTS", 1)
     with pytest.raises(NumericalError, match="friction events"):
-        plant_step(state, u, STOCK_FRICTION, motor.params, 0.002)
+        plant_step(state, u, tick)
 
 
 def test_complex_modes_refused(motor):
     # a large inductance makes the (omega, i) modes a complex pair
     with pytest.raises(ParameterError, match="not real and distinct"):
-        plant_step((0.0, 3.0, 0.1), 2.0, STOCK_FRICTION, MotorParams(Lm=1.0), 0.002)
+        TickMap(MotorParams(Lm=1.0), STOCK_FRICTION, 0.002)
     with pytest.raises(ConfigError, match="not real and distinct"):
         motor_config_from_entries({"lm": "1.0"})
 
@@ -212,9 +214,9 @@ def test_config_refuses_complex_modes_inside_schedule_range(motor):
     # real at both vertices, but schedules may reach 10 b_max
     p = motor.params
     for b in (0.0, 0.02, 0.2):
-        plant_step((0.0, 3.0, 0.1), 2.0, FrictionModel(b=b), p, 0.002)
+        plant_step((0.0, 3.0, 0.1), 2.0, TickMap(p, FrictionModel(b=b), 0.002))
     with pytest.raises(ParameterError):
-        plant_step((0.0, 3.0, 0.1), 2.0, FrictionModel(b=0.15), p, 0.002)
+        TickMap(p, FrictionModel(b=0.15), 0.002)
     with pytest.raises(ConfigError, match="not real and distinct"):
         motor_config_from_entries({"b_max": "0.02"})
     assert motor_config_from_entries({"b_max": "0.013"}).b_max == 0.013
