@@ -212,7 +212,9 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"error: certification failed: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a path that cannot be read or written: missing, a directory, or
+        # not permitted
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,7 @@
 Motor files use exactly the keys kt, ke, jr, jh, jd, lm, rm, b_m, b_min,
 b_max, tau_s, tau_c, sample_time, discretization; missing keys fall back to
 the stock parameter set. Scenario files share the same flat `key = value`
-syntax (see harness.scenario_from_config for the scenario keys).
+syntax (see harness.scenario_from_entries for the scenario keys).
 """
 
 from __future__ import annotations
@@ -91,13 +91,18 @@ class MotorConfig:
         return (self.b_min, self.b_max)
 
 
+def read_text_file(path) -> str:
+    """A file's contents, which must be UTF-8 text."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def parse_kv_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
     entries = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = read_text_file(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

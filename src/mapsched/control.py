@@ -1,11 +1,11 @@
 """LQR synthesis and probabilistically scheduled gain computation.
 
 The Riccati equation is solved by scipy's Schur (QZ) method and then
-checked against a residual bound, vertex gains are synthesized offline, and
-the per-tick scheduled gain is the probability-weighted convex combination
-of the vertex gains. Sign convention: K is the regulator gain for which
-u = -K x stabilizes, applied as u = K (x_ref - x_hat), so every closed loop
-is Phi - Gamma K.
+checked against a residual bound, vertex gains are synthesized offline (each
+distinct vertex problem solved once per process), and the per-tick scheduled
+gain is the probability-weighted convex combination of the vertex gains.
+Sign convention: K is the regulator gain for which u = -K x stabilizes,
+applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,8 @@ from .errors import NumericalError, ParameterError
 from .motor import DiscreteModel, VertexSet, _frozen
 
 RESIDUAL_LIMIT = 1e-9
+# distinct vertex Riccati problems whose gains a process keeps
+GAIN_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,46 @@ def solve_dare(model: DiscreteModel, weights: LqrWeights) -> RiccatiSolution:
     return RiccatiSolution(P=P, K=K, residual=residual)
 
 
+class _RiccatiProblem:
+    """A vertex's Riccati problem, equal to another exactly when Phi, Gamma,
+    Q and R, the only inputs of its solve, have the same shapes, strides and
+    bytes."""
+
+    __slots__ = ("model", "weights", "_key")
+
+    def __init__(self, model: DiscreteModel, weights: LqrWeights):
+        self.model, self.weights = model, weights
+        self._key = tuple((a.shape, a.strides, a.tobytes())
+                          for a in (model.Phi, model.Gamma, weights.Q, weights.R))
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __eq__(self, other):
+        return isinstance(other, _RiccatiProblem) and self._key == other._key
+
+
+@lru_cache(maxsize=GAIN_MEMO_SIZE)
+def _vertex_gain(problem: _RiccatiProblem) -> np.ndarray:
+    """The read-only LQR gain of a solved problem. A solve that raises
+    leaves nothing in the memo, so the same problem is solved (and fails)
+    again on its next design."""
+    return solve_dare(problem.model, problem.weights).K
+
+
 def synthesize_vertex_gains(vertices: VertexSet, Gamma, weights: LqrWeights) -> VertexSet:
-    """Solve one Riccati problem per vertex and return the gain-filled set."""
+    """Solve one Riccati problem per vertex and return the gain-filled set.
+
+    A vertex gain depends only on (Phi_i, Gamma, Q, R), so each problem is
+    solved once per process: the gains of the last GAIN_MEMO_SIZE distinct
+    problems are kept, and a repeat returns the gain its solve gave. Each
+    vertex's DiscreteModel is still built, and validated, on every call.
+    """
     Gamma = np.asarray(Gamma, dtype=float)
     gains = []
     for phi in vertices.Phi_vertices:
         model = DiscreteModel(Phi=phi, Gamma=Gamma, H=vertices.H, T=vertices.T)
-        gains.append(solve_dare(model, weights).K)
+        gains.append(_vertex_gain(_RiccatiProblem(model, weights)))
     return vertices.with_gains(gains)
 
 

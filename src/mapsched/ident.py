@@ -7,11 +7,12 @@ an origin-constrained regression of voltage on velocity yields b directly.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .config import read_text_file
 from .errors import ConfigError, ParameterError
 from .motor import MotorParams
 
@@ -80,19 +81,18 @@ def identify(params: MotorParams, samples) -> IdentResult:
 def read_samples_csv(path) -> list[SteadyStateSample]:
     """Read (voltage, velocity) rows from a two-column CSV; header optional."""
     rows = []
-    with Path(path).open(newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ConfigError(f"{path}: row {i + 1} needs two columns (voltage, velocity)")
-            try:
-                v, w = float(row[0]), float(row[1])
-            except ValueError:
-                if i == 0:
-                    continue  # header row
-                raise ConfigError(f"{path}: row {i + 1} is not numeric") from None
-            rows.append(SteadyStateSample(voltage=v, velocity=w))
+    for i, row in enumerate(csv.reader(io.StringIO(read_text_file(path), newline=""))):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < 2:
+            raise ConfigError(f"{path}: row {i + 1} needs two columns (voltage, velocity)")
+        try:
+            v, w = float(row[0]), float(row[1])
+        except ValueError:
+            if i == 0:
+                continue  # header row
+            raise ConfigError(f"{path}: row {i + 1} is not numeric") from None
+        rows.append(SteadyStateSample(voltage=v, velocity=w))
     if not rows:
         raise ConfigError(f"{path}: no samples found")
     return rows

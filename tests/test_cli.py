@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,18 +219,30 @@ def test_certify_epsilon_outside_the_budget(epsilon, code):
 
 
 def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
-    # `maps gains` reports the Riccati solutions of the design it prints,
-    # so it makes as many scipy solves as design_from_motor: one per vertex
+    # a design solves each vertex problem (Phi_i, Gamma, Q, R) once per
+    # process, from an empty memo; `maps gains` reports the Riccati
+    # solutions of the design it prints, so it makes one solve per vertex
+    # whatever the memo holds
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return solve_discrete_are(*args, **kwargs)
 
+    def solves(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
     monkeypatch.setattr(control, "solve_discrete_are", counted)
+    control._vertex_gain.cache_clear()
     n_vertices = len(motor.vertex_rho)
-    harness.design_from_motor(motor)
-    assert len(calls) == n_vertices
+    assert solves(harness.design_from_motor, motor) == n_vertices
+    assert solves(harness.design_from_motor, motor) == 0
+    # the b_min vertex is the same model; only the b_max vertex is new
+    assert solves(harness.design_from_motor, dataclasses.replace(motor, b_max=6e-4)) == 1
+    custom = control.LqrWeights(Q=np.diag([10.0, 1.0, 1.0]), R=np.array([[1.0]]))
+    assert solves(harness.design_from_motor, motor, custom) == n_vertices
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["gains"]) == 0
@@ -442,3 +456,78 @@ def test_fuzzed_scenario_file_under_compare_exits_with_a_documented_code(data):
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ")
+
+
+# argv pieces for the argument fuzz: every subcommand and flag, hostile
+# values, and paths relative to the example's working directory (a stock
+# scenario of 50 ticks, the stock motor, an ident CSV, a file that is not
+# UTF-8, a missing file and a directory)
+SUBCOMMANDS = ("ident", "gains", "certify", "run", "compare", "", "bogus")
+FLAGS = ("--motor", "--json", "--csv", "--epsilon", "--out", "--variant", "--help", "--version",
+         "--bogus")
+OWN_FLAGS = {"ident": ("--motor",), "gains": ("--motor", "--json", "--csv"),
+             "certify": ("--motor", "--epsilon"), "run": ("--out",),
+             "compare": ("--variant", "--out")}
+HOSTILE = ("nan", "inf", "-inf", "-0.1", "", "0", "1e-5", "9" * 400, "-" + "9" * 400)
+PATHS = ("scenario.cfg", "motor.cfg", "samples.csv", "binary.dat", "missing.cfg", "subdir", ".",
+         "out")
+VARIANTS = ("a=maps/imm", "b=fixed:1/kf:1", "c=open/kf:0", "d=fixed:" + "9" * 400 + "/imm",
+            "e=kf:0/maps", "bad", "=/")
+FLAG_VALUES = {"--epsilon": HOSTILE, "--variant": VARIANTS}
+ARG_SCENARIO = {**STOCK_SCENARIO, "duration": 0.1}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand, maybe a positional, then up to three flags, mostly the
+    subcommand's own. Each value is drawn half the time from its flag's kind
+    (paths by default), else from any hostile value, path or variant."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    anything = st.sampled_from((*HOSTILE, *PATHS, *VARIANTS))
+    argv = [command]
+    # a positional mostly where the subcommand takes one
+    if draw(st.integers(0, 3)) < (3 if command in ("ident", "run", "compare") else 1):
+        argv.append(draw(st.one_of(st.sampled_from(PATHS), anything)))
+    own = OWN_FLAGS.get(command, FLAGS)
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(own if draw(st.integers(0, 3)) else FLAGS))
+        argv.append(flag)
+        if draw(st.integers(0, 4)):
+            argv.append(draw(st.one_of(st.sampled_from(FLAG_VALUES.get(flag, PATHS)), anything)))
+    return argv
+
+
+@given(argv=cli_argv())
+@example(argv=["run", "scenario.cfg"])
+@example(argv=["compare", "scenario.cfg", "--variant", "a=maps/imm", "--out", "out"])
+@example(argv=["gains", "--motor", "subdir", "--json", "out"])
+@example(argv=["ident", "binary.dat"])
+@example(argv=["certify", "--epsilon", "9" * 400])
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_arguments_exit_with_a_documented_code(ident_csv, argv):
+    # whatever the arguments, `maps` returns or exits with 0-3 and raises
+    # nothing else (an exception escaping main fails the test on its own).
+    # Each example runs in a fresh directory, where `run` writes `runout/`
+    # by default; the tick cap is lowered to 200, so a run of more ticks
+    # (the stock 30 s scenario under a motor file) is refused before any work
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.setattr(harness, "MAX_TICKS", 200)
+        mp.delenv("MAPS_SEED", raising=False)
+        Path("scenario.cfg").write_text("".join(f"{k} = {v}\n" for k, v in ARG_SCENARIO.items()))
+        Path("motor.cfg").write_text(STOCK_MOTOR)
+        Path("samples.csv").write_bytes(ident_csv.read_bytes())
+        Path("binary.dat").write_bytes(b"\xff\xfe\x00\x01")
+        Path("subdir").mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code, usage = exc.code, True
+            else:
+                usage = False
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code and not usage:
+        assert err.getvalue().startswith("error: ")

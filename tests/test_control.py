@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import warnings
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning, solve_discrete_are
+from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 
 from mapsched import control
 from mapsched.control import (
@@ -19,6 +21,7 @@ from mapsched.control import (
 )
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import NoiseConfig
+from mapsched.harness import design_from_motor
 from mapsched.motor import DiscreteModel, MotorParams, build_vertex_set
 
 B_MIN, B_MAX = 2.46e-6, 1.63e-4
@@ -157,6 +160,60 @@ class TestVertexGains:
         avg = 0.5 * (K_lo + K_hi)
         gap = float(np.max(np.abs(K_mid - avg)))
         assert gap > 1e-10
+
+
+GRID = list(itertools.product(("euler", "zoh"), (0.001, 0.002), (1.63e-4, 6e-4)))
+
+
+def fresh_gains(vertices, weights) -> list:
+    """Gain bytes of a fresh `solve_dare` of each vertex, past the memo."""
+    return [solve_dare(model, weights).K.tobytes() for model in vertices.models()]
+
+
+class TestGainMemo:
+    @pytest.mark.parametrize("mode, T, b_max", GRID)
+    def test_hit_is_bit_identical_to_a_fresh_solve(self, motor, weights, mode, T, b_max):
+        designed = dataclasses.replace(motor, discretization=mode, sample_time=T, b_max=b_max)
+        first = design_from_motor(designed, weights)
+        hits = control._vertex_gain.cache_info().hits
+        again = design_from_motor(designed, weights)
+        assert control._vertex_gain.cache_info().hits == hits + len(again.rho)
+        want = fresh_gains(again, weights)
+        assert [K.tobytes() for K in first.K_vertices] == want
+        assert [K.tobytes() for K in again.K_vertices] == want
+
+    def test_failed_solve_is_not_kept(self, monkeypatch, motor, weights):
+        def fails(*args):
+            raise LinAlgError("Failed to find a finite solution.")
+
+        control._vertex_gain.cache_clear()
+        monkeypatch.setattr(control, "solve_discrete_are", fails)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="no stabilizing solution"):
+                design_from_motor(motor, weights)
+        assert control._vertex_gain.cache_info().currsize == 0
+        monkeypatch.undo()
+        vertices = design_from_motor(motor, weights)
+        assert [K.tobytes() for K in vertices.K_vertices] == fresh_gains(vertices, weights)
+
+    def test_memo_stays_within_its_bound(self, motor):
+        # each R weight makes both vertex problems of the design new
+        control._vertex_gain.cache_clear()
+        designs = control.GAIN_MEMO_SIZE // 2 + 4
+        for r in np.linspace(1.0, 20.0, designs):
+            design_from_motor(motor, LqrWeights(Q=np.eye(3), R=np.array([[r]])))
+        info = control._vertex_gain.cache_info()
+        assert info.misses == 2 * designs
+        assert info.currsize == control.GAIN_MEMO_SIZE
+
+    def test_gains_are_read_only(self, motor, weights):
+        vertices = design_from_motor(motor, weights)
+        for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices):
+            model = DiscreteModel(Phi=phi, Gamma=vertices.Gamma, H=vertices.H, T=vertices.T)
+            held = control._vertex_gain(control._RiccatiProblem(model, weights))
+            for gain in (K, held):
+                with pytest.raises(ValueError):
+                    gain[0, 0] = 1.0
 
 
 def gain_rows(vertices):
