@@ -145,12 +145,24 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _refuse_non_directory(out: Path) -> None:
+    """Refuse an output path that is, or lies under, something other than a
+    directory before the run, where mkdir would refuse it only after. The
+    directory itself is made only once the run succeeds."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"--out {out}: {path} is not a directory")
+            return
+
+
 def _cmd_run(args) -> int:
+    out = Path(args.out)
+    _refuse_non_directory(out)
     spec, motor = load_scenario(args.scenario)
     vertices = design_from_motor(motor)
     record = run_scenario(spec, motor, vertices)
     metrics = compute_metrics(record)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_run_csvs(out / "trace.csv", out / "plot.csv", record)
     write_metrics_json(out / "metrics.json", record, metrics)

@@ -25,6 +25,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .config import (
     B_RANGE,
@@ -58,10 +59,10 @@ SCENARIO_KEYS = frozenset(
 # (~150 bytes each)
 MAX_TICKS = 1_000_000
 
-# rows formatted per write; a chunk holds both files' columns as Python
-# floats and strings, ~5 KB per row, so small chunks keep the writers' peak
-# memory low (on a 6 s run, against not writing, 1,024 rows added ~4.9 MiB
-# of peak RSS, 128 rows ~0.45 MiB, 64 rows ~0.25 MiB)
+# rows formatted per write; a chunk holds both files' cells and rows as
+# Python strings, so small chunks keep the writer's peak memory low (on a
+# 6 s run, against not writing, 1,024 rows added ~4.8 MiB of peak RSS,
+# 256 rows ~1.0 MiB, 64 rows ~0.4 MiB; 32 to 256 rows wrote equally fast)
 CSV_CHUNK = 64
 
 
@@ -501,9 +502,14 @@ def write_run_csvs(trace_path, plot_path, record: RunRecord) -> None:
     file.
 
     CSV_CHUNK rows of the union of the two files' columns are stacked at a
-    time and every value is formatted once, in shortest round-trip form (the
-    bytes csv.writer writes for repr(float(v))), so identical runs write
-    identical bytes. Each file's rows are joined from those same cells.
+    time and every value is formatted once, in shortest round-trip form: the
+    bytes csv.writer writes for repr(float(v)), so identical runs write
+    identical bytes. One orjson call formats the whole chunk; its digits are
+    repr's everywhere (both print the shortest string that reads back as the
+    same float), and so is its layout for 1e-4 <= |v| < 1e16 and for zeros.
+    The values outside that range, non-finite ones included, are picked by
+    value and formatted again with repr. Each file's rows are joined from
+    those same cells.
     """
     nv = record.mu.shape[1]
     mu_names = [f"mu_{j + 1}" for j in range(nv)]
@@ -536,7 +542,16 @@ def write_run_csvs(trace_path, plot_path, record: RunRecord) -> None:
                 outputs.append((fh, cells))
         for start in range(0, len(record.time), CSV_CHUNK):
             block = np.column_stack([c[start:start + CSV_CHUNK] for c in columns])
-            rows = [list(map(repr, row)) for row in block.tolist()]
+            values = block.ravel()
+            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+            flat = text[1:-1].decode().split(",")
+            # orjson prints 1e-05 as 0.00001, 1e+16 as 1e16 and nan as null
+            mag = np.abs(values)
+            redo = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)))
+            for i, v in zip(redo.tolist(), values[redo].tolist()):
+                flat[i] = repr(v)
+            step = block.shape[1]
+            rows = [flat[i:i + step] for i in range(0, len(flat), step)]
             for fh, cells in outputs:
                 fh.write("".join([",".join(cells(row)) + "\r\n" for row in rows]))
 

@@ -9,13 +9,17 @@ when one substep moves omega less than the rest band's width.
 The rest are array or plain-loop forms of what the package computes another
 way: the IMM probability update, single-model discretizations, the percent
 change of a comparison, a friction lookup by linear scan, the IMM cycle in
-two passes, the closed loop run tick by tick, and the design path that
-solves, validates and checks everything as many times as it is used.
+two passes, the closed loop run tick by tick, the design path that
+solves, validates and checks everything as many times as it is used, and
+the run CSV writer that formats every cell with repr.
 """
 
 import dataclasses
 import math
+from contextlib import ExitStack
 from functools import lru_cache
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_discrete_are
@@ -31,7 +35,7 @@ from mapsched.estimation import (
     _innovation_error,
     default_transition_matrix,
 )
-from mapsched.harness import _parse_choice, _percent_change
+from mapsched.harness import CSV_CHUNK, _parse_choice, _percent_change
 from mapsched.motor import DiscreteModel, euler_discretize, zoh_discretize
 from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
@@ -396,3 +400,42 @@ def certify_checked(vertices, Gamma=None, assumptions=None) -> StabilityCert:
         lambda_=lam,
         epsilon_used=eps_used if eps_used is not None else 0.5 * eps_star,
     )
+
+
+def write_run_csvs_repr(trace_path, plot_path, record):
+    """`harness.write_run_csvs` with every cell formatted by repr(float(v)),
+    chunk by chunk, and each file's rows joined from those cells."""
+    nv = record.mu.shape[1]
+    mu_names = [f"mu_{j + 1}" for j in range(nv)]
+    # the union row: the trace.csv columns, then tracking_error and b_true
+    width = 16 + nv
+    trace = (
+        ["time", "z", "theta_true", "omega_true", "current_true",
+         "theta_est", "omega_est", "current_est", *mu_names, "rho_hat",
+         "k_theta", "k_omega", "k_current", "u",
+         "theta_ref", "omega_ref", "current_ref"],
+        itemgetter(slice(0, width)),
+    )
+    plot = (
+        ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
+         *mu_names, "rho_hat", "b_true", "u"],
+        itemgetter(0, width - 3, 2, 5, width, *range(8, 9 + nv), width + 1, width - 4),
+    )
+    theta_ref, theta = record.reference[:, 0], record.truth[:, 0]
+    columns = [
+        record.time, record.z, record.truth, record.estimate, record.mu,
+        record.rho_hat, record.gain, record.u, record.reference,
+        theta_ref - theta, record.b_true,
+    ]
+    with ExitStack() as stack:
+        outputs = []
+        for path, (header, cells) in ((trace_path, trace), (plot_path, plot)):
+            if path is not None:
+                fh = stack.enter_context(Path(path).open("w", newline=""))
+                fh.write(",".join(header) + "\r\n")
+                outputs.append((fh, cells))
+        for start in range(0, len(record.time), CSV_CHUNK):
+            block = np.column_stack([c[start:start + CSV_CHUNK] for c in columns])
+            rows = [list(map(repr, row)) for row in block.tolist()]
+            for fh, cells in outputs:
+                fh.write("".join([",".join(cells(row)) + "\r\n" for row in rows]))

@@ -260,6 +260,27 @@ def test_run_writes_outputs(tmp_path, scenario_cfg):
     assert "rmse" in metrics
 
 
+@pytest.mark.parametrize("target", ["file", "under-file"])
+def test_run_refuses_an_out_that_is_not_a_directory(tmp_path, scenario_cfg, monkeypatch,
+                                                     target):
+    # refused before the scenario is loaded, designed or simulated
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("load_scenario", "design_from_motor", "run_scenario"):
+        monkeypatch.setattr(cli, name, never)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out_dir = blocker if target == "file" else blocker / "sub" / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["run", str(scenario_cfg), "--out", str(out_dir)]) == 1
+    assert err.getvalue().startswith("error: invalid config: ")
+    assert f"{blocker} is not a directory" in err.getvalue()
+    assert blocker.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_run_byte_identical_reruns(tmp_path, scenario_cfg):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     assert run_cli("run", str(scenario_cfg), "--out", str(d1)).returncode == 0

@@ -1,10 +1,17 @@
 import csv
 import dataclasses
 import json
+import math
+import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from reference import closed_loop_by_tick, delta_percent, friction_by_scan
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import closed_loop_by_tick, delta_percent, friction_by_scan, write_run_csvs_repr
 
 from mapsched import harness
 from mapsched.errors import ConfigError, ParameterError
@@ -456,6 +463,28 @@ def csv_module_reference(path, header, rows):
             writer.writerow([repr(float(v)) for v in row])
 
 
+def csv_module_bytes(directory, rec):
+    """The trace.csv and plot.csv bytes csv.writer writes for `rec`, one
+    repr(float(v)) per cell, built row by row from the record's fields."""
+    n = rec.time.size
+    trace_header = [
+        "time", "z", "theta_true", "omega_true", "current_true",
+        "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
+        "k_theta", "k_omega", "k_current", "u", "theta_ref", "omega_ref", "current_ref",
+    ]
+    trace_rows = [[rec.time[k], rec.z[k], *rec.truth[k], *rec.estimate[k], *rec.mu[k],
+                   rec.rho_hat[k], *rec.gain[k], rec.u[k], *rec.reference[k]]
+                  for k in range(n)]
+    csv_module_reference(directory / "trace_ref.csv", trace_header, trace_rows)
+    plot_header = ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
+                   "mu_1", "mu_2", "rho_hat", "b_true", "u"]
+    plot_rows = [[rec.time[k], rec.reference[k, 0], rec.truth[k, 0], rec.estimate[k, 0],
+                  rec.reference[k, 0] - rec.truth[k, 0], *rec.mu[k], rec.rho_hat[k],
+                  rec.b_true[k], rec.u[k]] for k in range(n)]
+    csv_module_reference(directory / "plot_ref.csv", plot_header, plot_rows)
+    return (directory / "trace_ref.csv").read_bytes(), (directory / "plot_ref.csv").read_bytes()
+
+
 def test_writers_match_csv_module_bytes(tmp_path, monkeypatch):
     # chunks of 2 rows, so a 5-row record spans three of them
     monkeypatch.setattr(harness, "CSV_CHUNK", 2)
@@ -470,25 +499,20 @@ def test_writers_match_csv_module_bytes(tmp_path, monkeypatch):
     rec.b_true = np.array([5e-324, 1e-05, 1.63e-4, 1e16, 2.46e-6])
     # theta_ref - theta_true is -0.0 - 0.0 = -0.0 in row 3
     rec.reference[:, 0] = [1e-05, 0.1, 1e300, -0.0, 2.0 / 3.0]
-
-    trace_header = [
-        "time", "z", "theta_true", "omega_true", "current_true",
-        "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
-        "k_theta", "k_omega", "k_current", "u", "theta_ref", "omega_ref", "current_ref",
-    ]
-    trace_rows = [[rec.time[k], rec.z[k], *rec.truth[k], *rec.estimate[k], *rec.mu[k],
-                   rec.rho_hat[k], *rec.gain[k], rec.u[k], *rec.reference[k]]
-                  for k in range(n)]
-    csv_module_reference(tmp_path / "trace_ref.csv", trace_header, trace_rows)
-    plot_header = ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
-                   "mu_1", "mu_2", "rho_hat", "b_true", "u"]
-    plot_rows = [[rec.time[k], rec.reference[k, 0], rec.truth[k, 0], rec.estimate[k, 0],
-                  rec.reference[k, 0] - rec.truth[k, 0], *rec.mu[k], rec.rho_hat[k],
-                  rec.b_true[k], rec.u[k]] for k in range(n)]
-    assert "-0.0" in [repr(float(row[4])) for row in plot_rows]
-    csv_module_reference(tmp_path / "plot_ref.csv", plot_header, plot_rows)
-    trace_ref = (tmp_path / "trace_ref.csv").read_bytes()
-    plot_ref = (tmp_path / "plot_ref.csv").read_bytes()
+    # each end of the range where orjson lays a float out as repr does, the
+    # values either side of it, and the values orjson cannot lay out at all
+    rec.truth[:, 1:] = [[math.nextafter(1e-4, 0.0), 1e-4],
+                        [math.nextafter(1e-4, 1.0), math.nextafter(1e16, 0.0)],
+                        [1e16, math.nextafter(1e16, math.inf)],
+                        [1e15, math.nan],
+                        [math.inf, -math.inf]]
+    rec.reference[:, 1:] = [[5e-324, -5e-324],
+                            [1.7976931348623157e308, -1.7976931348623157e308],
+                            [-math.nextafter(1e-4, 0.0), -math.nextafter(1e16, 0.0)],
+                            [-1e16, -1e-4],
+                            [-1e15, math.nextafter(1e-4, 1.0)]]
+    assert "-0.0" in [repr(float(rec.reference[k, 0] - rec.truth[k, 0])) for k in range(n)]
+    trace_ref, plot_ref = csv_module_bytes(tmp_path, rec)
 
     # both files from the one pass `maps run` makes
     write_run_csvs(tmp_path / "trace.csv", tmp_path / "plot.csv", rec)
@@ -500,6 +524,56 @@ def test_writers_match_csv_module_bytes(tmp_path, monkeypatch):
     write_plot_csv(tmp_path / "plot_alone.csv", rec)
     assert (tmp_path / "trace_alone.csv").read_bytes() == trace_ref
     assert (tmp_path / "plot_alone.csv").read_bytes() == plot_ref
+
+
+# any float64: drawn as a float, or as a raw 64-bit pattern, which reaches
+# subnormals, NaN payloads and every exponent evenly
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_writers_match_csv_module_bytes_on_any_float(data, n):
+    # every cell of every field drawn; chunks of 2 rows
+    rec = synthetic_record([0.0] * n)
+    for name in ("time", "z", "truth", "estimate", "mu", "rho_hat", "gain", "u",
+                 "reference", "b_true"):
+        shape = getattr(rec, name).shape
+        cells = data.draw(st.lists(ANY_FLOAT, min_size=int(np.prod(shape)),
+                                   max_size=int(np.prod(shape))), label=name)
+        setattr(rec, name, np.array(cells, dtype=float).reshape(shape))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(harness, "CSV_CHUNK", 2), \
+            np.errstate(invalid="ignore", over="ignore"):
+        directory = Path(tmp)
+        trace_ref, plot_ref = csv_module_bytes(directory, rec)
+        write_run_csvs(directory / "trace.csv", directory / "plot.csv", rec)
+        assert (directory / "trace.csv").read_bytes() == trace_ref
+        assert (directory / "plot.csv").read_bytes() == plot_ref
+
+
+@pytest.mark.parametrize("discretization, kw", [
+    ("zoh", dict(friction=load_window_schedule(B_MIN, B_MAX, start=0.5, end=1.5))),
+    ("euler", dict(friction=load_window_schedule(B_MIN, B_MAX, start=0.5, end=1.5))),
+    ("zoh", dict(reference="step", amplitude=0.25, period=1.0, controller="fixed:0",
+                 estimator="kf:0", friction=toggle_schedule(B_MIN, B_MAX, first=0.3,
+                                                            period=0.5, duration=2.0))),
+    ("zoh", dict(controller="open", estimator="kf:0", amplitude=1.0, process_noise_std=2e-3)),
+], ids=["sine-load-zoh", "sine-load-euler", "step-toggle-kf0", "open-loop-torque-noise"])
+def test_writer_matches_repr_writer(tmp_path, motor, vertices_euler, motor_zoh, vertices_zoh,
+                                    discretization, kw):
+    # the orjson cells plus repr where its layout differs give the bytes of
+    # the writer that formats every cell with repr, on whole runs
+    motor, vertices = ((motor_zoh, vertices_zoh) if discretization == "zoh"
+                       else (motor, vertices_euler))
+    rec = run_scenario(short_spec(**kw), motor, vertices)
+    write_run_csvs(tmp_path / "trace.csv", tmp_path / "plot.csv", rec)
+    write_run_csvs_repr(tmp_path / "trace_ref.csv", tmp_path / "plot_ref.csv", rec)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "trace_ref.csv").read_bytes()
+    assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "plot_ref.csv").read_bytes()
 
 
 class TestScenarioConfig:
