@@ -27,11 +27,8 @@ from .errors import (
 from .estimation import (
     FilterBank,
     NoiseConfig,
-    imm_likelihood,
     imm_step,
     initial_belief,
-    kf_predict,
-    kf_update,
 )
 from .harness import (
     FrictionSchedule,
@@ -62,7 +59,6 @@ from .stability import (
     epsilon_star,
     find_common_lyapunov,
     lipschitz_constants,
-    verify_convex_stability,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -156,6 +156,18 @@ def _refuse_non_directory(out: Path) -> None:
             return
 
 
+def _refuse_bad_file(out: Path) -> None:
+    """Refuse an output file path that is a directory, or whose parent is
+    missing or not a directory, before the work whose result it would hold;
+    opening it would refuse it only after."""
+    if out.is_dir():
+        raise IsADirectoryError(f"--out {out}: is a directory")
+    if not out.parent.exists():
+        raise FileNotFoundError(f"--out {out}: {out.parent} does not exist")
+    if not out.parent.is_dir():
+        raise NotADirectoryError(f"--out {out}: {out.parent} is not a directory")
+
+
 def _cmd_run(args) -> int:
     out = Path(args.out)
     _refuse_non_directory(out)
@@ -193,6 +205,8 @@ def _parse_variants(raw) -> list:
 
 
 def _cmd_compare(args) -> int:
+    if args.out:
+        _refuse_bad_file(Path(args.out))
     spec, motor = load_scenario(args.scenario)
     vertices = design_from_motor(motor)
     variants = _parse_variants(args.variant)

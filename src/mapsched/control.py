@@ -77,11 +77,6 @@ def _gain_and_defect(Phi, Gamma, Q, R, P) -> tuple:
     return K, float(np.max(np.abs(defect)))
 
 
-def dare_residual(Phi, Gamma, Q, R, P) -> float:
-    """Max-norm defect of P in the discrete algebraic Riccati equation."""
-    return _gain_and_defect(Phi, Gamma, Q, R, P)[1]
-
-
 def solve_dare(model: DiscreteModel, weights: LqrWeights) -> RiccatiSolution:
     """Stabilizing DARE solution and its LQR gain.
 
@@ -151,7 +146,7 @@ def _vertex_gain(problem: _RiccatiProblem) -> np.ndarray:
     return solve_dare(problem.model, problem.weights).K
 
 
-def synthesize_vertex_gains(vertices: VertexSet, Gamma, weights: LqrWeights) -> VertexSet:
+def synthesize_vertex_gains(vertices: VertexSet, weights: LqrWeights) -> VertexSet:
     """Solve one Riccati problem per vertex and return the gain-filled set.
 
     A vertex gain depends only on (Phi_i, Gamma, Q, R), so each problem is
@@ -159,11 +154,7 @@ def synthesize_vertex_gains(vertices: VertexSet, Gamma, weights: LqrWeights) -> 
     problems are kept, and a repeat returns the gain its solve gave. Each
     vertex's DiscreteModel is still built, and validated, on every call.
     """
-    Gamma = np.asarray(Gamma, dtype=float)
-    gains = []
-    for phi in vertices.Phi_vertices:
-        model = DiscreteModel(Phi=phi, Gamma=Gamma, H=vertices.H, T=vertices.T)
-        gains.append(_vertex_gain(_RiccatiProblem(model, weights)))
+    gains = [_vertex_gain(_RiccatiProblem(model, weights)) for model in vertices.models()]
     return vertices.with_gains(gains)
 
 
@@ -198,26 +189,25 @@ def control_input(K, x_ref, x_hat, v_limit: float, feedforward: float = 0.0):
     return u, False
 
 
-def gain_report(vertices: VertexSet, solutions=None) -> dict:
-    """JSON-friendly summary of the vertex gains and closed-loop eigenvalues."""
+def gain_report(vertices: VertexSet, solutions) -> dict:
+    """JSON-friendly summary of the vertex gains, closed-loop eigenvalues and
+    the Riccati solutions the gains came from."""
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
     report = {"mode": vertices.mode, "sample_time": vertices.T, "vertices": []}
-    for i, (rho, phi, K) in enumerate(
-        zip(vertices.rho, vertices.Phi_vertices, vertices.K_vertices)
+    for i, (rho, phi, K, solution) in enumerate(
+        zip(vertices.rho, vertices.Phi_vertices, vertices.K_vertices, solutions, strict=True)
     ):
         closed = phi - vertices.Gamma @ K
         moduli = sorted(float(m) for m in np.abs(np.linalg.eigvals(closed)))
-        entry = {
+        report["vertices"].append({
             "index": i + 1,
             "rho": rho,
             "K": [float(v) for v in np.asarray(K).reshape(-1)],
             "closed_loop_eigenvalue_moduli": moduli,
-        }
-        if solutions is not None:
-            entry["riccati_residual"] = solutions[i].residual
-            entry["P"] = np.asarray(solutions[i].P).tolist()
-        report["vertices"].append(entry)
+            "riccati_residual": solution.residual,
+            "P": np.asarray(solution.P).tolist(),
+        })
     return report
 
 

@@ -6,8 +6,9 @@ probability-scheduled gain, or open-loop drive), under a scheduled friction
 profile, and computes tracking/estimation metrics. Every variant runs the
 same loop on plain floats. The truth plant is solved exactly, friction
 events included (`plant.plant_step`), so a scenario has no integration
-setting. Runs are deterministic for a given seed; measurement noise is the
-only random input by default.
+setting. A run takes the gain-filled design `design_from_motor` returns.
+Runs are deterministic for a given seed; measurement noise is the only
+random input by default.
 """
 
 from __future__ import annotations
@@ -297,24 +298,23 @@ class MetricsReport:
 
 
 def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
-                 weights: LqrWeights | None = None,
                  noise: NoiseConfig | None = None) -> RunRecord:
     """Simulate one closed-loop run of the spec against the truth plant.
 
-    Every variant runs one loop. The estimator is `imm_step` over a
-    `FilterBank`: `imm` holds every vertex model, `kf:<i>` the one model i.
-    The gain is `maps_gain` of the mode probabilities for `maps`, formed
-    every tick; `fixed:<i>` takes vertex gain i and `open` a zero gain,
-    feeding theta_ref forward as the voltage instead, both formed once per
-    run. Under `kf:<i>` the weights and rho_hat are one-hot at i, also
-    formed once per run. The loop runs in chunks of CSV_CHUNK ticks: a
-    chunk draws its noise in one call and stores its log rows in one
-    assignment.
+    `vertices` is a gain-filled design, as `design_from_motor` returns; a
+    set without gains is refused with ParameterError. Every variant runs
+    one loop. The estimator is `imm_step` over a `FilterBank`: `imm` holds
+    every vertex model, `kf:<i>` the one model i. The gain is `maps_gain`
+    of the mode probabilities for `maps`, formed every tick; `fixed:<i>`
+    takes vertex gain i and `open` a zero gain, feeding theta_ref forward
+    as the voltage instead, both formed once per run. Under `kf:<i>` the
+    weights and rho_hat are one-hot at i, also formed once per run. The
+    loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise in one
+    call and stores its log rows in one assignment.
     """
-    noise = noise if noise is not None else NoiseConfig.default()
-    weights = weights if weights is not None else LqrWeights.default()
     if vertices.K_vertices is None:
-        vertices = synthesize_vertex_gains(vertices, vertices.Gamma, weights)
+        raise ParameterError("vertex gains have not been synthesized")
+    noise = noise if noise is not None else NoiseConfig.default()
     T = spec.tick
     if abs(T - vertices.T) > 1e-12:
         raise ConfigError(
@@ -479,20 +479,16 @@ def _percent_change(ref: float, val: float) -> float:
 
 
 def compare_runs(spec: ScenarioSpec, variants, motor: MotorConfig,
-                 vertices: VertexSet, weights: LqrWeights | None = None,
-                 noise: NoiseConfig | None = None,
-                 channel: str = "tracking") -> Comparison:
+                 vertices: VertexSet) -> Comparison:
     """Run named (controller, estimator) variants of the same scenario with a
-    shared seed and friction schedule and tabulate their metrics."""
+    shared seed and friction schedule and tabulate their tracking metrics."""
     names, metrics, records = [], [], []
     for name, controller, estimator in variants:
-        vspec = replace(spec, controller=controller, estimator=estimator)
-        if vspec.duration != spec.duration:
-            raise ConfigError("variant durations must match")
-        rec = run_scenario(vspec, motor, vertices, weights=weights, noise=noise)
+        rec = run_scenario(replace(spec, controller=controller, estimator=estimator),
+                           motor, vertices)
         names.append(name)
         records.append(rec)
-        metrics.append(compute_metrics(rec, channel=channel))
+        metrics.append(compute_metrics(rec))
     return Comparison(names=tuple(names), metrics=tuple(metrics), records=tuple(records))
 
 
@@ -660,4 +656,4 @@ def design_from_motor(motor: MotorConfig, weights: LqrWeights | None = None) -> 
     vertices = build_vertex_set(
         motor.params, motor.vertex_rho, motor.sample_time, mode=motor.discretization
     )
-    return synthesize_vertex_gains(vertices, vertices.Gamma, weights)
+    return synthesize_vertex_gains(vertices, weights)

@@ -109,16 +109,15 @@ class FrictionModel:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Polytopic vertex models Phi[i] = Phi0 + rho[i] * Phi_hat, plus the
-    shared input/measurement maps the scheduled controller and filters use.
+    """Polytopic vertex models Phi[i], one per scheduling value rho[i], plus
+    the shared input/measurement maps the scheduled controller and filters
+    use.
 
     Gains are synthesized separately; `with_gains` returns a filled copy.
     """
 
     rho: tuple
     Phi_vertices: tuple
-    Phi0: np.ndarray
-    Phi_hat: np.ndarray
     Gamma: np.ndarray
     H: np.ndarray
     T: float
@@ -136,21 +135,10 @@ class VertexSet:
             raise ParameterError("one vertex matrix per scheduling value required")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "Phi_vertices", phis)
-        object.__setattr__(self, "Phi0", _frozen(self.Phi0))
-        object.__setattr__(self, "Phi_hat", _frozen(self.Phi_hat))
         object.__setattr__(self, "Gamma", _frozen(self.Gamma))
         object.__setattr__(self, "H", _frozen(self.H))
         if self.K_vertices is not None:
             object.__setattr__(self, "K_vertices", self._gain_rows(self.K_vertices))
-        # the affine decomposition must reproduce the vertices exactly; only
-        # an over-determined fit (zoh with >2 vertices) is allowed residual.
-        # On finite matrices this decides as np.allclose(phi, recon, rtol=0,
-        # atol=1e-10); a non-finite entry never passes
-        if len(rho) == 2 or self.mode == "euler":
-            for r, phi in zip(rho, phis):
-                recon = self.Phi0 + r * self.Phi_hat
-                if not float(np.max(np.abs(phi - recon))) <= 1e-10:
-                    raise ParameterError("vertex matrices do not match Phi0 + rho*Phi_hat")
 
     def _gain_rows(self, gains) -> tuple:
         ks = tuple(_frozen(k) for k in gains)
@@ -221,11 +209,11 @@ def build_vertex_set(params: MotorParams, rho_values, T: float,
                      mode: str = "euler") -> VertexSet:
     """Construct the polytopic vertex models at the given scheduling values.
 
-    Under forward Euler the family is affine in rho by construction. Under
-    exact ZOH each vertex is discretized independently and (Phi0, Phi_hat)
-    is the per-entry affine least-squares fit, exact for two vertices. The
-    shared Gamma is T*B under Euler and the ZOH input map at the nominal
-    viscous coefficient otherwise.
+    Under forward Euler the family is affine in rho by construction: each
+    vertex is Phi0 + rho * Phi_hat, the Euler map at b = 0 plus rho times
+    the viscous entry's slope -T/Jeq. Under exact ZOH each vertex is
+    discretized independently. The shared Gamma is T*B under Euler and the
+    ZOH input map at the nominal viscous coefficient otherwise.
     """
     rho = [float(r) for r in rho_values]
     if len(rho) < 2:
@@ -257,19 +245,9 @@ def build_vertex_set(params: MotorParams, rho_values, T: float,
             f"the {mode} discrete model at T = {T!r} s is not finite; "
             "the motor's time constants are out of float range at this sample time"
         )
-    if mode == "zoh":
-        # affine fit Phi(rho) ~ Phi0 + rho*Phi_hat, entrywise least squares
-        design = np.column_stack([np.ones(len(rho)), rho])
-        stacked = np.stack(phis).reshape(len(rho), 9)
-        coef, *_ = np.linalg.lstsq(design, stacked, rcond=None)
-        Phi0 = coef[0].reshape(3, 3)
-        Phi_hat = coef[1].reshape(3, 3)
-
     return VertexSet(
         rho=tuple(rho),
         Phi_vertices=tuple(phis),
-        Phi0=Phi0,
-        Phi_hat=Phi_hat,
         Gamma=Gamma,
         H=H,
         T=T,

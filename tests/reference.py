@@ -7,11 +7,13 @@ jumps inside the substep that straddles the event. It resolves sticking only
 when one substep moves omega less than the rest band's width.
 
 The rest are array or plain-loop forms of what the package computes another
-way: the IMM probability update, single-model discretizations, the percent
-change of a comparison, a friction lookup by linear scan, the IMM cycle in
-two passes, the closed loop run tick by tick, the design path that
-solves, validates and checks everything as many times as it is used, and
-the run CSV writer that formats every cell with repr.
+way: the Gaussian likelihood of one innovation, the IMM probability update,
+single-model discretizations, the percent change of a comparison, a
+friction lookup by linear scan, the IMM cycle in two passes, the closed loop
+run tick by tick, the Lyapunov solve with its own stability check, uniform
+draws from the simplex, the design path that solves, validates and checks
+everything as many times as it is used, and the run CSV writer that formats
+every cell with repr.
 """
 
 import dataclasses
@@ -41,7 +43,7 @@ from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     LyapunovSearch,
     StabilityCert,
-    dlyap_series,
+    _dlyap,
     epsilon_star,
     lipschitz_constants,
     vertex_margins,
@@ -93,6 +95,14 @@ def motor_rk4(theta, omega, cur, u, dt, substeps,
         omega = omega + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         cur = cur + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
     return theta, omega, cur
+
+
+def imm_likelihood(r: float, s: float) -> float:
+    """Gaussian density of the scalar innovation r with variance s, computed
+    in log space and exponentiated once to dodge underflow."""
+    if not s > 0.0:
+        raise NumericalError("innovation covariance is not positive definite")
+    return math.exp(-0.5 * (_LOG_2PI + math.log(s) + r ** 2 / s))
 
 
 def imm_update_probabilities(likelihoods, mu_pred):
@@ -344,6 +354,22 @@ def gains_by_replace(vertices, weights):
     return filled, solutions
 
 
+def dlyap_series(A) -> np.ndarray:
+    """Solve A' P A - P = -I for a Schur-stable A, whose solution is the
+    convergent series P = sum_k (A')^k A^k; refuses a loop whose spectral
+    radius is 1 or more before the package's solve."""
+    A = np.asarray(A, dtype=float)
+    if float(np.max(np.abs(np.linalg.eigvals(A)))) >= 1.0:
+        raise NumericalError("Lyapunov series diverges: spectral radius >= 1")
+    return _dlyap(A)
+
+
+def sample_simplex(n_samples: int, nv: int, seed: int = 42) -> np.ndarray:
+    """`n_samples` weight vectors drawn uniformly from the nv-vertex simplex,
+    the draws `stability.verify_convex_stability` makes for the same seed."""
+    return np.random.default_rng(seed).dirichlet(np.ones(nv), size=n_samples)
+
+
 def find_common_lyapunov_checked(closed_loops, max_rounds: int = 500) -> LyapunovSearch:
     """`stability.find_common_lyapunov` solving every Lyapunov equation
     through `dlyap_series`, which checks the loop's spectral radius again."""
@@ -370,13 +396,13 @@ def find_common_lyapunov_checked(closed_loops, max_rounds: int = 500) -> Lyapuno
                           rounds=rounds)
 
 
-def certify_checked(vertices, Gamma=None, assumptions=None) -> StabilityCert:
+def certify_checked(vertices, assumptions=None) -> StabilityCert:
     """`stability.certify` over `find_common_lyapunov_checked`."""
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
-    Gamma = vertices.Gamma if Gamma is None else np.asarray(Gamma, dtype=float)
     loops = [
-        phi - Gamma @ K for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices)
+        phi - vertices.Gamma @ K
+        for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices)
     ]
     search = find_common_lyapunov_checked(loops)
     if not search.certified:
@@ -385,7 +411,7 @@ def certify_checked(vertices, Gamma=None, assumptions=None) -> StabilityCert:
             f"(worst vertex margin {search.worst_margin:.3e}, after {search.rounds} rounds); "
             "this does not prove instability"
         )
-    L_phi, L_k, L = lipschitz_constants(vertices, Gamma)
+    L_phi, L_k, L = lipschitz_constants(vertices)
     eps_used = assumptions.epsilon if assumptions is not None else None
     eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=eps_used)
     return StabilityCert(

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from reference import dlyap_series
 
 from mapsched.config import load_motor_config
 from mapsched.control import LqrWeights, solve_dare
@@ -36,7 +37,6 @@ from mapsched.motor import DiscreteModel
 from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     certify,
-    dlyap_series,
     find_common_lyapunov,
     vertex_margins,
     verify_convex_stability,

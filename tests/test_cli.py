@@ -343,6 +343,30 @@ def test_compare_default_variants(scenario_cfg, tmp_path):
     assert out_csv.exists()
 
 
+@pytest.mark.parametrize("target", ["directory", "under-file", "under-missing"])
+def test_compare_refuses_a_bad_out_before_running(tmp_path, scenario_cfg, monkeypatch, target):
+    # refused before the scenario is loaded, designed or compared
+    def never(*args, **kwargs):
+        raise AssertionError("the comparison started")
+
+    for name in ("load_scenario", "design_from_motor", "compare_runs"):
+        monkeypatch.setattr(cli, name, never)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out_csv, reason = {
+        "directory": (tmp_path, "is a directory"),
+        "under-file": (blocker / "cmp.csv", f"{blocker} is not a directory"),
+        "under-missing": (tmp_path / "missing" / "cmp.csv", "missing does not exist"),
+    }[target]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["compare", str(scenario_cfg), "--out", str(out_csv)]) == 1
+    assert err.getvalue().startswith("error: invalid config: ")
+    assert reason in err.getvalue()
+    assert blocker.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_compare_custom_variants(scenario_cfg):
     out = run_cli(
         "compare", str(scenario_cfg),

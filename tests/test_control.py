@@ -12,8 +12,8 @@ from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 from mapsched import control
 from mapsched.control import (
     LqrWeights,
+    _gain_and_defect,
     control_input,
-    dare_residual,
     gain_report,
     maps_gain,
     solve_dare,
@@ -52,7 +52,7 @@ class TestSolveDare:
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
     def test_motor_vertices_stabilized(self, motor, weights, mode):
         vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, mode=mode)
-        vs = synthesize_vertex_gains(vs, vs.Gamma, weights)
+        vs = synthesize_vertex_gains(vs, weights)
         for phi, K in zip(vs.Phi_vertices, vs.K_vertices):
             closed = phi - vs.Gamma @ K
             assert np.max(np.abs(np.linalg.eigvals(closed))) < 1.0
@@ -69,7 +69,8 @@ class TestSolveDare:
             mdl = DiscreteModel(Phi=phi, Gamma=vertices_euler.Gamma, H=vertices_euler.H, T=0.002)
             sol = solve_dare(mdl, weights)
             assert sol.residual <= 1e-9
-            assert dare_residual(mdl.Phi, mdl.Gamma, weights.Q, weights.R, sol.P) <= 1e-9
+            _, defect = _gain_and_defect(mdl.Phi, mdl.Gamma, weights.Q, weights.R, sol.P)
+            assert defect <= 1e-9
 
     def test_pinned_gains_euler_1ms(self, motor, weights):
         # Euler, T = 1 ms, b_max = 6e-4: the b_max vertex took the former
@@ -131,19 +132,9 @@ class TestSolveDare:
 class TestVertexGains:
     def test_identical_vertices_equal_gains(self, motor, weights):
         vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002)
-        # same Phi at both corners by zeroing the parameter footprint
-        same = vs.with_gains([np.zeros((1, 3)), np.zeros((1, 3))])
-        import dataclasses
-
-        same = dataclasses.replace(
-            vs,
-            Phi_vertices=(vs.Phi_vertices[0], vs.Phi_vertices[0]),
-            Phi_hat=np.zeros((3, 3)),
-            Phi0=vs.Phi_vertices[0],
-            K_vertices=None,
-            mode="zoh",
-        )
-        got = synthesize_vertex_gains(same, vs.Gamma, weights)
+        # same Phi at both corners
+        same = dataclasses.replace(vs, Phi_vertices=(vs.Phi_vertices[0], vs.Phi_vertices[0]))
+        got = synthesize_vertex_gains(same, weights)
         assert np.allclose(got.K_vertices[0], got.K_vertices[1], atol=1e-12)
 
     def test_distinct_vertices_distinct_gains(self, vertices_euler):
@@ -155,7 +146,7 @@ class TestVertexGains:
         # the corner gains: the Riccati map is nonlinear in the parameter
         mid = 0.5 * (B_MIN + B_MAX)
         vs3 = build_vertex_set(motor.params, (B_MIN, mid, B_MAX), 0.002, mode="euler")
-        vs3 = synthesize_vertex_gains(vs3, vs3.Gamma, weights)
+        vs3 = synthesize_vertex_gains(vs3, weights)
         K_lo, K_mid, K_hi = vs3.K_vertices
         avg = 0.5 * (K_lo + K_hi)
         gap = float(np.max(np.abs(K_mid - avg)))
@@ -294,13 +285,23 @@ class TestControlInput:
         assert u == -4.0 and sat
 
 
-def test_gain_report_shape(vertices_euler):
-    report = gain_report(vertices_euler)
+def test_gain_report_shape(vertices_euler, weights):
+    solutions = [solve_dare(model, weights) for model in vertices_euler.models()]
+    report = gain_report(vertices_euler, solutions)
     assert report["mode"] == "euler"
     assert len(report["vertices"]) == 2
-    for entry in report["vertices"]:
+    for entry, solution in zip(report["vertices"], solutions):
         assert len(entry["K"]) == 3
         assert all(mod < 1.0 for mod in entry["closed_loop_eigenvalue_moduli"])
+        assert entry["riccati_residual"] == solution.residual
+        assert entry["P"] == solution.P.tolist()
+
+
+def test_gain_report_requires_gains(motor, weights):
+    bare = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002)
+    solutions = [solve_dare(model, weights) for model in bare.models()]
+    with pytest.raises(ParameterError, match="gains have not been synthesized"):
+        gain_report(bare, solutions)
 
 
 @pytest.mark.parametrize("cls, Q, R", [

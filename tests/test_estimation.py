@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import imm_step_two_pass, imm_update_probabilities
+from reference import imm_likelihood, imm_step_two_pass, imm_update_probabilities
 
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import (
     FilterBank,
     NoiseConfig,
     default_transition_matrix,
-    imm_likelihood,
     imm_step,
     initial_belief,
     kf_predict,
     kf_update,
 )
-from mapsched.harness import ScenarioSpec, run_scenario, toggle_schedule, write_trace_csv
+from mapsched.harness import ScenarioSpec, run_scenario, toggle_schedule, write_run_csvs
 from mapsched.motor import DiscreteModel, build_vertex_set
 from mapsched.plant import TickMap, plant_step
 
@@ -526,7 +525,7 @@ class TestNisConsistency:
 
 class TestStateValidation:
     def test_default_transition_matrix(self):
-        Pi = default_transition_matrix(2, stay=0.9)
+        Pi = default_transition_matrix(2)
         assert np.allclose(Pi, [[0.9, 0.1], [0.1, 0.9]])
         assert np.allclose(default_transition_matrix(3).sum(axis=1), 1.0)
 
@@ -541,7 +540,7 @@ def test_filter_trace_csv(tmp_path, motor_zoh, vertices_zoh):
     # the run trace carries the IMM outputs of every tick, round-tripped exactly
     rec = run_scenario(ScenarioSpec(duration=0.01, seed=3), motor_zoh, vertices_zoh)
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, rec)
+    write_run_csvs(path, None, rec)
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5

@@ -38,9 +38,7 @@ from mapsched.harness import (
     scenario_from_entries,
     toggle_schedule,
     write_metrics_json,
-    write_plot_csv,
     write_run_csvs,
-    write_trace_csv,
 )
 
 B_MIN, B_MAX = 2.46e-6, 1.63e-4
@@ -214,6 +212,11 @@ class TestRunScenario:
         a = run_scenario(spec, motor_zoh, vertices_zoh)
         b = run_scenario(dataclasses.replace(spec, seed=999), motor_zoh, vertices_zoh)
         assert not np.array_equal(a.z, b.z)
+
+    def test_vertex_set_without_gains_rejected(self, motor_zoh, vertices_zoh):
+        bare = dataclasses.replace(vertices_zoh, K_vertices=None)
+        with pytest.raises(ParameterError, match="gains have not been synthesized"):
+            run_scenario(short_spec(duration=0.1), motor_zoh, bare)
 
     def test_tick_mismatch_rejected(self, motor_zoh, vertices_zoh):
         spec = short_spec(sample_rate=100.0)
@@ -427,7 +430,7 @@ class TestTraceOutputs:
     def test_trace_csv_header_and_rows(self, tmp_path, motor_zoh, vertices_zoh):
         rec = run_scenario(short_spec(duration=0.1), motor_zoh, vertices_zoh)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, rec)
+        write_run_csvs(path, None, rec)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == (
             "time,z,theta_true,omega_true,current_true,"
@@ -439,7 +442,7 @@ class TestTraceOutputs:
     def test_plot_csv(self, tmp_path, motor_zoh, vertices_zoh):
         rec = run_scenario(short_spec(duration=0.1), motor_zoh, vertices_zoh)
         path = tmp_path / "plot.csv"
-        write_plot_csv(path, rec)
+        write_run_csvs(None, path, rec)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("time,theta_ref,theta_true,theta_est,tracking_error,mu_1")
         assert len(lines) == 1 + rec.spec.n_ticks
@@ -520,8 +523,8 @@ def test_writers_match_csv_module_bytes(tmp_path, monkeypatch):
     assert (tmp_path / "plot.csv").read_bytes() == plot_ref
 
     # each file alone
-    write_trace_csv(tmp_path / "trace_alone.csv", rec)
-    write_plot_csv(tmp_path / "plot_alone.csv", rec)
+    write_run_csvs(tmp_path / "trace_alone.csv", None, rec)
+    write_run_csvs(None, tmp_path / "plot_alone.csv", rec)
     assert (tmp_path / "trace_alone.csv").read_bytes() == trace_ref
     assert (tmp_path / "plot_alone.csv").read_bytes() == plot_ref
 

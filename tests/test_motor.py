@@ -182,13 +182,16 @@ class TestFrictionTorque:
 
 
 class TestVertexSet:
-    def test_euler_phi_hat_single_entry(self, motor):
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, mode="euler")
-        assert vs.Phi_hat[1, 1] == pytest.approx(-0.002 / 2.06e-5, rel=1e-12)
-        assert vs.Phi_hat[1, 1] == pytest.approx(-97.087, rel=1e-5)
+    def test_euler_vertices_differ_only_in_the_viscous_entry(self, motor):
+        # Phi(rho) = I + T A(rho): rho enters A only at [1, 1], as -rho / Jeq
+        rho = (2.46e-6, 1.63e-4)
+        vs = build_vertex_set(motor.params, rho, 0.002, mode="euler")
+        diff = vs.Phi_vertices[1] - vs.Phi_vertices[0]
+        assert diff[1, 1] / (rho[1] - rho[0]) == pytest.approx(-0.002 / 2.06e-5, rel=1e-12)
+        assert diff[1, 1] / (rho[1] - rho[0]) == pytest.approx(-97.087, rel=1e-5)
         mask = np.ones((3, 3), dtype=bool)
         mask[1, 1] = False
-        assert np.all(vs.Phi_hat[mask] == 0.0)
+        assert np.all(diff[mask] == 0.0)
 
     def test_rejects_non_increasing(self, motor):
         with pytest.raises(ParameterError):
@@ -197,20 +200,27 @@ class TestVertexSet:
             build_vertex_set(motor.params, (1e-4,), 0.002)
 
     def test_two_vertex_affine_difference(self, motor):
-        rho = (2.46e-6, 1.63e-4)
+        # any two vertices differ by -(rho_j - rho_i) T / Jeq at [1, 1]
+        rho = (2.46e-6, 8.3e-5, 1.63e-4)
         vs = build_vertex_set(motor.params, rho, 0.002, mode="euler")
-        diff = vs.Phi_vertices[1] - vs.Phi_vertices[0]
-        assert np.allclose(diff, (rho[1] - rho[0]) * vs.Phi_hat, atol=1e-15)
+        slope = np.zeros((3, 3))
+        slope[1, 1] = -0.002 / motor.params.Jeq
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            diff = vs.Phi_vertices[j] - vs.Phi_vertices[i]
+            assert np.allclose(diff, (rho[j] - rho[i]) * slope, rtol=0, atol=1e-15)
 
     @given(f=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_euler_affine_in_b_everywhere(self, motor, f):
+        # the Euler map at any b between the vertices is their interpolation
         b_lo, b_hi = 2.46e-6, 1.63e-4
         vs = build_vertex_set(motor.params, (b_lo, b_hi), 0.002, mode="euler")
         b = b_lo + f * (b_hi - b_lo)
         cm = build_continuous_model(motor.params, b)
         phi_direct, _ = euler_discretize(cm.A, cm.B, 0.002)
-        assert np.max(np.abs(phi_direct - (vs.Phi0 + b * vs.Phi_hat))) < 1e-12
+        lo, hi = vs.Phi_vertices
+        frac = (b - b_lo) / (b_hi - b_lo)
+        assert np.max(np.abs(phi_direct - (lo + frac * (hi - lo)))) < 1e-12
 
     def test_zoh_vertices_independently_discretized(self, motor):
         rho = (2.46e-6, 1.63e-4)
@@ -219,9 +229,6 @@ class TestVertexSet:
             cm = build_continuous_model(motor.params, r)
             ref, _ = zoh_discretize(cm.A, cm.B, 0.002)
             assert np.allclose(phi, ref, atol=0, rtol=0)
-        # affine fit is exact through two points
-        for r, phi in zip(rho, vs.Phi_vertices):
-            assert np.allclose(phi, vs.Phi0 + r * vs.Phi_hat, atol=1e-12)
 
     def test_models_share_gamma_and_h(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
@@ -242,7 +249,7 @@ class TestVertexSet:
         assert [K.tolist() for K in filled.K_vertices] == [[[1.0] * 3], [[2.0] * 3]]
         assert not any(K.flags.writeable for K in filled.K_vertices)
         # the models were validated and frozen when the set was made
-        for name in ("rho", "Phi_vertices", "Phi0", "Phi_hat", "Gamma", "H", "T", "mode"):
+        for name in ("rho", "Phi_vertices", "Gamma", "H", "T", "mode"):
             assert getattr(filled, name) is getattr(vs, name)
 
     def test_refuses_a_non_finite_discrete_model(self, motor):

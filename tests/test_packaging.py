@@ -34,3 +34,39 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"mapsched"}
     assert {"numpy", "scipy", "orjson"} <= third_party
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
+
+
+# imports the module does not use, kept because the benchmark's tracer
+# (perfbench/tracing.py) looks the names up on that module; an entry goes
+# when the tracer stops naming it
+TRACED_REEXPORTS = {
+    ("cli.py", "write_plot_csv"), ("cli.py", "write_trace_csv"),
+    ("harness.py", "kf_predict"), ("harness.py", "kf_update"),
+}
+
+
+def unused_imports(path):
+    """(line, name) of each name an import statement of the module binds,
+    at any level, that no expression of the module reads: an `ast.Name`
+    reads it, on its own or as the head of an attribute chain."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_import_of_a_module_is_used():
+    # no ruff or pyflakes here: an F401 check of the package's modules
+    # (__init__.py imports to re-export)
+    unused = [(path.name, line, name)
+              for path in sorted((ROOT / "src" / "mapsched").glob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in unused_imports(path)]
+    stray = [f"{module}:{line} {name}" for module, line, name in unused
+             if (module, name) not in TRACED_REEXPORTS]
+    assert not stray, f"imported but never used: {stray}"

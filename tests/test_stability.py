@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from reference import certify_checked, gains_by_replace
+from reference import certify_checked, dlyap_series, gains_by_replace, sample_simplex
 
 from mapsched.control import solve_dare, synthesize_vertex_gains
 from mapsched.errors import CertificationError, ParameterError
@@ -13,11 +13,9 @@ from mapsched.stability import (
     MismatchAssumptions,
     StabilityCert,
     certify,
-    dlyap_series,
     epsilon_star,
     find_common_lyapunov,
     lipschitz_constants,
-    sample_simplex,
     vertex_margins,
     verify_convex_stability,
 )
@@ -127,7 +125,7 @@ class TestConvexVerification:
 
 class TestLipschitzConstants:
     def test_euler_lphi_is_phi_hat_norm(self, vertices_euler):
-        L_phi, _, _ = lipschitz_constants(vertices_euler, vertices_euler.Gamma)
+        L_phi, _, _ = lipschitz_constants(vertices_euler)
         assert L_phi == pytest.approx(0.002 / 2.06e-5, rel=1e-9)
         assert L_phi == pytest.approx(97.087, rel=1e-5)
 
@@ -135,17 +133,15 @@ class TestLipschitzConstants:
         same = dataclasses.replace(
             vertices_euler,
             Phi_vertices=(vertices_euler.Phi_vertices[0], vertices_euler.Phi_vertices[0]),
-            Phi_hat=np.zeros((3, 3)),
-            Phi0=vertices_euler.Phi_vertices[0],
             K_vertices=(vertices_euler.K_vertices[0], vertices_euler.K_vertices[0]),
-            mode="zoh",
         )
-        L_phi, L_k, L = lipschitz_constants(same, vertices_euler.Gamma)
+        L_phi, L_k, L = lipschitz_constants(same)
         assert L_phi == 0.0 and L_k == 0.0 and L == 0.0
 
     def test_l_scales_with_gamma(self, vertices_euler):
-        _, _, L1 = lipschitz_constants(vertices_euler, vertices_euler.Gamma)
-        L_phi, L_k, L2 = lipschitz_constants(vertices_euler, 2.0 * vertices_euler.Gamma)
+        _, _, L1 = lipschitz_constants(vertices_euler)
+        doubled = dataclasses.replace(vertices_euler, Gamma=2.0 * vertices_euler.Gamma)
+        L_phi, L_k, L2 = lipschitz_constants(doubled)
         assert L2 - L_phi == pytest.approx(2.0 * (L1 - L_phi), rel=1e-9)
 
 
@@ -245,8 +241,7 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# the benchmark's design grid, then a 3-vertex ZOH set whose affine fit is
-# over-determined
+# the benchmark's design grid, then a 3-vertex ZOH set
 DESIGNS = [*itertools.product(("euler", "zoh"), (0.001, 0.002), (1.63e-4, 6e-4)),
            pytest.param("zoh", 0.002, (2.46e-6, 8.3e-5, 1.63e-4), id="zoh-0.002-3vertex")]
 
@@ -260,7 +255,7 @@ def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, 
     # bit of the design and of the certificate must agree.
     if isinstance(b_max, tuple):
         bare = build_vertex_set(motor.params, b_max, T, mode=mode)
-        vertices = synthesize_vertex_gains(bare, bare.Gamma, weights)
+        vertices = synthesize_vertex_gains(bare, weights)
     else:
         designed = dataclasses.replace(motor, b_max=b_max, sample_time=T, discretization=mode)
         bare = build_vertex_set(designed.params, designed.vertex_rho, T, mode=mode)
