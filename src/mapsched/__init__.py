@@ -43,8 +43,6 @@ from .harness import (
 )
 from .ident import IdentResult, SteadyStateSample, identify, regress_slope, viscous_from_slope
 from .motor import (
-    ContinuousModel,
-    DiscreteModel,
     FrictionModel,
     MotorParams,
     VertexSet,
@@ -53,7 +51,6 @@ from .motor import (
 )
 from .plant import TickMap, plant_step
 from .stability import (
-    MismatchAssumptions,
     StabilityCert,
     certify,
     epsilon_star,

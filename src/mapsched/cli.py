@@ -33,7 +33,7 @@ from .harness import (
 from .harness import write_plot_csv, write_trace_csv  # noqa: F401
 from .ident import identify, read_samples_csv
 from .motor import build_vertex_set
-from .stability import MismatchAssumptions, certify
+from .stability import certify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +105,7 @@ def _cmd_gains(args) -> int:
     vertices = build_vertex_set(
         motor.params, motor.vertex_rho, motor.sample_time, mode=motor.discretization
     )
-    solutions = [solve_dare(model, weights) for model in vertices.models()]
+    solutions = [solve_dare(phi, vertices.Gamma, weights) for phi in vertices.Phi_vertices]
     report = gain_report(vertices.with_gains([s.K for s in solutions]), solutions)
     print(f"discretization: {report['mode']}, sample time {report['sample_time']} s")
     for entry in report["vertices"]:
@@ -126,11 +126,7 @@ def _cmd_gains(args) -> int:
 
 def _cmd_certify(args) -> int:
     motor = load_motor_config(args.motor)
-    vertices = design_from_motor(motor)
-    assumptions = None
-    if args.epsilon is not None:
-        assumptions = MismatchAssumptions(epsilon=args.epsilon)
-    cert = certify(vertices, assumptions=assumptions)
+    cert = certify(design_from_motor(motor), epsilon=args.epsilon)
     with np.printoptions(precision=6, suppress=False):
         print("common Lyapunov matrix P:")
         print(cert.P_lyap)

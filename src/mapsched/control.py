@@ -1,9 +1,10 @@
 """LQR synthesis and probabilistically scheduled gain computation.
 
-The Riccati equation is solved by scipy's Schur (QZ) method and then
-checked against a residual bound, vertex gains are synthesized offline (each
-distinct vertex problem solved once per process), and the per-tick scheduled
-gain is the probability-weighted convex combination of the vertex gains.
+The Riccati equation of a vertex's (Phi, Gamma) pair is solved by scipy's
+Schur (QZ) method and then checked against a residual bound, vertex gains
+are synthesized offline from the vertex set's arrays (each distinct vertex
+problem solved once per process), and the per-tick scheduled gain is the
+probability-weighted convex combination of the vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
 applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 
 from .errors import NumericalError, ParameterError
-from .motor import DiscreteModel, VertexSet, _frozen
+from .motor import VertexSet, _frozen
 
 RESIDUAL_LIMIT = 1e-9
 # distinct vertex Riccati problems whose gains a process keeps
@@ -77,8 +78,9 @@ def _gain_and_defect(Phi, Gamma, Q, R, P) -> tuple:
     return K, float(np.max(np.abs(defect)))
 
 
-def solve_dare(model: DiscreteModel, weights: LqrWeights) -> RiccatiSolution:
-    """Stabilizing DARE solution and its LQR gain.
+def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, weights: LqrWeights) -> RiccatiSolution:
+    """Stabilizing DARE solution and its LQR gain for the float arrays Phi
+    and Gamma of x+ = Phi x + Gamma u.
 
     The solution is validated against the residual bound, and the closed
     loop Phi - Gamma K must be Schur stable. A model whose entries overflow
@@ -90,7 +92,6 @@ def solve_dare(model: DiscreteModel, weights: LqrWeights) -> RiccatiSolution:
     entry past 1/eps is blamed on the model's float range, not on its
     stabilizability.
     """
-    Phi, Gamma = model.Phi, model.Gamma
     Q, R = weights.Q, weights.R
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
@@ -124,12 +125,12 @@ class _RiccatiProblem:
     Q and R, the only inputs of its solve, have the same shapes, strides and
     bytes."""
 
-    __slots__ = ("model", "weights", "_key")
+    __slots__ = ("Phi", "Gamma", "weights", "_key")
 
-    def __init__(self, model: DiscreteModel, weights: LqrWeights):
-        self.model, self.weights = model, weights
+    def __init__(self, Phi: np.ndarray, Gamma: np.ndarray, weights: LqrWeights):
+        self.Phi, self.Gamma, self.weights = Phi, Gamma, weights
         self._key = tuple((a.shape, a.strides, a.tobytes())
-                          for a in (model.Phi, model.Gamma, weights.Q, weights.R))
+                          for a in (Phi, Gamma, weights.Q, weights.R))
 
     def __hash__(self):
         return hash(self._key)
@@ -143,7 +144,7 @@ def _vertex_gain(problem: _RiccatiProblem) -> np.ndarray:
     """The read-only LQR gain of a solved problem. A solve that raises
     leaves nothing in the memo, so the same problem is solved (and fails)
     again on its next design."""
-    return solve_dare(problem.model, problem.weights).K
+    return solve_dare(problem.Phi, problem.Gamma, problem.weights).K
 
 
 def synthesize_vertex_gains(vertices: VertexSet, weights: LqrWeights) -> VertexSet:
@@ -151,10 +152,10 @@ def synthesize_vertex_gains(vertices: VertexSet, weights: LqrWeights) -> VertexS
 
     A vertex gain depends only on (Phi_i, Gamma, Q, R), so each problem is
     solved once per process: the gains of the last GAIN_MEMO_SIZE distinct
-    problems are kept, and a repeat returns the gain its solve gave. Each
-    vertex's DiscreteModel is still built, and validated, on every call.
+    problems are kept, and a repeat returns the gain its solve gave.
     """
-    gains = [_vertex_gain(_RiccatiProblem(model, weights)) for model in vertices.models()]
+    gains = [_vertex_gain(_RiccatiProblem(phi, vertices.Gamma, weights))
+             for phi in vertices.Phi_vertices]
     return vertices.with_gains(gains)
 
 

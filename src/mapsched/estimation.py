@@ -13,13 +13,14 @@ of the probability update. The cycle is folded for the motor's structure,
 H = [1, 0, 0] and Phi's first column e0: the products with those ones and
 zeros are left out, which changes no bit of a result, and the failures the
 left-out zeros would have turned into a NaN innovation variance are tested
-for explicitly. A `FilterBank` refuses any other model and holds what the
-cycle reads: Phi's last two columns and Gamma per mode as one flat tuple,
-Pi and the noise. A single Kalman filter is the one-mode bank with
-Pi = [[1]], whose probability is exactly 1.0 on every cycle. `kf_predict`
-and `kf_update` are the per-mode array forms of the prediction and update:
-no run calls them, the tests check the cycle against them, and the
-benchmark's tracer looks them up on `harness`.
+for explicitly. A `FilterBank` takes the vertex arrays Phi_i and Gamma,
+refuses a Phi whose first column is not e0, and holds what the cycle reads:
+Phi's last two columns and Gamma per mode as one flat tuple, Pi and the
+noise. A single Kalman filter is the one-mode bank with Pi = [[1]], whose
+probability is exactly 1.0 on every cycle. `kf_predict` and `kf_update` are
+the per-mode array forms of the prediction and the angle update: no run
+calls them, the tests check the cycle against them, and the benchmark's
+tracer looks them up on `harness`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .motor import DiscreteModel, _frozen
+from .motor import _frozen
 
 # probability floors sit above the subnormal range so normalization stays finite
 LIKELIHOOD_FLOOR = 1e-300
@@ -97,24 +98,21 @@ def default_transition_matrix(nv: int) -> np.ndarray:
     return Pi
 
 
-def kf_predict(x: np.ndarray, P: np.ndarray, model: DiscreteModel, u: float,
-               Q: np.ndarray) -> tuple:
+def kf_predict(x: np.ndarray, P: np.ndarray, Phi: np.ndarray, Gamma: np.ndarray,
+               u: float, Q: np.ndarray) -> tuple:
     """Time update: x = Phi x + Gamma u, P = Phi P Phi' + Q."""
-    return model.Phi @ x + model.Gamma[:, 0] * u, _sym(model.Phi @ P @ model.Phi.T + Q)
+    return Phi @ x + Gamma[:, 0] * u, _sym(Phi @ P @ Phi.T + Q)
 
 
-def kf_update(x: np.ndarray, P: np.ndarray, model: DiscreteModel, z: float,
-              R: np.ndarray) -> tuple:
-    """Scalar measurement update with the short-form covariance update.
+def kf_update(x: np.ndarray, P: np.ndarray, z: float, R: np.ndarray) -> tuple:
+    """Update on a measurement z of the first state, H = [1, 0, ...], with
+    the short-form covariance update.
 
     Returns (x, P, residual r, innovation variance s).
     """
-    H = model.H
-    if H.shape[0] != 1:
-        raise ParameterError("kf_update takes a scalar measurement")
-    r = float(z - (H @ x)[0])
-    PHt = P @ H[0]
-    s = float(H[0] @ PHt) + float(np.atleast_2d(R)[0, 0])
+    r = float(z - x[0])
+    PHt = P[:, 0]
+    s = float(PHt[0]) + float(np.atleast_2d(R)[0, 0])
     if not s > 0.0:
         raise NumericalError("innovation covariance is not positive definite")
     K = PHt / s
@@ -122,35 +120,31 @@ def kf_update(x: np.ndarray, P: np.ndarray, model: DiscreteModel, z: float,
 
 
 class FilterBank:
-    """Per-mode models, the transition matrix Pi and the noise of an IMM bank
-    of 3-state filters measuring the first state, held as float tuples.
+    """Per-mode transition matrices `phis` with the shared input map Gamma,
+    the mode transition matrix Pi and the noise of an IMM bank of 3-state
+    filters measuring the first state, held as float tuples.
 
-    Every model must have the motor's structure exactly: H = [1, 0, 0], and
-    Phi's first column e0 (the angle enters only its own integration). Both
-    hold for every model `build_vertex_set` makes: under Euler Phi = I + T A,
-    under ZOH Phi is the exponential of a matrix, and A's first column is
-    zero. So per mode only Phi's last two columns and Gamma are held, the
-    nine floats `imm_step` reads. Q is folded into its symmetric part, as
+    Every Phi must have the motor's structure exactly: its first column e0
+    (the angle enters only its own integration). That holds for every
+    vertex `build_vertex_set` makes: under Euler Phi = I + T A, under ZOH
+    Phi is the exponential of a matrix, and A's first column is zero. So
+    per mode only Phi's last two columns and Gamma are held, the nine
+    floats `imm_step` reads. Q is folded into its symmetric part, as
     `kf_predict` folds it.
     """
 
     __slots__ = ("modes", "pi_t", "pi_cols", "q", "r")
 
-    def __init__(self, models, Pi, noise: NoiseConfig):
-        models = tuple(models)
-        for m in models:
-            if m.Phi.shape != (3, 3) or m.Gamma.shape != (3, 1):
-                raise ParameterError("the filter bank takes 3-state, single-input models")
-            if m.H.shape != (1, 3):
-                raise ParameterError("the filter bank takes a scalar measurement")
-            if m.H[0].tolist() != [1.0, 0.0, 0.0]:
-                raise ParameterError("the filter bank takes the first state as its "
-                                     "measurement, H = [1, 0, 0] exactly")
-            if m.Phi[:, 0].tolist() != [1.0, 0.0, 0.0]:
-                raise ParameterError("the filter bank takes models whose first state "
-                                     "only integrates: Phi's first column e0 exactly")
+    def __init__(self, phis, Gamma, Pi, noise: NoiseConfig):
+        phis = tuple(np.asarray(phi, dtype=float) for phi in phis)
+        Gamma = np.asarray(Gamma, dtype=float)
+        if Gamma.shape != (3, 1) or any(phi.shape != (3, 3) for phi in phis):
+            raise ParameterError("the filter bank takes 3-state, single-input models")
+        if any(phi[:, 0].tolist() != [1.0, 0.0, 0.0] for phi in phis):
+            raise ParameterError("the filter bank takes models whose first state "
+                                 "only integrates: Phi's first column e0 exactly")
         Pi = np.asarray(Pi, dtype=float)
-        if not models or Pi.shape != (len(models), len(models)):
+        if not phis or Pi.shape != (len(phis), len(phis)):
             raise ParameterError("Pi must be Nv x Nv for Nv >= 1 modes")
         if any(not min(row) >= 0.0 or not abs(sum(row) - 1.0) <= 1e-12 for row in Pi.tolist()):
             raise ParameterError("each row of Pi must be a probability vector")
@@ -158,8 +152,8 @@ class FilterBank:
             raise ParameterError("noise must be a 3x3 Q and a 1x1 R")
         # per mode: Phi's last two columns row-major, then Gamma
         self.modes = tuple(
-            tuple(np.concatenate((m.Phi[:, 1:].reshape(-1), m.Gamma[:, 0])).tolist())
-            for m in models
+            tuple(np.concatenate((phi[:, 1:].reshape(-1), Gamma[:, 0])).tolist())
+            for phi in phis
         )
         self.pi_t = _frozen(Pi).T
         self.pi_cols = tuple(map(tuple, Pi.T.tolist()))

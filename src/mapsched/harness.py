@@ -76,11 +76,11 @@ class FrictionSegment:
 
 @dataclass(frozen=True)
 class FrictionSchedule:
-    """Piecewise friction profile for the truth plant; segment values either
-    switch instantly or ramp linearly over ramp_time."""
+    """Piecewise friction profile for the truth plant; segment values switch
+    instantly when ramp_time is 0 and ramp linearly over ramp_time when it
+    is positive."""
 
     segments: tuple
-    interpolation: str = "step"
     ramp_time: float = 0.0
     _starts: tuple = field(init=False, repr=False, compare=False)
 
@@ -91,10 +91,8 @@ class FrictionSchedule:
         starts = [s.start for s in segs]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ParameterError("friction segments must be time-sorted")
-        if self.interpolation not in ("step", "ramp"):
-            raise ParameterError("interpolation must be 'step' or 'ramp'")
-        if self.interpolation == "ramp" and not self.ramp_time > 0.0:
-            raise ParameterError("ramp interpolation needs ramp_time > 0")
+        if not self.ramp_time >= 0.0:
+            raise ParameterError(f"ramp_time must be a number >= 0, got {self.ramp_time!r}")
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(starts))
 
@@ -110,7 +108,7 @@ class FrictionSchedule:
         last segment starting at or before t, the first segment before that."""
         idx = max(bisect_right(self._starts, t) - 1, 0)
         seg = self.segments[idx]
-        if self.interpolation == "ramp" and idx > 0:
+        if self.ramp_time > 0.0 and idx > 0:
             lapsed = t - seg.start
             if lapsed < self.ramp_time:
                 prev = self.segments[idx - 1]
@@ -133,9 +131,7 @@ def load_window_schedule(b_low: float, b_high: float, start: float = 10.0,
         FrictionSegment(start, b_high, True),
         FrictionSegment(end, b_low, False),
     )
-    if ramp_time > 0.0:
-        return FrictionSchedule(segments=segs, interpolation="ramp", ramp_time=ramp_time)
-    return FrictionSchedule(segments=segs)
+    return FrictionSchedule(segments=segs, ramp_time=ramp_time)
 
 
 def toggle_schedule(b_low: float, b_high: float, first: float = 0.3,
@@ -185,8 +181,17 @@ class ScenarioSpec:
         _tick_count(self.duration, self.sample_rate)
         if not 0.0 < self.amplitude <= 100.0:
             raise ConfigError("reference amplitude must be in (0, 100] rad")
-        if self.reference == "sine" and not self.frequency > 0.0:
-            raise ConfigError("sine frequency must be positive")
+        if self.reference == "sine":
+            if not self.frequency > 0.0:
+                raise ConfigError("sine frequency must be positive")
+            # the reference's rate w = 2 pi f, its peak A w and its phase w t
+            # up to the end of the run, as reference_state forms them
+            w = 2.0 * math.pi * self.frequency
+            if not (math.isfinite(self.amplitude * w) and math.isfinite(w * self.duration)):
+                raise ConfigError(
+                    f"sine frequency {self.frequency!r} puts the reference's rate or "
+                    "phase past float range"
+                )
         if self.reference == "step" and not self.period > 0.0:
             raise ConfigError("step period must be positive")
         if not self.v_limit > 0.0:
@@ -304,7 +309,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     `vertices` is a gain-filled design, as `design_from_motor` returns; a
     set without gains is refused with ParameterError. Every variant runs
     one loop. The estimator is `imm_step` over a `FilterBank`: `imm` holds
-    every vertex model, `kf:<i>` the one model i. The gain is `maps_gain`
+    every vertex's Phi, `kf:<i>` vertex i's alone. The gain is `maps_gain`
     of the mode probabilities for `maps`, formed every tick; `fixed:<i>`
     takes vertex gain i and `open` a zero gain, feeding theta_ref forward
     as the voltage instead, both formed once per run. Under `kf:<i>` the
@@ -322,7 +327,6 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
         )
     spec.friction.validate_range(motor.b_max)
 
-    models = vertices.models()
     nv = vertices.n_vertices
     est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
     ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
@@ -333,7 +337,8 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
 
     # the vertex each filter mode stands for
     slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
-    bank = FilterBank([models[i] for i in slots], default_transition_matrix(len(slots)), noise)
+    bank = FilterBank([vertices.Phi_vertices[i] for i in slots], vertices.Gamma,
+                      default_transition_matrix(len(slots)), noise)
     means, covs, mu = bank.initial()
     gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
     # fixed:<i> and open weigh the vertex gains the same on every tick,

@@ -1,9 +1,11 @@
-"""DC motor models: physical parameters, linear state-space models
-(continuous and discrete), the friction parameters, and the
-polytopic vertex models used by the scheduled controller.
+"""DC motor models: physical parameters, the continuous (A, B) pair and its
+discretizations, the friction parameters, and the polytopic vertex set
+used by the scheduled controller.
 
 State ordering is [theta, omega, i] (rad, rad/s, A) throughout; the single
-input is the armature voltage and the single measurement is theta.
+input is the armature voltage and the single measurement is theta. The
+vertex set is the one design container: its arrays are passed as they are
+to the Riccati solver, the filter bank and the certificate.
 """
 
 from __future__ import annotations
@@ -49,50 +51,6 @@ class MotorParams:
 
 
 @dataclass(frozen=True)
-class ContinuousModel:
-    """Continuous linear model dx/dt = A x + B u, y = C x at a fixed viscous coefficient."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    viscous_coeff: float
-
-    def __post_init__(self):
-        A, B, C = _frozen(self.A), _frozen(self.B), _frozen(self.C)
-        if A.shape != (3, 3) or B.shape != (3, 1) or C.shape != (1, 3):
-            raise ParameterError("continuous model must be 3x3 / 3x1 / 1x3")
-        if A[0, 1] != 1.0 or A[0, 0] != 0.0 or A[0, 2] != 0.0:
-            raise ParameterError("first state must integrate omega: A row 0 = [0, 1, 0]")
-        if B[0, 0] != 0.0 or B[1, 0] != 0.0:
-            raise ParameterError("input must enter through the electrical state only")
-        if not np.array_equal(C, [[1.0, 0.0, 0.0]]):
-            raise ParameterError("measurement must be the angular position")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-
-
-@dataclass(frozen=True)
-class DiscreteModel:
-    """Discrete model x+ = Phi x + Gamma u, z = H x at sample time T."""
-
-    Phi: np.ndarray
-    Gamma: np.ndarray
-    H: np.ndarray
-    T: float
-
-    def __post_init__(self):
-        if not self.T > 0.0:
-            raise ParameterError("sample time must be positive")
-        Phi, Gamma, H = _frozen(self.Phi), _frozen(self.Gamma), _frozen(self.H)
-        if H.ndim != 2:
-            raise ParameterError("H must be a matrix, one row per measurement")
-        object.__setattr__(self, "Phi", Phi)
-        object.__setattr__(self, "Gamma", Gamma)
-        object.__setattr__(self, "H", H)
-
-
-@dataclass(frozen=True)
 class FrictionModel:
     """Static + Coulomb + viscous friction torque parameters."""
 
@@ -110,8 +68,8 @@ class FrictionModel:
 @dataclass(frozen=True)
 class VertexSet:
     """Polytopic vertex models Phi[i], one per scheduling value rho[i], plus
-    the shared input/measurement maps the scheduled controller and filters
-    use.
+    the shared input map Gamma, at sample time T; every vertex measures the
+    first state.
 
     Gains are synthesized separately; `with_gains` returns a filled copy.
     """
@@ -119,7 +77,6 @@ class VertexSet:
     rho: tuple
     Phi_vertices: tuple
     Gamma: np.ndarray
-    H: np.ndarray
     T: float
     mode: str
     K_vertices: tuple | None = None
@@ -133,10 +90,11 @@ class VertexSet:
         phis = tuple(_frozen(p) for p in self.Phi_vertices)
         if len(phis) != len(rho):
             raise ParameterError("one vertex matrix per scheduling value required")
+        if not self.T > 0.0:
+            raise ParameterError("sample time must be positive")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "Phi_vertices", phis)
         object.__setattr__(self, "Gamma", _frozen(self.Gamma))
-        object.__setattr__(self, "H", _frozen(self.H))
         if self.K_vertices is not None:
             object.__setattr__(self, "K_vertices", self._gain_rows(self.K_vertices))
 
@@ -158,16 +116,10 @@ class VertexSet:
         object.__setattr__(filled, "K_vertices", ks)
         return filled
 
-    def models(self) -> tuple:
-        """Per-vertex discrete models sharing Gamma and H."""
-        return tuple(
-            DiscreteModel(Phi=phi, Gamma=self.Gamma, H=self.H, T=self.T)
-            for phi in self.Phi_vertices
-        )
 
-
-def build_continuous_model(params: MotorParams, b: float) -> ContinuousModel:
-    """Continuous state-space matrices at viscous coefficient b.
+def build_continuous_model(params: MotorParams, b: float) -> tuple:
+    """Continuous state-space pair (A, B) of dx/dt = A x + B u at viscous
+    coefficient b.
 
     A couples omega and i through the torque and back-EMF constants; the
     voltage input enters the electrical state through 1/Lm.
@@ -182,8 +134,7 @@ def build_continuous_model(params: MotorParams, b: float) -> ContinuousModel:
         ]
     )
     B = np.array([[0.0], [0.0], [1.0 / params.Lm]])
-    C = np.array([[1.0, 0.0, 0.0]])
-    return ContinuousModel(A=A, B=B, C=C, viscous_coeff=float(b))
+    return A, B
 
 
 def euler_discretize(A: np.ndarray, B: np.ndarray, T: float):
@@ -216,40 +167,22 @@ def build_vertex_set(params: MotorParams, rho_values, T: float,
     ZOH input map at the nominal viscous coefficient otherwise.
     """
     rho = [float(r) for r in rho_values]
-    if len(rho) < 2:
-        raise ParameterError("need at least 2 scheduling vertices")
-    if any(b <= a for a, b in zip(rho, rho[1:])):
-        raise ParameterError("scheduling vertices must be strictly increasing")
     if mode not in ("euler", "zoh"):
         raise ParameterError(f"unknown discretization mode {mode!r}")
     if not T > 0.0:
         raise ParameterError("sample time must be positive")
 
-    H = np.array([[1.0, 0.0, 0.0]])
     if mode == "euler":
-        base = build_continuous_model(params, 0.0)
-        Phi0, Gamma = euler_discretize(base.A, base.B, T)
+        Phi0, Gamma = euler_discretize(*build_continuous_model(params, 0.0), T)
         Phi_hat = np.zeros((3, 3))
         Phi_hat[1, 1] = -T / params.Jeq
         phis = [Phi0 + r * Phi_hat for r in rho]
     else:
-        phis = []
-        for r in rho:
-            cm = build_continuous_model(params, r)
-            phi, _ = zoh_discretize(cm.A, cm.B, T)
-            phis.append(phi)
-        nom = build_continuous_model(params, params.b_m)
-        _, Gamma = zoh_discretize(nom.A, nom.B, T)
+        phis = [zoh_discretize(*build_continuous_model(params, r), T)[0] for r in rho]
+        _, Gamma = zoh_discretize(*build_continuous_model(params, params.b_m), T)
     if not all(np.isfinite(a).all() for a in (*phis, Gamma)):
         raise ParameterError(
             f"the {mode} discrete model at T = {T!r} s is not finite; "
             "the motor's time constants are out of float range at this sample time"
         )
-    return VertexSet(
-        rho=tuple(rho),
-        Phi_vertices=tuple(phis),
-        Gamma=Gamma,
-        H=H,
-        T=T,
-        mode=mode,
-    )
+    return VertexSet(rho=tuple(rho), Phi_vertices=tuple(phis), Gamma=Gamma, T=T, mode=mode)

@@ -6,7 +6,8 @@ so it holds on the convex hull once it holds at the vertices. On top of
 that, Lipschitz constants of the polytopic maps give the largest scheduling
 mismatch eps_star for which exponential stability survives, with overshoot
 constant C and contraction rate lambda. `certify` takes a gain-filled
-vertex set and reads the closed loops, Gamma included, from it.
+vertex set and reads the closed loops, Gamma included, from its arrays;
+the scheduling mismatch to evaluate the rate at is a plain number.
 
 The common-P search is a heuristic (averaged Lyapunov solutions), so failure
 is reported as "not certified", never as "unstable".
@@ -21,17 +22,6 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import CertificationError, ParameterError
 from .motor import VertexSet, _frozen
-
-
-@dataclass(frozen=True)
-class MismatchAssumptions:
-    """Bound on the scheduling estimation error."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.epsilon >= 0.0:
-            raise ParameterError(f"mismatch bound must be a number >= 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -192,13 +182,16 @@ def epsilon_star(P: np.ndarray, alpha: float, L: float,
     return eps_star, C, lam
 
 
-def certify(vertices: VertexSet,
-            assumptions: MismatchAssumptions | None = None) -> StabilityCert:
-    """Full certification pipeline for a gain-filled vertex set.
+def certify(vertices: VertexSet, epsilon: float | None = None) -> StabilityCert:
+    """Full certification pipeline for a gain-filled vertex set, with the
+    rate evaluated at the scheduling mismatch bound `epsilon` (eps_star / 2
+    when None).
 
     Raises CertificationError when the common-P heuristic finds no P with a
     positive decrease margin at every vertex.
     """
+    if epsilon is not None and not epsilon >= 0.0:
+        raise ParameterError(f"mismatch bound must be a number >= 0, got {epsilon!r}")
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
     loops = [
@@ -213,8 +206,7 @@ def certify(vertices: VertexSet,
             "this does not prove instability"
         )
     L_phi, L_k, L = lipschitz_constants(vertices)
-    eps_used = assumptions.epsilon if assumptions is not None else None
-    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=eps_used)
+    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=epsilon)
     return StabilityCert(
         P_lyap=search.P,
         alpha=search.worst_margin,
@@ -225,5 +217,5 @@ def certify(vertices: VertexSet,
         eps_star=eps_star,
         C=C,
         lambda_=lam,
-        epsilon_used=eps_used if eps_used is not None else 0.5 * eps_star,
+        epsilon_used=epsilon if epsilon is not None else 0.5 * eps_star,
     )

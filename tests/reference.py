@@ -8,12 +8,11 @@ when one substep moves omega less than the rest band's width.
 
 The rest are array or plain-loop forms of what the package computes another
 way: the Gaussian likelihood of one innovation, the IMM probability update,
-single-model discretizations, the percent change of a comparison, a
-friction lookup by linear scan, the IMM cycle in two passes, the closed loop
-run tick by tick, the Lyapunov solve with its own stability check, uniform
-draws from the simplex, the design path that solves, validates and checks
-everything as many times as it is used, and the run CSV writer that formats
-every cell with repr.
+the percent change of a comparison, a friction lookup by linear scan, the
+IMM cycle in two passes, the closed loop run tick by tick, the Lyapunov
+solve with its own stability check, uniform draws from the simplex, the
+design path that solves, validates and checks everything as many times as
+it is used, and the run CSV writer that formats every cell with repr.
 """
 
 import dataclasses
@@ -38,7 +37,6 @@ from mapsched.estimation import (
     default_transition_matrix,
 )
 from mapsched.harness import CSV_CHUNK, _parse_choice, _percent_change
-from mapsched.motor import DiscreteModel, euler_discretize, zoh_discretize
 from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     LyapunovSearch,
@@ -115,18 +113,6 @@ def imm_update_probabilities(likelihoods, mu_pred):
     return w / total
 
 
-def discretize_forward_euler(model, T):
-    """Discretize with forward Euler: Phi = I + T*A, Gamma = T*B, H = C."""
-    Phi, Gamma = euler_discretize(model.A, model.B, T)
-    return DiscreteModel(Phi=Phi, Gamma=Gamma, H=model.C, T=T)
-
-
-def discretize_exact_zoh(model, T):
-    """Discretize exactly under a zero-order hold on the input."""
-    Phi, Gamma = zoh_discretize(model.A, model.B, T)
-    return DiscreteModel(Phi=Phi, Gamma=Gamma, H=model.C, T=T)
-
-
 def delta_percent(comparison, attr, i=1, base=0):
     """Percent change of metric `attr` of variant i relative to `base`."""
     return _percent_change(getattr(comparison.metrics[base], attr),
@@ -142,7 +128,7 @@ def friction_by_scan(schedule, times):
         while idx + 1 < len(segs) and segs[idx + 1].start <= t:
             idx += 1
         seg, value = segs[idx], (segs[idx].b, segs[idx].coulomb_on)
-        if schedule.interpolation == "ramp" and idx > 0:
+        if schedule.ramp_time > 0.0 and idx > 0:
             lapsed = t - seg.start
             if lapsed < schedule.ramp_time:
                 prev = segs[idx - 1]
@@ -168,13 +154,14 @@ def _spread(weights, x, means, covs):
     return p00, p01, p02, p11, p12, p22
 
 
-def imm_step_two_pass(bank, models, means, covs, mu, u, z):
+def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
     """`estimation.imm_step` as two passes: every mode's mixed prior first
     (`np.dot` on lists, `_spread`), then predict and update mode by mode
-    with the full Phi, Gamma and H of `models`, then the probability update
-    over the list of weights. Only Pi and the noise are read from `bank`.
-    The package's one-pass cycle, which folds H = e0 and Phi's first column
-    e0 into its arithmetic, must return the same bits."""
+    with the full Phi of `phis`, the full Gamma and the measurement row
+    H = [1, 0, 0] written out, then the probability update over the list of
+    weights. Only Pi and the noise are read from `bank`. The package's
+    one-pass cycle, which folds H = e0 and Phi's first column e0 into its
+    arithmetic, must return the same bits."""
     q00, q01, q02, q11, q12, q22 = bank.q
     R = bank.r
     nv = len(mu)
@@ -188,11 +175,11 @@ def imm_step_two_pass(bank, models, means, covs, mu, u, z):
         mixed_means = np.dot(mixing, means).tolist()
         priors = [(x, _spread(w, x, means, covs)) for w, x in zip(mixing, mixed_means)]
     out_means, out_covs, liks = [], [], []
+    g0, g1, g2 = np.asarray(Gamma)[:, 0].tolist()
+    h0, h1, h2 = 1.0, 0.0, 0.0
     for j in range(nv):
         (m0, m1, m2), (p00, p01, p02, p11, p12, p22) = priors[j]
-        (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = models[j].Phi.tolist()
-        g0, g1, g2 = models[j].Gamma[:, 0].tolist()
-        h0, h1, h2 = models[j].H[0].tolist()
+        (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = np.asarray(phis[j]).tolist()
         # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q
         y0 = f00 * m0 + f01 * m1 + f02 * m2 + g0 * u
         y1 = f10 * m0 + f11 * m1 + f12 * m2 + g1 * u
@@ -259,8 +246,8 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
     est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
     ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
     slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
-    models = [vertices.models()[i] for i in slots]
-    bank = FilterBank(models, default_transition_matrix(len(slots)), noise)
+    phis = [vertices.Phi_vertices[i] for i in slots]
+    bank = FilterBank(phis, vertices.Gamma, default_transition_matrix(len(slots)), noise)
     means, covs, mu = bank.initial()
     gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
     scale = 1.0 if ctl_kind == "maps" else 0.0
@@ -282,7 +269,8 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
         t = k * T
         z = truth[0] + meas_std * normal()
         tau_dist = dist_std * normal() if dist_std > 0.0 else 0.0
-        means, covs, mu, _, x_hat = imm_step_two_pass(bank, models, means, covs, mu, u, z)
+        means, covs, mu, _, x_hat = imm_step_two_pass(bank, phis, vertices.Gamma,
+                                                      means, covs, mu, u, z)
         mu_v = [0.0] * nv
         for slot, m in zip(slots, mu):
             mu_v[slot] = m
@@ -316,10 +304,9 @@ def dare_residual_two_solve(Phi, Gamma, Q, R, P) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def solve_dare_two_solve(model, weights) -> RiccatiSolution:
+def solve_dare_two_solve(Phi, Gamma, weights) -> RiccatiSolution:
     """`control.solve_dare` solving Gamma' P Gamma + R twice: once in the
     residual, once for K."""
-    Phi, Gamma = model.Phi, model.Gamma
     Q, R = weights.Q, weights.R
     try:
         P = solve_discrete_are(Phi, Gamma, Q, R)
@@ -345,11 +332,7 @@ def gains_by_replace(vertices, weights):
     vertex, the gains filled through `dataclasses.replace`, which validates
     and freezes the whole set again."""
     Gamma = np.asarray(vertices.Gamma, dtype=float)
-    solutions = [
-        solve_dare_two_solve(DiscreteModel(Phi=phi, Gamma=Gamma, H=vertices.H, T=vertices.T),
-                             weights)
-        for phi in vertices.Phi_vertices
-    ]
+    solutions = [solve_dare_two_solve(phi, Gamma, weights) for phi in vertices.Phi_vertices]
     filled = dataclasses.replace(vertices, K_vertices=tuple(s.K for s in solutions))
     return filled, solutions
 
@@ -396,7 +379,7 @@ def find_common_lyapunov_checked(closed_loops, max_rounds: int = 500) -> Lyapuno
                           rounds=rounds)
 
 
-def certify_checked(vertices, assumptions=None) -> StabilityCert:
+def certify_checked(vertices, epsilon=None) -> StabilityCert:
     """`stability.certify` over `find_common_lyapunov_checked`."""
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
@@ -412,8 +395,7 @@ def certify_checked(vertices, assumptions=None) -> StabilityCert:
             "this does not prove instability"
         )
     L_phi, L_k, L = lipschitz_constants(vertices)
-    eps_used = assumptions.epsilon if assumptions is not None else None
-    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=eps_used)
+    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=epsilon)
     return StabilityCert(
         P_lyap=search.P,
         alpha=search.worst_margin,
@@ -424,7 +406,7 @@ def certify_checked(vertices, assumptions=None) -> StabilityCert:
         eps_star=eps_star,
         C=C,
         lambda_=lam,
-        epsilon_used=eps_used if eps_used is not None else 0.5 * eps_star,
+        epsilon_used=epsilon if epsilon is not None else 0.5 * eps_star,
     )
 
 

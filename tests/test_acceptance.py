@@ -33,7 +33,6 @@ from mapsched.harness import (
     toggle_schedule,
 )
 from mapsched.ident import SteadyStateSample, identify, viscous_from_slope
-from mapsched.motor import DiscreteModel
 from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     certify,
@@ -143,10 +142,8 @@ def test_criterion_1_friction_identification(motor_euler):
 
 def test_criterion_2_dare_correctness(motor_euler, design_euler, design_zoh):
     with criterion("criterion 2: DARE correctness", 1.0):
-        scalar = DiscreteModel(
-            Phi=np.array([[1.0]]), Gamma=np.array([[1.0]]), H=np.array([[1.0]]), T=1.0
-        )
-        sol = solve_dare(scalar, LqrWeights(Q=np.array([[1.0]]), R=np.array([[1.0]])))
+        sol = solve_dare(np.array([[1.0]]), np.array([[1.0]]),
+                         LqrWeights(Q=np.array([[1.0]]), R=np.array([[1.0]])))
         assert sol.P[0, 0] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-10)
         for design in (design_euler, design_zoh):
             for phi, K in zip(design.Phi_vertices, design.K_vertices):
@@ -157,7 +154,7 @@ def test_criterion_2_dare_correctness(motor_euler, design_euler, design_zoh):
 def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
     with criterion("criterion 3: IMM invariants over 15000 ticks", 10.0):
         noise = NoiseConfig.default()
-        models = design_zoh.models()
+        phis, Gamma = design_zoh.Phi_vertices, design_zoh.Gamma
         sched = toggle_schedule(motor_zoh.b_min, motor_zoh.b_max, first=0.3,
                                 period=5.0, duration=30.0)
         T, n = 0.002, 15_000
@@ -178,7 +175,7 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
             zs[k] = truth[0] + meas_std * rng.standard_normal()
             truth = plant_step(truth, us[k], ticks[sched.at(t)])
 
-        bank = FilterBank(models, default_transition_matrix(2), noise)
+        bank = FilterBank(phis, Gamma, default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         u_prev = 0.0
         fused_means = np.empty((n, 3))
@@ -197,8 +194,8 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
         assert float(min_eigs.min()) >= -1e-9
 
         # a bank of identical models must collapse to the standard KF
-        mdl = models[0]
-        bank = FilterBank((mdl, mdl), default_transition_matrix(2), noise)
+        phi = phis[0]
+        bank = FilterBank((phi, phi), Gamma, default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         x, P = initial_belief()
         kf_means = np.empty((n, 3))
@@ -207,8 +204,8 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
         for k in range(n):
             means, covs, mu, _, fused_means[k] = imm_step(bank, means, covs, mu, u_prev, zs[k])
             mode_means[k], mode_covs[k], mus[k] = means, covs, mu
-            x, P = kf_predict(x, P, mdl, u_prev, noise.Q)
-            x, P, _, _ = kf_update(x, P, mdl, zs[k], noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, u_prev, noise.Q)
+            x, P, _, _ = kf_update(x, P, zs[k], noise.R)
             kf_means[k], kf_covs[k] = x, P
             u_prev = us[k]
         fused = fused_covariances(mus, fused_means, mode_means, full_covariances(mode_covs))

@@ -20,15 +20,32 @@ from mapsched.config import MOTOR_DEFAULTS
 CLI = [sys.executable, "-m", "mapsched"]
 
 
-def run_cli(*args, env=None):
-    import os
+def run_cli(*args):
+    """`python -m mapsched` in a child process: kept for one exit code of
+    each class, the tests that also cover the module entry point."""
+    return subprocess.run([*CLI, *args], capture_output=True, text=True, timeout=300)
 
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [*CLI, *args], capture_output=True, text=True, env=full_env, timeout=300
-    )
+
+@pytest.fixture
+def maps(capsys, monkeypatch):
+    """`maps` in this process: `cli.main` on the arguments, with the `env`
+    entries set for the call only. Returns the exit code (a SystemExit's
+    code included) with the captured stdout and stderr, as `run_cli` does;
+    any other exception escapes and fails the test."""
+
+    def run(*args, env=None):
+        with monkeypatch.context() as mp:
+            for key, value in (env or {}).items():
+                mp.setenv(key, value)
+            capsys.readouterr()
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(["maps", *args], code, out, err)
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -55,24 +72,24 @@ def scenario_cfg(tmp_path_factory):
     return path
 
 
-def test_ident_prints_slope_and_coefficient(ident_csv):
-    out = run_cli("ident", str(ident_csv))
+def test_ident_prints_slope_and_coefficient(maps, ident_csv):
+    out = maps("ident", str(ident_csv))
     assert out.returncode == 0
     assert "slope mu" in out.stdout
     assert "viscous coeff b" in out.stdout
     assert "residual rms" in out.stdout
 
 
-def test_gains_reports_stable_loops():
-    out = run_cli("gains")
+def test_gains_reports_stable_loops(maps):
+    out = maps("gains")
     assert out.returncode == 0
     assert "vertex 1" in out.stdout and "vertex 2" in out.stdout
     assert "closed-loop |eig|" in out.stdout
 
 
-def test_gains_json_export(tmp_path):
+def test_gains_json_export(maps, tmp_path):
     target = tmp_path / "gains.json"
-    out = run_cli("gains", "--json", str(target))
+    out = maps("gains", "--json", str(target))
     assert out.returncode == 0
     payload = json.loads(target.read_text())
     assert len(payload["vertices"]) == 2
@@ -100,15 +117,15 @@ def test_invalid_config_exit_one(tmp_path):
     assert "invalid config" in out.stderr
 
 
-def test_missing_file_exit_one(tmp_path):
-    out = run_cli("run", str(tmp_path / "nope.cfg"))
+def test_missing_file_exit_one(maps, tmp_path):
+    out = maps("run", str(tmp_path / "nope.cfg"))
     assert out.returncode == 1
 
 
-def test_non_finite_duration_exit_one(tmp_path):
+def test_non_finite_duration_exit_one(maps, tmp_path):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("duration = inf\nfriction = constant\n")
-    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
     assert out.returncode == 1
     assert "invalid config" in out.stderr
     assert "Traceback" not in out.stderr
@@ -119,10 +136,10 @@ def test_non_finite_duration_exit_one(tmp_path):
     "friction = toggle\ntoggle_period = 1e-9\n",            # 3e10 segments
     "substeps = 1000000000\n",                              # not a scenario key
 ], ids=["ticks", "toggle_segments", "substeps"])
-def test_oversized_work_exit_one(tmp_path, text):
+def test_oversized_work_exit_one(maps, tmp_path, text):
     cfg = tmp_path / "big.cfg"
     cfg.write_text(text)
-    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
     assert out.returncode == 1
     assert "invalid config" in out.stderr
     assert "Traceback" not in out.stderr
@@ -189,10 +206,10 @@ def test_riccati_qz_failure_exit_two(monkeypatch):
     [],                                         # no subcommand
     ["gains", "--bogus"],                       # unknown option
 ], ids=["missing-scenario", "epsilon-text", "unknown-command", "no-command", "unknown-option"])
-def test_usage_error_exit_one(args):
+def test_usage_error_exit_one(maps, args):
     # a command-line mistake is an invalid config (1), not argparse's 2,
     # which the documented codes give to a numerical failure
-    out = run_cli(*args)
+    out = maps(*args)
     assert out.returncode == 1
     assert out.stderr.startswith("usage: maps")
     assert "error: " in out.stderr
@@ -200,17 +217,17 @@ def test_usage_error_exit_one(args):
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
-def test_help_and_version_exit_zero(flag):
-    out = run_cli(flag)
+def test_help_and_version_exit_zero(maps, flag):
+    out = maps(flag)
     assert out.returncode == 0
     assert out.stdout and not out.stderr
 
 
 @pytest.mark.parametrize("epsilon, code", [("nan", 1), ("-0.1", 1), ("inf", 3)])
-def test_certify_epsilon_outside_the_budget(epsilon, code):
+def test_certify_epsilon_outside_the_budget(maps, epsilon, code):
     # NaN is no mismatch bound (exit 1, as a negative one); an infinite one
     # exceeds every certified budget (exit 3)
-    out = run_cli("certify", "--epsilon", epsilon)
+    out = maps("certify", "--epsilon", epsilon)
     assert out.returncode == code
     assert "certified: yes" not in out.stdout
     assert "Traceback" not in out.stderr
@@ -249,9 +266,9 @@ def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
     assert len(calls) == n_vertices
 
 
-def test_run_writes_outputs(tmp_path, scenario_cfg):
+def test_run_writes_outputs(maps, tmp_path, scenario_cfg):
     out_dir = tmp_path / "out"
-    out = run_cli("run", str(scenario_cfg), "--out", str(out_dir))
+    out = maps("run", str(scenario_cfg), "--out", str(out_dir))
     assert out.returncode == 0
     assert (out_dir / "trace.csv").exists()
     assert (out_dir / "plot.csv").exists()
@@ -281,16 +298,16 @@ def test_run_refuses_an_out_that_is_not_a_directory(tmp_path, scenario_cfg, monk
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
-def test_run_byte_identical_reruns(tmp_path, scenario_cfg):
+def test_run_byte_identical_reruns(maps, tmp_path, scenario_cfg):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
-    assert run_cli("run", str(scenario_cfg), "--out", str(d1)).returncode == 0
-    assert run_cli("run", str(scenario_cfg), "--out", str(d2)).returncode == 0
+    assert maps("run", str(scenario_cfg), "--out", str(d1)).returncode == 0
+    assert maps("run", str(scenario_cfg), "--out", str(d2)).returncode == 0
     assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
 
 
-def test_maps_seed_env_override(tmp_path, scenario_cfg):
+def test_maps_seed_env_override(maps, tmp_path, scenario_cfg):
     d1 = tmp_path / "seeded"
-    out = run_cli("run", str(scenario_cfg), "--out", str(d1), env={"MAPS_SEED": "123"})
+    out = maps("run", str(scenario_cfg), "--out", str(d1), env={"MAPS_SEED": "123"})
     assert out.returncode == 0
     metrics = json.loads((d1 / "metrics.json").read_text())
     assert metrics["seed"] == 123
@@ -300,10 +317,10 @@ def test_maps_seed_env_override(tmp_path, scenario_cfg):
     ("seed = -1\n", None),
     ("", {"MAPS_SEED": "-1"}),
 ], ids=["file", "env"])
-def test_negative_seed_exit_one(tmp_path, text, env):
+def test_negative_seed_exit_one(maps, tmp_path, text, env):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("duration = 0.1\n" + text)
-    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"), env=env)
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"), env=env)
     assert out.returncode == 1
     assert "invalid config" in out.stderr
     assert "Traceback" not in out.stderr
@@ -314,30 +331,47 @@ def test_negative_seed_exit_one(tmp_path, text, env):
     "process_noise_std = -1\n",
     "meas_noise_std = -0.5\n",
 ], ids=["process", "meas"])
-def test_negative_noise_exit_one(tmp_path, text):
+def test_negative_noise_exit_one(maps, tmp_path, text):
     cfg = tmp_path / "noise.cfg"
     cfg.write_text("duration = 0.1\n" + text)
-    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
     assert out.returncode == 1
     assert "invalid config" in out.stderr and "noise_std" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "out").exists()
 
 
-def test_diverged_estimate_exit_two(tmp_path):
+@pytest.mark.parametrize("text, reason", [
+    ("duration = 1\nfriction = window\nramp_time = -1\n", "ramp_time must be a number >= 0"),
+    ("duration = 1\nfrequency = 1e308\n", "sine frequency 1e+308 puts the reference's rate"),
+    ("duration = 1\namplitude = 100\nfrequency = 1e307\n", "sine frequency 1e+307 puts"),
+    ("duration = 30\nfrequency = 1e307\n", "sine frequency 1e+307 puts the reference's rate"),
+], ids=["negative-ramp", "rate", "peak", "phase"])
+def test_schedule_and_reference_out_of_range_exit_one(maps, tmp_path, text, reason):
+    # a negative ramp would run as step switches; a sine whose rate, peak or
+    # phase overflows would reach the plant as a NaN input or raise in sin
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: invalid config: ") and reason in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverged_estimate_exit_two(maps, tmp_path):
     # a 1e100 N*m torque disturbance drives the estimate past what float64
     # resolves against R; the filter's inputs stay finite to the end
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("duration = 0.4\ndiscretization = zoh\nprocess_noise_std = 1e100\n")
-    out = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
     assert out.returncode == 2
     assert out.stderr.startswith("error: numerical failure: the estimate diverged")
     assert "Traceback" not in out.stderr
 
 
-def test_compare_default_variants(scenario_cfg, tmp_path):
+def test_compare_default_variants(maps, scenario_cfg, tmp_path):
     out_csv = tmp_path / "cmp.csv"
-    out = run_cli("compare", str(scenario_cfg), "--out", str(out_csv))
+    out = maps("compare", str(scenario_cfg), "--out", str(out_csv))
     assert out.returncode == 0
     assert "maps" in out.stdout and "fixed" in out.stdout
     assert out_csv.exists()
@@ -367,8 +401,8 @@ def test_compare_refuses_a_bad_out_before_running(tmp_path, scenario_cfg, monkey
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
-def test_compare_custom_variants(scenario_cfg):
-    out = run_cli(
+def test_compare_custom_variants(maps, scenario_cfg):
+    out = maps(
         "compare", str(scenario_cfg),
         "--variant", "a=maps/imm", "--variant", "b=fixed:1/kf:1",
     )

@@ -22,15 +22,14 @@ from mapsched.control import (
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import NoiseConfig
 from mapsched.harness import design_from_motor
-from mapsched.motor import DiscreteModel, MotorParams, build_vertex_set
+from mapsched.motor import MotorParams, build_vertex_set
 
 B_MIN, B_MAX = 2.46e-6, 1.63e-4
 
 
 def scalar_model(phi, gamma):
-    return DiscreteModel(
-        Phi=np.array([[phi]]), Gamma=np.array([[gamma]]), H=np.array([[1.0]]), T=1.0
-    )
+    """(Phi, Gamma) of the scalar model x+ = phi x + gamma u."""
+    return np.array([[phi]]), np.array([[gamma]])
 
 
 def scalar_weights(q, r):
@@ -39,13 +38,13 @@ def scalar_weights(q, r):
 
 class TestSolveDare:
     def test_scalar_golden_ratio(self):
-        sol = solve_dare(scalar_model(1.0, 1.0), scalar_weights(1.0, 1.0))
+        sol = solve_dare(*scalar_model(1.0, 1.0), scalar_weights(1.0, 1.0))
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         assert sol.P[0, 0] == pytest.approx(golden, abs=1e-10)
         assert sol.K[0, 0] == pytest.approx(golden / (1.0 + golden), abs=1e-10)
 
     def test_scalar_zero_phi(self):
-        sol = solve_dare(scalar_model(0.0, 1.0), scalar_weights(3.0, 1.0))
+        sol = solve_dare(*scalar_model(0.0, 1.0), scalar_weights(3.0, 1.0))
         assert sol.P[0, 0] == pytest.approx(3.0, abs=1e-12)
         assert sol.K[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -59,17 +58,15 @@ class TestSolveDare:
 
     def test_matches_scipy_solution(self, motor, weights, vertices_zoh):
         for phi in vertices_zoh.Phi_vertices:
-            mdl = DiscreteModel(Phi=phi, Gamma=vertices_zoh.Gamma, H=vertices_zoh.H, T=0.002)
-            sol = solve_dare(mdl, weights)
+            sol = solve_dare(phi, vertices_zoh.Gamma, weights)
             ref = solve_discrete_are(phi, vertices_zoh.Gamma, weights.Q, weights.R)
             assert np.allclose(sol.P, ref, rtol=1e-8, atol=1e-8)
 
     def test_residual_bound_holds(self, vertices_euler, weights):
         for phi in vertices_euler.Phi_vertices:
-            mdl = DiscreteModel(Phi=phi, Gamma=vertices_euler.Gamma, H=vertices_euler.H, T=0.002)
-            sol = solve_dare(mdl, weights)
+            sol = solve_dare(phi, vertices_euler.Gamma, weights)
             assert sol.residual <= 1e-9
-            _, defect = _gain_and_defect(mdl.Phi, mdl.Gamma, weights.Q, weights.R, sol.P)
+            _, defect = _gain_and_defect(phi, vertices_euler.Gamma, weights.Q, weights.R, sol.P)
             assert defect <= 1e-9
 
     def test_pinned_gains_euler_1ms(self, motor, weights):
@@ -81,14 +78,14 @@ class TestSolveDare:
             [0.4926684553752959, -0.0006540751422416855, -6.980618093608604],
         )
         vs = build_vertex_set(motor.params, (B_MIN, 6e-4), 0.001, mode="euler")
-        for model, K_ref in zip(vs.models(), pinned):
-            K = solve_dare(model, weights).K.reshape(-1)
+        for phi, K_ref in zip(vs.Phi_vertices, pinned):
+            K = solve_dare(phi, vs.Gamma, weights).K.reshape(-1)
             assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
 
     def test_unstabilizable_pair_rejected(self):
         # uncontrollable unstable mode: Gamma = 0
         with pytest.raises(NumericalError, match="likely not stabilizable"):
-            solve_dare(scalar_model(2.0, 0.0), scalar_weights(1.0, 1.0))
+            solve_dare(*scalar_model(2.0, 0.0), scalar_weights(1.0, 1.0))
 
     def test_qz_failure_is_a_numerical_failure(self, monkeypatch, vertices_euler, weights):
         # scipy warns, and carries on with a pencil not in Schur form, when
@@ -102,15 +99,15 @@ class TestSolveDare:
         with warnings.catch_warnings(), pytest.raises(NumericalError,
                                                       match="QZ iteration failed"):
             warnings.simplefilter("error")
-            solve_dare(vertices_euler.models()[0], weights)
+            solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, weights)
 
     def test_model_out_of_float_range_is_named(self, weights):
         # an Euler electrical pole 1 - T Rm / Lm of -1.7e148 (Lm = 1e-150):
         # the solve fails because the model is past float64 round-off, not
         # because the pair is not stabilizable
-        model = build_vertex_set(MotorParams(Lm=1e-150), (B_MIN, B_MAX), 0.002).models()[0]
+        vs = build_vertex_set(MotorParams(Lm=1e-150), (B_MIN, B_MAX), 0.002)
         with pytest.raises(NumericalError, match="reach 1.68e[+]148.*out of float range"):
-            solve_dare(model, weights)
+            solve_dare(vs.Phi_vertices[0], vs.Gamma, weights)
 
     def test_non_finite_gain_is_a_numerical_failure(self, monkeypatch, vertices_euler,
                                                     weights):
@@ -120,7 +117,7 @@ class TestSolveDare:
         with warnings.catch_warnings(), pytest.raises(NumericalError,
                                                       match="no stabilizing solution"):
             warnings.simplefilter("error")
-            solve_dare(vertices_euler.models()[0], weights)
+            solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, weights)
 
     def test_weight_validation(self):
         with pytest.raises(ParameterError):
@@ -158,7 +155,7 @@ GRID = list(itertools.product(("euler", "zoh"), (0.001, 0.002), (1.63e-4, 6e-4))
 
 def fresh_gains(vertices, weights) -> list:
     """Gain bytes of a fresh `solve_dare` of each vertex, past the memo."""
-    return [solve_dare(model, weights).K.tobytes() for model in vertices.models()]
+    return [solve_dare(phi, vertices.Gamma, weights).K.tobytes() for phi in vertices.Phi_vertices]
 
 
 class TestGainMemo:
@@ -200,8 +197,7 @@ class TestGainMemo:
     def test_gains_are_read_only(self, motor, weights):
         vertices = design_from_motor(motor, weights)
         for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices):
-            model = DiscreteModel(Phi=phi, Gamma=vertices.Gamma, H=vertices.H, T=vertices.T)
-            held = control._vertex_gain(control._RiccatiProblem(model, weights))
+            held = control._vertex_gain(control._RiccatiProblem(phi, vertices.Gamma, weights))
             for gain in (K, held):
                 with pytest.raises(ValueError):
                     gain[0, 0] = 1.0
@@ -286,7 +282,8 @@ class TestControlInput:
 
 
 def test_gain_report_shape(vertices_euler, weights):
-    solutions = [solve_dare(model, weights) for model in vertices_euler.models()]
+    solutions = [solve_dare(phi, vertices_euler.Gamma, weights)
+                 for phi in vertices_euler.Phi_vertices]
     report = gain_report(vertices_euler, solutions)
     assert report["mode"] == "euler"
     assert len(report["vertices"]) == 2
@@ -299,7 +296,7 @@ def test_gain_report_shape(vertices_euler, weights):
 
 def test_gain_report_requires_gains(motor, weights):
     bare = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002)
-    solutions = [solve_dare(model, weights) for model in bare.models()]
+    solutions = [solve_dare(phi, bare.Gamma, weights) for phi in bare.Phi_vertices]
     with pytest.raises(ParameterError, match="gains have not been synthesized"):
         gain_report(bare, solutions)
 

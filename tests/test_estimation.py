@@ -18,14 +18,13 @@ from mapsched.estimation import (
     kf_update,
 )
 from mapsched.harness import ScenarioSpec, run_scenario, toggle_schedule, write_run_csvs
-from mapsched.motor import DiscreteModel, build_vertex_set
+from mapsched.motor import build_vertex_set
 from mapsched.plant import TickMap, plant_step
 
 
-def scalar_model(phi, gamma=0.0, h=1.0, T=1.0):
-    return DiscreteModel(
-        Phi=np.array([[phi]]), Gamma=np.array([[gamma]]), H=np.array([[h]]), T=T
-    )
+def scalar_model(phi, gamma=0.0):
+    """(Phi, Gamma) of the scalar model x+ = phi x + gamma u."""
+    return np.array([[phi]]), np.array([[gamma]])
 
 
 def full(c):
@@ -49,8 +48,8 @@ def belief3(x, p):
     return (x, 0.0, 0.0), (p, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 
-HOLD_MODEL = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)),
-                           H=np.array([[1.0, 0.0, 0.0]]), T=1.0)
+# a 3-state model that holds its state and takes no input
+HOLD_PHI, HOLD_GAMMA = np.eye(3), np.zeros((3, 1))
 
 
 def hold_bank(Pi):
@@ -61,7 +60,7 @@ def hold_bank(Pi):
     likelihood, so imm_step returns the mixed priors as its means and
     covariances, and mu is mu_pred up to the rounding of the Bayes update."""
     noise = NoiseConfig(Q=np.zeros((3, 3)), R=np.array([[1e300]]))
-    return FilterBank([HOLD_MODEL] * len(Pi), Pi, noise)
+    return FilterBank([HOLD_PHI] * len(Pi), HOLD_GAMMA, Pi, noise)
 
 
 def hold_step(Pi, beliefs, mu):
@@ -72,51 +71,42 @@ def hold_step(Pi, beliefs, mu):
 
 class TestKfPredict:
     def test_identity_dynamics_leaves_belief(self):
-        mdl = scalar_model(1.0, gamma=0.0)
-        x, P = kf_predict(np.array([0.7]), np.array([[2.0]]), mdl, 5.0, Q=np.array([[0.0]]))
+        x, P = kf_predict(np.array([0.7]), np.array([[2.0]]), *scalar_model(1.0, gamma=0.0), 5.0,
+                          Q=np.array([[0.0]]))
         assert x[0] == 0.7
         assert P[0, 0] == 2.0
 
     def test_scalar_covariance_propagation(self):
-        _, P = kf_predict(np.array([0.0]), np.array([[1.0]]), scalar_model(2.0), 0.0,
+        _, P = kf_predict(np.array([0.0]), np.array([[1.0]]), *scalar_model(2.0), 0.0,
                           Q=np.array([[1.0]]))
         assert P[0, 0] == pytest.approx(5.0, rel=1e-15)
 
     def test_input_enters_through_gamma(self, motor, vertices_euler):
-        mdl = vertices_euler.models()[0]
-        x, _ = kf_predict(np.zeros(3), np.zeros((3, 3)), mdl, 1.0, Q=np.zeros((3, 3)))
+        x, _ = kf_predict(np.zeros(3), np.zeros((3, 3)), vertices_euler.Phi_vertices[0],
+                          vertices_euler.Gamma, 1.0, Q=np.zeros((3, 3)))
         assert x == pytest.approx([0.0, 0.0, 1.72414], rel=1e-5)
 
 
 class TestKfUpdate:
     def test_perfect_prior_ignores_measurement(self):
-        x, P, r, s = kf_update(np.array([0.3]), np.array([[0.0]]), scalar_model(1.0), 9.0,
-                               R=np.array([[1.0]]))
+        x, P, r, s = kf_update(np.array([0.3]), np.array([[0.0]]), 9.0, R=np.array([[1.0]]))
         assert x[0] == 0.3
         assert P[0, 0] == 0.0
         assert r == pytest.approx(8.7)
 
     def test_scalar_closed_form(self):
-        x, P, r, s = kf_update(np.array([0.0]), np.array([[1.0]]), scalar_model(1.0), 2.0,
-                               R=np.array([[1.0]]))
+        x, P, r, s = kf_update(np.array([0.0]), np.array([[1.0]]), 2.0, R=np.array([[1.0]]))
         assert s == pytest.approx(2.0)
         assert x[0] == pytest.approx(1.0, rel=1e-15)
         assert P[0, 0] == pytest.approx(0.5, rel=1e-15)
 
     def test_huge_r_keeps_prior(self):
-        x, _, _, _ = kf_update(np.array([0.4]), np.array([[1.0]]), scalar_model(1.0), 100.0,
-                               R=np.array([[1e12]]))
+        x, _, _, _ = kf_update(np.array([0.4]), np.array([[1.0]]), 100.0, R=np.array([[1e12]]))
         assert x[0] == pytest.approx(0.4, abs=1e-9)
 
     def test_indefinite_innovation_rejected(self):
         with pytest.raises(NumericalError):
-            kf_update(np.array([0.0]), np.array([[0.0]]), scalar_model(1.0), 1.0,
-                      R=np.array([[-1.0]]))
-
-    def test_vector_measurement_rejected(self):
-        mdl = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)), H=np.eye(3)[:2], T=1.0)
-        with pytest.raises(ParameterError):
-            kf_update(np.zeros(3), np.eye(3), mdl, np.zeros(2), R=np.eye(2))
+            kf_update(np.array([0.0]), np.array([[0.0]]), 1.0, R=np.array([[-1.0]]))
 
 
 class TestMixing:
@@ -197,23 +187,23 @@ class TestFusedMoments:
 
 class TestImmStep:
     def test_single_model_reduces_to_kf(self, vertices_zoh, noise):
-        mdl = vertices_zoh.models()[0]
-        bank = FilterBank((mdl,), np.array([[1.0]]), noise)
+        phi, Gamma = vertices_zoh.Phi_vertices[0], vertices_zoh.Gamma
+        bank = FilterBank((phi,), Gamma, np.array([[1.0]]), noise)
         means, covs, mu = bank.initial()
         x, P = initial_belief()
         rng = np.random.default_rng(0)
         for _ in range(50):
             z = 0.01 * rng.standard_normal()
             means, covs, mu, _, fused = imm_step(bank, means, covs, mu, 0.3, z)
-            x, P = kf_predict(x, P, mdl, 0.3, noise.Q)
-            x, P, _, _ = kf_update(x, P, mdl, z, noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, 0.3, noise.Q)
+            x, P, _, _ = kf_update(x, P, z, noise.R)
             assert mu[0] == 1.0
             assert np.allclose(fused, x, atol=1e-12)
             assert np.allclose(fused_cov(means, covs, mu), P, atol=1e-12)
 
     def test_identical_models_match_standard_kf(self, vertices_zoh, noise):
-        mdl = vertices_zoh.models()[0]
-        bank = FilterBank((mdl, mdl), default_transition_matrix(2), noise)
+        phi, Gamma = vertices_zoh.Phi_vertices[0], vertices_zoh.Gamma
+        bank = FilterBank((phi, phi), Gamma, default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         x, P = initial_belief()
         rng = np.random.default_rng(1)
@@ -221,13 +211,14 @@ class TestImmStep:
         for k in range(1000):
             z = 0.05 * math.sin(0.01 * k) + 0.003 * rng.standard_normal()
             means, covs, mu, _, fused = imm_step(bank, means, covs, mu, 0.5, z)
-            x, P = kf_predict(x, P, mdl, 0.5, noise.Q)
-            x, P, _, _ = kf_update(x, P, mdl, z, noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, 0.5, noise.Q)
+            x, P, _, _ = kf_update(x, P, z, noise.R)
             worst = max(worst, float(np.max(np.abs(np.array(fused) - x))))
         assert worst < 1e-9
 
     def test_fused_mean_is_probability_weighted(self, vertices_zoh, noise):
-        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
+                          default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -240,7 +231,8 @@ class TestImmStep:
     @settings(max_examples=20, deadline=None)
     def test_simplex_preserved(self, vertices_zoh, noise, seed):
         rng = np.random.default_rng(seed)
-        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
+                          default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         for _ in range(20):
             z = 0.1 * rng.standard_normal()
@@ -251,7 +243,8 @@ class TestImmStep:
 
     def test_covariances_stay_psd_short_run(self, vertices_zoh, noise):
         rng = np.random.default_rng(11)
-        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
+                          default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         for _ in range(500):
             means, covs, mu, _, _ = imm_step(
@@ -263,7 +256,8 @@ class TestImmStep:
     def test_refuses_innovations_without_a_likelihood(self, vertices_zoh, noise):
         # s is NaN for a NaN prior covariance; a residual past ~1e154
         # overflows r ** 2: both are numerical failures, not a traceback
-        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
+                          default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         nan_covs = [(math.nan,) * 6] * 2
         with pytest.raises(NumericalError, match="positive definite"):
@@ -272,7 +266,8 @@ class TestImmStep:
             imm_step(bank, means, covs, mu, 0.0, 1e200)
 
     def test_names_a_diverged_estimate(self, vertices_zoh, noise):
-        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
+                          default_transition_matrix(2), noise)
         _, covs, mu = bank.initial()
         # finite means 2e200 apart: the spread overflows, +inf and -inf meet
         # in Phi P Phi' and s is NaN
@@ -292,17 +287,20 @@ class TestImmStep:
 
 class TestFilterBank:
     def test_rejects_models_that_are_not_three_state(self, noise):
-        with pytest.raises(ParameterError):
-            FilterBank([scalar_model(1.0)], [[1.0]], noise)
+        phi, gamma = scalar_model(1.0)
+        with pytest.raises(ParameterError, match="3-state, single-input"):
+            FilterBank([phi], gamma, [[1.0]], noise)
+
+    @pytest.mark.parametrize("Gamma", [np.zeros((1, 3)), np.zeros(3), np.zeros((3, 2))],
+                             ids=["row", "flat", "two-input"])
+    def test_rejects_a_gamma_that_is_not_three_by_one(self, noise, Gamma):
+        with pytest.raises(ParameterError, match="3-state, single-input"):
+            FilterBank([HOLD_PHI], Gamma, [[1.0]], noise)
 
     def test_rejects_vector_measurement(self, noise):
-        mdl = DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)), H=np.eye(3)[:2], T=1.0)
-        with pytest.raises(ParameterError):
-            FilterBank([mdl], [[1.0]], noise)
         vector_r = NoiseConfig(Q=noise.Q, R=np.eye(2) * 1e-5)
-        with pytest.raises(ParameterError):
-            FilterBank([DiscreteModel(Phi=np.eye(3), Gamma=np.zeros((3, 1)),
-                                      H=np.eye(3)[:1], T=1.0)], [[1.0]], vector_r)
+        with pytest.raises(ParameterError, match="1x1 R"):
+            FilterBank([HOLD_PHI], HOLD_GAMMA, [[1.0]], vector_r)
 
     @pytest.mark.parametrize("Pi", [
         [[0.9, 0.2], [0.1, 0.9]],    # a row sums to 1.1
@@ -311,10 +309,10 @@ class TestFilterBank:
     ], ids=["row_sum", "negative", "nan"])
     def test_pi_rows_must_be_probability_vectors(self, vertices_zoh, noise, Pi):
         with pytest.raises(ParameterError):
-            FilterBank(vertices_zoh.models(), Pi, noise)
+            FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma, Pi, noise)
 
 
-def per_mode_imm_step(Pi, models, means, covs, mu, u, z, noise):
+def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z, noise):
     """The IMM cycle written mode by mode from the single-filter pieces, on
     arrays: (fused mean, fused covariance, mu, per-mode means, covariances)."""
     mu = np.array(mu)
@@ -323,22 +321,22 @@ def per_mode_imm_step(Pi, models, means, covs, mu, u, z, noise):
     means = np.array(means)
     covs = [full(c) for c in covs]
     post_means, post_covs, likelihoods = [], [], []
-    for j, model in enumerate(models):
+    for j, phi in enumerate(phis):
         w = mixing[:, j]
         x0 = w @ means
         P0 = np.zeros((3, 3))
-        for i in range(len(models)):
+        for i in range(len(phis)):
             d = means[i] - x0
             P0 += w[i] * (covs[i] + np.outer(d, d))
-        x, P = kf_predict(x0, P0, model, u, noise.Q)
-        x, P, r, s = kf_update(x, P, model, z, noise.R)
+        x, P = kf_predict(x0, P0, phi, Gamma, u, noise.Q)
+        x, P, r, s = kf_update(x, P, z, noise.R)
         post_means.append(x)
         post_covs.append(P)
         likelihoods.append(imm_likelihood(r, s))
     mu = imm_update_probabilities(np.maximum(likelihoods, 1e-300), mu_pred)
     x = mu @ np.stack(post_means)
     P = np.zeros((3, 3))
-    for j in range(len(models)):
+    for j in range(len(phis)):
         d = post_means[j] - x
         P += mu[j] * (post_covs[j] + np.outer(d, d))
     return x, 0.5 * (P + P.T), mu, post_means, post_covs
@@ -367,15 +365,15 @@ def friction_switch_stream(motor_zoh, noise):
 
 def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh, noise):
     # the friction-switch stream of acceptance criterion 3, 15000 ticks
-    models, Pi = vertices_zoh.models(), default_transition_matrix(2)
-    bank = FilterBank(models, Pi, noise)
+    phis, Gamma, Pi = vertices_zoh.Phi_vertices, vertices_zoh.Gamma, default_transition_matrix(2)
+    bank = FilterBank(phis, Gamma, Pi, noise)
     means, covs, mu = bank.initial()
     worst = 0.0
     for u_prev, z in friction_switch_stream(motor_zoh, noise):
         # both cycles start from the same state each tick, so the check does
         # not depend on how round-off grows over the run
         x, P, mu_ref, ref_means, ref_covs = per_mode_imm_step(
-            Pi, models, means, covs, mu, u_prev, z, noise)
+            Pi, phis, Gamma, means, covs, mu, u_prev, z, noise)
         means, covs, mu, _, fused = imm_step(bank, means, covs, mu, u_prev, z)
         pairs = [(fused, x), (fused_cov(means, covs, mu), P), (mu, mu_ref)]
         pairs += list(zip(means, ref_means))
@@ -388,18 +386,18 @@ def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh, noise):
 def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, noise, modes):
     # the one-pass cycle returns the two-pass cycle's bits, every output on
     # every tick of criterion 3's stream, each tick from the same state
-    models = vertices_zoh.models()
+    phis, Gamma = vertices_zoh.Phi_vertices, vertices_zoh.Gamma
     if modes == "one-mode":
-        models = models[1:]
+        phis = phis[1:]
     elif modes == "three-mode":
         b_mid = 0.5 * (motor_zoh.b_min + motor_zoh.b_max)
-        models = build_vertex_set(motor_zoh.params, (motor_zoh.b_min, b_mid, motor_zoh.b_max),
-                                  0.002, "zoh").models()
-    bank = FilterBank(models, default_transition_matrix(len(models)), noise)
+        phis = build_vertex_set(motor_zoh.params, (motor_zoh.b_min, b_mid, motor_zoh.b_max),
+                                0.002, "zoh").Phi_vertices
+    bank = FilterBank(phis, Gamma, default_transition_matrix(len(phis)), noise)
     state = bank.initial()
     for u_prev, z in friction_switch_stream(motor_zoh, noise):
         out = imm_step(bank, *state, u_prev, z)
-        assert out == imm_step_two_pass(bank, models, *state, u_prev, z)
+        assert out == imm_step_two_pass(bank, phis, Gamma, *state, u_prev, z)
         state = out[:3]
 
 
@@ -418,7 +416,8 @@ def test_one_pass_cycle_matches_two_pass_cycle_on_held_priors():
         covs = [tuple((A @ A.T)[upper].tolist()) for A in rng.normal(size=(3, 3, 3))]
         mu = rng.dirichlet(np.ones(3)).tolist() if k % 3 else [0.0, 1.0, 0.0]
         out = imm_step(bank, means, covs, mu, 0.0, 0.0)
-        assert out == imm_step_two_pass(bank, [HOLD_MODEL] * 3, means, covs, mu, 0.0, 0.0)
+        assert out == imm_step_two_pass(bank, [HOLD_PHI] * 3, HOLD_GAMMA, means, covs, mu,
+                                        0.0, 0.0)
 
 
 def _outcome(cycle, *args):
@@ -438,15 +437,16 @@ def test_folded_cycle_fails_where_the_full_cycle_fails(motor, noise, mode, nv):
     # entries itself. One non-finite or overflowing entry in each position
     # of one mode's prior covariance, from finite and non-finite inputs,
     # must give the same error, or the same output where neither raises
-    models = build_vertex_set(motor.params, motor.vertex_rho, 0.002, mode).models()[:nv]
-    bank = FilterBank(models, default_transition_matrix(nv), noise)
+    vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, mode)
+    phis, Gamma = vs.Phi_vertices[:nv], vs.Gamma
+    bank = FilterBank(phis, Gamma, default_transition_matrix(nv), noise)
     means, covs, mu = bank.initial()
     raised = 0
     for pos in range(6):
         for value in (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 1e160, -1e160):
             bad = list(covs)
             bad[0] = tuple(value if k == pos else c for k, c in enumerate(covs[0]))
-            want = _outcome(imm_step_two_pass, bank, models, means, bad, mu, 0.5, 0.01)
+            want = _outcome(imm_step_two_pass, bank, phis, Gamma, means, bad, mu, 0.5, 0.01)
             assert _outcome(imm_step, bank, means, bad, mu, 0.5, 0.01) == want
             raised += want.startswith("NumericalError")
     # every non-finite entry raises, and so do some overflowing ones
@@ -457,15 +457,16 @@ def test_folded_cycle_names_each_diverged_covariance(motor, noise):
     # finite means 2e150 to 2e300 apart, along each state: the two-mode
     # spread overflows or it does not; each outcome, a failure's message
     # included, is the full cycle's
-    models = build_vertex_set(motor.params, motor.vertex_rho, 0.002, "zoh").models()
-    bank = FilterBank(models, default_transition_matrix(2), noise)
+    vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, "zoh")
+    bank = FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), noise)
     _, covs, mu = bank.initial()
     outcomes = []
     for k in range(3):
         for scale in (1e150, 1e200, 1e300):
             apart = [tuple(scale if i == k else 0.0 for i in range(3)),
                      tuple(-scale if i == k else 0.0 for i in range(3))]
-            want = _outcome(imm_step_two_pass, bank, models, apart, covs, mu, 0.0, 0.0)
+            want = _outcome(imm_step_two_pass, bank, vs.Phi_vertices, vs.Gamma, apart, covs, mu,
+                            0.0, 0.0)
             assert _outcome(imm_step, bank, apart, covs, mu, 0.0, 0.0) == want
             outcomes.append(want)
     assert any("mode 0's mixed prior covariance is not finite" in o for o in outcomes)
@@ -476,37 +477,31 @@ def test_folded_cycle_names_each_diverged_covariance(motor, noise):
 @pytest.mark.parametrize("T", [1e-4, 5e-4, 1e-3, 2e-3, 1e-2])
 @pytest.mark.parametrize("mode", ["euler", "zoh"])
 def test_bank_takes_every_vertex_model(motor, noise, mode, T, b_max):
-    # H = e0 and Phi's first column e0 hold exactly for every model the
-    # vertex set builds, under either discretization
-    models = build_vertex_set(motor.params, (motor.b_min, b_max), T, mode).models()
-    for m in models:
-        assert m.H.tolist() == [[1.0, 0.0, 0.0]]
-        assert m.Phi[:, 0].tolist() == [1.0, 0.0, 0.0]
-    FilterBank(models, default_transition_matrix(2), noise)
+    # Phi's first column e0 holds exactly for every model the vertex set
+    # builds, under either discretization
+    vs = build_vertex_set(motor.params, (motor.b_min, b_max), T, mode)
+    for phi in vs.Phi_vertices:
+        assert phi[:, 0].tolist() == [1.0, 0.0, 0.0]
+    FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), noise)
 
 
-@pytest.mark.parametrize("H, Phi_col", [
-    ([[0.0, 0.0, 0.0]], [1.0, 0.0, 0.0]),
-    ([[1.0, 1e-300, 0.0]], [1.0, 0.0, 0.0]),
-    ([[2.0, 0.0, 0.0]], [1.0, 0.0, 0.0]),
-    ([[0.0, 1.0, 0.0]], [1.0, 0.0, 0.0]),
-    ([[1.0, 0.0, 0.0]], [1.0, 1e-300, 0.0]),
-    ([[1.0, 0.0, 0.0]], [1.0 + 2.0 ** -52, 0.0, 0.0]),
-    ([[1.0, 0.0, 0.0]], [1.0, 0.0, math.nan]),
-], ids=["H-zero", "H-tiny", "H-scaled", "H-omega", "Phi-tiny", "Phi-ulp", "Phi-nan"])
-def test_bank_refuses_models_without_the_motor_structure(noise, H, Phi_col):
+@pytest.mark.parametrize("Phi_col", [
+    [1.0, 1e-300, 0.0],
+    [1.0 + 2.0 ** -52, 0.0, 0.0],
+    [1.0, 0.0, math.nan],
+], ids=["Phi-tiny", "Phi-ulp", "Phi-nan"])
+def test_bank_refuses_models_without_the_motor_structure(noise, Phi_col):
     Phi = np.eye(3)
     Phi[:, 0] = Phi_col
-    model = DiscreteModel(Phi=Phi, Gamma=np.zeros((3, 1)), H=np.array(H), T=1.0)
-    with pytest.raises(ParameterError, match="first column e0|H = \\[1, 0, 0\\]"):
-        FilterBank([model], [[1.0]], noise)
+    with pytest.raises(ParameterError, match="first column e0"):
+        FilterBank([Phi], HOLD_GAMMA, [[1.0]], noise)
 
 
 class TestNisConsistency:
     def test_normalized_innovation_in_chi_square_band(self, vertices_zoh, noise):
         # linear truth identical to the filter model, with matched noise:
         # the time-average NIS must sit near the measurement dimension
-        mdl = vertices_zoh.models()[0]
+        phi, Gamma = vertices_zoh.Phi_vertices[0], vertices_zoh.Gamma
         rng = np.random.default_rng(123)
         Lq = np.linalg.cholesky(noise.Q)
         truth = np.zeros(3)
@@ -514,10 +509,10 @@ class TestNisConsistency:
         nis = []
         for k in range(10_000):
             u = 1.5 * math.sin(0.005 * k)
-            truth = mdl.Phi @ truth + mdl.Gamma[:, 0] * u + Lq @ rng.standard_normal(3)
+            truth = phi @ truth + Gamma[:, 0] * u + Lq @ rng.standard_normal(3)
             z = truth[0] + math.sqrt(noise.R[0, 0]) * rng.standard_normal()
-            x, P = kf_predict(x, P, mdl, u, noise.Q)
-            x, P, r, s = kf_update(x, P, mdl, z, noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, u, noise.Q)
+            x, P, r, s = kf_update(x, P, z, noise.R)
             nis.append(r ** 2 / s)
         avg = float(np.mean(nis))
         assert 0.5 <= avg <= 2.0

@@ -97,6 +97,12 @@ class TestFrictionSchedule:
         assert b_mid == pytest.approx(0.5 * (B_MIN + B_MAX))
         assert sched.at(11.0)[0] == B_MAX
 
+    def test_ramps_exactly_when_ramp_time_is_positive(self):
+        assert load_window_schedule(B_MIN, B_MAX, start=10.0, end=20.0).at(10.5) == (B_MAX, True)
+        for bad in (-1.0, -5e-324, math.nan):
+            with pytest.raises(ParameterError, match="ramp_time must be a number >= 0"):
+                load_window_schedule(B_MIN, B_MAX, ramp_time=bad)
+
     def test_toggle_layout(self):
         sched = toggle_schedule(B_MIN, B_MAX, first=0.3, period=5.0, duration=30.0)
         assert sched.at(0.0) == (B_MIN, False)
@@ -126,7 +132,7 @@ class TestFrictionSchedule:
         ))
         step = FrictionSchedule(segments=segs)
         # a ramp longer than some gaps and shorter than others
-        ramp = FrictionSchedule(segments=segs, interpolation="ramp", ramp_time=1.5e-3)
+        ramp = FrictionSchedule(segments=segs, ramp_time=1.5e-3)
         for sched in (step, ramp):
             assert [sched.at(t) for t in times] == friction_by_scan(sched, times)
 
@@ -178,6 +184,14 @@ class TestReferenceSignals:
         with pytest.raises(ConfigError):
             # under half a tick at 500 Hz rounds to an empty run
             short_spec(duration=0.001, sample_rate=500.0)
+        for kw in (dict(frequency=1e308), dict(amplitude=100.0, frequency=1e307),
+                   dict(frequency=1e307, duration=30.0)):
+            # the rate 2 pi f, the peak A 2 pi f or the phase 2 pi f t overflows
+            with pytest.raises(ConfigError, match="rate or phase past float range"):
+                short_spec(**kw)
+        # short of overflow the spec stands and its reference stays finite
+        edge = short_spec(amplitude=20.0, frequency=1e306)
+        assert all(map(math.isfinite, edge.reference_state(edge.duration - edge.tick)))
         for key in ("process_noise_std", "meas_noise_std"):
             for std in (-0.5, -5e-324, float("inf"), float("nan")):
                 with pytest.raises(ConfigError, match=key):
@@ -252,11 +266,11 @@ class TestRunPathEstimators:
     def test_kf_matches_single_filter_loop(self, motor_zoh, vertices_zoh, noise, index):
         # the one-mode bank of the run loop is the plain Kalman filter
         rec = friction_switch_run(motor_zoh, vertices_zoh, f"kf:{index}")
-        model = vertices_zoh.models()[index]
+        phi, Gamma = vertices_zoh.Phi_vertices[index], vertices_zoh.Gamma
         (x, P), u_prev, worst = initial_belief(), 0.0, 0.0
         for k in range(rec.time.size):
-            x, P = kf_predict(x, P, model, u_prev, noise.Q)
-            x, P, _, _ = kf_update(x, P, model, rec.z[k], noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, u_prev, noise.Q)
+            x, P, _, _ = kf_update(x, P, rec.z[k], noise.R)
             worst = max(worst, float(np.max(np.abs(rec.estimate[k] - x))))
             u_prev = rec.u[k]
         assert worst <= 1e-12
@@ -264,7 +278,8 @@ class TestRunPathEstimators:
     def test_imm_matches_imm_step_loop(self, motor_zoh, vertices_zoh, noise):
         # the run loop is a loop of imm_step calls
         rec = friction_switch_run(motor_zoh, vertices_zoh, "imm")
-        bank = FilterBank(vertices_zoh.models(), default_transition_matrix(2), noise)
+        bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
+                          default_transition_matrix(2), noise)
         means, covs, mu = bank.initial()
         u_prev = 0.0
         for k in range(rec.time.size):

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _domega, discretize_exact_zoh, discretize_forward_euler
+from reference import _domega
 
 from mapsched.errors import ParameterError
+from mapsched.estimation import FilterBank, default_transition_matrix
 from mapsched.motor import (
     OMEGA_REST,
     FrictionModel,
     MotorParams,
+    VertexSet,
     build_continuous_model,
     build_vertex_set,
     euler_discretize,
@@ -38,24 +40,23 @@ def expm_series(M, terms=20):
 
 class TestContinuousModel:
     def test_table_values_nominal_friction(self, motor):
-        cm = build_continuous_model(motor.params, 1.0e-5)
+        A, B = build_continuous_model(motor.params, 1.0e-5)
         p = motor.params
-        assert cm.A[1, 1] == pytest.approx(-1.0e-5 / 2.06e-5, rel=1e-12)
-        assert cm.A[1, 2] == pytest.approx(p.Kt / p.Jeq, rel=1e-12)
-        assert cm.A[1, 2] == pytest.approx(2038.83, rel=1e-5)
-        assert cm.A[2, 2] == pytest.approx(-7241.38, rel=1e-6)
-        assert cm.A[2, 1] == pytest.approx(-p.Ke / p.Lm, rel=1e-12)
-        assert np.array_equal(cm.B.ravel(), [0.0, 0.0, 1.0 / p.Lm])
-        assert np.array_equal(cm.C, [[1.0, 0.0, 0.0]])
+        assert A[1, 1] == pytest.approx(-1.0e-5 / 2.06e-5, rel=1e-12)
+        assert A[1, 2] == pytest.approx(p.Kt / p.Jeq, rel=1e-12)
+        assert A[1, 2] == pytest.approx(2038.83, rel=1e-5)
+        assert A[2, 2] == pytest.approx(-7241.38, rel=1e-6)
+        assert A[2, 1] == pytest.approx(-p.Ke / p.Lm, rel=1e-12)
+        assert np.array_equal(B.ravel(), [0.0, 0.0, 1.0 / p.Lm])
 
     def test_zero_friction(self, motor):
-        cm = build_continuous_model(motor.params, 0.0)
-        assert cm.A[1, 1] == 0.0
-        assert cm.A[1, 2] == pytest.approx(2038.83, rel=1e-5)
+        A, _ = build_continuous_model(motor.params, 0.0)
+        assert A[1, 1] == 0.0
+        assert A[1, 2] == pytest.approx(2038.83, rel=1e-5)
 
     def test_max_friction(self, motor):
-        cm = build_continuous_model(motor.params, 1.63e-4)
-        assert cm.A[1, 1] == pytest.approx(-7.9126, rel=1e-4)
+        A, _ = build_continuous_model(motor.params, 1.63e-4)
+        assert A[1, 1] == pytest.approx(-7.9126, rel=1e-4)
 
     def test_jeq_is_sum_of_inertias(self):
         p = MotorParams()
@@ -73,10 +74,10 @@ class TestContinuousModel:
     @given(b=st.floats(min_value=0.0, max_value=1e-2))
     @settings(max_examples=50, deadline=None)
     def test_structural_zeros_for_all_b(self, b):
-        cm = build_continuous_model(MotorParams(), b)
-        assert cm.A[0, 0] == 0.0 and cm.A[0, 2] == 0.0 and cm.A[0, 1] == 1.0
-        assert cm.A[1, 0] == 0.0 and cm.A[2, 0] == 0.0
-        assert cm.B[0, 0] == 0.0 and cm.B[1, 0] == 0.0
+        A, B = build_continuous_model(MotorParams(), b)
+        assert A[0, 0] == 0.0 and A[0, 2] == 0.0 and A[0, 1] == 1.0
+        assert A[1, 0] == 0.0 and A[2, 0] == 0.0
+        assert B[0, 0] == 0.0 and B[1, 0] == 0.0
 
 
 class TestForwardEuler:
@@ -87,24 +88,22 @@ class TestForwardEuler:
         assert np.array_equal(Gamma, 0.01 * B)
 
     def test_motor_entries(self, motor):
-        cm = build_continuous_model(motor.params, 1.0e-5)
-        dm = discretize_forward_euler(cm, 0.002)
-        assert dm.Phi[1, 1] == pytest.approx(0.9990291, abs=1e-7)
-        assert dm.Phi[1, 2] == pytest.approx(4.07767, rel=1e-6)
-        assert dm.Phi[2, 2] == pytest.approx(-13.4828, rel=1e-5)
-        assert np.allclose(dm.Phi, np.eye(3) + 0.002 * cm.A, atol=0, rtol=0)
+        A, B = build_continuous_model(motor.params, 1.0e-5)
+        Phi, _ = euler_discretize(A, B, 0.002)
+        assert Phi[1, 1] == pytest.approx(0.9990291, abs=1e-7)
+        assert Phi[1, 2] == pytest.approx(4.07767, rel=1e-6)
+        assert Phi[2, 2] == pytest.approx(-13.4828, rel=1e-5)
+        assert np.allclose(Phi, np.eye(3) + 0.002 * A, atol=0, rtol=0)
 
     def test_gamma_is_t_over_lm(self, motor):
-        cm = build_continuous_model(motor.params, motor.params.b_m)
-        dm = discretize_forward_euler(cm, 0.002)
-        assert dm.Gamma[2, 0] == pytest.approx(0.002 / 0.00116, rel=1e-12)
-        assert dm.Gamma[2, 0] == pytest.approx(1.72414, rel=1e-5)
-        assert dm.Gamma[0, 0] == 0.0 and dm.Gamma[1, 0] == 0.0
+        _, Gamma = euler_discretize(*build_continuous_model(motor.params, motor.params.b_m), 0.002)
+        assert Gamma[2, 0] == pytest.approx(0.002 / 0.00116, rel=1e-12)
+        assert Gamma[2, 0] == pytest.approx(1.72414, rel=1e-5)
+        assert Gamma[0, 0] == 0.0 and Gamma[1, 0] == 0.0
 
     def test_requires_positive_sample_time(self, motor):
-        cm = build_continuous_model(motor.params, 1e-5)
-        with pytest.raises(ParameterError):
-            discretize_forward_euler(cm, 0.0)
+        with pytest.raises(ParameterError, match="sample time must be positive"):
+            build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.0, mode="euler")
 
 
 class TestExactZoh:
@@ -120,23 +119,22 @@ class TestExactZoh:
         assert Gamma[0, 0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_motor_matches_series_oracle(self, motor):
-        cm = build_continuous_model(motor.params, motor.params.b_m)
-        dm = discretize_exact_zoh(cm, 0.002)
-        ref = expm_series(cm.A * 0.002)
-        assert np.allclose(dm.Phi, ref, rtol=1e-9, atol=1e-12)
+        A, B = build_continuous_model(motor.params, motor.params.b_m)
+        Phi, _ = zoh_discretize(A, B, 0.002)
+        ref = expm_series(A * 0.002)
+        assert np.allclose(Phi, ref, rtol=1e-9, atol=1e-12)
 
     def test_motor_spectral_radius_at_most_one(self, motor):
-        cm = build_continuous_model(motor.params, motor.params.b_m)
-        dm = discretize_exact_zoh(cm, 0.002)
-        assert np.max(np.abs(np.linalg.eigvals(dm.Phi))) <= 1.0 + 1e-12
+        Phi, _ = zoh_discretize(*build_continuous_model(motor.params, motor.params.b_m), 0.002)
+        assert np.max(np.abs(np.linalg.eigvals(Phi))) <= 1.0 + 1e-12
 
     def test_first_order_agreement_with_euler(self, motor):
         # || Phi_zoh - Phi_euler || = O(T^2): errors at T and T/10 differ ~100x
-        cm = build_continuous_model(motor.params, motor.params.b_m)
+        A, B = build_continuous_model(motor.params, motor.params.b_m)
         errs = []
         for T in (1e-5, 1e-6):
-            pz, _ = zoh_discretize(cm.A, cm.B, T)
-            pe, _ = euler_discretize(cm.A, cm.B, T)
+            pz, _ = zoh_discretize(A, B, T)
+            pe, _ = euler_discretize(A, B, T)
             errs.append(np.max(np.abs(pz - pe)))
         ratio = errs[0] / errs[1]
         assert 50.0 < ratio < 150.0
@@ -216,8 +214,7 @@ class TestVertexSet:
         b_lo, b_hi = 2.46e-6, 1.63e-4
         vs = build_vertex_set(motor.params, (b_lo, b_hi), 0.002, mode="euler")
         b = b_lo + f * (b_hi - b_lo)
-        cm = build_continuous_model(motor.params, b)
-        phi_direct, _ = euler_discretize(cm.A, cm.B, 0.002)
+        phi_direct, _ = euler_discretize(*build_continuous_model(motor.params, b), 0.002)
         lo, hi = vs.Phi_vertices
         frac = (b - b_lo) / (b_hi - b_lo)
         assert np.max(np.abs(phi_direct - (lo + frac * (hi - lo)))) < 1e-12
@@ -226,19 +223,16 @@ class TestVertexSet:
         rho = (2.46e-6, 1.63e-4)
         vs = build_vertex_set(motor.params, rho, 0.002, mode="zoh")
         for r, phi in zip(rho, vs.Phi_vertices):
-            cm = build_continuous_model(motor.params, r)
-            ref, _ = zoh_discretize(cm.A, cm.B, 0.002)
+            ref, _ = zoh_discretize(*build_continuous_model(motor.params, r), 0.002)
             assert np.allclose(phi, ref, atol=0, rtol=0)
 
-    def test_models_share_gamma_and_h(self, motor):
+    def test_models_share_gamma_and_h(self, motor, noise):
+        # one Phi per vertex and the one Gamma of the set; the measurement
+        # row H = e0 is the filter bank's, which takes the arrays as they are
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
-        models = vs.models()
-        assert len(models) == 2
-        for mdl in models:
-            assert np.array_equal(mdl.Gamma, vs.Gamma)
-            assert np.array_equal(mdl.H, [[1.0, 0.0, 0.0]])
-            assert mdl.T == 0.002
-            assert mdl.H.shape[0] == 1
+        assert len(vs.Phi_vertices) == 2
+        assert vs.Gamma.shape == (3, 1) and vs.T == 0.002
+        FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), noise)
 
     def test_with_gains_freezes_only_the_gains(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, mode="zoh")
@@ -249,7 +243,7 @@ class TestVertexSet:
         assert [K.tolist() for K in filled.K_vertices] == [[[1.0] * 3], [[2.0] * 3]]
         assert not any(K.flags.writeable for K in filled.K_vertices)
         # the models were validated and frozen when the set was made
-        for name in ("rho", "Phi_vertices", "Gamma", "H", "T", "mode"):
+        for name in ("rho", "Phi_vertices", "Gamma", "T", "mode"):
             assert getattr(filled, name) is getattr(vs, name)
 
     def test_refuses_a_non_finite_discrete_model(self, motor):
@@ -257,6 +251,13 @@ class TestVertexSet:
         tiny = dataclasses.replace(motor.params, Lm=1e-150)
         with pytest.raises(ParameterError, match="zoh discrete model at T = 0.002 s is not finite"):
             build_vertex_set(tiny, (2.46e-6, 1.63e-4), 0.002, mode="zoh")
+
+    @pytest.mark.parametrize("T", [0.0, -0.002, math.nan])
+    def test_refuses_a_non_positive_sample_time(self, motor, T):
+        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
+        with pytest.raises(ParameterError, match="sample time must be positive"):
+            VertexSet(rho=vs.rho, Phi_vertices=vs.Phi_vertices, Gamma=vs.Gamma, T=T,
+                      mode=vs.mode)
 
     def test_with_gains_requires_one_per_vertex(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)

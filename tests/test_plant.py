@@ -100,7 +100,7 @@ def _slipping_omega(state, u, f, params, t):
     """omega(t) of the forward-slipping affine dynamics, by the exponential
     of the system augmented with its constant inputs."""
     M = np.zeros((5, 5))
-    M[:3, :3] = build_continuous_model(params, f.b).A
+    M[:3, :3], _ = build_continuous_model(params, f.b)
     M[1, 3] = 1.0 / params.Jeq
     M[2, 4] = 1.0 / params.Lm
     return float((expm(M * t) @ np.r_[state, -f.tau_c, u])[1])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from mapsched.errors import CertificationError, ParameterError
 from mapsched.harness import design_from_motor
 from mapsched.motor import build_vertex_set
 from mapsched.stability import (
-    MismatchAssumptions,
     StabilityCert,
     certify,
     epsilon_star,
@@ -201,12 +201,17 @@ class TestCertify:
     def test_reports_assumed_epsilon(self, vertices_zoh):
         cert0 = certify(vertices_zoh)
         eps = 0.25 * cert0.eps_star
-        cert = certify(vertices_zoh, assumptions=MismatchAssumptions(epsilon=eps))
+        cert = certify(vertices_zoh, epsilon=eps)
         assert cert.epsilon_used == eps
         # smaller mismatch leaves more decrease: faster certified rate
-        assert cert.lambda_ < certify(
-            vertices_zoh, assumptions=MismatchAssumptions(epsilon=0.9 * cert0.eps_star)
-        ).lambda_
+        assert cert.lambda_ < certify(vertices_zoh, epsilon=0.9 * cert0.eps_star).lambda_
+
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan])
+    def test_refuses_a_mismatch_bound_that_is_not_a_number_at_least_zero(self, vertices_zoh,
+                                                                        epsilon):
+        with pytest.raises(ParameterError,
+                           match=f"mismatch bound must be a number >= 0, got {epsilon!r}"):
+            certify(vertices_zoh, epsilon=epsilon)
 
     def test_gains_required(self, motor):
         bare = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
@@ -270,8 +275,8 @@ def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, 
             assert same_bits(got, want), field.name
         else:
             assert got == want, field.name
-    for model, ref in zip(bare.models(), ref_solutions):
-        solution = solve_dare(model, weights)
+    for phi, ref in zip(bare.Phi_vertices, ref_solutions):
+        solution = solve_dare(phi, bare.Gamma, weights)
         assert same_bits(solution.K, ref.K)
         assert same_bits(solution.P, ref.P)
         assert solution.residual == ref.residual
