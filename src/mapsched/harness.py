@@ -604,6 +604,9 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     duration = fget("duration", 30.0)
     sample_rate = fget("sample_rate", 1.0 / motor.sample_time)
     ramp_time = fget("ramp_time", 0.0)
+    # only the window schedule ramps, but the rule holds for every kind
+    if not ramp_time >= 0.0:
+        raise ConfigError(f"ramp_time must be a number >= 0, got {ramp_time!r}")
     # refuse oversized runs before any schedule is built
     ticks = _tick_count(duration, sample_rate)
     if kind == "constant":

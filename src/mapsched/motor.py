@@ -169,6 +169,8 @@ def build_vertex_set(params: MotorParams, rho_values, T: float,
     rho = [float(r) for r in rho_values]
     if mode not in ("euler", "zoh"):
         raise ParameterError(f"unknown discretization mode {mode!r}")
+    # VertexSet refuses the same T, but only after the arithmetic below,
+    # where a NaN T reads as a float-range fault and -inf raises a warning
     if not T > 0.0:
         raise ParameterError("sample time must be positive")
 

@@ -31,10 +31,13 @@ def maps(capsys, monkeypatch):
     """`maps` in this process: `cli.main` on the arguments, with the `env`
     entries set for the call only. Returns the exit code (a SystemExit's
     code included) with the captured stdout and stderr, as `run_cli` does;
-    any other exception escapes and fails the test."""
+    any other exception escapes and fails the test. A warning is raised as
+    an error, so a stray warning fails the test as it would have shown on a
+    child process's stderr."""
 
     def run(*args, env=None):
-        with monkeypatch.context() as mp:
+        with monkeypatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
             for key, value in (env or {}).items():
                 mp.setenv(key, value)
             capsys.readouterr()
@@ -343,13 +346,16 @@ def test_negative_noise_exit_one(maps, tmp_path, text):
 
 @pytest.mark.parametrize("text, reason", [
     ("duration = 1\nfriction = window\nramp_time = -1\n", "ramp_time must be a number >= 0"),
+    ("duration = 1\nfriction = toggle\nramp_time = -1\n", "ramp_time must be a number >= 0"),
+    ("duration = 1\nfriction = constant\nramp_time = -0.5\n", "ramp_time must be a number >= 0"),
     ("duration = 1\nfrequency = 1e308\n", "sine frequency 1e+308 puts the reference's rate"),
     ("duration = 1\namplitude = 100\nfrequency = 1e307\n", "sine frequency 1e+307 puts"),
     ("duration = 30\nfrequency = 1e307\n", "sine frequency 1e+307 puts the reference's rate"),
-], ids=["negative-ramp", "rate", "peak", "phase"])
+], ids=["negative-ramp", "negative-ramp-toggle", "negative-ramp-constant", "rate", "peak", "phase"])
 def test_schedule_and_reference_out_of_range_exit_one(maps, tmp_path, text, reason):
-    # a negative ramp would run as step switches; a sine whose rate, peak or
-    # phase overflows would reach the plant as a NaN input or raise in sin
+    # a negative ramp would run as step switches, and is refused whatever
+    # the schedule; a sine whose rate, peak or phase overflows would reach
+    # the plant as a NaN input or raise in sin
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
