@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_motor_config
-from .control import LqrWeights, gain_report, solve_dare, write_gain_csv, write_gain_report
+from .control import LqrWeights, gain_report, vertex_solutions, write_gain_csv, write_gain_report
 from .errors import CertificationError, ConfigError, NumericalError
 from .harness import (
     compare_runs,
@@ -32,7 +32,6 @@ from .harness import (
 # importable from it
 from .harness import write_plot_csv, write_trace_csv  # noqa: F401
 from .ident import identify, read_samples_csv
-from .motor import build_vertex_set
 from .stability import certify
 
 
@@ -98,15 +97,9 @@ def _cmd_ident(args) -> int:
 
 
 def _cmd_gains(args) -> int:
-    motor = load_motor_config(args.motor)
-    weights = LqrWeights.default()
-    # design_from_motor's design, keeping each vertex's Riccati solution
-    # for the report
-    vertices = build_vertex_set(
-        motor.params, motor.vertex_rho, motor.sample_time, mode=motor.discretization
-    )
-    solutions = [solve_dare(phi, vertices.Gamma, weights) for phi in vertices.Phi_vertices]
-    report = gain_report(vertices.with_gains([s.K for s in solutions]), solutions)
+    vertices = design_from_motor(load_motor_config(args.motor))
+    # the Riccati solutions that design's gains came from, out of its memo
+    report = gain_report(vertices, vertex_solutions(vertices, LqrWeights.default()))
     print(f"discretization: {report['mode']}, sample time {report['sample_time']} s")
     for entry in report["vertices"]:
         K = ", ".join(f"{v: .6f}" for v in entry["K"])

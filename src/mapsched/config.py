@@ -2,8 +2,9 @@
 
 Motor files use exactly the keys kt, ke, jr, jh, jd, lm, rm, b_m, b_min,
 b_max, tau_s, tau_c, sample_time, discretization; missing keys fall back to
-the stock parameter set. Scenario files share the same flat `key = value`
-syntax (see harness.scenario_from_entries for the scenario keys).
+MOTOR_DEFAULTS, the one table of the stock motor. Scenario files share the
+same flat `key = value` syntax (see harness.scenario_from_entries for the
+scenario keys).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class MotorConfig:
                     f"the motor's (omega, i) modes at b = {b:.3e} are out of float range"
                 )
 
-    def friction(self, b: float, coulomb_on: bool = True) -> FrictionModel:
+    def friction(self, b: float, coulomb_on: bool) -> FrictionModel:
         return FrictionModel(
             tau_s=self.tau_s,
             tau_c=self.tau_c if coulomb_on else 0.0,

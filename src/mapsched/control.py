@@ -1,10 +1,12 @@
 """LQR synthesis and probabilistically scheduled gain computation.
 
 The Riccati equation of a vertex's (Phi, Gamma) pair is solved by scipy's
-Schur (QZ) method and then checked against a residual bound, vertex gains
-are synthesized offline from the vertex set's arrays (each distinct vertex
-problem solved once per process), and the per-tick scheduled gain is the
-probability-weighted convex combination of the vertex gains.
+Schur (QZ) method and then checked against a residual bound. Each distinct
+vertex problem is solved once per process: `vertex_solutions` keeps every
+vertex's solution (P, K, residual), from which `synthesize_vertex_gains`
+fills the design's gains and `maps gains` reports the same solves. The
+per-tick scheduled gain is the probability-weighted convex combination of
+the vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
 applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 """
@@ -24,7 +26,7 @@ from .errors import NumericalError, ParameterError
 from .motor import VertexSet, _frozen
 
 RESIDUAL_LIMIT = 1e-9
-# distinct vertex Riccati problems whose gains a process keeps
+# distinct vertex Riccati problems whose solutions a process keeps
 GAIN_MEMO_SIZE = 128
 
 
@@ -140,23 +142,26 @@ class _RiccatiProblem:
 
 
 @lru_cache(maxsize=GAIN_MEMO_SIZE)
-def _vertex_gain(problem: _RiccatiProblem) -> np.ndarray:
-    """The read-only LQR gain of a solved problem. A solve that raises
+def _vertex_solution(problem: _RiccatiProblem) -> RiccatiSolution:
+    """The read-only solution of a solved problem. A solve that raises
     leaves nothing in the memo, so the same problem is solved (and fails)
     again on its next design."""
-    return solve_dare(problem.Phi, problem.Gamma, problem.weights).K
+    return solve_dare(problem.Phi, problem.Gamma, problem.weights)
+
+
+def vertex_solutions(vertices: VertexSet, weights: LqrWeights) -> tuple:
+    """The Riccati solution of each vertex's (Phi_i, Gamma, Q, R), in vertex
+    order. Each distinct problem is solved once per process: the solutions
+    of the last GAIN_MEMO_SIZE are kept, and a repeat returns its first
+    solve's."""
+    return tuple(_vertex_solution(_RiccatiProblem(phi, vertices.Gamma, weights))
+                 for phi in vertices.Phi_vertices)
 
 
 def synthesize_vertex_gains(vertices: VertexSet, weights: LqrWeights) -> VertexSet:
-    """Solve one Riccati problem per vertex and return the gain-filled set.
-
-    A vertex gain depends only on (Phi_i, Gamma, Q, R), so each problem is
-    solved once per process: the gains of the last GAIN_MEMO_SIZE distinct
-    problems are kept, and a repeat returns the gain its solve gave.
-    """
-    gains = [_vertex_gain(_RiccatiProblem(phi, vertices.Gamma, weights))
-             for phi in vertices.Phi_vertices]
-    return vertices.with_gains(gains)
+    """The gain-filled copy of `vertices`, one LQR gain per vertex from
+    `vertex_solutions`."""
+    return vertices.with_gains([s.K for s in vertex_solutions(vertices, weights)])
 
 
 def maps_gain(mu, gains) -> tuple:

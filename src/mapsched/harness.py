@@ -6,7 +6,10 @@ probability-scheduled gain, or open-loop drive), under a scheduled friction
 profile, and computes tracking/estimation metrics. Every variant runs the
 same loop on plain floats. The truth plant is solved exactly, friction
 events included (`plant.plant_step`), so a scenario has no integration
-setting. A run takes the gain-filled design `design_from_motor` returns.
+setting. A run takes the gain-filled design `design_from_motor` returns
+and filters with the stock noise model. `ScenarioSpec`'s field defaults
+are the only scenario defaults; its sample rate and constant friction are
+the stock motor's, and in a scenario file they follow the file's motor.
 Runs are deterministic for a given seed; measurement noise is the only
 random input by default.
 """
@@ -30,6 +33,7 @@ import orjson
 
 from .config import (
     B_RANGE,
+    MOTOR_DEFAULTS,
     MOTOR_KEYS,
     MotorConfig,
     _to_float,
@@ -117,12 +121,13 @@ class FrictionSchedule:
         return seg.b, seg.coulomb_on
 
 
-def constant_schedule(b: float, coulomb_on: bool = False) -> FrictionSchedule:
-    return FrictionSchedule(segments=(FrictionSegment(0.0, b, coulomb_on),))
+def constant_schedule(b: float) -> FrictionSchedule:
+    """Viscous friction b for the whole run, Coulomb friction off."""
+    return FrictionSchedule(segments=(FrictionSegment(0.0, b, False),))
 
 
-def load_window_schedule(b_low: float, b_high: float, start: float = 10.0,
-                         end: float = 20.0, ramp_time: float = 0.0) -> FrictionSchedule:
+def load_window_schedule(b_low: float, b_high: float, start: float, end: float,
+                         ramp_time: float = 0.0) -> FrictionSchedule:
     """No-load friction with a high-friction (loaded) window [start, end)."""
     if not 0.0 <= start < end:
         raise ParameterError("load window needs 0 <= start < end")
@@ -134,17 +139,16 @@ def load_window_schedule(b_low: float, b_high: float, start: float = 10.0,
     return FrictionSchedule(segments=segs, ramp_time=ramp_time)
 
 
-def toggle_schedule(b_low: float, b_high: float, first: float = 0.3,
-                    period: float = 5.0, duration: float = 30.0,
-                    coulomb_on_high: bool = False) -> FrictionSchedule:
-    """Alternate b_low/b_high starting at `first` and every `period` after."""
+def toggle_schedule(b_low: float, b_high: float, first: float, period: float,
+                    duration: float) -> FrictionSchedule:
+    """Alternate b_low/b_high starting at `first` and every `period` after,
+    Coulomb friction off."""
     if not (first > 0.0 and period > 0.0):
         raise ParameterError("toggle schedule needs positive first switch and period")
     segs = [FrictionSegment(0.0, b_low, False)]
     t, high = first, True
     while t < duration:
-        segs.append(FrictionSegment(t, b_high if high else b_low,
-                                    coulomb_on_high and high))
+        segs.append(FrictionSegment(t, b_high if high else b_low, False))
         t += period
         high = not high
     return FrictionSchedule(segments=tuple(segs))
@@ -164,9 +168,9 @@ class ScenarioSpec:
     frequency: float = 0.5           # Hz (sine)
     period: float = 10.0             # s (step square wave)
     duration: float = 30.0
-    sample_rate: float = 500.0
+    sample_rate: float = 1.0 / MOTOR_DEFAULTS["sample_time"]
     friction: FrictionSchedule = field(
-        default_factory=lambda: constant_schedule(2.46e-6)
+        default_factory=lambda: constant_schedule(MOTOR_DEFAULTS["b_min"])
     )
     seed: int = 1
     controller: str = "maps"         # "maps" | "fixed:<vertex>" | "open"
@@ -280,9 +284,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Tracking metrics on one channel plus per-state estimation RMSE."""
+    """Tracking-error metrics plus per-state estimation RMSE."""
 
-    channel: str
     rmse: float
     mae: float
     iae: float
@@ -290,7 +293,7 @@ class MetricsReport:
 
     def as_dict(self) -> dict:
         return {
-            "channel": self.channel,
+            "channel": "tracking",
             "rmse": self.rmse,
             "mae": self.mae,
             "iae": self.iae,
@@ -302,8 +305,7 @@ class MetricsReport:
         }
 
 
-def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
-                 noise: NoiseConfig | None = None) -> RunRecord:
+def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) -> RunRecord:
     """Simulate one closed-loop run of the spec against the truth plant.
 
     `vertices` is a gain-filled design, as `design_from_motor` returns; a
@@ -319,7 +321,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     """
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
-    noise = noise if noise is not None else NoiseConfig.default()
+    noise = NoiseConfig.default()
     T = spec.tick
     if abs(T - vertices.T) > 1e-12:
         raise ConfigError(
@@ -427,25 +429,19 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet,
     )
 
 
-def compute_metrics(record: RunRecord, channel: str = "tracking") -> MetricsReport:
-    """RMSE / MAE / IAE on the chosen error channel plus per-state
-    estimation RMSE (truth minus fused estimate)."""
+def compute_metrics(record: RunRecord) -> MetricsReport:
+    """RMSE / MAE / IAE of the tracking error theta_ref - theta plus
+    per-state estimation RMSE (truth minus fused estimate)."""
     if record.time.size == 0:
         raise ParameterError("cannot compute metrics on an empty run")
-    if channel == "tracking":
-        err = record.reference[:, 0] - record.truth[:, 0]
-    elif channel in ("theta", "omega", "current"):
-        idx = ("theta", "omega", "current").index(channel)
-        err = record.truth[:, idx] - record.estimate[:, idx]
-    else:
-        raise ParameterError(f"unknown metrics channel {channel!r}")
+    err = record.reference[:, 0] - record.truth[:, 0]
     T = record.spec.tick
     rmse = float(np.sqrt(np.mean(err**2)))
     mae = float(np.mean(np.abs(err)))
     iae = float(np.sum(np.abs(err)) * T)
     est_err = record.truth - record.estimate
     est_rmse = np.sqrt(np.mean(est_err**2, axis=0))
-    return MetricsReport(channel=channel, rmse=rmse, mae=mae, iae=iae, est_rmse=est_rmse)
+    return MetricsReport(rmse=rmse, mae=mae, iae=iae, est_rmse=est_rmse)
 
 
 @dataclass(frozen=True)
@@ -583,30 +579,35 @@ def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:
 
 
 def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
-    """Build a ScenarioSpec from flat key/value entries (strings)."""
+    """Build a ScenarioSpec from flat key/value entries (strings). A field
+    the entries do not set keeps ScenarioSpec's default, except the sample
+    rate and the constant friction, which the motor gives."""
     unknown = set(entries) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
 
-    def fget(key, default):
+    def fget(key, default=None):
         return _to_float(key, entries[key]) if key in entries else default
 
-    seed = entries.get("seed", "1")
-    env_seed = os.environ.get("MAPS_SEED")
-    if env_seed is not None:
-        seed = env_seed
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    fields = {}
+    seed = os.environ.get("MAPS_SEED", entries.get("seed"))
+    if seed is not None:
+        try:
+            fields["seed"] = int(seed)
+        except ValueError:
+            raise ConfigError(f"seed must be an integer, got {seed!r}") from None
 
     kind = entries.get("friction", "constant")
-    duration = fget("duration", 30.0)
+    duration = fget("duration", ScenarioSpec.duration)
     sample_rate = fget("sample_rate", 1.0 / motor.sample_time)
     ramp_time = fget("ramp_time", 0.0)
-    # only the window schedule ramps, but the rule holds for every kind
     if not ramp_time >= 0.0:
         raise ConfigError(f"ramp_time must be a number >= 0, got {ramp_time!r}")
+    # only the window schedule ramps
+    if ramp_time > 0.0 and kind != "window":
+        raise ConfigError(
+            f"ramp_time {ramp_time!r} needs friction = window; friction {kind!r} does not ramp"
+        )
     # refuse oversized runs before any schedule is built
     ticks = _tick_count(duration, sample_rate)
     if kind == "constant":
@@ -630,21 +631,12 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     else:
         raise ConfigError(f"unknown friction schedule {kind!r}")
 
-    return ScenarioSpec(
-        reference=entries.get("reference", "sine"),
-        amplitude=fget("amplitude", 2.0),
-        frequency=fget("frequency", 0.5),
-        period=fget("period", 10.0),
-        duration=duration,
-        sample_rate=sample_rate,
-        friction=schedule,
-        seed=seed,
-        controller=entries.get("controller", "maps"),
-        estimator=entries.get("estimator", "imm"),
-        v_limit=fget("v_limit", 4.0),
-        process_noise_std=fget("process_noise_std", 0.0),
-        meas_noise_std=fget("meas_noise_std", None),
-    )
+    fields.update((key, entries[key]) for key in ("reference", "controller", "estimator")
+                  if key in entries)
+    fields.update((key, fget(key)) for key in (
+        "amplitude", "frequency", "period", "v_limit", "process_noise_std", "meas_noise_std",
+    ) if key in entries)
+    return ScenarioSpec(duration=duration, sample_rate=sample_rate, friction=schedule, **fields)
 
 
 def load_scenario(path) -> tuple[ScenarioSpec, MotorConfig]:
@@ -657,11 +649,10 @@ def load_scenario(path) -> tuple[ScenarioSpec, MotorConfig]:
     return scenario_from_entries(scenario_entries, motor), motor
 
 
-def design_from_motor(motor: MotorConfig, weights: LqrWeights | None = None) -> VertexSet:
+def design_from_motor(motor: MotorConfig) -> VertexSet:
     """Vertex models at (b_min, b_max) under the configured discretization,
-    with LQR gains synthesized."""
-    weights = weights if weights is not None else LqrWeights.default()
+    with LQR gains synthesized under the stock weights."""
     vertices = build_vertex_set(
         motor.params, motor.vertex_rho, motor.sample_time, mode=motor.discretization
     )
-    return synthesize_vertex_gains(vertices, weights)
+    return synthesize_vertex_gains(vertices, LqrWeights.default())

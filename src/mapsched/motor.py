@@ -5,7 +5,8 @@ used by the scheduled controller.
 State ordering is [theta, omega, i] (rad, rad/s, A) throughout; the single
 input is the armature voltage and the single measurement is theta. The
 vertex set is the one design container: its arrays are passed as they are
-to the Riccati solver, the filter bank and the certificate.
+to the Riccati solver, the filter bank and the certificate. Nothing here
+has a stock value: the stock motor is the table `config.MOTOR_DEFAULTS`.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ def _frozen(a) -> np.ndarray:
 class MotorParams:
     """Physical constants of the motor; inertias in kg*m^2, Lm in H, Rm in ohm."""
 
-    Kt: float = 0.042        # torque constant, N*m/A
-    Ke: float = 0.042        # back-EMF constant, V*s/rad
-    Jr: float = 4.0e-6       # rotor inertia
-    Jh: float = 0.6e-6       # hub inertia
-    Jd: float = 1.6e-5       # disc inertia
-    Lm: float = 1.16e-3      # inductance
-    Rm: float = 8.4          # resistance
-    b_m: float = 1.0e-5      # nominal viscous coefficient, N*m*s/rad
+    Kt: float        # torque constant, N*m/A
+    Ke: float        # back-EMF constant, V*s/rad
+    Jr: float        # rotor inertia
+    Jh: float        # hub inertia
+    Jd: float        # disc inertia
+    Lm: float        # inductance
+    Rm: float        # resistance
+    b_m: float       # nominal viscous coefficient, N*m*s/rad
     Jeq: float = field(init=False)
 
     def __post_init__(self):
@@ -54,9 +55,9 @@ class MotorParams:
 class FrictionModel:
     """Static + Coulomb + viscous friction torque parameters."""
 
-    tau_s: float = 0.003
-    tau_c: float = 0.002
-    b: float = 1.0e-5
+    tau_s: float
+    tau_c: float
+    b: float
 
     def __post_init__(self):
         if not (self.tau_s >= self.tau_c >= 0.0):
@@ -156,8 +157,7 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, T: float):
     return E[:n, :n], E[:n, n:]
 
 
-def build_vertex_set(params: MotorParams, rho_values, T: float,
-                     mode: str = "euler") -> VertexSet:
+def build_vertex_set(params: MotorParams, rho_values, T: float, mode: str) -> VertexSet:
     """Construct the polytopic vertex models at the given scheduling values.
 
     Under forward Euler the family is affine in rho by construction: each

@@ -23,6 +23,9 @@ from scipy.linalg import solve_discrete_lyapunov
 from .errors import CertificationError, ParameterError
 from .motor import VertexSet, _frozen
 
+# averaging rounds after which the common-P search reports no certificate
+MAX_ROUNDS = 500
+
 
 @dataclass(frozen=True)
 class LyapunovSearch:
@@ -76,14 +79,15 @@ def vertex_margins(P: np.ndarray, closed_loops) -> np.ndarray:
     return np.array(margins)
 
 
-def find_common_lyapunov(closed_loops, max_rounds: int = 500) -> LyapunovSearch:
+def find_common_lyapunov(closed_loops) -> LyapunovSearch:
     """Search for a single P certifying every vertex closed loop.
 
     Starts from the Lyapunov solution of the first vertex and repeatedly
     averages in the Lyapunov solutions of violating vertices until every
-    vertex margin is positive, which certifies the whole convex hull. Each
-    vertex must be Schur stable on its own (precondition); an exhausted
-    search is an inconclusive report, not an instability proof.
+    vertex margin is positive, which certifies the whole convex hull, or
+    MAX_ROUNDS rounds have passed. Each vertex must be Schur stable on its
+    own (precondition); an exhausted search is an inconclusive report, not
+    an instability proof.
     """
     loops = [np.asarray(A, dtype=float) for A in closed_loops]
     if not loops:
@@ -97,7 +101,7 @@ def find_common_lyapunov(closed_loops, max_rounds: int = 500) -> LyapunovSearch:
     # every loop is Schur stable from here on, so each solve skips the check
     P = _dlyap(loops[0])
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         margins = vertex_margins(P, loops)
         if np.all(margins > 0.0):
             break

@@ -16,6 +16,7 @@ from scipy.linalg import LinAlgWarning, solve_discrete_are
 
 from mapsched import cli, control, harness
 from mapsched.config import MOTOR_DEFAULTS
+from mapsched.motor import build_vertex_set
 
 CLI = [sys.executable, "-m", "mapsched"]
 
@@ -193,6 +194,9 @@ def test_riccati_qz_failure_exit_two(monkeypatch):
         return solve_discrete_are(*args)
 
     monkeypatch.setattr(control, "solve_discrete_are", qz_fails)
+    # `gains` reads the design's solutions from the memo: empty it so that
+    # the stock design is solved again, through the patched solver
+    control._vertex_solution.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -241,8 +245,8 @@ def test_certify_epsilon_outside_the_budget(maps, epsilon, code):
 def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
     # a design solves each vertex problem (Phi_i, Gamma, Q, R) once per
     # process, from an empty memo; `maps gains` reports the Riccati
-    # solutions of the design it prints, so it makes one solve per vertex
-    # whatever the memo holds
+    # solutions of the design it prints out of the same memo, so after that
+    # design it solves nothing
     calls = []
 
     def counted(*args, **kwargs):
@@ -255,18 +259,20 @@ def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
         return len(calls)
 
     monkeypatch.setattr(control, "solve_discrete_are", counted)
-    control._vertex_gain.cache_clear()
+    control._vertex_solution.cache_clear()
     n_vertices = len(motor.vertex_rho)
     assert solves(harness.design_from_motor, motor) == n_vertices
     assert solves(harness.design_from_motor, motor) == 0
     # the b_min vertex is the same model; only the b_max vertex is new
     assert solves(harness.design_from_motor, dataclasses.replace(motor, b_max=6e-4)) == 1
     custom = control.LqrWeights(Q=np.diag([10.0, 1.0, 1.0]), R=np.array([[1.0]]))
-    assert solves(harness.design_from_motor, motor, custom) == n_vertices
+    bare = build_vertex_set(motor.params, motor.vertex_rho, motor.sample_time,
+                            motor.discretization)
+    assert solves(control.synthesize_vertex_gains, bare, custom) == n_vertices
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["gains"]) == 0
-    assert len(calls) == n_vertices
+    assert len(calls) == 0
 
 
 def test_run_writes_outputs(maps, tmp_path, scenario_cfg):
@@ -348,20 +354,52 @@ def test_negative_noise_exit_one(maps, tmp_path, text):
     ("duration = 1\nfriction = window\nramp_time = -1\n", "ramp_time must be a number >= 0"),
     ("duration = 1\nfriction = toggle\nramp_time = -1\n", "ramp_time must be a number >= 0"),
     ("duration = 1\nfriction = constant\nramp_time = -0.5\n", "ramp_time must be a number >= 0"),
+    ("duration = 1\nfriction = constant\nramp_time = 7\n",
+     "ramp_time 7.0 needs friction = window; friction 'constant' does not ramp"),
+    ("duration = 1\nfriction = toggle\nramp_time = 0.05\n",
+     "ramp_time 0.05 needs friction = window; friction 'toggle' does not ramp"),
     ("duration = 1\nfrequency = 1e308\n", "sine frequency 1e+308 puts the reference's rate"),
     ("duration = 1\namplitude = 100\nfrequency = 1e307\n", "sine frequency 1e+307 puts"),
     ("duration = 30\nfrequency = 1e307\n", "sine frequency 1e+307 puts the reference's rate"),
-], ids=["negative-ramp", "negative-ramp-toggle", "negative-ramp-constant", "rate", "peak", "phase"])
+], ids=["negative-ramp", "negative-ramp-toggle", "negative-ramp-constant", "ramp-constant",
+        "ramp-toggle", "rate", "peak", "phase"])
 def test_schedule_and_reference_out_of_range_exit_one(maps, tmp_path, text, reason):
     # a negative ramp would run as step switches, and is refused whatever
-    # the schedule; a sine whose rate, peak or phase overflows would reach
-    # the plant as a NaN input or raise in sin
+    # the schedule; a positive one is refused by the schedules that do not
+    # ramp, which would run without it; a sine whose rate, peak or phase
+    # overflows would reach the plant as a NaN input or raise in sin
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
     assert out.returncode == 1
     assert out.stderr.startswith("error: invalid config: ") and reason in out.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base, ramp, spec_friction", [
+    ("friction = constant\n", "ramp_time = 0\n", None),
+    ("friction = toggle\ntoggle_start = 0.1\n", "ramp_time = 0.0\n", None),
+    ("friction = window\nload_start = 0.1\nload_end = 0.3\n", "ramp_time = 0.05\n",
+     lambda m: harness.load_window_schedule(m.b_min, m.b_max, start=0.1, end=0.3,
+                                            ramp_time=0.05)),
+], ids=["constant-0", "toggle-0", "window-0.05"])
+def test_ramp_time_a_schedule_takes_runs(maps, tmp_path, motor, base, ramp, spec_friction):
+    # ramp_time = 0 is no ramp for every schedule: the run is the one without
+    # the key; a ramped window runs the schedule load_window_schedule builds
+    files = {}
+    for name, text in (("plain", base), ("ramp", base + ramp)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("duration = 0.4\nseed = 2\n" + text)
+        assert maps("run", str(cfg), "--out", str(tmp_path / name)).returncode == 0
+        files[name] = [(tmp_path / name / f).read_bytes() for f in ("trace.csv", "plot.csv")]
+    if spec_friction is None:
+        assert files["ramp"] == files["plain"]
+        return
+    spec = harness.ScenarioSpec(duration=0.4, seed=2, friction=spec_friction(motor))
+    record = harness.run_scenario(spec, motor, harness.design_from_motor(motor))
+    harness.write_run_csvs(tmp_path / "trace.csv", tmp_path / "plot.csv", record)
+    assert files["ramp"] == [(tmp_path / f).read_bytes() for f in ("trace.csv", "plot.csv")]
+    assert files["ramp"] != files["plain"]
 
 
 def test_diverged_estimate_exit_two(maps, tmp_path):

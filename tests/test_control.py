@@ -22,7 +22,7 @@ from mapsched.control import (
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import NoiseConfig
 from mapsched.harness import design_from_motor
-from mapsched.motor import MotorParams, build_vertex_set
+from mapsched.motor import build_vertex_set
 
 B_MIN, B_MAX = 2.46e-6, 1.63e-4
 
@@ -101,11 +101,12 @@ class TestSolveDare:
             warnings.simplefilter("error")
             solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, weights)
 
-    def test_model_out_of_float_range_is_named(self, weights):
+    def test_model_out_of_float_range_is_named(self, motor, weights):
         # an Euler electrical pole 1 - T Rm / Lm of -1.7e148 (Lm = 1e-150):
         # the solve fails because the model is past float64 round-off, not
         # because the pair is not stabilizable
-        vs = build_vertex_set(MotorParams(Lm=1e-150), (B_MIN, B_MAX), 0.002)
+        tiny = dataclasses.replace(motor.params, Lm=1e-150)
+        vs = build_vertex_set(tiny, (B_MIN, B_MAX), 0.002, "euler")
         with pytest.raises(NumericalError, match="reach 1.68e[+]148.*out of float range"):
             solve_dare(vs.Phi_vertices[0], vs.Gamma, weights)
 
@@ -128,7 +129,7 @@ class TestSolveDare:
 
 class TestVertexGains:
     def test_identical_vertices_equal_gains(self, motor, weights):
-        vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002)
+        vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, "euler")
         # same Phi at both corners
         same = dataclasses.replace(vs, Phi_vertices=(vs.Phi_vertices[0], vs.Phi_vertices[0]))
         got = synthesize_vertex_gains(same, weights)
@@ -162,10 +163,10 @@ class TestGainMemo:
     @pytest.mark.parametrize("mode, T, b_max", GRID)
     def test_hit_is_bit_identical_to_a_fresh_solve(self, motor, weights, mode, T, b_max):
         designed = dataclasses.replace(motor, discretization=mode, sample_time=T, b_max=b_max)
-        first = design_from_motor(designed, weights)
-        hits = control._vertex_gain.cache_info().hits
-        again = design_from_motor(designed, weights)
-        assert control._vertex_gain.cache_info().hits == hits + len(again.rho)
+        first = design_from_motor(designed)
+        hits = control._vertex_solution.cache_info().hits
+        again = design_from_motor(designed)
+        assert control._vertex_solution.cache_info().hits == hits + len(again.rho)
         want = fresh_gains(again, weights)
         assert [K.tobytes() for K in first.K_vertices] == want
         assert [K.tobytes() for K in again.K_vertices] == want
@@ -174,33 +175,35 @@ class TestGainMemo:
         def fails(*args):
             raise LinAlgError("Failed to find a finite solution.")
 
-        control._vertex_gain.cache_clear()
+        control._vertex_solution.cache_clear()
         monkeypatch.setattr(control, "solve_discrete_are", fails)
         for _ in range(2):
             with pytest.raises(NumericalError, match="no stabilizing solution"):
-                design_from_motor(motor, weights)
-        assert control._vertex_gain.cache_info().currsize == 0
+                design_from_motor(motor)
+        assert control._vertex_solution.cache_info().currsize == 0
         monkeypatch.undo()
-        vertices = design_from_motor(motor, weights)
+        vertices = design_from_motor(motor)
         assert [K.tobytes() for K in vertices.K_vertices] == fresh_gains(vertices, weights)
 
     def test_memo_stays_within_its_bound(self, motor):
         # each R weight makes both vertex problems of the design new
-        control._vertex_gain.cache_clear()
+        control._vertex_solution.cache_clear()
         designs = control.GAIN_MEMO_SIZE // 2 + 4
+        bare = build_vertex_set(motor.params, motor.vertex_rho, motor.sample_time,
+                                motor.discretization)
         for r in np.linspace(1.0, 20.0, designs):
-            design_from_motor(motor, LqrWeights(Q=np.eye(3), R=np.array([[r]])))
-        info = control._vertex_gain.cache_info()
+            synthesize_vertex_gains(bare, LqrWeights(Q=np.eye(3), R=np.array([[r]])))
+        info = control._vertex_solution.cache_info()
         assert info.misses == 2 * designs
         assert info.currsize == control.GAIN_MEMO_SIZE
 
     def test_gains_are_read_only(self, motor, weights):
-        vertices = design_from_motor(motor, weights)
+        vertices = design_from_motor(motor)
         for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices):
-            held = control._vertex_gain(control._RiccatiProblem(phi, vertices.Gamma, weights))
-            for gain in (K, held):
+            held = control._vertex_solution(control._RiccatiProblem(phi, vertices.Gamma, weights))
+            for array in (K, held.K, held.P):
                 with pytest.raises(ValueError):
-                    gain[0, 0] = 1.0
+                    array[0, 0] = 1.0
 
 
 def gain_rows(vertices):
@@ -295,7 +298,7 @@ def test_gain_report_shape(vertices_euler, weights):
 
 
 def test_gain_report_requires_gains(motor, weights):
-    bare = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002)
+    bare = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, "euler")
     solutions = [solve_dare(phi, bare.Gamma, weights) for phi in bare.Phi_vertices]
     with pytest.raises(ParameterError, match="gains have not been synthesized"):
         gain_report(bare, solutions)

@@ -12,7 +12,6 @@ from mapsched.estimation import FilterBank, default_transition_matrix
 from mapsched.motor import (
     OMEGA_REST,
     FrictionModel,
-    MotorParams,
     VertexSet,
     build_continuous_model,
     build_vertex_set,
@@ -58,23 +57,23 @@ class TestContinuousModel:
         A, _ = build_continuous_model(motor.params, 1.63e-4)
         assert A[1, 1] == pytest.approx(-7.9126, rel=1e-4)
 
-    def test_jeq_is_sum_of_inertias(self):
-        p = MotorParams()
+    def test_jeq_is_sum_of_inertias(self, motor):
+        p = motor.params
         assert p.Jeq == pytest.approx(p.Jr + p.Jh + p.Jd, rel=0, abs=0)
         assert p.Jeq == pytest.approx(2.06e-5)
 
-    def test_nonpositive_parameters_rejected(self):
+    def test_nonpositive_parameters_rejected(self, motor):
         with pytest.raises(ParameterError):
-            MotorParams(Lm=0.0)
+            dataclasses.replace(motor.params, Lm=0.0)
         with pytest.raises(ParameterError):
-            MotorParams(Jr=-1e-6)
+            dataclasses.replace(motor.params, Jr=-1e-6)
         with pytest.raises(ParameterError):
-            build_continuous_model(MotorParams(), -1e-6)
+            build_continuous_model(motor.params, -1e-6)
 
     @given(b=st.floats(min_value=0.0, max_value=1e-2))
     @settings(max_examples=50, deadline=None)
-    def test_structural_zeros_for_all_b(self, b):
-        A, B = build_continuous_model(MotorParams(), b)
+    def test_structural_zeros_for_all_b(self, motor, b):
+        A, B = build_continuous_model(motor.params, b)
         assert A[0, 0] == 0.0 and A[0, 2] == 0.0 and A[0, 1] == 1.0
         assert A[1, 0] == 0.0 and A[2, 0] == 0.0
         assert B[0, 0] == 0.0 and B[1, 0] == 0.0
@@ -193,9 +192,9 @@ class TestVertexSet:
 
     def test_rejects_non_increasing(self, motor):
         with pytest.raises(ParameterError):
-            build_vertex_set(motor.params, (0.0, 0.0), 0.002)
+            build_vertex_set(motor.params, (0.0, 0.0), 0.002, "euler")
         with pytest.raises(ParameterError):
-            build_vertex_set(motor.params, (1e-4,), 0.002)
+            build_vertex_set(motor.params, (1e-4,), 0.002, "euler")
 
     def test_two_vertex_affine_difference(self, motor):
         # any two vertices differ by -(rho_j - rho_i) T / Jeq at [1, 1]
@@ -229,7 +228,7 @@ class TestVertexSet:
     def test_models_share_gamma_and_h(self, motor, noise):
         # one Phi per vertex and the one Gamma of the set; the measurement
         # row H = e0 is the filter bank's, which takes the arrays as they are
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
+        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
         assert len(vs.Phi_vertices) == 2
         assert vs.Gamma.shape == (3, 1) and vs.T == 0.002
         FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), noise)
@@ -254,12 +253,12 @@ class TestVertexSet:
 
     @pytest.mark.parametrize("T", [0.0, -0.002, math.nan])
     def test_refuses_a_non_positive_sample_time(self, motor, T):
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
+        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
         with pytest.raises(ParameterError, match="sample time must be positive"):
             VertexSet(rho=vs.rho, Phi_vertices=vs.Phi_vertices, Gamma=vs.Gamma, T=T,
                       mode=vs.mode)
 
     def test_with_gains_requires_one_per_vertex(self, motor):
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
+        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
         with pytest.raises(ParameterError):
             vs.with_gains([np.zeros((1, 3))])

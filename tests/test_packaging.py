@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,20 @@ def test_every_import_of_a_module_is_used():
     stray = [f"{module}:{line} {name}" for module, line, name in unused
              if (module, name) not in TRACED_REEXPORTS]
     assert not stray, f"imported but never used: {stray}"
+
+
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_blas_runs_one_thread_unless_the_user_sets_it(given, seen):
+    # importing the package pins OpenBLAS's pool to one thread before numpy
+    # loads it; a value in the environment wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = ("import sys, mapsched, os; assert 'numpy' in sys.modules; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == seen

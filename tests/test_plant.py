@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from reference import motor_rk4
@@ -7,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from mapsched import plant
 from mapsched.config import motor_config_from_entries
 from mapsched.errors import ConfigError, NumericalError, ParameterError
-from mapsched.motor import OMEGA_REST, FrictionModel, MotorParams, build_continuous_model
+from mapsched.motor import OMEGA_REST, FrictionModel, build_continuous_model
 from mapsched.plant import TickMap, plant_step
 
 
@@ -203,7 +205,7 @@ def test_event_cap_raises(motor, monkeypatch):
 def test_complex_modes_refused(motor):
     # a large inductance makes the (omega, i) modes a complex pair
     with pytest.raises(ParameterError, match="not real and distinct"):
-        TickMap(MotorParams(Lm=1.0), STOCK_FRICTION, 0.002)
+        TickMap(dataclasses.replace(motor.params, Lm=1.0), STOCK_FRICTION, 0.002)
     with pytest.raises(ConfigError, match="not real and distinct"):
         motor_config_from_entries({"lm": "1.0"})
 
@@ -214,9 +216,9 @@ def test_config_refuses_complex_modes_inside_schedule_range(motor):
     # real at both vertices, but schedules may reach 10 b_max
     p = motor.params
     for b in (0.0, 0.02, 0.2):
-        plant_step((0.0, 3.0, 0.1), 2.0, TickMap(p, FrictionModel(b=b), 0.002))
+        plant_step((0.0, 3.0, 0.1), 2.0, TickMap(p, dataclasses.replace(STOCK_FRICTION, b=b), 0.002))
     with pytest.raises(ParameterError):
-        TickMap(p, FrictionModel(b=0.15), 0.002)
+        TickMap(p, dataclasses.replace(STOCK_FRICTION, b=0.15), 0.002)
     with pytest.raises(ConfigError, match="not real and distinct"):
         motor_config_from_entries({"b_max": "0.02"})
     assert motor_config_from_entries({"b_max": "0.013"}).b_max == 0.013

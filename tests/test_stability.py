@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from reference import certify_checked, dlyap_series, gains_by_replace, sample_simplex
 
-from mapsched.control import solve_dare, synthesize_vertex_gains
+from mapsched.control import solve_dare, synthesize_vertex_gains, vertex_solutions
 from mapsched.errors import CertificationError, ParameterError
 from mapsched.harness import design_from_motor
 from mapsched.motor import build_vertex_set
@@ -214,7 +214,7 @@ class TestCertify:
             certify(vertices_zoh, epsilon=epsilon)
 
     def test_gains_required(self, motor):
-        bare = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002)
+        bare = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
         with pytest.raises(ParameterError):
             certify(bare)
 
@@ -264,7 +264,7 @@ def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, 
     else:
         designed = dataclasses.replace(motor, b_max=b_max, sample_time=T, discretization=mode)
         bare = build_vertex_set(designed.params, designed.vertex_rho, T, mode=mode)
-        vertices = design_from_motor(designed, weights)
+        vertices = design_from_motor(designed)
     ref_vertices, ref_solutions = gains_by_replace(bare, weights)
     for field in dataclasses.fields(vertices):
         got, want = getattr(vertices, field.name), getattr(ref_vertices, field.name)
@@ -275,11 +275,12 @@ def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, 
             assert same_bits(got, want), field.name
         else:
             assert got == want, field.name
-    for phi, ref in zip(bare.Phi_vertices, ref_solutions):
-        solution = solve_dare(phi, bare.Gamma, weights)
-        assert same_bits(solution.K, ref.K)
-        assert same_bits(solution.P, ref.P)
-        assert solution.residual == ref.residual
+    for phi, ref, held in zip(bare.Phi_vertices, ref_solutions,
+                              vertex_solutions(vertices, weights), strict=True):
+        for solution in (solve_dare(phi, bare.Gamma, weights), held):
+            assert same_bits(solution.K, ref.K)
+            assert same_bits(solution.P, ref.P)
+            assert solution.residual == ref.residual
     cert, ref_cert = certify(vertices), certify_checked(ref_vertices)
     for field in dataclasses.fields(StabilityCert):
         got, want = getattr(cert, field.name), getattr(ref_cert, field.name)
