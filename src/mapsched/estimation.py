@@ -183,11 +183,15 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
     else:
         # interaction: mu_pred = Pi' mu and the mixed means, with
         # mixing[j][i] = P(mode i previously | mode j now). Both products
-        # stay BLAS calls: OpenBLAS's kernel, chosen at run time, rounds
-        # w1 m1 + w0 m0 as fma(w1, m1, w0 m0), which a float loop does not
-        # reproduce, and the likelihood ratio scales the last bit of the
-        # mixed angle by r/s (up to ~700 per rad on the motor). Called as
-        # ndarray methods they skip np.dot's dispatch, with the same bits.
+        # stay BLAS calls, whose rounding is the kernel's that OpenBLAS
+        # picks at run time: on an avx512f Xeon (SkylakeX kernels, OpenBLAS
+        # 0.3.31) both round x1 y1 + x0 y0 as fma(x1, y1, x0 y0), under
+        # OPENBLAS_CORETYPE=Haswell Pi' mu rounds plainly, and under
+        # Sandybridge both do. No one float loop matches every kernel, and
+        # the likelihood ratio scales the last bit of the mixed angle by
+        # r/s (up to ~700 per rad on the motor), so output bytes hold per
+        # machine and kernel. Called as ndarray methods they skip np.dot's
+        # dispatch, with the same bits.
         mu_pred = bank.pi_t.dot(mu).tolist()
         mixing = [[p * m / (MIX_FLOOR if MIX_FLOOR > c else c) for p, m in zip(col, mu)]
                   for col, c in zip(bank.pi_cols, mu_pred)]

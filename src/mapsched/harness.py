@@ -24,9 +24,10 @@ from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
+from struct import pack_into
 
 import numpy as np
 import orjson
@@ -119,6 +120,26 @@ class FrictionSchedule:
                 frac = lapsed / self.ramp_time
                 return prev.b + frac * (seg.b - prev.b), seg.coulomb_on
         return seg.b, seg.coulomb_on
+
+    def at_times(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`at` at each of `times`, as a float array of friction values and
+        a bool array of Coulomb flags. The segment is found by
+        `searchsorted(side="right")`, `bisect_right`'s rule, and a ramp's
+        value by `at`'s float operations elementwise, so every value has
+        `at`'s bits."""
+        starts = np.array(self._starts)
+        idx = np.searchsorted(starts, times, side="right")
+        idx = np.maximum(idx - 1, 0, out=idx)
+        b = np.array([s.b for s in self.segments])
+        coulomb = np.array([s.coulomb_on for s in self.segments], dtype=bool)[idx]
+        values = b[idx]
+        if self.ramp_time > 0.0:
+            lapsed = times - starts[idx]
+            ramping = np.flatnonzero((idx > 0) & (lapsed < self.ramp_time))
+            seg = idx[ramping]
+            prev, frac = b[seg - 1], lapsed[ramping] / self.ramp_time
+            values[ramping] = prev + frac * (b[seg] - prev)
+        return values, coulomb
 
 
 def constant_schedule(b: float) -> FrictionSchedule:
@@ -227,6 +248,23 @@ class ScenarioSpec:
         level = self.amplitude if phase < 0.5 * self.period else -self.amplitude
         return (level, 0.0, 0.0)
 
+    def reference_states(self, times: np.ndarray) -> np.ndarray:
+        """`reference_state` at each of `times`, one (theta, omega, current)
+        row per time, with its bits: the step's phase by `np.fmod`, exact as
+        `math.fmod` is, and the sine's `math.sin` and `math.cos` (not
+        numpy's, whose SIMD loops may round differently) mapped over the
+        phases w t."""
+        out = np.zeros((times.size, 3))
+        if self.reference == "sine":
+            w = 2.0 * math.pi * self.frequency
+            phases = w * times
+            out[:, 0] = self.amplitude * np.fromiter(map(math.sin, phases), float, times.size)
+            out[:, 1] = self.amplitude * w * np.fromiter(map(math.cos, phases), float, times.size)
+        else:
+            first_half = np.fmod(times, self.period) < 0.5 * self.period
+            out[:, 0] = np.where(first_half, self.amplitude, -self.amplitude)
+        return out
+
 
 def _tick_count(duration: float, sample_rate: float) -> int:
     """Ticks of a run; refuses a non-positive duration or sample rate and
@@ -310,14 +348,22 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
 
     `vertices` is a gain-filled design, as `design_from_motor` returns; a
     set without gains is refused with ParameterError. Every variant runs
-    one loop. The estimator is `imm_step` over a `FilterBank`: `imm` holds
-    every vertex's Phi, `kf:<i>` vertex i's alone. The gain is `maps_gain`
-    of the mode probabilities for `maps`, formed every tick; `fixed:<i>`
+    one loop, and a tick does only the feedback work: the measurement, the
+    estimator `imm_step` over a `FilterBank` (`imm` holds every vertex's
+    Phi, `kf:<i>` vertex i's alone), the gain, `control_input` and
+    `plant_step` on the tick's `TickMap`, taken from a 16-entry cache. The
+    gain is `maps_gain` of the mode probabilities for `maps`; `fixed:<i>`
     takes vertex gain i and `open` a zero gain, feeding theta_ref forward
     as the voltage instead, both formed once per run. Under `kf:<i>` the
-    weights and rho_hat are one-hot at i, also formed once per run. The
-    loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise in one
-    call and stores its log rows in one assignment.
+    weights are one-hot at i, also formed once per run.
+
+    What the loop only reads by time or only records is formed once per
+    run with numpy, by the float operations of one tick, so its bits are
+    those of the scalar rules: the times k T, the friction of each tick
+    (`FrictionSchedule.at_times`), the reference (`reference_states`) and,
+    after the loop, rho_hat, summed from 0.0 term by term as the loop would.
+    The loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise in
+    one call and packs its rows into the log with one `struct.pack_into`.
     """
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
@@ -350,19 +396,22 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     )
     feedforward = 1.0 if ctl_kind == "open" else 0.0
     # kf:<i>'s one mode has probability lik / lik = 1.0 on every tick, so
-    # its weights are one-hot at i, and so is rho_hat, for the whole run
-    kf_weights = kf_rho_hat = None
+    # its weights are one-hot at i for the whole run
+    kf_weights = None
     if est_kind == "kf":
         kf_weights = [0.0] * nv
         kf_weights[est_idx] = 1.0
-        kf_rho_hat = 0.0
-        for m, r in zip(kf_weights, vertices.rho):
-            kf_rho_hat += m * r
 
     n = spec.n_ticks
-    # one row per tick: time, z, truth (3), estimate (3), mu (nv), rho_hat,
-    # gain (3), u, reference (3), b_true
-    log = np.empty((n, 17 + nv))
+    # what the loop only reads by time, formed once with one tick's float
+    # operations: t = k T, the friction and the reference at t
+    time = np.arange(n) * T
+    b_true, coulomb = spec.friction.at_times(time)
+    reference = spec.reference_states(time)
+    # what the loop computes, one row per tick: z, truth (3), estimate (3),
+    # mu (nv), gain (3), u; a chunk's rows are packed into it at once
+    width = 11 + nv
+    log = np.empty((n, width))
     normal = np.random.default_rng(spec.seed).standard_normal
     meas_std = (
         spec.meas_noise_std
@@ -370,8 +419,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
         else math.sqrt(float(noise.R[0, 0]))
     )
     dist_std = spec.process_noise_std
-    reference, friction_at = spec.reference_state, spec.friction.at
-    params, v_limit, rho = motor.params, spec.v_limit, vertices.rho
+    params, v_limit = motor.params, spec.v_limit
 
     # one TickMap per schedule segment, not per tick; a ramp misses
     @lru_cache(maxsize=16)
@@ -391,40 +439,39 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
         else:
             draws = zip(normal(stop - start).tolist(), repeat(0.0))
         rows = []
-        for k, (e_z, e_d) in zip(range(start, stop), draws):
-            t = k * T
+        for (e_z, e_d), ref, b_t, coulomb_on in zip(
+            draws, reference[start:stop].tolist(),
+            b_true[start:stop].tolist(), coulomb[start:stop].tolist(),
+        ):
             z = truth[0] + meas_std * e_z
             tau_dist = dist_std * e_d
             means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
-            if kf_weights is None:
-                mu_v = mu
-                rho_hat = 0.0
-                for m, r in zip(mu, rho):
-                    rho_hat += m * r
-            else:
-                mu_v, rho_hat = kf_weights, kf_rho_hat
+            mu_v = mu if kf_weights is None else kf_weights
             K = maps_gain(mu_v, gains) if fixed_gain is None else fixed_gain
-            ref = reference(t)
             u, saturated = control_input(K, ref, x_hat, v_limit, feedforward)
             saturations += saturated
-            b_t, coulomb_on = friction_at(t)
-            rows.append((t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t))
+            rows.append((z, *truth, *x_hat, *mu_v, *K, u))
             truth = plant_step(truth, u, tick_map(b_t, coulomb_on), tau_dist)
-        log[start:stop] = rows
+        pack_into(f"{len(rows) * width}d", log, start * width * 8, *chain.from_iterable(rows))
 
-    c = 8 + nv
+    # rho_hat = sum_i mu_i rho_i, added term by term from 0.0 as a tick
+    # would: elementwise, not a BLAS product, whose kernel may fuse
+    rho_hat = np.zeros(n)
+    for j, r in enumerate(vertices.rho):
+        rho_hat += log[:, 7 + j] * r
+    c = 7 + nv
     return RunRecord(
         spec=spec,
-        time=log[:, 0],
-        z=log[:, 1],
-        truth=log[:, 2:5],
-        estimate=log[:, 5:8],
-        mu=log[:, 8:c],
-        rho_hat=log[:, c],
-        gain=log[:, c + 1:c + 4],
-        u=log[:, c + 4],
-        reference=log[:, c + 5:c + 8],
-        b_true=log[:, c + 8],
+        time=time,
+        z=log[:, 0],
+        truth=log[:, 1:4],
+        estimate=log[:, 4:7],
+        mu=log[:, 7:c],
+        rho_hat=rho_hat,
+        gain=log[:, c:c + 3],
+        u=log[:, c + 3],
+        reference=reference,
+        b_true=b_true,
         saturation_count=saturations,
     )
 

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -135,7 +136,12 @@ class TestFrictionSchedule:
         # a ramp longer than some gaps and shorter than others
         ramp = FrictionSchedule(segments=segs, ramp_time=1.5e-3)
         for sched in (step, ramp):
-            assert [sched.at(t) for t in times] == friction_by_scan(sched, times)
+            scan = friction_by_scan(sched, times)
+            assert [sched.at(t) for t in times] == scan
+            # the per-run lookup of run_scenario: the same values, bit for bit
+            values, coulomb = sched.at_times(np.array(times))
+            assert values.tobytes() == np.array([b for b, _ in scan]).tobytes()
+            assert coulomb.tolist() == [c for _, c in scan]
 
     def test_max_rho_step_for_slow_variation_bound(self):
         def max_rho_step(schedule, tick, duration):
@@ -167,6 +173,25 @@ class TestReferenceSignals:
         assert ref[0] == pytest.approx(1.5 * np.sin(w * t))
         assert ref[1] == pytest.approx(1.5 * w * np.cos(w * t))
         assert ref[2] == 0.0
+
+    @pytest.mark.parametrize("reference", ["sine", "step"])
+    def test_per_run_reference_matches_reference_state_bitwise(self, reference):
+        # run_scenario forms the reference of every tick up front; each row
+        # must be the bits reference_state gives at that tick's time
+        spec = short_spec(reference=reference, amplitude=1.7, frequency=0.7, period=0.8,
+                          duration=200.0)
+        half = 0.5 / spec.frequency if reference == "sine" else 0.5 * spec.period
+        # a whole long run's times and exact multiples of half a period, both
+        # from t = 0, and the last tick of a run of MAX_TICKS ticks
+        times = np.concatenate((
+            np.arange(spec.n_ticks) * spec.tick,
+            np.arange(200) * half,
+            [(harness.MAX_TICKS - 1) * spec.tick],
+        ))
+        rows = spec.reference_states(times)
+        assert rows.shape == (times.size, 3)
+        expected = np.array([spec.reference_state(t) for t in times.tolist()])
+        assert rows.tobytes() == expected.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -340,6 +365,55 @@ class TestRunPathEstimators:
                                                    duration=2.0))
         run_scenario(spec, motor_zoh, vertices_zoh)
         assert calls == {"plant_step": spec.n_ticks, "imm_step": spec.n_ticks}
+
+    @pytest.mark.parametrize("estimator,reference,friction", [
+        ("imm", "step", toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.5, duration=2.0)),
+        ("kf:0", "step", toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.5, duration=2.0)),
+        ("imm", "sine", load_window_schedule(B_MIN, B_MAX, start=0.5, end=1.5, ramp_time=0.3)),
+        ("kf:0", "sine", load_window_schedule(B_MIN, B_MAX, start=0.5, end=1.5, ramp_time=0.3)),
+    ], ids=["imm-step", "kf0-step", "imm-sine-ramp", "kf0-sine-ramp"])
+    def test_friction_and_reference_formed_per_run(self, monkeypatch, motor_zoh, vertices_zoh,
+                                                   estimator, reference, friction):
+        # the loop reads friction and reference from arrays formed before it;
+        # the scalar rules are for the tick-by-tick replay and the tracer
+        def refused(*args, **kwargs):
+            raise AssertionError("scalar lookup called by the run")
+
+        monkeypatch.setattr(FrictionSchedule, "at", refused)
+        monkeypatch.setattr(ScenarioSpec, "reference_state", refused)
+        spec = short_spec(reference=reference, period=1.0, estimator=estimator,
+                          friction=friction)
+        rec = run_scenario(spec, motor_zoh, vertices_zoh)
+        assert rec.time.size == spec.n_ticks
+
+    def test_run_peak_memory_near_its_log(self, monkeypatch, motor_zoh, vertices_zoh):
+        # the per-run arrays add little to the log the run returns: the
+        # traced peak of a 15,000-tick run stays within 1.5x the bytes of
+        # its (ticks, 17 + Nv) float64 log. The traced run replays the
+        # estimator's and the plant's results from an untraced first run
+        # (they keep no memory across ticks), which makes tracing ~10x faster
+        spec = short_spec(duration=30.0, friction=load_window_schedule(
+            B_MIN, B_MAX, start=10.0, end=20.0, ramp_time=0.5))
+        results = {"imm_step": [], "plant_step": []}
+        for name, out in results.items():
+            def recorded(*args, _out=out, _call=getattr(harness, name)):
+                _out.append(_call(*args))
+                return _out[-1]
+
+            monkeypatch.setattr(harness, name, recorded)
+        first = run_scenario(spec, motor_zoh, vertices_zoh)
+        for name, out in results.items():
+            monkeypatch.setattr(harness, name, lambda *args, _next=iter(out).__next__: _next())
+        tracemalloc.start()
+        try:
+            rec = run_scenario(spec, motor_zoh, vertices_zoh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.time.size == 15_000
+        assert rec.u.tobytes() == first.u.tobytes()
+        log_bytes = spec.n_ticks * (17 + vertices_zoh.n_vertices) * 8
+        assert peak <= 1.5 * log_bytes
 
     def test_asymmetric_process_noise_folded_to_symmetric_part(self, vertices_zoh):
         # the bank's q and r are all the IMM cycle reads of the noise model
