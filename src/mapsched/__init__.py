@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 
 from .config import MotorConfig, load_motor_config
 from .control import (
-    LqrWeights,
+    Q_LQR,
+    R_LQR,
     RiccatiSolution,
     control_input,
     maps_gain,
@@ -35,8 +36,9 @@ from .errors import (
     ParameterError,
 )
 from .estimation import (
+    FILTER_Q,
+    FILTER_R,
     FilterBank,
-    NoiseConfig,
     imm_step,
     initial_belief,
 )
@@ -68,4 +70,6 @@ from .stability import (
     lipschitz_constants,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the modules bound on import
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, type(os)))

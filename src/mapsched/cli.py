@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_motor_config
-from .control import LqrWeights, gain_report, vertex_solutions, write_gain_csv, write_gain_report
+from .control import gain_report, vertex_solutions, write_gain_csv, write_gain_report
 from .errors import CertificationError, ConfigError, NumericalError
 from .harness import (
     compare_runs,
@@ -99,7 +99,7 @@ def _cmd_ident(args) -> int:
 def _cmd_gains(args) -> int:
     vertices = design_from_motor(load_motor_config(args.motor))
     # the Riccati solutions that design's gains came from, out of its memo
-    report = gain_report(vertices, vertex_solutions(vertices, LqrWeights.default()))
+    report = gain_report(vertices, vertex_solutions(vertices))
     print(f"discretization: {report['mode']}, sample time {report['sample_time']} s")
     for entry in report["vertices"]:
         K = ", ".join(f"{v: .6f}" for v in entry["K"])

@@ -1,12 +1,12 @@
 """LQR synthesis and probabilistically scheduled gain computation.
 
-The Riccati equation of a vertex's (Phi, Gamma) pair is solved by scipy's
-Schur (QZ) method and then checked against a residual bound. Each distinct
-vertex problem is solved once per process: `vertex_solutions` keeps every
-vertex's solution (P, K, residual), from which `synthesize_vertex_gains`
-fills the design's gains and `maps gains` reports the same solves. The
-per-tick scheduled gain is the probability-weighted convex combination of
-the vertex gains.
+The Riccati equation of a vertex's (Phi, Gamma) pair under the stock cost
+weights Q_LQR and R_LQR is solved by scipy's Schur (QZ) method and then
+checked against a residual bound. Each distinct vertex problem is solved
+once per process: `vertex_solutions` keeps every vertex's solution (P, K,
+residual), from which `synthesize_vertex_gains` fills the design's gains
+and `maps gains` reports the same solves. The per-tick scheduled gain is
+the probability-weighted convex combination of the vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
 applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,30 +30,10 @@ RESIDUAL_LIMIT = 1e-9
 GAIN_MEMO_SIZE = 128
 
 
-@dataclass(frozen=True)
-class LqrWeights:
-    """Quadratic cost weights; Q penalizes state error, R input effort."""
-
-    Q: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        Q = _frozen(self.Q)
-        R = _frozen(np.atleast_2d(self.R))
-        if np.any(np.linalg.eigvalsh(0.5 * (Q + Q.T)) < -1e-12):
-            raise ParameterError("Q_lqr must be positive semidefinite")
-        if np.any(np.linalg.eigvalsh(0.5 * (R + R.T)) <= 0.0):
-            raise ParameterError("R_lqr must be positive definite")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-
-    @classmethod
-    @cache
-    def default(cls) -> "LqrWeights":
-        """The stock weights: one validated, read-only instance, built on
-        first use and shared by every caller."""
-        # tight position regulation, moderate input attenuation
-        return cls(Q=np.diag([100.0, 1.0, 1.0]), R=np.array([[10.0]]))
+# the stock LQR cost weights, read-only: tight position regulation (Q
+# penalizes state error), moderate input attenuation (R, input effort)
+Q_LQR = _frozen(np.diag([100.0, 1.0, 1.0]))
+R_LQR = _frozen([[10.0]])
 
 
 @dataclass(frozen=True)
@@ -80,9 +60,10 @@ def _gain_and_defect(Phi, Gamma, Q, R, P) -> tuple:
     return K, float(np.max(np.abs(defect)))
 
 
-def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, weights: LqrWeights) -> RiccatiSolution:
+def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
+               R: np.ndarray) -> RiccatiSolution:
     """Stabilizing DARE solution and its LQR gain for the float arrays Phi
-    and Gamma of x+ = Phi x + Gamma u.
+    and Gamma of x+ = Phi x + Gamma u under the cost weights Q and R.
 
     The solution is validated against the residual bound, and the closed
     loop Phi - Gamma K must be Schur stable. A model whose entries overflow
@@ -94,7 +75,6 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, weights: LqrWeights) -> Ricca
     entry past 1/eps is blamed on the model's float range, not on its
     stabilizability.
     """
-    Q, R = weights.Q, weights.R
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
@@ -123,16 +103,15 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, weights: LqrWeights) -> Ricca
 
 
 class _RiccatiProblem:
-    """A vertex's Riccati problem, equal to another exactly when Phi, Gamma,
-    Q and R, the only inputs of its solve, have the same shapes, strides and
-    bytes."""
+    """A vertex's Riccati problem under the stock weights, equal to another
+    exactly when Phi and Gamma, the only other inputs of its solve, have the
+    same shapes, strides and bytes."""
 
-    __slots__ = ("Phi", "Gamma", "weights", "_key")
+    __slots__ = ("Phi", "Gamma", "_key")
 
-    def __init__(self, Phi: np.ndarray, Gamma: np.ndarray, weights: LqrWeights):
-        self.Phi, self.Gamma, self.weights = Phi, Gamma, weights
-        self._key = tuple((a.shape, a.strides, a.tobytes())
-                          for a in (Phi, Gamma, weights.Q, weights.R))
+    def __init__(self, Phi: np.ndarray, Gamma: np.ndarray):
+        self.Phi, self.Gamma = Phi, Gamma
+        self._key = tuple((a.shape, a.strides, a.tobytes()) for a in (Phi, Gamma))
 
     def __hash__(self):
         return hash(self._key)
@@ -146,22 +125,22 @@ def _vertex_solution(problem: _RiccatiProblem) -> RiccatiSolution:
     """The read-only solution of a solved problem. A solve that raises
     leaves nothing in the memo, so the same problem is solved (and fails)
     again on its next design."""
-    return solve_dare(problem.Phi, problem.Gamma, problem.weights)
+    return solve_dare(problem.Phi, problem.Gamma, Q_LQR, R_LQR)
 
 
-def vertex_solutions(vertices: VertexSet, weights: LqrWeights) -> tuple:
-    """The Riccati solution of each vertex's (Phi_i, Gamma, Q, R), in vertex
-    order. Each distinct problem is solved once per process: the solutions
-    of the last GAIN_MEMO_SIZE are kept, and a repeat returns its first
-    solve's."""
-    return tuple(_vertex_solution(_RiccatiProblem(phi, vertices.Gamma, weights))
+def vertex_solutions(vertices: VertexSet) -> tuple:
+    """The Riccati solution of each vertex's (Phi_i, Gamma) under the stock
+    weights Q_LQR and R_LQR, in vertex order. Each distinct problem is
+    solved once per process: the solutions of the last GAIN_MEMO_SIZE are
+    kept, and a repeat returns its first solve's."""
+    return tuple(_vertex_solution(_RiccatiProblem(phi, vertices.Gamma))
                  for phi in vertices.Phi_vertices)
 
 
-def synthesize_vertex_gains(vertices: VertexSet, weights: LqrWeights) -> VertexSet:
+def synthesize_vertex_gains(vertices: VertexSet) -> VertexSet:
     """The gain-filled copy of `vertices`, one LQR gain per vertex from
     `vertex_solutions`."""
-    return vertices.with_gains([s.K for s in vertex_solutions(vertices, weights)])
+    return vertices.with_gains([s.K for s in vertex_solutions(vertices)])
 
 
 def maps_gain(mu, gains) -> tuple:

@@ -16,7 +16,8 @@ left-out zeros would have turned into a NaN innovation variance are tested
 for explicitly. A `FilterBank` takes the vertex arrays Phi_i and Gamma,
 refuses a Phi whose first column is not e0, and holds what the cycle reads:
 Phi's last two columns and Gamma per mode as one flat tuple, Pi and the
-noise. A single Kalman filter is the one-mode bank with Pi = [[1]], whose
+covariances Q and R; every run passes the stock FILTER_Q and FILTER_R. A
+single Kalman filter is the one-mode bank with Pi = [[1]], whose
 probability is exactly 1.0 on every cycle. `kf_predict` and `kf_update` are
 the per-mode array forms of the prediction and the angle update: no run
 calls them, the tests check the cycle against them, and the benchmark's
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -44,6 +43,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 DEFAULT_P0_DIAG = (1e-3, 1e-1, 1e-2)
 
+# the stock process and measurement covariances of every filter mode,
+# read-only
+FILTER_Q = _frozen(np.diag([1e-6, 1e-6, 1e-6]))
+FILTER_R = _frozen([[1e-5]])
+
 
 def _sym(P: np.ndarray) -> np.ndarray:
     """Symmetrize a covariance."""
@@ -54,31 +58,6 @@ def _upper(P) -> tuple:
     """Upper triangle (p00, p01, p02, p11, p12, p22) of a 3x3 covariance."""
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = np.asarray(P, dtype=float).tolist()
     return p00, p01, p02, p11, p12, p22
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Process and measurement covariances used by every filter mode."""
-
-    Q: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        Q = _frozen(self.Q)
-        R = _frozen(np.atleast_2d(self.R))
-        if np.any(np.linalg.eigvalsh(_sym(Q)) < -1e-12):
-            raise ParameterError("Q must be positive semidefinite")
-        if np.any(np.linalg.eigvalsh(_sym(R)) <= 0.0):
-            raise ParameterError("R must be positive definite")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-
-    @classmethod
-    @cache
-    def default(cls) -> "NoiseConfig":
-        """The stock covariances: one validated, read-only instance, built
-        on first use and shared by every caller."""
-        return cls(Q=np.diag([1e-6, 1e-6, 1e-6]), R=np.array([[1e-5]]))
 
 
 def initial_belief() -> tuple:
@@ -121,8 +100,9 @@ def kf_update(x: np.ndarray, P: np.ndarray, z: float, R: np.ndarray) -> tuple:
 
 class FilterBank:
     """Per-mode transition matrices `phis` with the shared input map Gamma,
-    the mode transition matrix Pi and the noise of an IMM bank of 3-state
-    filters measuring the first state, held as float tuples.
+    the mode transition matrix Pi and the process and measurement
+    covariances Q and R of an IMM bank of 3-state filters measuring the
+    first state, held as float tuples.
 
     Every Phi must have the motor's structure exactly: its first column e0
     (the angle enters only its own integration). That holds for every
@@ -135,7 +115,7 @@ class FilterBank:
 
     __slots__ = ("modes", "pi_t", "pi_cols", "q", "r")
 
-    def __init__(self, phis, Gamma, Pi, noise: NoiseConfig):
+    def __init__(self, phis, Gamma, Pi, Q, R):
         phis = tuple(np.asarray(phi, dtype=float) for phi in phis)
         Gamma = np.asarray(Gamma, dtype=float)
         if Gamma.shape != (3, 1) or any(phi.shape != (3, 3) for phi in phis):
@@ -148,7 +128,8 @@ class FilterBank:
             raise ParameterError("Pi must be Nv x Nv for Nv >= 1 modes")
         if any(not min(row) >= 0.0 or not abs(sum(row) - 1.0) <= 1e-12 for row in Pi.tolist()):
             raise ParameterError("each row of Pi must be a probability vector")
-        if noise.Q.shape != (3, 3) or noise.R.shape != (1, 1):
+        Q, R = np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
+        if Q.shape != (3, 3) or R.shape != (1, 1):
             raise ParameterError("noise must be a 3x3 Q and a 1x1 R")
         # per mode: Phi's last two columns row-major, then Gamma
         self.modes = tuple(
@@ -157,8 +138,8 @@ class FilterBank:
         )
         self.pi_t = _frozen(Pi).T
         self.pi_cols = tuple(map(tuple, Pi.T.tolist()))
-        self.q = _upper(_sym(noise.Q))
-        self.r = float(noise.R[0, 0])
+        self.q = _upper(_sym(Q))
+        self.r = float(R[0, 0])
 
     def initial(self):
         """(means, covs, mu): every mode starts from `initial_belief()`, with

@@ -7,9 +7,10 @@ profile, and computes tracking/estimation metrics. Every variant runs the
 same loop on plain floats. The truth plant is solved exactly, friction
 events included (`plant.plant_step`), so a scenario has no integration
 setting. A run takes the gain-filled design `design_from_motor` returns
-and filters with the stock noise model. `ScenarioSpec`'s field defaults
-are the only scenario defaults; its sample rate and constant friction are
-the stock motor's, and in a scenario file they follow the file's motor.
+and filters with the stock covariances FILTER_Q and FILTER_R.
+`ScenarioSpec`'s field defaults are the only scenario defaults; its sample
+rate and constant friction are the stock motor's, and in a scenario file
+they follow the file's motor.
 Runs are deterministic for a given seed; measurement noise is the only
 random input by default.
 """
@@ -41,9 +42,9 @@ from .config import (
     motor_config_from_entries,
     parse_kv_file,
 )
-from .control import LqrWeights, control_input, maps_gain, synthesize_vertex_gains
+from .control import control_input, maps_gain, synthesize_vertex_gains
 from .errors import ConfigError, ParameterError
-from .estimation import FilterBank, NoiseConfig, default_transition_matrix, imm_step
+from .estimation import FILTER_Q, FILTER_R, FilterBank, default_transition_matrix, imm_step
 
 # not called here: `kf:<i>` runs the one-mode bank through imm_step. The
 # benchmark's tracer looks these names up on this module, so they stay
@@ -60,6 +61,14 @@ SCENARIO_KEYS = frozenset(
         "ramp_time", "process_noise_std", "meas_noise_std",
     }
 )
+
+# the keys only one kind of reference or friction schedule reads
+KIND_KEYS = {
+    ("reference", "sine"): ("frequency",),
+    ("reference", "step"): ("period",),
+    ("friction", "window"): ("load_start", "load_end"),
+    ("friction", "toggle"): ("toggle_start", "toggle_period"),
+}
 
 # cap on the ticks one scenario may ask for: they are logged in memory
 # (~150 bytes each)
@@ -198,7 +207,7 @@ class ScenarioSpec:
     estimator: str = "imm"           # "imm" | "kf:<model>"
     v_limit: float = 4.0
     process_noise_std: float = 0.0   # N*m torque disturbance, default off
-    meas_noise_std: float | None = None  # rad; None -> sqrt(R) of the filter config
+    meas_noise_std: float | None = None  # rad; None -> sqrt(FILTER_R)
 
     def __post_init__(self):
         if self.reference not in ("sine", "step"):
@@ -367,7 +376,6 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     """
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
-    noise = NoiseConfig.default()
     T = spec.tick
     if abs(T - vertices.T) > 1e-12:
         raise ConfigError(
@@ -386,7 +394,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     # the vertex each filter mode stands for
     slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
     bank = FilterBank([vertices.Phi_vertices[i] for i in slots], vertices.Gamma,
-                      default_transition_matrix(len(slots)), noise)
+                      default_transition_matrix(len(slots)), FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
     gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
     # fixed:<i> and open weigh the vertex gains the same on every tick,
@@ -416,7 +424,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     meas_std = (
         spec.meas_noise_std
         if spec.meas_noise_std is not None
-        else math.sqrt(float(noise.R[0, 0]))
+        else math.sqrt(float(FILTER_R[0, 0]))
     )
     dist_std = spec.process_noise_std
     params, v_limit = motor.params, spec.v_limit
@@ -495,7 +503,6 @@ def compute_metrics(record: RunRecord) -> MetricsReport:
 class Comparison:
     names: tuple
     metrics: tuple          # MetricsReport per variant
-    records: tuple
 
     def _rows(self) -> list:
         """(label, value per variant, percent change of the second variant
@@ -529,15 +536,14 @@ def _percent_change(ref: float, val: float) -> float:
 def compare_runs(spec: ScenarioSpec, variants, motor: MotorConfig,
                  vertices: VertexSet) -> Comparison:
     """Run named (controller, estimator) variants of the same scenario with a
-    shared seed and friction schedule and tabulate their tracking metrics."""
-    names, metrics, records = [], [], []
+    shared seed and friction schedule and tabulate their tracking metrics.
+    Only the metrics are kept: each run's log is freed before the next run."""
+    names, metrics = [], []
     for name, controller, estimator in variants:
-        rec = run_scenario(replace(spec, controller=controller, estimator=estimator),
-                           motor, vertices)
         names.append(name)
-        records.append(rec)
-        metrics.append(compute_metrics(rec))
-    return Comparison(names=tuple(names), metrics=tuple(metrics), records=tuple(records))
+        metrics.append(compute_metrics(run_scenario(
+            replace(spec, controller=controller, estimator=estimator), motor, vertices)))
+    return Comparison(names=tuple(names), metrics=tuple(metrics))
 
 
 def write_run_csvs(trace_path, plot_path, record: RunRecord) -> None:
@@ -628,7 +634,9 @@ def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:
 def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     """Build a ScenarioSpec from flat key/value entries (strings). A field
     the entries do not set keeps ScenarioSpec's default, except the sample
-    rate and the constant friction, which the motor gives."""
+    rate and the constant friction, which the motor gives. A key that only
+    another kind of reference or friction schedule reads (KIND_KEYS) is
+    refused, as it would be ignored."""
     unknown = set(entries) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
@@ -683,7 +691,14 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     fields.update((key, fget(key)) for key in (
         "amplitude", "frequency", "period", "v_limit", "process_noise_std", "meas_noise_std",
     ) if key in entries)
-    return ScenarioSpec(duration=duration, sample_rate=sample_rate, friction=schedule, **fields)
+    spec = ScenarioSpec(duration=duration, sample_rate=sample_rate, friction=schedule, **fields)
+    chosen = {"reference": spec.reference, "friction": kind}
+    for (setting, reader), keys in KIND_KEYS.items():
+        for key in keys:
+            if key in entries and chosen[setting] != reader:
+                raise ConfigError(f"{key} is read by {setting} = {reader}; "
+                                  f"{setting} {chosen[setting]!r} does not read it")
+    return spec
 
 
 def load_scenario(path) -> tuple[ScenarioSpec, MotorConfig]:
@@ -698,8 +713,8 @@ def load_scenario(path) -> tuple[ScenarioSpec, MotorConfig]:
 
 def design_from_motor(motor: MotorConfig) -> VertexSet:
     """Vertex models at (b_min, b_max) under the configured discretization,
-    with LQR gains synthesized under the stock weights."""
+    with LQR gains synthesized under the stock weights Q_LQR and R_LQR."""
     vertices = build_vertex_set(
         motor.params, motor.vertex_rho, motor.sample_time, mode=motor.discretization
     )
-    return synthesize_vertex_gains(vertices, LqrWeights.default())
+    return synthesize_vertex_gains(vertices)

@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .motor import OMEGA_REST, FrictionModel, MotorParams, zoh_discretize
+from .motor import OMEGA_REST, FrictionModel, MotorParams, build_continuous_model, zoh_discretize
 
 # friction events (band entries and breakaways) located within one tick
 MAX_EVENTS = 8
@@ -84,12 +84,9 @@ class TickMap:
         lam_slow = det / lam_fast  # product of the roots; avoids cancellation
         m_slow = (lam_slow + b / jeq) * jeq / kt
         m_fast = (lam_fast + b / jeq) * jeq / kt
-        A = np.array([
-            [0.0, 1.0, 0.0],
-            [0.0, -b / jeq, kt / jeq],
-            [0.0, -ke / lm, -rm / lm],
-        ])
-        B = np.array([[0.0, 0.0], [1.0 / jeq, 0.0], [0.0, 1.0 / lm]])
+        # the motor's (A, B), with the external torque's column before B's
+        A, B_volt = build_continuous_model(params, b)
+        B = np.hstack(([[0.0], [1.0 / jeq], [0.0]], B_volt))
         Ad, Bd = zoh_discretize(A, B, dt)
         self.slip = (
             *Ad.reshape(-1).tolist(), *Bd.reshape(-1).tolist(),

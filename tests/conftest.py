@@ -3,8 +3,6 @@ import dataclasses
 import pytest
 
 from mapsched.config import load_motor_config
-from mapsched.control import LqrWeights
-from mapsched.estimation import NoiseConfig
 from mapsched.harness import design_from_motor
 
 
@@ -16,16 +14,6 @@ def motor():
 @pytest.fixture(scope="session")
 def motor_zoh(motor):
     return dataclasses.replace(motor, discretization="zoh")
-
-
-@pytest.fixture(scope="session")
-def weights():
-    return LqrWeights.default()
-
-
-@pytest.fixture(scope="session")
-def noise():
-    return NoiseConfig.default()
 
 
 @pytest.fixture(scope="session")

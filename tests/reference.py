@@ -25,14 +25,15 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import LinAlgError, solve_discrete_are
 
-from mapsched.control import RiccatiSolution, control_input, maps_gain
+from mapsched.control import Q_LQR, R_LQR, RiccatiSolution, control_input, maps_gain
 from mapsched.errors import CertificationError, NumericalError, ParameterError
 from mapsched.estimation import (
     _LOG_2PI,
     LIKELIHOOD_FLOOR,
     MIX_FLOOR,
+    FILTER_Q,
+    FILTER_R,
     FilterBank,
-    NoiseConfig,
     _innovation_error,
     default_transition_matrix,
 )
@@ -231,7 +232,7 @@ def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
     return out_means, out_covs, mu, liks, (x0, x1, x2)
 
 
-def closed_loop_by_tick(spec, motor, vertices, noise=None):
+def closed_loop_by_tick(spec, motor, vertices):
     """`harness.run_scenario`'s loop one tick at a time: scalar draws from
     the seed's generator (the measurement noise, then the torque noise when
     it is on), the two-pass IMM cycle, the mode probabilities spread over
@@ -241,13 +242,13 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
 
     Returns (log columns by RunRecord field, saturation count).
     """
-    noise = noise if noise is not None else NoiseConfig.default()
     nv = vertices.n_vertices
     est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
     ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
     slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
     phis = [vertices.Phi_vertices[i] for i in slots]
-    bank = FilterBank(phis, vertices.Gamma, default_transition_matrix(len(slots)), noise)
+    bank = FilterBank(phis, vertices.Gamma, default_transition_matrix(len(slots)),
+                      FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
     gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
     scale = 1.0 if ctl_kind == "maps" else 0.0
@@ -255,7 +256,7 @@ def closed_loop_by_tick(spec, motor, vertices, noise=None):
     feedforward = 1.0 if ctl_kind == "open" else 0.0
     normal = np.random.default_rng(spec.seed).standard_normal
     meas_std = (spec.meas_noise_std if spec.meas_noise_std is not None
-                else math.sqrt(float(noise.R[0, 0])))
+                else math.sqrt(float(FILTER_R[0, 0])))
     dist_std = spec.process_noise_std
     T = spec.tick
 
@@ -304,10 +305,9 @@ def dare_residual_two_solve(Phi, Gamma, Q, R, P) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def solve_dare_two_solve(Phi, Gamma, weights) -> RiccatiSolution:
+def solve_dare_two_solve(Phi, Gamma, Q, R) -> RiccatiSolution:
     """`control.solve_dare` solving Gamma' P Gamma + R twice: once in the
     residual, once for K."""
-    Q, R = weights.Q, weights.R
     try:
         P = solve_discrete_are(Phi, Gamma, Q, R)
     except (LinAlgError, ValueError) as exc:
@@ -327,12 +327,13 @@ def solve_dare_two_solve(Phi, Gamma, weights) -> RiccatiSolution:
     return RiccatiSolution(P=P, K=K, residual=residual)
 
 
-def gains_by_replace(vertices, weights):
+def gains_by_replace(vertices):
     """(gain-filled set, Riccati solutions): one `solve_dare_two_solve` per
-    vertex, the gains filled through `dataclasses.replace`, which validates
-    and freezes the whole set again."""
+    vertex under the stock weights, the gains filled through
+    `dataclasses.replace`, which validates and freezes the whole set again."""
     Gamma = np.asarray(vertices.Gamma, dtype=float)
-    solutions = [solve_dare_two_solve(phi, Gamma, weights) for phi in vertices.Phi_vertices]
+    solutions = [solve_dare_two_solve(phi, Gamma, Q_LQR, R_LQR)
+                 for phi in vertices.Phi_vertices]
     filled = dataclasses.replace(vertices, K_vertices=tuple(s.K for s in solutions))
     return filled, solutions
 

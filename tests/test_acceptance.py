@@ -13,10 +13,11 @@ import pytest
 from reference import dlyap_series
 
 from mapsched.config import load_motor_config
-from mapsched.control import LqrWeights, solve_dare
+from mapsched.control import solve_dare
 from mapsched.estimation import (
+    FILTER_Q,
+    FILTER_R,
     FilterBank,
-    NoiseConfig,
     default_transition_matrix,
     imm_step,
     initial_belief,
@@ -143,7 +144,7 @@ def test_criterion_1_friction_identification(motor_euler):
 def test_criterion_2_dare_correctness(motor_euler, design_euler, design_zoh):
     with criterion("criterion 2: DARE correctness", 1.0):
         sol = solve_dare(np.array([[1.0]]), np.array([[1.0]]),
-                         LqrWeights(Q=np.array([[1.0]]), R=np.array([[1.0]])))
+                         np.array([[1.0]]), np.array([[1.0]]))
         assert sol.P[0, 0] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-10)
         for design in (design_euler, design_zoh):
             for phi, K in zip(design.Phi_vertices, design.K_vertices):
@@ -153,13 +154,12 @@ def test_criterion_2_dare_correctness(motor_euler, design_euler, design_zoh):
 
 def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
     with criterion("criterion 3: IMM invariants over 15000 ticks", 10.0):
-        noise = NoiseConfig.default()
         phis, Gamma = design_zoh.Phi_vertices, design_zoh.Gamma
         sched = toggle_schedule(motor_zoh.b_min, motor_zoh.b_max, first=0.3,
                                 period=5.0, duration=30.0)
         T, n = 0.002, 15_000
         rng = np.random.default_rng(2024)
-        meas_std = math.sqrt(noise.R[0, 0])
+        meas_std = math.sqrt(FILTER_R[0, 0])
 
         # open-loop drive: precompute one truth/measurement stream, with one
         # plant TickMap per friction value of the schedule
@@ -175,7 +175,7 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
             zs[k] = truth[0] + meas_std * rng.standard_normal()
             truth = plant_step(truth, us[k], ticks[sched.at(t)])
 
-        bank = FilterBank(phis, Gamma, default_transition_matrix(2), noise)
+        bank = FilterBank(phis, Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         u_prev = 0.0
         fused_means = np.empty((n, 3))
@@ -195,7 +195,7 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
 
         # a bank of identical models must collapse to the standard KF
         phi = phis[0]
-        bank = FilterBank((phi, phi), Gamma, default_transition_matrix(2), noise)
+        bank = FilterBank((phi, phi), Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         x, P = initial_belief()
         kf_means = np.empty((n, 3))
@@ -204,8 +204,8 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
         for k in range(n):
             means, covs, mu, _, fused_means[k] = imm_step(bank, means, covs, mu, u_prev, zs[k])
             mode_means[k], mode_covs[k], mus[k] = means, covs, mu
-            x, P = kf_predict(x, P, phi, Gamma, u_prev, noise.Q)
-            x, P, _, _ = kf_update(x, P, zs[k], noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, u_prev, FILTER_Q)
+            x, P, _, _ = kf_update(x, P, zs[k], FILTER_R)
             kf_means[k], kf_covs[k] = x, P
             u_prev = us[k]
         fused = fused_covariances(mus, fused_means, mode_means, full_covariances(mode_covs))

@@ -8,7 +8,6 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -243,7 +242,7 @@ def test_certify_epsilon_outside_the_budget(maps, epsilon, code):
 
 
 def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
-    # a design solves each vertex problem (Phi_i, Gamma, Q, R) once per
+    # a design solves each vertex problem (Phi_i, Gamma) once per
     # process, from an empty memo; `maps gains` reports the Riccati
     # solutions of the design it prints out of the same memo, so after that
     # design it solves nothing
@@ -265,10 +264,10 @@ def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
     assert solves(harness.design_from_motor, motor) == 0
     # the b_min vertex is the same model; only the b_max vertex is new
     assert solves(harness.design_from_motor, dataclasses.replace(motor, b_max=6e-4)) == 1
-    custom = control.LqrWeights(Q=np.diag([10.0, 1.0, 1.0]), R=np.array([[1.0]]))
-    bare = build_vertex_set(motor.params, motor.vertex_rho, motor.sample_time,
+    # another sample time makes every vertex problem new
+    bare = build_vertex_set(motor.params, motor.vertex_rho, 0.5 * motor.sample_time,
                             motor.discretization)
-    assert solves(control.synthesize_vertex_gains, bare, custom) == n_vertices
+    assert solves(control.synthesize_vertex_gains, bare) == n_vertices
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["gains"]) == 0
@@ -361,13 +360,29 @@ def test_negative_noise_exit_one(maps, tmp_path, text):
     ("duration = 1\nfrequency = 1e308\n", "sine frequency 1e+308 puts the reference's rate"),
     ("duration = 1\namplitude = 100\nfrequency = 1e307\n", "sine frequency 1e+307 puts"),
     ("duration = 30\nfrequency = 1e307\n", "sine frequency 1e+307 puts the reference's rate"),
+    ("duration = 1\nreference = step\nfrequency = 7\n",
+     "frequency is read by reference = sine; reference 'step' does not read it"),
+    ("duration = 1\nperiod = 2\n",
+     "period is read by reference = step; reference 'sine' does not read it"),
+    ("duration = 1\nfriction = constant\nload_start = 0.2\n",
+     "load_start is read by friction = window; friction 'constant' does not read it"),
+    ("duration = 1\nfriction = toggle\nload_end = 0.5\n",
+     "load_end is read by friction = window; friction 'toggle' does not read it"),
+    ("duration = 1\ntoggle_start = 0.2\n",
+     "toggle_start is read by friction = toggle; friction 'constant' does not read it"),
+    ("duration = 1\nfriction = window\ntoggle_period = 0.5\n",
+     "toggle_period is read by friction = toggle; friction 'window' does not read it"),
 ], ids=["negative-ramp", "negative-ramp-toggle", "negative-ramp-constant", "ramp-constant",
-        "ramp-toggle", "rate", "peak", "phase"])
+        "ramp-toggle", "rate", "peak", "phase", "frequency-step", "period-sine",
+        "load_start-constant", "load_end-toggle", "toggle_start-constant",
+        "toggle_period-window"])
 def test_schedule_and_reference_out_of_range_exit_one(maps, tmp_path, text, reason):
     # a negative ramp would run as step switches, and is refused whatever
     # the schedule; a positive one is refused by the schedules that do not
     # ramp, which would run without it; a sine whose rate, peak or phase
-    # overflows would reach the plant as a NaN input or raise in sin
+    # overflows would reach the plant as a NaN input or raise in sin. A key
+    # that only another kind of reference or schedule reads would be
+    # ignored, and is refused, naming the kind that reads it
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
@@ -457,14 +472,23 @@ def test_compare_custom_variants(maps, scenario_cfg):
 STOCK_MOTOR = "".join(f"{k} = {v}\n" for k, v in MOTOR_DEFAULTS.items())
 
 
-# every scenario key, at its default but for a 0.4 s run (200 ticks at the
-# stock 500 Hz) with a load window, and the design the gates use
+# every scenario key a sine under a load window reads, at its default but
+# for a 0.4 s run (200 ticks at the stock 500 Hz) and the window, and the
+# design the gates use
 STOCK_SCENARIO = {
-    "reference": "sine", "amplitude": 2.0, "frequency": 0.5, "period": 10.0,
+    "reference": "sine", "amplitude": 2.0, "frequency": 0.5,
     "duration": 0.4, "sample_rate": 500.0, "seed": 1, "controller": "maps",
     "estimator": "imm", "v_limit": 4.0, "friction": "window", "load_start": 0.1,
-    "load_end": 0.3, "toggle_start": 0.3, "toggle_period": 5.0, "ramp_time": 0.0,
+    "load_end": 0.3, "ramp_time": 0.0,
     "process_noise_std": 0.0, "meas_noise_std": 0.003, "discretization": "zoh",
+}
+# the same run of a step under toggling friction, with the keys those kinds
+# read in place of the sine's and the window's
+STEP_SCENARIO = {
+    **{k: v for k, v in STOCK_SCENARIO.items()
+       if k not in ("frequency", "load_start", "load_end")},
+    "reference": "step", "period": 0.2, "friction": "toggle", "toggle_start": 0.3,
+    "toggle_period": 0.05,
 }
 SCENARIO_WORDS = ("sine", "step", "maps", "open", "fixed:1", "fixed:2", "kf:0", "kf:1", "kf:-1",
                   "imm", "imm:0", "constant", "window", "toggle", "euler")
@@ -508,8 +532,9 @@ def mutated_stock_motor(draw):
 
 @st.composite
 def mutated_stock_scenario(draw):
-    """The stock scenario file, mutated by `mutate_file`."""
-    return mutate_file(draw, STOCK_SCENARIO, SCENARIO_WORDS)
+    """The stock sine or step scenario file, mutated by `mutate_file`."""
+    stock = draw(st.sampled_from((STOCK_SCENARIO, STEP_SCENARIO)))
+    return mutate_file(draw, stock, SCENARIO_WORDS)
 
 
 @pytest.mark.parametrize("command", ["gains", "certify"])
@@ -534,6 +559,7 @@ def test_fuzzed_motor_file_exits_with_a_documented_code(command, data):
 
 
 STOCK_SCENARIO_TEXT = "".join(f"{k} = {v}\n" for k, v in STOCK_SCENARIO.items())
+STEP_SCENARIO_TEXT = "".join(f"{k} = {v}\n" for k, v in STEP_SCENARIO.items())
 
 
 def main_on_scenario_bytes(data, command, out_name):
@@ -554,6 +580,7 @@ def main_on_scenario_bytes(data, command, out_name):
 
 @given(data=mutated_stock_scenario())
 @example(data=STOCK_SCENARIO_TEXT.encode())
+@example(data=STEP_SCENARIO_TEXT.encode())
 @example(data=STOCK_SCENARIO_TEXT.replace("= 0.003", "= 1e200").encode())
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_scenario_file_exits_with_a_documented_code(data):

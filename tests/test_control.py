@@ -11,7 +11,8 @@ from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 
 from mapsched import control
 from mapsched.control import (
-    LqrWeights,
+    Q_LQR,
+    R_LQR,
     _gain_and_defect,
     control_input,
     gain_report,
@@ -20,7 +21,7 @@ from mapsched.control import (
     synthesize_vertex_gains,
 )
 from mapsched.errors import NumericalError, ParameterError
-from mapsched.estimation import NoiseConfig
+from mapsched.estimation import FILTER_Q, FILTER_R
 from mapsched.harness import design_from_motor
 from mapsched.motor import build_vertex_set
 
@@ -33,43 +34,44 @@ def scalar_model(phi, gamma):
 
 
 def scalar_weights(q, r):
-    return LqrWeights(Q=np.array([[q]]), R=np.array([[r]]))
+    """(Q, R) of the scalar cost q x^2 + r u^2."""
+    return np.array([[q]]), np.array([[r]])
 
 
 class TestSolveDare:
     def test_scalar_golden_ratio(self):
-        sol = solve_dare(*scalar_model(1.0, 1.0), scalar_weights(1.0, 1.0))
+        sol = solve_dare(*scalar_model(1.0, 1.0), *scalar_weights(1.0, 1.0))
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         assert sol.P[0, 0] == pytest.approx(golden, abs=1e-10)
         assert sol.K[0, 0] == pytest.approx(golden / (1.0 + golden), abs=1e-10)
 
     def test_scalar_zero_phi(self):
-        sol = solve_dare(*scalar_model(0.0, 1.0), scalar_weights(3.0, 1.0))
+        sol = solve_dare(*scalar_model(0.0, 1.0), *scalar_weights(3.0, 1.0))
         assert sol.P[0, 0] == pytest.approx(3.0, abs=1e-12)
         assert sol.K[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
-    def test_motor_vertices_stabilized(self, motor, weights, mode):
+    def test_motor_vertices_stabilized(self, motor, mode):
         vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, mode=mode)
-        vs = synthesize_vertex_gains(vs, weights)
+        vs = synthesize_vertex_gains(vs)
         for phi, K in zip(vs.Phi_vertices, vs.K_vertices):
             closed = phi - vs.Gamma @ K
             assert np.max(np.abs(np.linalg.eigvals(closed))) < 1.0
 
-    def test_matches_scipy_solution(self, motor, weights, vertices_zoh):
+    def test_matches_scipy_solution(self, motor, vertices_zoh):
         for phi in vertices_zoh.Phi_vertices:
-            sol = solve_dare(phi, vertices_zoh.Gamma, weights)
-            ref = solve_discrete_are(phi, vertices_zoh.Gamma, weights.Q, weights.R)
+            sol = solve_dare(phi, vertices_zoh.Gamma, Q_LQR, R_LQR)
+            ref = solve_discrete_are(phi, vertices_zoh.Gamma, Q_LQR, R_LQR)
             assert np.allclose(sol.P, ref, rtol=1e-8, atol=1e-8)
 
-    def test_residual_bound_holds(self, vertices_euler, weights):
+    def test_residual_bound_holds(self, vertices_euler):
         for phi in vertices_euler.Phi_vertices:
-            sol = solve_dare(phi, vertices_euler.Gamma, weights)
+            sol = solve_dare(phi, vertices_euler.Gamma, Q_LQR, R_LQR)
             assert sol.residual <= 1e-9
-            _, defect = _gain_and_defect(phi, vertices_euler.Gamma, weights.Q, weights.R, sol.P)
+            _, defect = _gain_and_defect(phi, vertices_euler.Gamma, Q_LQR, R_LQR, sol.P)
             assert defect <= 1e-9
 
-    def test_pinned_gains_euler_1ms(self, motor, weights):
+    def test_pinned_gains_euler_1ms(self, motor):
         # Euler, T = 1 ms, b_max = 6e-4: the b_max vertex took the former
         # fixed-point iteration to its 100k-step cap; these gains are what
         # that iteration returned
@@ -79,15 +81,15 @@ class TestSolveDare:
         )
         vs = build_vertex_set(motor.params, (B_MIN, 6e-4), 0.001, mode="euler")
         for phi, K_ref in zip(vs.Phi_vertices, pinned):
-            K = solve_dare(phi, vs.Gamma, weights).K.reshape(-1)
+            K = solve_dare(phi, vs.Gamma, Q_LQR, R_LQR).K.reshape(-1)
             assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
 
     def test_unstabilizable_pair_rejected(self):
         # uncontrollable unstable mode: Gamma = 0
         with pytest.raises(NumericalError, match="likely not stabilizable"):
-            solve_dare(*scalar_model(2.0, 0.0), scalar_weights(1.0, 1.0))
+            solve_dare(*scalar_model(2.0, 0.0), *scalar_weights(1.0, 1.0))
 
-    def test_qz_failure_is_a_numerical_failure(self, monkeypatch, vertices_euler, weights):
+    def test_qz_failure_is_a_numerical_failure(self, monkeypatch, vertices_euler):
         # scipy warns, and carries on with a pencil not in Schur form, when
         # its QZ iteration fails; the solve reports that as its failure
         def qz_fails(*args):
@@ -99,52 +101,45 @@ class TestSolveDare:
         with warnings.catch_warnings(), pytest.raises(NumericalError,
                                                       match="QZ iteration failed"):
             warnings.simplefilter("error")
-            solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, weights)
+            solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, Q_LQR, R_LQR)
 
-    def test_model_out_of_float_range_is_named(self, motor, weights):
+    def test_model_out_of_float_range_is_named(self, motor):
         # an Euler electrical pole 1 - T Rm / Lm of -1.7e148 (Lm = 1e-150):
         # the solve fails because the model is past float64 round-off, not
         # because the pair is not stabilizable
         tiny = dataclasses.replace(motor.params, Lm=1e-150)
         vs = build_vertex_set(tiny, (B_MIN, B_MAX), 0.002, "euler")
         with pytest.raises(NumericalError, match="reach 1.68e[+]148.*out of float range"):
-            solve_dare(vs.Phi_vertices[0], vs.Gamma, weights)
+            solve_dare(vs.Phi_vertices[0], vs.Gamma, Q_LQR, R_LQR)
 
-    def test_non_finite_gain_is_a_numerical_failure(self, monkeypatch, vertices_euler,
-                                                    weights):
+    def test_non_finite_gain_is_a_numerical_failure(self, monkeypatch, vertices_euler):
         # a Riccati solution so large that the gain overflows to NaN is
         # refused by the eigenvalue solver: a numerical failure, no warning
         monkeypatch.setattr(control, "solve_discrete_are", lambda *args: np.full((3, 3), 1e308))
         with warnings.catch_warnings(), pytest.raises(NumericalError,
                                                       match="no stabilizing solution"):
             warnings.simplefilter("error")
-            solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, weights)
-
-    def test_weight_validation(self):
-        with pytest.raises(ParameterError):
-            LqrWeights(Q=np.diag([1.0, -1.0, 1.0]), R=np.array([[1.0]]))
-        with pytest.raises(ParameterError):
-            LqrWeights(Q=np.eye(3), R=np.array([[0.0]]))
+            solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, Q_LQR, R_LQR)
 
 
 class TestVertexGains:
-    def test_identical_vertices_equal_gains(self, motor, weights):
+    def test_identical_vertices_equal_gains(self, motor):
         vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, "euler")
         # same Phi at both corners
         same = dataclasses.replace(vs, Phi_vertices=(vs.Phi_vertices[0], vs.Phi_vertices[0]))
-        got = synthesize_vertex_gains(same, weights)
+        got = synthesize_vertex_gains(same)
         assert np.allclose(got.K_vertices[0], got.K_vertices[1], atol=1e-12)
 
     def test_distinct_vertices_distinct_gains(self, vertices_euler):
         K1, K2 = vertices_euler.K_vertices
         assert not np.allclose(K1, K2)
 
-    def test_riccati_not_affine_in_rho(self, motor, weights):
+    def test_riccati_not_affine_in_rho(self, motor):
         # gain at the midpoint vertex is close to but not exactly the mean of
         # the corner gains: the Riccati map is nonlinear in the parameter
         mid = 0.5 * (B_MIN + B_MAX)
         vs3 = build_vertex_set(motor.params, (B_MIN, mid, B_MAX), 0.002, mode="euler")
-        vs3 = synthesize_vertex_gains(vs3, weights)
+        vs3 = synthesize_vertex_gains(vs3)
         K_lo, K_mid, K_hi = vs3.K_vertices
         avg = 0.5 * (K_lo + K_hi)
         gap = float(np.max(np.abs(K_mid - avg)))
@@ -154,24 +149,25 @@ class TestVertexGains:
 GRID = list(itertools.product(("euler", "zoh"), (0.001, 0.002), (1.63e-4, 6e-4)))
 
 
-def fresh_gains(vertices, weights) -> list:
+def fresh_gains(vertices) -> list:
     """Gain bytes of a fresh `solve_dare` of each vertex, past the memo."""
-    return [solve_dare(phi, vertices.Gamma, weights).K.tobytes() for phi in vertices.Phi_vertices]
+    return [solve_dare(phi, vertices.Gamma, Q_LQR, R_LQR).K.tobytes()
+            for phi in vertices.Phi_vertices]
 
 
 class TestGainMemo:
     @pytest.mark.parametrize("mode, T, b_max", GRID)
-    def test_hit_is_bit_identical_to_a_fresh_solve(self, motor, weights, mode, T, b_max):
+    def test_hit_is_bit_identical_to_a_fresh_solve(self, motor, mode, T, b_max):
         designed = dataclasses.replace(motor, discretization=mode, sample_time=T, b_max=b_max)
         first = design_from_motor(designed)
         hits = control._vertex_solution.cache_info().hits
         again = design_from_motor(designed)
         assert control._vertex_solution.cache_info().hits == hits + len(again.rho)
-        want = fresh_gains(again, weights)
+        want = fresh_gains(again)
         assert [K.tobytes() for K in first.K_vertices] == want
         assert [K.tobytes() for K in again.K_vertices] == want
 
-    def test_failed_solve_is_not_kept(self, monkeypatch, motor, weights):
+    def test_failed_solve_is_not_kept(self, monkeypatch, motor):
         def fails(*args):
             raise LinAlgError("Failed to find a finite solution.")
 
@@ -183,24 +179,23 @@ class TestGainMemo:
         assert control._vertex_solution.cache_info().currsize == 0
         monkeypatch.undo()
         vertices = design_from_motor(motor)
-        assert [K.tobytes() for K in vertices.K_vertices] == fresh_gains(vertices, weights)
+        assert [K.tobytes() for K in vertices.K_vertices] == fresh_gains(vertices)
 
     def test_memo_stays_within_its_bound(self, motor):
-        # each R weight makes both vertex problems of the design new
+        # each sample time makes both vertex problems of the design new
         control._vertex_solution.cache_clear()
         designs = control.GAIN_MEMO_SIZE // 2 + 4
-        bare = build_vertex_set(motor.params, motor.vertex_rho, motor.sample_time,
-                                motor.discretization)
-        for r in np.linspace(1.0, 20.0, designs):
-            synthesize_vertex_gains(bare, LqrWeights(Q=np.eye(3), R=np.array([[r]])))
+        for T in np.linspace(0.001, 0.003, designs):
+            synthesize_vertex_gains(build_vertex_set(motor.params, motor.vertex_rho, float(T),
+                                                     motor.discretization))
         info = control._vertex_solution.cache_info()
         assert info.misses == 2 * designs
         assert info.currsize == control.GAIN_MEMO_SIZE
 
-    def test_gains_are_read_only(self, motor, weights):
+    def test_gains_are_read_only(self, motor):
         vertices = design_from_motor(motor)
         for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices):
-            held = control._vertex_solution(control._RiccatiProblem(phi, vertices.Gamma, weights))
+            held = control._vertex_solution(control._RiccatiProblem(phi, vertices.Gamma))
             for array in (K, held.K, held.P):
                 with pytest.raises(ValueError):
                     array[0, 0] = 1.0
@@ -284,8 +279,8 @@ class TestControlInput:
         assert u == -4.0 and sat
 
 
-def test_gain_report_shape(vertices_euler, weights):
-    solutions = [solve_dare(phi, vertices_euler.Gamma, weights)
+def test_gain_report_shape(vertices_euler):
+    solutions = [solve_dare(phi, vertices_euler.Gamma, Q_LQR, R_LQR)
                  for phi in vertices_euler.Phi_vertices]
     report = gain_report(vertices_euler, solutions)
     assert report["mode"] == "euler"
@@ -297,23 +292,21 @@ def test_gain_report_shape(vertices_euler, weights):
         assert entry["P"] == solution.P.tolist()
 
 
-def test_gain_report_requires_gains(motor, weights):
+def test_gain_report_requires_gains(motor):
     bare = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, "euler")
-    solutions = [solve_dare(phi, bare.Gamma, weights) for phi in bare.Phi_vertices]
+    solutions = [solve_dare(phi, bare.Gamma, Q_LQR, R_LQR) for phi in bare.Phi_vertices]
     with pytest.raises(ParameterError, match="gains have not been synthesized"):
         gain_report(bare, solutions)
 
 
-@pytest.mark.parametrize("cls, Q, R", [
-    (LqrWeights, np.diag([100.0, 1.0, 1.0]), np.array([[10.0]])),
-    (NoiseConfig, np.diag([1e-6, 1e-6, 1e-6]), np.array([[1e-5]])),
-], ids=["LqrWeights", "NoiseConfig"])
-def test_default_is_one_shared_read_only_instance(cls, Q, R):
-    default = cls.default()
-    assert cls.default() is default
-    fresh = cls(Q=Q, R=R)
-    for name in ("Q", "R"):
-        held = getattr(default, name)
-        assert np.array_equal(held, getattr(fresh, name))
+@pytest.mark.parametrize("Q, R", [(Q_LQR, R_LQR), (FILTER_Q, FILTER_R)],
+                         ids=["lqr", "filter"])
+def test_stock_weights_are_read_only_and_definite(Q, R):
+    # Q positive semidefinite, R positive definite, neither writable
+    assert Q.shape == (3, 3) and R.shape == (1, 1)
+    assert np.array_equal(Q, Q.T)
+    assert np.all(np.linalg.eigvalsh(Q) >= 0.0)
+    assert np.all(np.linalg.eigvalsh(R) > 0.0)
+    for held in (Q, R):
         with pytest.raises(ValueError):
             held[0, 0] = 1.0

@@ -9,8 +9,9 @@ from reference import imm_likelihood, imm_step_two_pass, imm_update_probabilitie
 
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import (
+    FILTER_Q,
+    FILTER_R,
     FilterBank,
-    NoiseConfig,
     default_transition_matrix,
     imm_step,
     initial_belief,
@@ -59,8 +60,8 @@ def hold_bank(Pi):
     of the moderate beliefs used here, and every mode has the same
     likelihood, so imm_step returns the mixed priors as its means and
     covariances, and mu is mu_pred up to the rounding of the Bayes update."""
-    noise = NoiseConfig(Q=np.zeros((3, 3)), R=np.array([[1e300]]))
-    return FilterBank([HOLD_PHI] * len(Pi), HOLD_GAMMA, Pi, noise)
+    return FilterBank([HOLD_PHI] * len(Pi), HOLD_GAMMA, Pi, np.zeros((3, 3)),
+                      np.array([[1e300]]))
 
 
 def hold_step(Pi, beliefs, mu):
@@ -186,24 +187,24 @@ class TestFusedMoments:
 
 
 class TestImmStep:
-    def test_single_model_reduces_to_kf(self, vertices_zoh, noise):
+    def test_single_model_reduces_to_kf(self, vertices_zoh):
         phi, Gamma = vertices_zoh.Phi_vertices[0], vertices_zoh.Gamma
-        bank = FilterBank((phi,), Gamma, np.array([[1.0]]), noise)
+        bank = FilterBank((phi,), Gamma, np.array([[1.0]]), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         x, P = initial_belief()
         rng = np.random.default_rng(0)
         for _ in range(50):
             z = 0.01 * rng.standard_normal()
             means, covs, mu, _, fused = imm_step(bank, means, covs, mu, 0.3, z)
-            x, P = kf_predict(x, P, phi, Gamma, 0.3, noise.Q)
-            x, P, _, _ = kf_update(x, P, z, noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, 0.3, FILTER_Q)
+            x, P, _, _ = kf_update(x, P, z, FILTER_R)
             assert mu[0] == 1.0
             assert np.allclose(fused, x, atol=1e-12)
             assert np.allclose(fused_cov(means, covs, mu), P, atol=1e-12)
 
-    def test_identical_models_match_standard_kf(self, vertices_zoh, noise):
+    def test_identical_models_match_standard_kf(self, vertices_zoh):
         phi, Gamma = vertices_zoh.Phi_vertices[0], vertices_zoh.Gamma
-        bank = FilterBank((phi, phi), Gamma, default_transition_matrix(2), noise)
+        bank = FilterBank((phi, phi), Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         x, P = initial_belief()
         rng = np.random.default_rng(1)
@@ -211,14 +212,14 @@ class TestImmStep:
         for k in range(1000):
             z = 0.05 * math.sin(0.01 * k) + 0.003 * rng.standard_normal()
             means, covs, mu, _, fused = imm_step(bank, means, covs, mu, 0.5, z)
-            x, P = kf_predict(x, P, phi, Gamma, 0.5, noise.Q)
-            x, P, _, _ = kf_update(x, P, z, noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, 0.5, FILTER_Q)
+            x, P, _, _ = kf_update(x, P, z, FILTER_R)
             worst = max(worst, float(np.max(np.abs(np.array(fused) - x))))
         assert worst < 1e-9
 
-    def test_fused_mean_is_probability_weighted(self, vertices_zoh, noise):
+    def test_fused_mean_is_probability_weighted(self, vertices_zoh):
         bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
-                          default_transition_matrix(2), noise)
+                          default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -229,10 +230,10 @@ class TestImmStep:
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_simplex_preserved(self, vertices_zoh, noise, seed):
+    def test_simplex_preserved(self, vertices_zoh, seed):
         rng = np.random.default_rng(seed)
         bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
-                          default_transition_matrix(2), noise)
+                          default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         for _ in range(20):
             z = 0.1 * rng.standard_normal()
@@ -241,10 +242,10 @@ class TestImmStep:
             assert abs(sum(mu) - 1.0) <= 1e-12
             assert min(mu) >= 0.0
 
-    def test_covariances_stay_psd_short_run(self, vertices_zoh, noise):
+    def test_covariances_stay_psd_short_run(self, vertices_zoh):
         rng = np.random.default_rng(11)
         bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
-                          default_transition_matrix(2), noise)
+                          default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         for _ in range(500):
             means, covs, mu, _, _ = imm_step(
@@ -253,11 +254,11 @@ class TestImmStep:
                 assert float(np.linalg.eigvalsh(P)[0]) >= -1e-9
 
 
-    def test_refuses_innovations_without_a_likelihood(self, vertices_zoh, noise):
+    def test_refuses_innovations_without_a_likelihood(self, vertices_zoh):
         # s is NaN for a NaN prior covariance; a residual past ~1e154
         # overflows r ** 2: both are numerical failures, not a traceback
         bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
-                          default_transition_matrix(2), noise)
+                          default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         nan_covs = [(math.nan,) * 6] * 2
         with pytest.raises(NumericalError, match="positive definite"):
@@ -265,9 +266,9 @@ class TestImmStep:
         with pytest.raises(NumericalError, match="overflows"):
             imm_step(bank, means, covs, mu, 0.0, 1e200)
 
-    def test_names_a_diverged_estimate(self, vertices_zoh, noise):
+    def test_names_a_diverged_estimate(self, vertices_zoh):
         bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
-                          default_transition_matrix(2), noise)
+                          default_transition_matrix(2), FILTER_Q, FILTER_R)
         _, covs, mu = bank.initial()
         # finite means 2e200 apart: the spread overflows, +inf and -inf meet
         # in Phi P Phi' and s is NaN
@@ -286,33 +287,32 @@ class TestImmStep:
 
 
 class TestFilterBank:
-    def test_rejects_models_that_are_not_three_state(self, noise):
+    def test_rejects_models_that_are_not_three_state(self):
         phi, gamma = scalar_model(1.0)
         with pytest.raises(ParameterError, match="3-state, single-input"):
-            FilterBank([phi], gamma, [[1.0]], noise)
+            FilterBank([phi], gamma, [[1.0]], FILTER_Q, FILTER_R)
 
     @pytest.mark.parametrize("Gamma", [np.zeros((1, 3)), np.zeros(3), np.zeros((3, 2))],
                              ids=["row", "flat", "two-input"])
-    def test_rejects_a_gamma_that_is_not_three_by_one(self, noise, Gamma):
+    def test_rejects_a_gamma_that_is_not_three_by_one(self, Gamma):
         with pytest.raises(ParameterError, match="3-state, single-input"):
-            FilterBank([HOLD_PHI], Gamma, [[1.0]], noise)
+            FilterBank([HOLD_PHI], Gamma, [[1.0]], FILTER_Q, FILTER_R)
 
-    def test_rejects_vector_measurement(self, noise):
-        vector_r = NoiseConfig(Q=noise.Q, R=np.eye(2) * 1e-5)
+    def test_rejects_vector_measurement(self):
         with pytest.raises(ParameterError, match="1x1 R"):
-            FilterBank([HOLD_PHI], HOLD_GAMMA, [[1.0]], vector_r)
+            FilterBank([HOLD_PHI], HOLD_GAMMA, [[1.0]], FILTER_Q, np.eye(2) * 1e-5)
 
     @pytest.mark.parametrize("Pi", [
         [[0.9, 0.2], [0.1, 0.9]],    # a row sums to 1.1
         [[1.1, -0.1], [0.1, 0.9]],   # a negative entry
         [[math.nan, 1.0], [0.1, 0.9]],
     ], ids=["row_sum", "negative", "nan"])
-    def test_pi_rows_must_be_probability_vectors(self, vertices_zoh, noise, Pi):
+    def test_pi_rows_must_be_probability_vectors(self, vertices_zoh, Pi):
         with pytest.raises(ParameterError):
-            FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma, Pi, noise)
+            FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma, Pi, FILTER_Q, FILTER_R)
 
 
-def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z, noise):
+def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z):
     """The IMM cycle written mode by mode from the single-filter pieces, on
     arrays: (fused mean, fused covariance, mu, per-mode means, covariances)."""
     mu = np.array(mu)
@@ -328,8 +328,8 @@ def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z, noise):
         for i in range(len(phis)):
             d = means[i] - x0
             P0 += w[i] * (covs[i] + np.outer(d, d))
-        x, P = kf_predict(x0, P0, phi, Gamma, u, noise.Q)
-        x, P, r, s = kf_update(x, P, z, noise.R)
+        x, P = kf_predict(x0, P0, phi, Gamma, u, FILTER_Q)
+        x, P, r, s = kf_update(x, P, z, FILTER_R)
         post_means.append(x)
         post_covs.append(P)
         likelihoods.append(imm_likelihood(r, s))
@@ -342,7 +342,7 @@ def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z, noise):
     return x, 0.5 * (P + P.T), mu, post_means, post_covs
 
 
-def friction_switch_stream(motor_zoh, noise):
+def friction_switch_stream(motor_zoh):
     """(previous input, measurement) per tick of acceptance criterion 3's
     friction-switch stream: 15000 ticks of a 2 V, 0.5 Hz sine drive of the
     truth plant with friction toggling every 5 s."""
@@ -357,23 +357,23 @@ def friction_switch_stream(motor_zoh, noise):
     for k in range(15_000):
         t = k * 0.002
         u = 2.0 * math.sin(2.0 * math.pi * 0.5 * t)
-        z = truth[0] + math.sqrt(noise.R[0, 0]) * rng.standard_normal()
+        z = truth[0] + math.sqrt(FILTER_R[0, 0]) * rng.standard_normal()
         truth = plant_step(truth, u, ticks[sched.at(t)])
         yield u_prev, z
         u_prev = u
 
 
-def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh, noise):
+def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh):
     # the friction-switch stream of acceptance criterion 3, 15000 ticks
     phis, Gamma, Pi = vertices_zoh.Phi_vertices, vertices_zoh.Gamma, default_transition_matrix(2)
-    bank = FilterBank(phis, Gamma, Pi, noise)
+    bank = FilterBank(phis, Gamma, Pi, FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
     worst = 0.0
-    for u_prev, z in friction_switch_stream(motor_zoh, noise):
+    for u_prev, z in friction_switch_stream(motor_zoh):
         # both cycles start from the same state each tick, so the check does
         # not depend on how round-off grows over the run
         x, P, mu_ref, ref_means, ref_covs = per_mode_imm_step(
-            Pi, phis, Gamma, means, covs, mu, u_prev, z, noise)
+            Pi, phis, Gamma, means, covs, mu, u_prev, z)
         means, covs, mu, _, fused = imm_step(bank, means, covs, mu, u_prev, z)
         pairs = [(fused, x), (fused_cov(means, covs, mu), P), (mu, mu_ref)]
         pairs += list(zip(means, ref_means))
@@ -383,7 +383,7 @@ def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh, noise):
 
 
 @pytest.mark.parametrize("modes", ["two-vertex", "one-mode", "three-mode"])
-def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, noise, modes):
+def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, modes):
     # the one-pass cycle returns the two-pass cycle's bits, every output on
     # every tick of criterion 3's stream, each tick from the same state
     phis, Gamma = vertices_zoh.Phi_vertices, vertices_zoh.Gamma
@@ -393,9 +393,10 @@ def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, noise, m
         b_mid = 0.5 * (motor_zoh.b_min + motor_zoh.b_max)
         phis = build_vertex_set(motor_zoh.params, (motor_zoh.b_min, b_mid, motor_zoh.b_max),
                                 0.002, "zoh").Phi_vertices
-    bank = FilterBank(phis, Gamma, default_transition_matrix(len(phis)), noise)
+    bank = FilterBank(phis, Gamma, default_transition_matrix(len(phis)),
+                      FILTER_Q, FILTER_R)
     state = bank.initial()
-    for u_prev, z in friction_switch_stream(motor_zoh, noise):
+    for u_prev, z in friction_switch_stream(motor_zoh):
         out = imm_step(bank, *state, u_prev, z)
         assert out == imm_step_two_pass(bank, phis, Gamma, *state, u_prev, z)
         state = out[:3]
@@ -430,7 +431,7 @@ def _outcome(cycle, *args):
 
 @pytest.mark.parametrize("nv", [1, 2])
 @pytest.mark.parametrize("mode", ["euler", "zoh"])
-def test_folded_cycle_fails_where_the_full_cycle_fails(motor, noise, mode, nv):
+def test_folded_cycle_fails_where_the_full_cycle_fails(motor, mode, nv):
     # the full cycle's s is NaN whenever any entry of the predicted
     # covariance (or of Phi P's first column) is not finite, through its
     # products with Phi's and H's zeros; the folded cycle tests those
@@ -439,7 +440,7 @@ def test_folded_cycle_fails_where_the_full_cycle_fails(motor, noise, mode, nv):
     # must give the same error, or the same output where neither raises
     vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, mode)
     phis, Gamma = vs.Phi_vertices[:nv], vs.Gamma
-    bank = FilterBank(phis, Gamma, default_transition_matrix(nv), noise)
+    bank = FilterBank(phis, Gamma, default_transition_matrix(nv), FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
     raised = 0
     for pos in range(6):
@@ -453,12 +454,13 @@ def test_folded_cycle_fails_where_the_full_cycle_fails(motor, noise, mode, nv):
     assert raised > 18
 
 
-def test_folded_cycle_names_each_diverged_covariance(motor, noise):
+def test_folded_cycle_names_each_diverged_covariance(motor):
     # finite means 2e150 to 2e300 apart, along each state: the two-mode
     # spread overflows or it does not; each outcome, a failure's message
     # included, is the full cycle's
     vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, "zoh")
-    bank = FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), noise)
+    bank = FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2),
+                      FILTER_Q, FILTER_R)
     _, covs, mu = bank.initial()
     outcomes = []
     for k in range(3):
@@ -476,13 +478,13 @@ def test_folded_cycle_names_each_diverged_covariance(motor, noise):
 @pytest.mark.parametrize("b_max", [1.63e-4, 6e-4, 1.3e-2])
 @pytest.mark.parametrize("T", [1e-4, 5e-4, 1e-3, 2e-3, 1e-2])
 @pytest.mark.parametrize("mode", ["euler", "zoh"])
-def test_bank_takes_every_vertex_model(motor, noise, mode, T, b_max):
+def test_bank_takes_every_vertex_model(motor, mode, T, b_max):
     # Phi's first column e0 holds exactly for every model the vertex set
     # builds, under either discretization
     vs = build_vertex_set(motor.params, (motor.b_min, b_max), T, mode)
     for phi in vs.Phi_vertices:
         assert phi[:, 0].tolist() == [1.0, 0.0, 0.0]
-    FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), noise)
+    FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)
 
 
 @pytest.mark.parametrize("Phi_col", [
@@ -490,29 +492,29 @@ def test_bank_takes_every_vertex_model(motor, noise, mode, T, b_max):
     [1.0 + 2.0 ** -52, 0.0, 0.0],
     [1.0, 0.0, math.nan],
 ], ids=["Phi-tiny", "Phi-ulp", "Phi-nan"])
-def test_bank_refuses_models_without_the_motor_structure(noise, Phi_col):
+def test_bank_refuses_models_without_the_motor_structure(Phi_col):
     Phi = np.eye(3)
     Phi[:, 0] = Phi_col
     with pytest.raises(ParameterError, match="first column e0"):
-        FilterBank([Phi], HOLD_GAMMA, [[1.0]], noise)
+        FilterBank([Phi], HOLD_GAMMA, [[1.0]], FILTER_Q, FILTER_R)
 
 
 class TestNisConsistency:
-    def test_normalized_innovation_in_chi_square_band(self, vertices_zoh, noise):
+    def test_normalized_innovation_in_chi_square_band(self, vertices_zoh):
         # linear truth identical to the filter model, with matched noise:
         # the time-average NIS must sit near the measurement dimension
         phi, Gamma = vertices_zoh.Phi_vertices[0], vertices_zoh.Gamma
         rng = np.random.default_rng(123)
-        Lq = np.linalg.cholesky(noise.Q)
+        Lq = np.linalg.cholesky(FILTER_Q)
         truth = np.zeros(3)
         x, P = initial_belief()
         nis = []
         for k in range(10_000):
             u = 1.5 * math.sin(0.005 * k)
             truth = phi @ truth + Gamma[:, 0] * u + Lq @ rng.standard_normal(3)
-            z = truth[0] + math.sqrt(noise.R[0, 0]) * rng.standard_normal()
-            x, P = kf_predict(x, P, phi, Gamma, u, noise.Q)
-            x, P, r, s = kf_update(x, P, z, noise.R)
+            z = truth[0] + math.sqrt(FILTER_R[0, 0]) * rng.standard_normal()
+            x, P = kf_predict(x, P, phi, Gamma, u, FILTER_Q)
+            x, P, r, s = kf_update(x, P, z, FILTER_R)
             nis.append(r ** 2 / s)
         avg = float(np.mean(nis))
         assert 0.5 <= avg <= 2.0
@@ -523,12 +525,6 @@ class TestStateValidation:
         Pi = default_transition_matrix(2)
         assert np.allclose(Pi, [[0.9, 0.1], [0.1, 0.9]])
         assert np.allclose(default_transition_matrix(3).sum(axis=1), 1.0)
-
-    def test_noise_config_validation(self):
-        with pytest.raises(ParameterError):
-            NoiseConfig(Q=np.diag([1e-6, -1e-3, 1e-6]), R=np.array([[1e-5]]))
-        with pytest.raises(ParameterError):
-            NoiseConfig(Q=np.eye(3) * 1e-6, R=np.array([[0.0]]))
 
 
 def test_filter_trace_csv(tmp_path, motor_zoh, vertices_zoh):

@@ -5,6 +5,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -18,8 +19,9 @@ from mapsched import harness
 from mapsched.config import MOTOR_DEFAULTS
 from mapsched.errors import ConfigError, ParameterError
 from mapsched.estimation import (
+    FILTER_Q,
+    FILTER_R,
     FilterBank,
-    NoiseConfig,
     default_transition_matrix,
     imm_step,
     initial_belief,
@@ -289,23 +291,23 @@ def friction_switch_run(motor, vertices, estimator):
 
 class TestRunPathEstimators:
     @pytest.mark.parametrize("index", [0, 1])
-    def test_kf_matches_single_filter_loop(self, motor_zoh, vertices_zoh, noise, index):
+    def test_kf_matches_single_filter_loop(self, motor_zoh, vertices_zoh, index):
         # the one-mode bank of the run loop is the plain Kalman filter
         rec = friction_switch_run(motor_zoh, vertices_zoh, f"kf:{index}")
         phi, Gamma = vertices_zoh.Phi_vertices[index], vertices_zoh.Gamma
         (x, P), u_prev, worst = initial_belief(), 0.0, 0.0
         for k in range(rec.time.size):
-            x, P = kf_predict(x, P, phi, Gamma, u_prev, noise.Q)
-            x, P, _, _ = kf_update(x, P, rec.z[k], noise.R)
+            x, P = kf_predict(x, P, phi, Gamma, u_prev, FILTER_Q)
+            x, P, _, _ = kf_update(x, P, rec.z[k], FILTER_R)
             worst = max(worst, float(np.max(np.abs(rec.estimate[k] - x))))
             u_prev = rec.u[k]
         assert worst <= 1e-12
 
-    def test_imm_matches_imm_step_loop(self, motor_zoh, vertices_zoh, noise):
+    def test_imm_matches_imm_step_loop(self, motor_zoh, vertices_zoh):
         # the run loop is a loop of imm_step calls
         rec = friction_switch_run(motor_zoh, vertices_zoh, "imm")
         bank = FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
-                          default_transition_matrix(2), noise)
+                          default_transition_matrix(2), FILTER_Q, FILTER_R)
         means, covs, mu = bank.initial()
         u_prev = 0.0
         for k in range(rec.time.size):
@@ -419,10 +421,9 @@ class TestRunPathEstimators:
         # the bank's q and r are all the IMM cycle reads of the noise model
         Q = np.diag([1e-6, 1e-6, 1e-6])
         Q[0, 1] = 4e-7
-        asym = NoiseConfig(Q=Q, R=np.array([[1e-5]]))
-        sym = NoiseConfig(Q=0.5 * (Q + Q.T), R=np.array([[1e-5]]))
         a, b = (FilterBank(vertices_zoh.Phi_vertices, vertices_zoh.Gamma,
-                           default_transition_matrix(2), noise) for noise in (asym, sym))
+                           default_transition_matrix(2), q, FILTER_R)
+                for q in (Q, 0.5 * (Q + Q.T)))
         assert a.q == b.q and a.r == b.r
 
 
@@ -492,6 +493,23 @@ class TestCompareRuns:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "metric,a,b,delta_percent"
         assert len(lines) == 7  # rmse, mae, iae + 3 estimation rows
+
+    def test_holds_one_run_record_at_a_time(self, monkeypatch, motor_zoh, vertices_zoh):
+        # a record is ~150 bytes a tick: each run's is freed before the
+        # next run starts, and none outlives the comparison's return
+        records = []
+
+        def run(*args):
+            assert all(ref() is None for ref in records)
+            record = run_scenario(*args)
+            records.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(harness, "run_scenario", run)
+        variants = [("a", "maps", "imm"), ("b", "fixed:0", "kf:0"), ("c", "open", "kf:1")]
+        cmpr = compare_runs(short_spec(duration=0.2), variants, motor_zoh, vertices_zoh)
+        assert len(records) == 3 and all(ref() is None for ref in records)
+        assert cmpr.names == ("a", "b", "c") and len(cmpr.metrics) == 3
 
 
 class TestModeDetection:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference import _domega
 
 from mapsched.errors import ParameterError
-from mapsched.estimation import FilterBank, default_transition_matrix
+from mapsched.estimation import FILTER_Q, FILTER_R, FilterBank, default_transition_matrix
 from mapsched.motor import (
     OMEGA_REST,
     FrictionModel,
@@ -225,13 +225,13 @@ class TestVertexSet:
             ref, _ = zoh_discretize(*build_continuous_model(motor.params, r), 0.002)
             assert np.allclose(phi, ref, atol=0, rtol=0)
 
-    def test_models_share_gamma_and_h(self, motor, noise):
+    def test_models_share_gamma_and_h(self, motor):
         # one Phi per vertex and the one Gamma of the set; the measurement
         # row H = e0 is the filter bank's, which takes the arrays as they are
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
         assert len(vs.Phi_vertices) == 2
         assert vs.Gamma.shape == (3, 1) and vs.T == 0.002
-        FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), noise)
+        FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)
 
     def test_with_gains_freezes_only_the_gains(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, mode="zoh")

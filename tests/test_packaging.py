@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,20 @@ def test_every_import_of_a_module_is_used():
     stray = [f"{module}:{line} {name}" for module, line, name in unused
              if (module, name) not in TRACED_REEXPORTS]
     assert not stray, f"imported but never used: {stray}"
+
+
+def test_all_names_resolve_and_none_is_a_module():
+    # `from mapsched import *` binds the public API, not `os` or the
+    # package's submodules
+    import mapsched
+
+    assert mapsched.__all__
+    for name in mapsched.__all__:
+        assert hasattr(mapsched, name), name
+        assert not isinstance(getattr(mapsched, name), types.ModuleType), name
+    namespace = {}
+    exec("from mapsched import *", namespace)
+    assert "os" not in namespace and "harness" not in namespace
 
 
 @pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")], ids=["unset", "set"])

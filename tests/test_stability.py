@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from reference import certify_checked, dlyap_series, gains_by_replace, sample_simplex
 
-from mapsched.control import solve_dare, synthesize_vertex_gains, vertex_solutions
+from mapsched.control import Q_LQR, R_LQR, solve_dare, synthesize_vertex_gains, vertex_solutions
 from mapsched.errors import CertificationError, ParameterError
 from mapsched.harness import design_from_motor
 from mapsched.motor import build_vertex_set
@@ -252,7 +252,7 @@ DESIGNS = [*itertools.product(("euler", "zoh"), (0.001, 0.002), (1.63e-4, 6e-4))
 
 
 @pytest.mark.parametrize("mode, T, b_max", DESIGNS)
-def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, b_max):
+def test_design_and_certificate_match_the_checked_path(motor, mode, T, b_max):
     # the package solves each Riccati and Lyapunov equation once and
     # validates each array once; the reference path solves Gamma' P Gamma + R
     # twice per vertex, fills the gains through dataclasses.replace and
@@ -260,12 +260,12 @@ def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, 
     # bit of the design and of the certificate must agree.
     if isinstance(b_max, tuple):
         bare = build_vertex_set(motor.params, b_max, T, mode=mode)
-        vertices = synthesize_vertex_gains(bare, weights)
+        vertices = synthesize_vertex_gains(bare)
     else:
         designed = dataclasses.replace(motor, b_max=b_max, sample_time=T, discretization=mode)
         bare = build_vertex_set(designed.params, designed.vertex_rho, T, mode=mode)
         vertices = design_from_motor(designed)
-    ref_vertices, ref_solutions = gains_by_replace(bare, weights)
+    ref_vertices, ref_solutions = gains_by_replace(bare)
     for field in dataclasses.fields(vertices):
         got, want = getattr(vertices, field.name), getattr(ref_vertices, field.name)
         if isinstance(want, tuple) and want and isinstance(want[0], np.ndarray):
@@ -276,8 +276,8 @@ def test_design_and_certificate_match_the_checked_path(motor, weights, mode, T, 
         else:
             assert got == want, field.name
     for phi, ref, held in zip(bare.Phi_vertices, ref_solutions,
-                              vertex_solutions(vertices, weights), strict=True):
-        for solution in (solve_dare(phi, bare.Gamma, weights), held):
+                              vertex_solutions(vertices), strict=True):
+        for solution in (solve_dare(phi, bare.Gamma, Q_LQR, R_LQR), held):
             assert same_bits(solution.K, ref.K)
             assert same_bits(solution.P, ref.P)
             assert solution.residual == ref.residual
