@@ -8,20 +8,25 @@ gain scheduler downstream.
 the 3-state motor models with the scalar angle measurement: per mode a mean
 3-tuple and the upper triangle (p00, p01, p02, p11, p12, p22) of its
 covariance. After the two mixing products it makes one pass over the modes:
-mixed prior covariance, prediction, update, likelihood and the mode's share
-of the probability update. The cycle is folded for the motor's structure,
-H = [1, 0, 0] and Phi's first column e0: the products with those ones and
-zeros are left out, which changes no bit of a result, and the failures the
-left-out zeros would have turned into a NaN innovation variance are tested
-for explicitly. A `FilterBank` takes the vertex arrays Phi_i and Gamma,
-refuses a Phi whose first column is not e0, and holds what the cycle reads:
-Phi's last two columns and Gamma per mode as one flat tuple, Pi and the
-covariances Q and R; every run passes the stock FILTER_Q and FILTER_R. A
-single Kalman filter is the one-mode bank with Pi = [[1]], whose
-probability is exactly 1.0 on every cycle. `kf_predict` and `kf_update` are
-the per-mode array forms of the prediction and the angle update: no run
-calls them, the tests check the cycle against them, and the benchmark's
-tracer looks them up on `harness`.
+each mode's mixed prior covariance, then `_mode_step`, which predicts,
+updates and weighs the likelihood, then the mode's share of the probability
+update. `_mode_step` is the one copy of the per-mode filter arithmetic and
+of its failure checks. A two-mode bank, the `imm` estimator's (MAPS
+schedules on two friction modes), takes that cycle written out for two
+modes; every other bank, the one-mode `kf:<i>` bank and any bank of three
+or more modes, takes the general loop over the modes. Both return the same
+bits. The per-mode step is folded for the motor's structure, H = [1, 0, 0]
+and Phi's first column e0: the products with those ones and zeros are left
+out, which changes no bit of a result, and the failures the left-out zeros
+would have turned into a NaN innovation variance are tested for explicitly.
+A `FilterBank` takes the vertex arrays Phi_i and Gamma, refuses a Phi whose
+first column is not e0, and holds what the cycle reads: Phi's last two
+columns and Gamma per mode as one flat tuple, Pi and the covariances Q and
+R; every run passes the stock FILTER_Q and FILTER_R. A single Kalman filter
+is the one-mode bank with Pi = [[1]], whose probability is exactly 1.0 on
+every cycle. `kf_predict` and `kf_update` are the per-mode array forms of
+the prediction and the angle update: no run calls them, the tests check the
+cycle against them, and the benchmark's tracer looks them up on `harness`.
 """
 
 from __future__ import annotations
@@ -151,14 +156,19 @@ class FilterBank:
 
 def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
     """One IMM cycle of `bank`: mix, then one pass over the modes that forms
-    each mode's mixed prior covariance, predicts, updates and weighs its
-    likelihood; then the probability update and the fused mean.
+    each mode's mixed prior covariance and runs `_mode_step` on it; then the
+    probability update and the fused mean.
+
+    A two-mode bank takes `_two_mode_step`, this cycle written out for two
+    modes. Every other bank, the one-mode `kf:<i>` bank and any bank of three
+    or more modes, takes the general loop below.
 
     Returns (means, covs, mu, likelihoods, fused mean), all floats.
     """
-    q00, q01, q02, q11, q12, q22 = bank.q
-    R = bank.r
-    if len(mu) == 1:
+    nv = len(bank.modes)
+    if nv == 2:
+        return _two_mode_step(bank, means, covs, mu, u, z)
+    if nv == 1:
         # Pi = [[1]]: the mode is its own mixed prior
         mu_pred, mixing, priors = mu, (None,), means
     else:
@@ -179,11 +189,12 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         priors = np.array(mixing).dot(np.array(means)).tolist()
     out_means, out_covs, liks, w = [], [], [], []
     total = 0.0
-    for mode, weights, (m0, m1, m2), mp in zip(bank.modes, mixing, priors, mu_pred):
+    for j, (weights, mean, mp) in enumerate(zip(mixing, priors, mu_pred)):
         if weights is None:
-            p00, p01, p02, p11, p12, p22 = covs[0]
+            prior = covs[0]
         else:
             # mixed prior covariance: the weighted spread about the mixed mean
+            m0, m1, m2 = mean
             p00 = p01 = p02 = p11 = p12 = p22 = 0.0
             for wi, (e0, e1, e2), (c00, c01, c02, c11, c12, c22) in zip(weights, means, covs):
                 d0, d1, d2 = e0 - m0, e1 - m1, e2 - m2
@@ -193,53 +204,11 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
                 p11 += wi * (c11 + d1 * d1)
                 p12 += wi * (c12 + d1 * d2)
                 p22 += wi * (c22 + d2 * d2)
-        f01, f02, f11, f12, f21, f22, g0, g1, g2 = mode
-        # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q, with Phi's
-        # first column e0: its 1.0 and 0.0 products drop out
-        y0 = m0 + f01 * m1 + f02 * m2 + g0 * u
-        y1 = f11 * m1 + f12 * m2 + g1 * u
-        y2 = f21 * m1 + f22 * m2 + g2 * u
-        a00 = p00 + f01 * p01 + f02 * p02
-        a01 = p01 + f01 * p11 + f02 * p12
-        a02 = p02 + f01 * p12 + f02 * p22
-        a11 = f11 * p11 + f12 * p12
-        a12 = f11 * p12 + f12 * p22
-        a21 = f21 * p11 + f22 * p12
-        a22 = f21 * p12 + f22 * p22
-        n00 = a00 + a01 * f01 + a02 * f02 + q00
-        n01 = a01 * f11 + a02 * f12 + q01
-        n02 = a01 * f21 + a02 * f22 + q02
-        n11 = a11 * f11 + a12 * f12 + q11
-        n12 = a11 * f21 + a12 * f22 + q12
-        n22 = a21 * f21 + a22 * f22 + q22
-        # scalar measurement update of the angle: P H' = (n00, n01, n02),
-        # s = n00 + R and the residual z - y0
-        s = n00 + R
-        # through Phi's and H's zeros the unfolded cycle's s is NaN where
-        # Phi P's first column (a00, a10, a20) or the predicted covariance
-        # past n00 is not finite. One sum tests them all; a sum that
-        # overflows from finite terms is tested again term by term
-        a10 = f11 * p01 + f12 * p02
-        a20 = f21 * p01 + f22 * p02
-        if not (s > 0.0 and (a00 + a10 + a20 + n01 + n02 + n11 + n12 + n22) * 0.0 == 0.0):
-            # the unfolded predicted covariance, NaN where those products are
-            unfolded = (n00, n01 + a00 * 0.0, n02 + a00 * 0.0,
-                        n11 + a10 * 0.0, n12 + a10 * 0.0, n22 + a20 * 0.0)
-            if not (s > 0.0 and all(map(math.isfinite, unfolded[1:]))):
-                raise _innovation_error(len(liks), means, covs, mu, u, z,
-                                        (p00, p01, p02, p11, p12, p22), unfolded, R)
-        res = z - y0
-        try:
-            lik = math.exp(-0.5 * (_LOG_2PI + math.log(s) + res ** 2 / s))
-        except OverflowError:
-            raise NumericalError(f"innovation {res!r} overflows the likelihood") from None
-        if lik < LIKELIHOOD_FLOOR:
-            lik = LIKELIHOOD_FLOOR
+            prior = (p00, p01, p02, p11, p12, p22)
+        x, P, lik = _mode_step(bank, j, mean, prior, means, covs, mu, u, z)
+        out_means.append(x)
+        out_covs.append(P)
         liks.append(lik)
-        k0, k1, k2 = n00 / s, n01 / s, n02 / s
-        out_means.append((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res))
-        out_covs.append((n00 - k0 * n00, n01 - k0 * n01, n02 - k0 * n02,
-                         n11 - k1 * n01, n12 - k1 * n02, n22 - k2 * n02))
         wj = lik * mp
         w.append(wj)
         total += wj
@@ -251,6 +220,110 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         x1 += m * e1
         x2 += m * e2
     return out_means, out_covs, mu, liks, (x0, x1, x2)
+
+
+def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
+    """`imm_step`'s general loop written out for two modes, with its bits:
+    the same two BLAS products on arrays of the same shapes, the same
+    mixing-weight floor, the spread, the probability total and the fused
+    mean each summed from 0.0 in mode order, and `_mode_step` for each mode.
+    It skips the loop's comprehensions, zips and appends."""
+    mu0, mu1 = mu
+    mu_pred = bank.pi_t.dot(mu).tolist()
+    mp0, mp1 = mu_pred
+    # wji = P(mode i previously | mode j now) = Pi[i][j] mu_i / mu_pred_j
+    (pi00, pi10), (pi01, pi11) = bank.pi_cols
+    c = MIX_FLOOR if MIX_FLOOR > mp0 else mp0
+    w00, w01 = pi00 * mu0 / c, pi10 * mu1 / c
+    c = MIX_FLOOR if MIX_FLOOR > mp1 else mp1
+    w10, w11 = pi01 * mu0 / c, pi11 * mu1 / c
+    priors = np.array(((w00, w01), (w10, w11))).dot(np.array(means)).tolist()
+    (a0, a1, a2), (b0, b1, b2) = means
+    (a00, a01, a02, a11, a12, a22), (b00, b01, b02, b11, b12, b22) = covs
+    out = []
+    for j, wa, wb, mean in ((0, w00, w01, priors[0]), (1, w10, w11, priors[1])):
+        # mixed prior covariance: the weighted spread about the mixed mean
+        m0, m1, m2 = mean
+        d0, d1, d2 = a0 - m0, a1 - m1, a2 - m2
+        e0, e1, e2 = b0 - m0, b1 - m1, b2 - m2
+        prior = (0.0 + wa * (a00 + d0 * d0) + wb * (b00 + e0 * e0),
+                 0.0 + wa * (a01 + d0 * d1) + wb * (b01 + e0 * e1),
+                 0.0 + wa * (a02 + d0 * d2) + wb * (b02 + e0 * e2),
+                 0.0 + wa * (a11 + d1 * d1) + wb * (b11 + e1 * e1),
+                 0.0 + wa * (a12 + d1 * d2) + wb * (b12 + e1 * e2),
+                 0.0 + wa * (a22 + d2 * d2) + wb * (b22 + e2 * e2))
+        out.append(_mode_step(bank, j, mean, prior, means, covs, mu, u, z))
+    (x, P, lik0), (y, S, lik1) = out
+    w0, w1 = lik0 * mp0, lik1 * mp1
+    total = 0.0 + w0 + w1
+    # Bayes update; if every product underflows the prediction is kept
+    if 0.0 < total < math.inf:
+        mu0, mu1 = mu = [w0 / total, w1 / total]
+    else:
+        mu0, mu1 = mu = mu_pred
+    return ([x, y], [P, S], mu, [lik0, lik1],
+            (0.0 + mu0 * x[0] + mu1 * y[0], 0.0 + mu0 * x[1] + mu1 * y[1],
+             0.0 + mu0 * x[2] + mu1 * y[2]))
+
+
+def _mode_step(bank: FilterBank, j: int, mean, prior, means, covs, mu, u: float, z: float):
+    """Mode j's filter step from its mixed prior (mean, prior): predict,
+    update on the angle z and weigh the likelihood. `means`, `covs` and `mu`
+    are the cycle's inputs, read only to name a failure.
+
+    Returns the updated mean, the upper triangle of its covariance and the
+    floored likelihood.
+    """
+    m0, m1, m2 = mean
+    p00, p01, p02, p11, p12, p22 = prior
+    q00, q01, q02, q11, q12, q22 = bank.q
+    R = bank.r
+    f01, f02, f11, f12, f21, f22, g0, g1, g2 = bank.modes[j]
+    # time update: x = Phi x + Gamma u, P = Phi P Phi' + Q, with Phi's
+    # first column e0: its 1.0 and 0.0 products drop out
+    y0 = m0 + f01 * m1 + f02 * m2 + g0 * u
+    y1 = f11 * m1 + f12 * m2 + g1 * u
+    y2 = f21 * m1 + f22 * m2 + g2 * u
+    a00 = p00 + f01 * p01 + f02 * p02
+    a01 = p01 + f01 * p11 + f02 * p12
+    a02 = p02 + f01 * p12 + f02 * p22
+    a11 = f11 * p11 + f12 * p12
+    a12 = f11 * p12 + f12 * p22
+    a21 = f21 * p11 + f22 * p12
+    a22 = f21 * p12 + f22 * p22
+    n00 = a00 + a01 * f01 + a02 * f02 + q00
+    n01 = a01 * f11 + a02 * f12 + q01
+    n02 = a01 * f21 + a02 * f22 + q02
+    n11 = a11 * f11 + a12 * f12 + q11
+    n12 = a11 * f21 + a12 * f22 + q12
+    n22 = a21 * f21 + a22 * f22 + q22
+    # scalar measurement update of the angle: P H' = (n00, n01, n02),
+    # s = n00 + R and the residual z - y0
+    s = n00 + R
+    # through Phi's and H's zeros the unfolded cycle's s is NaN where
+    # Phi P's first column (a00, a10, a20) or the predicted covariance
+    # past n00 is not finite. One sum tests them all; a sum that
+    # overflows from finite terms is tested again term by term
+    a10 = f11 * p01 + f12 * p02
+    a20 = f21 * p01 + f22 * p02
+    if not (s > 0.0 and (a00 + a10 + a20 + n01 + n02 + n11 + n12 + n22) * 0.0 == 0.0):
+        # the unfolded predicted covariance, NaN where those products are
+        unfolded = (n00, n01 + a00 * 0.0, n02 + a00 * 0.0,
+                    n11 + a10 * 0.0, n12 + a10 * 0.0, n22 + a20 * 0.0)
+        if not (s > 0.0 and all(map(math.isfinite, unfolded[1:]))):
+            raise _innovation_error(j, means, covs, mu, u, z, prior, unfolded, R)
+    res = z - y0
+    try:
+        lik = math.exp(-0.5 * (_LOG_2PI + math.log(s) + res ** 2 / s))
+    except OverflowError:
+        raise NumericalError(f"innovation {res!r} overflows the likelihood") from None
+    if lik < LIKELIHOOD_FLOOR:
+        lik = LIKELIHOOD_FLOOR
+    k0, k1, k2 = n00 / s, n01 / s, n02 / s
+    return ((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res),
+            (n00 - k0 * n00, n01 - k0 * n01, n02 - k0 * n02,
+             n11 - k1 * n01, n12 - k1 * n02, n22 - k2 * n02),
+            lik)
 
 
 def _innovation_error(j, means, covs, mu, u, z, prior, predicted, R) -> NumericalError:

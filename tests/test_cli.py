@@ -185,6 +185,32 @@ def test_non_finite_design_exits_with_its_code(tmp_path, command, discretization
     assert "out of float range" in err.getvalue()
 
 
+@pytest.mark.parametrize("tau_s, tau_c", [(0.001, 0.002), (-0.001, -0.002), (0.003, -0.001)],
+                         ids=["static-below-coulomb", "both-negative", "coulomb-negative"])
+@pytest.mark.parametrize("command", ["gains", "certify", "run-constant", "run-window"])
+def test_friction_torques_out_of_order_exit_one(maps, monkeypatch, tmp_path, command,
+                                                tau_s, tau_c):
+    # every command refuses a motor without tau_s >= tau_c >= 0 as it reads
+    # the file, before any design: a run under constant friction never
+    # applies tau_c, and a window run applies it only once the window opens
+    monkeypatch.setattr(cli, "design_from_motor",
+                        lambda motor: pytest.fail("designed from a refused motor"))
+    torques = f"tau_s = {tau_s}\ntau_c = {tau_c}\n"
+    cfg = tmp_path / "in.cfg"
+    if command in ("gains", "certify"):
+        cfg.write_text(torques)
+        out = maps(command, "--motor", str(cfg))
+    else:
+        friction = command.removeprefix("run-")
+        window = "load_start = 0.1\nload_end = 0.3\n" if friction == "window" else ""
+        cfg.write_text(f"duration = 0.4\nfriction = {friction}\n{window}{torques}")
+        out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert "invalid config: friction requires tau_s >= tau_c >= 0" in out.stderr
+    assert out.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_riccati_qz_failure_exit_two(monkeypatch):
     # scipy's QZ warning is the solve's failure: exit 2, no stray warning
     def qz_fails(*args):
