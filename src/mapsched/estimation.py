@@ -7,26 +7,25 @@ gain scheduler downstream.
 `imm_step` is the one IMM cycle in the package. It runs on plain floats for
 the 3-state motor models with the scalar angle measurement: per mode a mean
 3-tuple and the upper triangle (p00, p01, p02, p11, p12, p22) of its
-covariance. After the two mixing products it makes one pass over the modes:
-each mode's mixed prior covariance, then `_mode_step`, which predicts,
-updates and weighs the likelihood, then the mode's share of the probability
-update. `_mode_step` is the one copy of the per-mode filter arithmetic and
-of its failure checks. A two-mode bank, the `imm` estimator's (MAPS
-schedules on two friction modes), takes that cycle written out for two
-modes; every other bank, the one-mode `kf:<i>` bank and any bank of three
-or more modes, takes the general loop over the modes. Both return the same
-bits. The per-mode step is folded for the motor's structure, H = [1, 0, 0]
-and Phi's first column e0: the products with those ones and zeros are left
-out, which changes no bit of a result, and the failures the left-out zeros
-would have turned into a NaN innovation variance are tested for explicitly.
-A `FilterBank` takes the vertex arrays Phi_i and Gamma, refuses a Phi whose
-first column is not e0, and holds what the cycle reads: Phi's last two
-columns and Gamma per mode as one flat tuple, Pi and the covariances Q and
-R; every run passes the stock FILTER_Q and FILTER_R. A single Kalman filter
-is the one-mode bank with Pi = [[1]], whose probability is exactly 1.0 on
-every cycle. `kf_predict` and `kf_update` are the per-mode array forms of
-the prediction and the angle update: no run calls them, the tests check the
-cycle against them, and the benchmark's tracer looks them up on `harness`.
+covariance. A bank holds one or two modes. MAPS schedules on two friction
+modes, the vertices b_min and b_max, and the `imm` estimator's two-mode
+bank takes `_two_mode_step`: the two mixing products, then per mode its
+mixed prior covariance and `_mode_step`, which predicts, updates and weighs
+the likelihood, then the probability update. The one-mode bank of `kf:<i>`
+is its own mixed prior: one `_mode_step`, and its probability stays 1.0.
+`_mode_step` is the one copy of the per-mode filter arithmetic and of its
+failure checks. The per-mode step is folded for the motor's structure,
+H = [1, 0, 0] and Phi's first column e0: the products with those ones and
+zeros are left out, which changes no bit of a result, and the failures the
+left-out zeros would have turned into a NaN innovation variance are tested
+for explicitly. A `FilterBank` takes the vertex arrays Phi_i and Gamma,
+refuses a Phi whose first column is not e0, and holds what the cycle reads:
+Phi's last two columns and Gamma per mode as one flat tuple, Pi and the
+covariances Q and R; every run passes the stock FILTER_Q and FILTER_R. A
+single Kalman filter is the one-mode bank with Pi = [[1]]. `kf_predict` and
+`kf_update` are the per-mode array forms of the prediction and the angle
+update: no run calls them, the tests check the cycle against them, and the
+benchmark's tracer looks them up on `harness`.
 """
 
 from __future__ import annotations
@@ -107,7 +106,8 @@ class FilterBank:
     """Per-mode transition matrices `phis` with the shared input map Gamma,
     the mode transition matrix Pi and the process and measurement
     covariances Q and R of an IMM bank of 3-state filters measuring the
-    first state, held as float tuples.
+    first state, held as float tuples. A bank holds one mode, a Kalman
+    filter, or two, the IMM of the two friction vertices.
 
     Every Phi must have the motor's structure exactly: its first column e0
     (the angle enters only its own integration). That holds for every
@@ -122,6 +122,9 @@ class FilterBank:
 
     def __init__(self, phis, Gamma, Pi, Q, R):
         phis = tuple(np.asarray(phi, dtype=float) for phi in phis)
+        nv = len(phis)
+        if nv not in (1, 2):
+            raise ParameterError(f"the filter bank takes 1 or 2 modes, got {nv}")
         Gamma = np.asarray(Gamma, dtype=float)
         if Gamma.shape != (3, 1) or any(phi.shape != (3, 3) for phi in phis):
             raise ParameterError("the filter bank takes 3-state, single-input models")
@@ -129,8 +132,8 @@ class FilterBank:
             raise ParameterError("the filter bank takes models whose first state "
                                  "only integrates: Phi's first column e0 exactly")
         Pi = np.asarray(Pi, dtype=float)
-        if not phis or Pi.shape != (len(phis), len(phis)):
-            raise ParameterError("Pi must be Nv x Nv for Nv >= 1 modes")
+        if Pi.shape != (nv, nv):
+            raise ParameterError(f"Pi must be {nv}x{nv}, one row and column per mode")
         if any(not min(row) >= 0.0 or not abs(sum(row) - 1.0) <= 1e-12 for row in Pi.tolist()):
             raise ParameterError("each row of Pi must be a probability vector")
         Q, R = np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
@@ -155,79 +158,44 @@ class FilterBank:
 
 
 def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
-    """One IMM cycle of `bank`: mix, then one pass over the modes that forms
-    each mode's mixed prior covariance and runs `_mode_step` on it; then the
-    probability update and the fused mean.
+    """One IMM cycle of `bank`: mix, each mode's mixed prior covariance and
+    `_mode_step` on it, then the probability update and the fused mean.
 
-    A two-mode bank takes `_two_mode_step`, this cycle written out for two
-    modes. Every other bank, the one-mode `kf:<i>` bank and any bank of three
-    or more modes, takes the general loop below.
+    A two-mode bank, the `imm` estimator's, takes `_two_mode_step`. A
+    one-mode bank, `kf:<i>`'s, has Pi = [[1]]: its mode is its own mixed
+    prior, and its probability lik mu / lik mu is 1.0 wherever that
+    product is positive and finite.
 
     Returns (means, covs, mu, likelihoods, fused mean), all floats.
     """
-    nv = len(bank.modes)
-    if nv == 2:
+    if len(bank.modes) == 2:
         return _two_mode_step(bank, means, covs, mu, u, z)
-    if nv == 1:
-        # Pi = [[1]]: the mode is its own mixed prior
-        mu_pred, mixing, priors = mu, (None,), means
-    else:
-        # interaction: mu_pred = Pi' mu and the mixed means, with
-        # mixing[j][i] = P(mode i previously | mode j now). Both products
-        # stay BLAS calls, whose rounding is the kernel's that OpenBLAS
-        # picks at run time: on an avx512f Xeon (SkylakeX kernels, OpenBLAS
-        # 0.3.31) both round x1 y1 + x0 y0 as fma(x1, y1, x0 y0), under
-        # OPENBLAS_CORETYPE=Haswell Pi' mu rounds plainly, and under
-        # Sandybridge both do. No one float loop matches every kernel, and
-        # the likelihood ratio scales the last bit of the mixed angle by
-        # r/s (up to ~700 per rad on the motor), so output bytes hold per
-        # machine and kernel. Called as ndarray methods they skip np.dot's
-        # dispatch, with the same bits.
-        mu_pred = bank.pi_t.dot(mu).tolist()
-        mixing = [[p * m / (MIX_FLOOR if MIX_FLOOR > c else c) for p, m in zip(col, mu)]
-                  for col, c in zip(bank.pi_cols, mu_pred)]
-        priors = np.array(mixing).dot(np.array(means)).tolist()
-    out_means, out_covs, liks, w = [], [], [], []
-    total = 0.0
-    for j, (weights, mean, mp) in enumerate(zip(mixing, priors, mu_pred)):
-        if weights is None:
-            prior = covs[0]
-        else:
-            # mixed prior covariance: the weighted spread about the mixed mean
-            m0, m1, m2 = mean
-            p00 = p01 = p02 = p11 = p12 = p22 = 0.0
-            for wi, (e0, e1, e2), (c00, c01, c02, c11, c12, c22) in zip(weights, means, covs):
-                d0, d1, d2 = e0 - m0, e1 - m1, e2 - m2
-                p00 += wi * (c00 + d0 * d0)
-                p01 += wi * (c01 + d0 * d1)
-                p02 += wi * (c02 + d0 * d2)
-                p11 += wi * (c11 + d1 * d1)
-                p12 += wi * (c12 + d1 * d2)
-                p22 += wi * (c22 + d2 * d2)
-            prior = (p00, p01, p02, p11, p12, p22)
-        x, P, lik = _mode_step(bank, j, mean, prior, means, covs, mu, u, z)
-        out_means.append(x)
-        out_covs.append(P)
-        liks.append(lik)
-        wj = lik * mp
-        w.append(wj)
-        total += wj
-    # Bayes update; if every product underflows the prediction is kept
-    mu = [v / total for v in w] if 0.0 < total < math.inf else mu_pred
-    x0 = x1 = x2 = 0.0
-    for m, (e0, e1, e2) in zip(mu, out_means):
-        x0 += m * e0
-        x1 += m * e1
-        x2 += m * e2
-    return out_means, out_covs, mu, liks, (x0, x1, x2)
+    x, P, lik = _mode_step(bank, 0, means[0], covs[0], means, covs, mu, u, z)
+    # Bayes update; if the product underflows the prediction is kept
+    if 0.0 < lik * mu[0] < math.inf:
+        mu = [1.0]
+    m = mu[0]
+    # summed from 0.0, as the two-mode mean is: a mean of -0.0 fuses to +0.0
+    return [x], [P], mu, [lik], (0.0 + m * x[0], 0.0 + m * x[1], 0.0 + m * x[2])
 
 
 def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
-    """`imm_step`'s general loop written out for two modes, with its bits:
-    the same two BLAS products on arrays of the same shapes, the same
-    mixing-weight floor, the spread, the probability total and the fused
-    mean each summed from 0.0 in mode order, and `_mode_step` for each mode.
-    It skips the loop's comprehensions, zips and appends."""
+    """The IMM cycle of a two-mode bank, on floats: `mu_pred = Pi' mu` and
+    the mixed means from two BLAS products, the floored mixing weights,
+    each mode's mixed prior covariance (`_spread`) and `_mode_step` on it,
+    then the probability update and the fused mean. The spread, the
+    probability total and the fused mean are each summed from 0.0 in mode
+    order.
+
+    The two products stay BLAS calls, whose rounding is the kernel's that
+    OpenBLAS picks at run time: on an avx512f Xeon (SkylakeX kernels,
+    OpenBLAS 0.3.31) both round x1 y1 + x0 y0 as fma(x1, y1, x0 y0), under
+    OPENBLAS_CORETYPE=Haswell Pi' mu rounds plainly, and under Sandybridge
+    both do. No one float loop matches every kernel, and the likelihood
+    ratio scales the last bit of the mixed angle by r/s (up to ~700 per rad
+    on the motor), so output bytes hold per machine and kernel. Called as
+    ndarray methods they skip np.dot's dispatch, with the same bits.
+    """
     mu0, mu1 = mu
     mu_pred = bank.pi_t.dot(mu).tolist()
     mp0, mp1 = mu_pred
@@ -237,23 +205,10 @@ def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
     w00, w01 = pi00 * mu0 / c, pi10 * mu1 / c
     c = MIX_FLOOR if MIX_FLOOR > mp1 else mp1
     w10, w11 = pi01 * mu0 / c, pi11 * mu1 / c
-    priors = np.array(((w00, w01), (w10, w11))).dot(np.array(means)).tolist()
-    (a0, a1, a2), (b0, b1, b2) = means
-    (a00, a01, a02, a11, a12, a22), (b00, b01, b02, b11, b12, b22) = covs
-    out = []
-    for j, wa, wb, mean in ((0, w00, w01, priors[0]), (1, w10, w11, priors[1])):
-        # mixed prior covariance: the weighted spread about the mixed mean
-        m0, m1, m2 = mean
-        d0, d1, d2 = a0 - m0, a1 - m1, a2 - m2
-        e0, e1, e2 = b0 - m0, b1 - m1, b2 - m2
-        prior = (0.0 + wa * (a00 + d0 * d0) + wb * (b00 + e0 * e0),
-                 0.0 + wa * (a01 + d0 * d1) + wb * (b01 + e0 * e1),
-                 0.0 + wa * (a02 + d0 * d2) + wb * (b02 + e0 * e2),
-                 0.0 + wa * (a11 + d1 * d1) + wb * (b11 + e1 * e1),
-                 0.0 + wa * (a12 + d1 * d2) + wb * (b12 + e1 * e2),
-                 0.0 + wa * (a22 + d2 * d2) + wb * (b22 + e2 * e2))
-        out.append(_mode_step(bank, j, mean, prior, means, covs, mu, u, z))
-    (x, P, lik0), (y, S, lik1) = out
+    # the mixed means, then each mode's filter step from its mixed prior
+    m, n = np.array(((w00, w01), (w10, w11))).dot(np.array(means)).tolist()
+    x, P, lik0 = _mode_step(bank, 0, m, _spread(w00, w01, m, means, covs), means, covs, mu, u, z)
+    y, S, lik1 = _mode_step(bank, 1, n, _spread(w10, w11, n, means, covs), means, covs, mu, u, z)
     w0, w1 = lik0 * mp0, lik1 * mp1
     total = 0.0 + w0 + w1
     # Bayes update; if every product underflows the prediction is kept
@@ -264,6 +219,23 @@ def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
     return ([x, y], [P, S], mu, [lik0, lik1],
             (0.0 + mu0 * x[0] + mu1 * y[0], 0.0 + mu0 * x[1] + mu1 * y[1],
              0.0 + mu0 * x[2] + mu1 * y[2]))
+
+
+def _spread(wa, wb, mean, means, covs) -> tuple:
+    """A two-mode bank's mixed prior covariance: the spread of the beliefs
+    `means`, `covs`, weighted wa and wb, about their mixed mean, summed
+    from 0.0 in mode order."""
+    m0, m1, m2 = mean
+    (a0, a1, a2), (b0, b1, b2) = means
+    (a00, a01, a02, a11, a12, a22), (b00, b01, b02, b11, b12, b22) = covs
+    d0, d1, d2 = a0 - m0, a1 - m1, a2 - m2
+    e0, e1, e2 = b0 - m0, b1 - m1, b2 - m2
+    return (0.0 + wa * (a00 + d0 * d0) + wb * (b00 + e0 * e0),
+            0.0 + wa * (a01 + d0 * d1) + wb * (b01 + e0 * e1),
+            0.0 + wa * (a02 + d0 * d2) + wb * (b02 + e0 * e2),
+            0.0 + wa * (a11 + d1 * d1) + wb * (b11 + e1 * e1),
+            0.0 + wa * (a12 + d1 * d2) + wb * (b12 + e1 * e2),
+            0.0 + wa * (a22 + d2 * d2) + wb * (b22 + e2 * e2))
 
 
 def _mode_step(bank: FilterBank, j: int, mean, prior, means, covs, mu, u: float, z: float):

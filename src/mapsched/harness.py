@@ -1,13 +1,15 @@
 """Scenario simulation harness.
 
 Runs the nonlinear truth plant in closed loop with a chosen estimator
-(single Kalman filter or IMM) and controller (fixed vertex gain, the
+(the IMM over the design's two friction vertices, or a single Kalman
+filter at one of them) and controller (fixed vertex gain, the
 probability-scheduled gain, or open-loop drive), under a scheduled friction
 profile, and computes tracking/estimation metrics. Every variant runs the
-same loop on plain floats. The truth plant is solved exactly, friction
-events included (`plant.plant_step`), so a scenario has no integration
-setting. A run takes the gain-filled design `design_from_motor` returns
-and filters with the stock covariances FILTER_Q and FILTER_R.
+same loop on plain floats, and both estimators are an `imm_step` bank:
+two modes for `imm`, one for `kf:<i>`. The truth plant is solved exactly,
+friction events included (`plant.plant_step`), so a scenario has no
+integration setting. A run takes the gain-filled design `design_from_motor`
+returns and filters with the stock covariances FILTER_Q and FILTER_R.
 `ScenarioSpec`'s field defaults are the only scenario defaults; its sample
 rate and constant friction are the stock motor's, and in a scenario file
 they follow the file's motor.

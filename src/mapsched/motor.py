@@ -70,7 +70,8 @@ class FrictionModel:
 class VertexSet:
     """Polytopic vertex models Phi[i], one per scheduling value rho[i], plus
     the shared input map Gamma, at sample time T; every vertex measures the
-    first state.
+    first state. MAPS schedules between two friction modes, so a set has
+    exactly two vertices, b_min < b_max.
 
     Gains are synthesized separately; `with_gains` returns a filled copy.
     """
@@ -84,9 +85,9 @@ class VertexSet:
 
     def __post_init__(self):
         rho = tuple(float(r) for r in self.rho)
-        if len(rho) < 2:
-            raise ParameterError("a vertex set needs at least 2 vertices")
-        if any(b <= a for a, b in zip(rho, rho[1:])):
+        if len(rho) != 2:
+            raise ParameterError(f"a vertex set has 2 vertices, got {len(rho)}")
+        if rho[1] <= rho[0]:
             raise ParameterError("scheduling vertices must be strictly increasing")
         phis = tuple(_frozen(p) for p in self.Phi_vertices)
         if len(phis) != len(rho):

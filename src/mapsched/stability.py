@@ -138,22 +138,16 @@ def lipschitz_constants(vertices: VertexSet) -> tuple[float, float, float]:
     """Lipschitz constants of the polytopic maps rho -> Phi(rho), rho -> K(rho)
     and the combined closed-loop sensitivity L = L_phi + ||Gamma|| L_k.
 
-    The two-vertex family is affine, so the constants are exact slopes; with
-    more vertices the pairwise maximum slope is used. The set's rho is
-    strictly increasing, so every slope has a positive gap.
+    The two-vertex family is affine, so the constants are exact slopes:
+    the vertices' differences over the gap rho[1] - rho[0], which is
+    positive since the set's rho is strictly increasing.
     """
     if vertices.K_vertices is None:
         raise ParameterError("vertex gains have not been synthesized")
-    L_phi = 0.0
-    L_k = 0.0
-    nv = vertices.n_vertices
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            gap = vertices.rho[j] - vertices.rho[i]
-            dphi = vertices.Phi_vertices[j] - vertices.Phi_vertices[i]
-            dk = vertices.K_vertices[j] - vertices.K_vertices[i]
-            L_phi = max(L_phi, float(np.linalg.norm(dphi, 2)) / gap)
-            L_k = max(L_k, float(np.linalg.norm(dk, 2)) / gap)
+    gap = vertices.rho[1] - vertices.rho[0]
+    (phi0, phi1), (k0, k1) = vertices.Phi_vertices, vertices.K_vertices
+    L_phi = float(np.linalg.norm(phi1 - phi0, 2)) / gap
+    L_k = float(np.linalg.norm(k1 - k0, 2)) / gap
     L = L_phi + float(np.linalg.norm(vertices.Gamma, 2)) * L_k
     return L_phi, L_k, L
 

@@ -64,12 +64,6 @@ def hold_bank(Pi):
                       np.array([[1e300]]))
 
 
-def three_vertices(motor, mode):
-    """The vertex set of b_min, the midpoint and b_max at T = 2 ms."""
-    rho = (motor.b_min, 0.5 * (motor.b_min + motor.b_max), motor.b_max)
-    return build_vertex_set(motor.params, rho, 0.002, mode)
-
-
 def hold_step(Pi, beliefs, mu):
     means, covs = zip(*beliefs)
     means, covs, mu, _, fused = imm_step(hold_bank(Pi), list(means), list(covs), mu, 0.0, 0.0)
@@ -304,6 +298,12 @@ class TestFilterBank:
         with pytest.raises(ParameterError, match="3-state, single-input"):
             FilterBank([HOLD_PHI], Gamma, [[1.0]], FILTER_Q, FILTER_R)
 
+    @pytest.mark.parametrize("nv", [0, 3])
+    def test_refuses_a_mode_count_other_than_one_or_two(self, nv):
+        with pytest.raises(ParameterError, match=f"1 or 2 modes, got {nv}"):
+            FilterBank([HOLD_PHI] * nv, HOLD_GAMMA, default_transition_matrix(max(nv, 1)),
+                       FILTER_Q, FILTER_R)
+
     def test_rejects_vector_measurement(self):
         with pytest.raises(ParameterError, match="1x1 R"):
             FilterBank([HOLD_PHI], HOLD_GAMMA, [[1.0]], FILTER_Q, np.eye(2) * 1e-5)
@@ -388,15 +388,13 @@ def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh):
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("modes", ["two-vertex", "one-mode", "three-mode"])
+@pytest.mark.parametrize("modes", ["two-vertex", "one-mode"])
 def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, modes):
     # the one-pass cycle returns the two-pass cycle's bits, every output on
     # every tick of criterion 3's stream, each tick from the same state
     phis, Gamma = vertices_zoh.Phi_vertices, vertices_zoh.Gamma
     if modes == "one-mode":
         phis = phis[1:]
-    elif modes == "three-mode":
-        phis = three_vertices(motor_zoh, "zoh").Phi_vertices
     bank = FilterBank(phis, Gamma, default_transition_matrix(len(phis)),
                       FILTER_Q, FILTER_R)
     state = bank.initial()
@@ -408,14 +406,15 @@ def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, modes):
 
 def test_one_pass_cycle_matches_two_pass_cycle_on_held_priors():
     # hold_bank (R = 1e300) returns the mixed priors, so random beliefs and
-    # probabilities exercise the mixing and the spread on their own, of the
-    # general cycle (three modes) and of the two-mode one; under Pi = I a
-    # one-hot mu leaves predicted probabilities at the floor
+    # probabilities exercise the mixing and the spread of the two-mode
+    # cycle on their own; under Pi = I a one-hot mu leaves predicted
+    # probabilities at the floor. The one-mode bank's probability is 0.0,
+    # one that its likelihood (~1e-150 here) underflows to 0.0, or one that
+    # the Bayes update sets to 1.0
     upper = np.triu_indices(3)
     for nv, banks in (
-        (3, (hold_bank(np.array([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]])),
-             hold_bank(np.eye(3)))),
         (2, (hold_bank(np.array([[0.9, 0.1], [0.3, 0.7]])), hold_bank(np.eye(2)))),
+        (1, (hold_bank([[1.0]]),) * 2),
     ):
         rng = np.random.default_rng(7)
         for k in range(2_000):
@@ -423,10 +422,14 @@ def test_one_pass_cycle_matches_two_pass_cycle_on_held_priors():
             means = [tuple(rng.normal(0.0, 10.0 ** rng.integers(-3, 3), 3).tolist())
                      for _ in range(nv)]
             covs = [tuple((A @ A.T)[upper].tolist()) for A in rng.normal(size=(nv, 3, 3))]
-            mu = rng.dirichlet(np.ones(nv)).tolist() if k % 3 else [0.0, 1.0, 0.0][:nv]
-            out = imm_step(bank, means, covs, mu, 0.0, 0.0)
-            assert out == imm_step_two_pass(bank, [HOLD_PHI] * nv, HOLD_GAMMA, means, covs,
-                                            mu, 0.0, 0.0)
+            if nv == 1:
+                mu = [(0.0, 1e-320, 0.3, 1.0, rng.uniform())[k % 5]]
+            else:
+                mu = rng.dirichlet(np.ones(nv)).tolist() if k % 3 else [0.0, 1.0]
+            # repr, so a zero's sign counts: it reaches trace.csv
+            out = repr(imm_step(bank, means, covs, mu, 0.0, 0.0))
+            assert out == repr(imm_step_two_pass(bank, [HOLD_PHI] * nv, HOLD_GAMMA, means,
+                                                 covs, mu, 0.0, 0.0))
 
 
 def _outcome(cycle, *args):
@@ -437,7 +440,7 @@ def _outcome(cycle, *args):
         return f"NumericalError: {exc}"
 
 
-@pytest.mark.parametrize("nv", [1, 2, 3])
+@pytest.mark.parametrize("nv", [1, 2])
 @pytest.mark.parametrize("mode", ["euler", "zoh"])
 def test_folded_cycle_fails_where_the_full_cycle_fails(motor, mode, nv):
     # the full cycle's s is NaN whenever any entry of the predicted
@@ -446,8 +449,7 @@ def test_folded_cycle_fails_where_the_full_cycle_fails(motor, mode, nv):
     # entries itself. One non-finite or overflowing entry in each position
     # of one mode's prior covariance, from finite and non-finite inputs,
     # must give the same error, or the same output where neither raises
-    vs = (three_vertices(motor, mode) if nv == 3
-          else build_vertex_set(motor.params, motor.vertex_rho, 0.002, mode))
+    vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, mode)
     phis, Gamma = vs.Phi_vertices[:nv], vs.Gamma
     bank = FilterBank(phis, Gamma, default_transition_matrix(nv), FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
@@ -467,34 +469,28 @@ def test_folded_cycle_names_each_diverged_covariance(motor):
     # finite means 2e150 to 2e300 apart, along each state: the spread
     # overflows or it does not; and the last mode's covariance grown past
     # round-off against R. Each outcome, a failure's message included, is
-    # the full cycle's, for the two-mode cycle and the general one. Under
-    # the default Pi every mode mixes from every other and mode 0 fails
-    # first. Under an upper-triangular Pi mode j mixes from modes 0..j
-    # alone, so the last mode can fail by itself
-    for nv, vs in ((2, build_vertex_set(motor.params, motor.vertex_rho, 0.002, "zoh")),
-                   (3, three_vertices(motor, "zoh"))):
-        upper_pi = np.triu(np.full((nv, nv), 0.1 / (nv - 1)), 1)
-        upper_pi += np.diag(1.0 - upper_pi.sum(axis=1))
-        outcomes = []
-        for Pi in (default_transition_matrix(nv), upper_pi):
-            bank = FilterBank(vs.Phi_vertices, vs.Gamma, Pi, FILTER_Q, FILTER_R)
-            held, covs, mu = bank.initial()
-            grown = covs[:-1] + [(0.0, 0.0, 0.0, -1e200, 0.0, 0.0)]
-            cases = [(held, grown)]
-            for k in range(3):
-                for scale in (1e150, 1e200, 1e300):
-                    # the last two modes apart, any other at 0
-                    apart = [tuple(scale if i == k else 0.0 for i in range(3)),
-                             tuple(-scale if i == k else 0.0 for i in range(3))]
-                    cases.append((held[2:] + apart, covs))
-            for means, priors in cases:
-                want = _outcome(imm_step_two_pass, bank, vs.Phi_vertices, vs.Gamma, means,
-                                priors, mu, 0.0, 0.0)
-                assert _outcome(imm_step, bank, means, priors, mu, 0.0, 0.0) == want
-                outcomes.append(want)
-        assert any("mode 0's mixed prior covariance is not finite" in o for o in outcomes)
-        assert any(f"mode {nv - 1}'s predicted covariance reached" in o for o in outcomes)
-        assert not all(o.startswith("NumericalError") for o in outcomes)
+    # the full cycle's. Under the default Pi each mode mixes from the other
+    # and mode 0 fails first. Under an upper-triangular Pi mode 0 mixes
+    # from itself alone, so mode 1 can fail by itself
+    vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, "zoh")
+    outcomes = []
+    for Pi in (default_transition_matrix(2), [[0.9, 0.1], [0.0, 1.0]]):
+        bank = FilterBank(vs.Phi_vertices, vs.Gamma, Pi, FILTER_Q, FILTER_R)
+        held, covs, mu = bank.initial()
+        cases = [(held, [covs[0], (0.0, 0.0, 0.0, -1e200, 0.0, 0.0)])]
+        for k in range(3):
+            for scale in (1e150, 1e200, 1e300):
+                apart = [tuple(scale if i == k else 0.0 for i in range(3)),
+                         tuple(-scale if i == k else 0.0 for i in range(3))]
+                cases.append((apart, covs))
+        for means, priors in cases:
+            want = _outcome(imm_step_two_pass, bank, vs.Phi_vertices, vs.Gamma, means,
+                            priors, mu, 0.0, 0.0)
+            assert _outcome(imm_step, bank, means, priors, mu, 0.0, 0.0) == want
+            outcomes.append(want)
+    assert any("mode 0's mixed prior covariance is not finite" in o for o in outcomes)
+    assert any("mode 1's predicted covariance reached" in o for o in outcomes)
+    assert not all(o.startswith("NumericalError") for o in outcomes)
 
 
 @pytest.mark.parametrize("b_max", [1.63e-4, 6e-4, 1.3e-2])

@@ -195,16 +195,17 @@ class TestVertexSet:
             build_vertex_set(motor.params, (0.0, 0.0), 0.002, "euler")
         with pytest.raises(ParameterError):
             build_vertex_set(motor.params, (1e-4,), 0.002, "euler")
+        # MAPS schedules between two friction modes: a set has two vertices
+        with pytest.raises(ParameterError, match="2 vertices, got 3"):
+            build_vertex_set(motor.params, (2.46e-6, 8.3e-5, 1.63e-4), 0.002, "euler")
 
     def test_two_vertex_affine_difference(self, motor):
-        # any two vertices differ by -(rho_j - rho_i) T / Jeq at [1, 1]
-        rho = (2.46e-6, 8.3e-5, 1.63e-4)
-        vs = build_vertex_set(motor.params, rho, 0.002, mode="euler")
+        # the two vertices of any set differ by -(rho_1 - rho_0) T / Jeq at [1, 1]
         slope = np.zeros((3, 3))
         slope[1, 1] = -0.002 / motor.params.Jeq
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            diff = vs.Phi_vertices[j] - vs.Phi_vertices[i]
-            assert np.allclose(diff, (rho[j] - rho[i]) * slope, rtol=0, atol=1e-15)
+        for rho in ((2.46e-6, 8.3e-5), (8.3e-5, 1.63e-4), (2.46e-6, 1.63e-4)):
+            lo, hi = build_vertex_set(motor.params, rho, 0.002, mode="euler").Phi_vertices
+            assert np.allclose(hi - lo, (rho[1] - rho[0]) * slope, rtol=0, atol=1e-15)
 
     @given(f=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
