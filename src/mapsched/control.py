@@ -6,7 +6,7 @@ checked against a residual bound. Each distinct vertex problem is solved
 once per process: `vertex_solutions` keeps every vertex's solution (P, K,
 residual), from which `synthesize_vertex_gains` fills the design's gains
 and `maps gains` reports the same solves. The per-tick scheduled gain is
-the probability-weighted convex combination of the vertex gains.
+the probability-weighted convex combination of the two vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
 applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 """
@@ -144,16 +144,12 @@ def synthesize_vertex_gains(vertices: VertexSet) -> VertexSet:
 
 
 def maps_gain(mu, gains) -> tuple:
-    """Probability-scheduled gain K = sum_i mu_i K[i], with each vertex gain
-    K[i] given as a row of 3 floats; returns the 3 gain entries."""
-    if len(mu) != len(gains):
-        raise ValueError("one probability per vertex gain required")
-    k0 = k1 = k2 = 0.0
-    for w, (g0, g1, g2) in zip(mu, gains):
-        k0 += w * g0
-        k1 += w * g1
-        k2 += w * g2
-    return k0, k1, k2
+    """Probability-scheduled gain K = mu_0 K[0] + mu_1 K[1] of the two
+    vertex gains, each a row of 3 floats; returns the 3 gain entries, each
+    summed from 0.0 in vertex order. Any other count of weights or gains
+    raises ValueError."""
+    (w0, w1), ((a0, a1, a2), (b0, b1, b2)) = mu, gains
+    return 0.0 + w0 * a0 + w1 * b0, 0.0 + w0 * a1 + w1 * b1, 0.0 + w0 * a2 + w1 * b2
 
 
 def control_input(K, x_ref, x_hat, v_limit: float, feedforward: float = 0.0):

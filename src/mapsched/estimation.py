@@ -22,10 +22,12 @@ for explicitly. A `FilterBank` takes the vertex arrays Phi_i and Gamma,
 refuses a Phi whose first column is not e0, and holds what the cycle reads:
 Phi's last two columns and Gamma per mode as one flat tuple, Pi and the
 covariances Q and R; every run passes the stock FILTER_Q and FILTER_R. A
-single Kalman filter is the one-mode bank with Pi = [[1]]. `kf_predict` and
-`kf_update` are the per-mode array forms of the prediction and the angle
-update: no run calls them, the tests check the cycle against them, and the
-benchmark's tracer looks them up on `harness`.
+single Kalman filter is the one-mode bank with Pi = [[1]]. Every run's Pi
+is `default_transition_matrix`'s: [[1]] for one mode, and for two, each
+mode kept with probability 0.9. `kf_predict` and `kf_update` are the
+per-mode array forms of the prediction and the angle update: no run calls
+them, the tests check the cycle against them, and the benchmark's tracer
+looks them up on `harness`.
 """
 
 from __future__ import annotations
@@ -70,15 +72,16 @@ def initial_belief() -> tuple:
     return np.zeros(3), np.diag(DEFAULT_P0_DIAG)
 
 
-def default_transition_matrix(nv: int) -> np.ndarray:
-    """Transition matrix keeping the mode with probability 0.9, with uniform
-    leakage to the other modes."""
-    stay = 0.9
-    if nv == 1:
+def default_transition_matrix(n_modes: int) -> np.ndarray:
+    """The stock mode transition matrix of a bank: [[1]] for one mode, and
+    for the two friction modes, keep the mode with probability 0.9 and leak
+    1.0 - 0.9 to the other."""
+    if n_modes == 1:
         return np.array([[1.0]])
-    Pi = np.full((nv, nv), (1.0 - stay) / (nv - 1))
-    np.fill_diagonal(Pi, stay)
-    return Pi
+    if n_modes != 2:
+        raise ParameterError(f"a transition matrix for 1 or 2 modes, got {n_modes}")
+    stay = 0.9
+    return np.array([[stay, 1.0 - stay], [1.0 - stay, stay]])
 
 
 def kf_predict(x: np.ndarray, P: np.ndarray, Phi: np.ndarray, Gamma: np.ndarray,

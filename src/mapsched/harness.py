@@ -11,8 +11,10 @@ friction events included (`plant.plant_step`), so a scenario has no
 integration setting. A run takes the gain-filled design `design_from_motor`
 returns and filters with the stock covariances FILTER_Q and FILTER_R.
 `ScenarioSpec`'s field defaults are the only scenario defaults; its sample
-rate and constant friction are the stock motor's, and in a scenario file
-they follow the file's motor.
+rate and constant friction are the stock motor's. A scenario file sets
+neither: its tick is its motor's sample_time, and its constant friction its
+motor's b_min. `kf:<i>` and `fixed:<i>` name vertex 0 (b_min) or 1 (b_max);
+any other index is refused when the spec is made.
 Runs are deterministic for a given seed; measurement noise is the only
 random input by default.
 """
@@ -58,7 +60,7 @@ from .plant import TickMap, plant_step
 SCENARIO_KEYS = frozenset(
     {
         "reference", "amplitude", "frequency", "period", "duration",
-        "sample_rate", "seed", "controller", "estimator", "v_limit",
+        "seed", "controller", "estimator", "v_limit",
         "friction", "load_start", "load_end", "toggle_start", "toggle_period",
         "ramp_time", "process_noise_std", "meas_noise_std",
     }
@@ -298,16 +300,19 @@ def _tick_count(duration: float, sample_rate: float) -> int:
 
 
 def _parse_choice(text: str, what: str, allowed) -> tuple[str, int]:
+    """(kind, vertex index) of a controller or estimator choice; `fixed`
+    and `kf` take vertex 0 (b_min, the default) or 1 (b_max)."""
     kind, _, idx = text.partition(":")
     if kind not in allowed:
         raise ConfigError(f"unknown {what} {text!r}")
     if kind in ("fixed", "kf"):
-        if not idx:
-            idx = "0"
         try:
-            return kind, int(idx)
+            vertex = int(idx or "0")
         except ValueError:
             raise ConfigError(f"{what} index must be an integer, got {text!r}") from None
+        if vertex not in (0, 1):
+            raise ConfigError(f"{what} index must be vertex 0 or 1, got {text!r}")
+        return kind, vertex
     if idx:
         raise ConfigError(f"{what} {kind!r} takes no index")
     return kind, 0
@@ -322,7 +327,7 @@ class RunRecord:
     z: np.ndarray
     truth: np.ndarray       # (N, 3)
     estimate: np.ndarray    # (N, 3)
-    mu: np.ndarray          # (N, Nv)
+    mu: np.ndarray          # (N, 2)
     rho_hat: np.ndarray
     gain: np.ndarray        # (N, 3)
     u: np.ndarray
@@ -360,7 +365,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     `vertices` is a gain-filled design, as `design_from_motor` returns; a
     set without gains is refused with ParameterError. Every variant runs
     one loop, and a tick does only the feedback work: the measurement, the
-    estimator `imm_step` over a `FilterBank` (`imm` holds every vertex's
+    estimator `imm_step` over a `FilterBank` (`imm` holds both vertices'
     Phi, `kf:<i>` vertex i's alone), the gain, `control_input` and
     `plant_step` on the tick's `TickMap`, taken from a 16-entry cache. The
     gain is `maps_gain` of the mode probabilities for `maps`; `fixed:<i>`
@@ -372,7 +377,8 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     run with numpy, by the float operations of one tick, so its bits are
     those of the scalar rules: the times k T, the friction of each tick
     (`FrictionSchedule.at_times`), the reference (`reference_states`) and,
-    after the loop, rho_hat, summed from 0.0 term by term as the loop would.
+    after the loop, rho_hat = 0.0 + mu_0 rho_0 + mu_1 rho_1, term by term
+    as the loop would.
     The loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise in
     one call and packs its rows into the log with one `struct.pack_into`.
     """
@@ -385,16 +391,11 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
         )
     spec.friction.validate_range(motor.b_max)
 
-    nv = vertices.n_vertices
     est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
     ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
-    if est_kind == "kf" and not 0 <= est_idx < nv:
-        raise ConfigError(f"kf model index {est_idx} out of range")
-    if ctl_kind == "fixed" and not 0 <= ctl_idx < nv:
-        raise ConfigError(f"fixed gain index {ctl_idx} out of range")
 
     # the vertex each filter mode stands for
-    slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)
+    slots = (0, 1) if est_kind == "imm" else (est_idx,)
     bank = FilterBank([vertices.Phi_vertices[i] for i in slots], vertices.Gamma,
                       default_transition_matrix(len(slots)), FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
@@ -402,15 +403,12 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     # fixed:<i> and open weigh the vertex gains the same on every tick,
     # one-hot at i or not at all, so their gain is formed once
     fixed_gain = None if ctl_kind == "maps" else maps_gain(
-        [1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in range(nv)], gains
+        [1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in (0, 1)], gains
     )
     feedforward = 1.0 if ctl_kind == "open" else 0.0
     # kf:<i>'s one mode has probability lik / lik = 1.0 on every tick, so
     # its weights are one-hot at i for the whole run
-    kf_weights = None
-    if est_kind == "kf":
-        kf_weights = [0.0] * nv
-        kf_weights[est_idx] = 1.0
+    kf_weights = None if est_kind == "imm" else [1.0 if i == est_idx else 0.0 for i in (0, 1)]
 
     n = spec.n_ticks
     # what the loop only reads by time, formed once with one tick's float
@@ -419,9 +417,8 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     b_true, coulomb = spec.friction.at_times(time)
     reference = spec.reference_states(time)
     # what the loop computes, one row per tick: z, truth (3), estimate (3),
-    # mu (nv), gain (3), u; a chunk's rows are packed into it at once
-    width = 11 + nv
-    log = np.empty((n, width))
+    # mu (2), gain (3), u; a chunk's rows are packed into it at once
+    log = np.empty((n, 13))
     normal = np.random.default_rng(spec.seed).standard_normal
     meas_std = (
         spec.meas_noise_std
@@ -462,24 +459,22 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
             saturations += saturated
             rows.append((z, *truth, *x_hat, *mu_v, *K, u))
             truth = plant_step(truth, u, tick_map(b_t, coulomb_on), tau_dist)
-        pack_into(f"{len(rows) * width}d", log, start * width * 8, *chain.from_iterable(rows))
+        pack_into(f"{len(rows) * 13}d", log, start * 13 * 8, *chain.from_iterable(rows))
 
-    # rho_hat = sum_i mu_i rho_i, added term by term from 0.0 as a tick
-    # would: elementwise, not a BLAS product, whose kernel may fuse
-    rho_hat = np.zeros(n)
-    for j, r in enumerate(vertices.rho):
-        rho_hat += log[:, 7 + j] * r
-    c = 7 + nv
+    # added term by term from 0.0 as a tick would: elementwise, not a BLAS
+    # product, whose kernel may fuse
+    rho_0, rho_1 = vertices.rho
+    rho_hat = 0.0 + log[:, 7] * rho_0 + log[:, 8] * rho_1
     return RunRecord(
         spec=spec,
         time=time,
         z=log[:, 0],
         truth=log[:, 1:4],
         estimate=log[:, 4:7],
-        mu=log[:, 7:c],
+        mu=log[:, 7:9],
         rho_hat=rho_hat,
-        gain=log[:, c:c + 3],
-        u=log[:, c + 3],
+        gain=log[:, 9:12],
+        u=log[:, 12],
         reference=reference,
         b_true=b_true,
         saturation_count=saturations,
@@ -563,21 +558,18 @@ def write_run_csvs(trace_path, plot_path, record: RunRecord) -> None:
     value and formatted again with repr. Each file's rows are joined from
     those same cells.
     """
-    nv = record.mu.shape[1]
-    mu_names = [f"mu_{j + 1}" for j in range(nv)]
-    # the union row: the trace.csv columns, then tracking_error and b_true
-    width = 16 + nv
+    # the union row: the 18 trace.csv columns, then tracking_error and b_true
     trace = (
         ["time", "z", "theta_true", "omega_true", "current_true",
-         "theta_est", "omega_est", "current_est", *mu_names, "rho_hat",
+         "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
          "k_theta", "k_omega", "k_current", "u",
          "theta_ref", "omega_ref", "current_ref"],
-        itemgetter(slice(0, width)),
+        itemgetter(slice(0, 18)),
     )
     plot = (
         ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
-         *mu_names, "rho_hat", "b_true", "u"],
-        itemgetter(0, width - 3, 2, 5, width, *range(8, 9 + nv), width + 1, width - 4),
+         "mu_1", "mu_2", "rho_hat", "b_true", "u"],
+        itemgetter(0, 15, 2, 5, 18, 8, 9, 10, 19, 14),
     )
     theta_ref, theta = record.reference[:, 0], record.truth[:, 0]
     columns = [
@@ -636,9 +628,10 @@ def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:
 def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     """Build a ScenarioSpec from flat key/value entries (strings). A field
     the entries do not set keeps ScenarioSpec's default, except the sample
-    rate and the constant friction, which the motor gives. A key that only
-    another kind of reference or friction schedule reads (KIND_KEYS) is
-    refused, as it would be ignored."""
+    rate, 1 / the motor's sample_time, which no entry sets, and the constant
+    friction, the motor's b_min. A key that only another kind of reference
+    or friction schedule reads (KIND_KEYS) is refused, as it would be
+    ignored."""
     unknown = set(entries) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
@@ -656,7 +649,7 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
 
     kind = entries.get("friction", "constant")
     duration = fget("duration", ScenarioSpec.duration)
-    sample_rate = fget("sample_rate", 1.0 / motor.sample_time)
+    sample_rate = 1.0 / motor.sample_time
     ramp_time = fget("ramp_time", 0.0)
     if not ramp_time >= 0.0:
         raise ConfigError(f"ramp_time must be a number >= 0, got {ramp_time!r}")

@@ -106,10 +106,6 @@ class VertexSet:
             raise ParameterError("one gain row per vertex required")
         return ks
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.rho)
-
     def with_gains(self, gains) -> "VertexSet":
         """A copy holding `gains`; the models were validated when this set
         was made, so only the gains are checked and frozen."""

@@ -242,7 +242,7 @@ def closed_loop_by_tick(spec, motor, vertices):
 
     Returns (log columns by RunRecord field, saturation count).
     """
-    nv = vertices.n_vertices
+    nv = len(vertices.rho)
     est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
     ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
     slots = tuple(range(nv)) if est_kind == "imm" else (est_idx,)

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -300,6 +301,38 @@ def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("choice", ["estimator = kf:2", "controller = fixed:-1"])
+def test_vertex_index_refused_before_the_design(maps, monkeypatch, tmp_path, choice):
+    # kf:<i> and fixed:<i> name vertex 0 or 1; another index is refused as
+    # the scenario loads, before any Riccati equation is solved
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_discrete_are(*args, **kwargs)
+
+    monkeypatch.setattr(control, "solve_discrete_are", counted)
+    control._vertex_solution.cache_clear()
+    cfg = tmp_path / "index.cfg"
+    cfg.write_text(f"duration = 0.1\n{choice}\n")
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: invalid config: ")
+    assert "index must be vertex 0 or 1" in out.stderr
+    assert len(calls) == 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_rate_is_not_a_scenario_key(maps, tmp_path):
+    # a run's tick is its motor's sample_time; a scenario file cannot set it
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("duration = 0.1\nsample_rate = 500\n")
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert "unknown scenario keys: ['sample_rate']" in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_outputs(maps, tmp_path, scenario_cfg):
     out_dir = tmp_path / "out"
     out = maps("run", str(scenario_cfg), "--out", str(out_dir))
@@ -337,6 +370,32 @@ def test_run_byte_identical_reruns(maps, tmp_path, scenario_cfg):
     assert maps("run", str(scenario_cfg), "--out", str(d1)).returncode == 0
     assert maps("run", str(scenario_cfg), "--out", str(d2)).returncode == 0
     assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
+
+
+def test_run_metrics_agree_across_blas_kernels(tmp_path, scenario_cfg):
+    # output bytes hold per BLAS kernel only: OpenBLAS rounds the design's
+    # expm and Riccati solve, the plant's tick maps and the IMM's mixing
+    # products per kernel. A run under the Sandybridge (AVX) kernels and one
+    # under the kernel OpenBLAS picks for the CPU still report the same
+    # metrics within a relative 1e-9 (they differed by 2.6e-14 at most over
+    # the Sandybridge, Nehalem and Haswell kernels against an avx512f CPU's
+    # SkylakeX), and the same saturation count
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    metrics = []
+    for name, extra in (("default", {}), ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})):
+        out_dir = tmp_path / name
+        done = subprocess.run([*CLI, "run", str(scenario_cfg), "--out", str(out_dir)],
+                              env={**env, **extra}, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        metrics.append(json.loads((out_dir / "metrics.json").read_text()))
+    default, other = ({**m.pop("estimation_rmse"), **m} for m in metrics)
+    assert default.keys() == other.keys()
+    for key, value in default.items():
+        if key in ("rmse", "mae", "iae", "theta", "omega", "current"):
+            assert other[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+        else:
+            assert other[key] == value, key
 
 
 def test_maps_seed_env_override(maps, tmp_path, scenario_cfg):
@@ -499,11 +558,11 @@ STOCK_MOTOR = "".join(f"{k} = {v}\n" for k, v in MOTOR_DEFAULTS.items())
 
 
 # every scenario key a sine under a load window reads, at its default but
-# for a 0.4 s run (200 ticks at the stock 500 Hz) and the window, and the
-# design the gates use
+# for a 0.4 s run (200 ticks at the stock motor's 2 ms) and the window, and
+# the design the gates use
 STOCK_SCENARIO = {
     "reference": "sine", "amplitude": 2.0, "frequency": 0.5,
-    "duration": 0.4, "sample_rate": 500.0, "seed": 1, "controller": "maps",
+    "duration": 0.4, "seed": 1, "controller": "maps",
     "estimator": "imm", "v_limit": 4.0, "friction": "window", "load_start": 0.1,
     "load_end": 0.3, "ramp_time": 0.0,
     "process_noise_std": 0.0, "meas_noise_std": 0.003, "discretization": "zoh",

@@ -540,9 +540,13 @@ class TestNisConsistency:
 
 class TestStateValidation:
     def test_default_transition_matrix(self):
-        Pi = default_transition_matrix(2)
-        assert np.allclose(Pi, [[0.9, 0.1], [0.1, 0.9]])
-        assert np.allclose(default_transition_matrix(3).sum(axis=1), 1.0)
+        # bit for bit: the two-mode off-diagonal is 1.0 - 0.9, one ulp
+        # below the literal 0.1, and it reaches every imm run
+        assert default_transition_matrix(1).tolist() == [[1.0]]
+        assert default_transition_matrix(2).tolist() == [[0.9, 1.0 - 0.9], [1.0 - 0.9, 0.9]]
+        assert default_transition_matrix(2)[0, 1] == 0.09999999999999998 != 0.1
+        with pytest.raises(ParameterError, match="1 or 2 modes, got 3"):
+            default_transition_matrix(3)
 
 
 def test_filter_trace_csv(tmp_path, motor_zoh, vertices_zoh):

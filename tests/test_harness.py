@@ -226,6 +226,14 @@ class TestReferenceSignals:
                     short_spec(**{key: std})
             assert getattr(short_spec(**{key: 0.0}), key) == 0.0
 
+    @pytest.mark.parametrize("kw", [dict(estimator="kf:2"), dict(controller="fixed:-1")],
+                             ids=["kf:2", "fixed:-1"])
+    def test_spec_refuses_a_vertex_other_than_0_or_1(self, kw):
+        # kf:<i> and fixed:<i> name a vertex of the two-vertex design, b_min
+        # or b_max; another index is refused when the spec is made
+        with pytest.raises(ConfigError, match="index must be vertex 0 or 1"):
+            ScenarioSpec(**kw)
+
 
 class TestRunScenario:
     def test_zero_everything_stays_zero(self, motor_zoh, vertices_zoh):
@@ -391,7 +399,7 @@ class TestRunPathEstimators:
     def test_run_peak_memory_near_its_log(self, monkeypatch, motor_zoh, vertices_zoh):
         # the per-run arrays add little to the log the run returns: the
         # traced peak of a 15,000-tick run stays within 1.5x the bytes of
-        # its (ticks, 17 + Nv) float64 log. The traced run replays the
+        # its (ticks, 19) float64 log. The traced run replays the
         # estimator's and the plant's results from an untraced first run
         # (they keep no memory across ticks), which makes tracing ~10x faster
         spec = short_spec(duration=30.0, friction=load_window_schedule(
@@ -414,7 +422,7 @@ class TestRunPathEstimators:
             tracemalloc.stop()
         assert rec.time.size == 15_000
         assert rec.u.tobytes() == first.u.tobytes()
-        log_bytes = spec.n_ticks * (17 + vertices_zoh.n_vertices) * 8
+        log_bytes = spec.n_ticks * 19 * 8
         assert peak <= 1.5 * log_bytes
 
     def test_asymmetric_process_noise_folded_to_symmetric_part(self, vertices_zoh):
