@@ -59,9 +59,9 @@ class MotorConfig:
         if not self.sample_time > 0.0:
             raise ParameterError("sample_time must be positive")
         # every schedule's friction holds these torques, with the Coulomb one
-        # switched off or on; checked here, before any design or tick runs
-        if not (self.tau_s >= self.tau_c >= 0.0):
-            raise ParameterError("friction requires tau_s >= tau_c >= 0")
+        # switched off or on; the friction model checks them here, before
+        # any design or tick runs
+        self.friction(self.b_min, True)
         # the truth plant solves the slipping dynamics over their two real
         # (omega, i) modes; their discriminant (b/J - R/L)^2 - 4 Kt Ke/(J L)
         # is positive over every b in [0, B_RANGE b_max] iff the interval of

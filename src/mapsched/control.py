@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -102,30 +102,15 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
     return RiccatiSolution(P=P, K=K, residual=residual)
 
 
-class _RiccatiProblem:
-    """A vertex's Riccati problem under the stock weights, equal to another
-    exactly when Phi and Gamma, the only other inputs of its solve, have the
-    same shapes, strides and bytes."""
-
-    __slots__ = ("Phi", "Gamma", "_key")
-
-    def __init__(self, Phi: np.ndarray, Gamma: np.ndarray):
-        self.Phi, self.Gamma = Phi, Gamma
-        self._key = tuple((a.shape, a.strides, a.tobytes()) for a in (Phi, Gamma))
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __eq__(self, other):
-        return isinstance(other, _RiccatiProblem) and self._key == other._key
-
-
 @lru_cache(maxsize=GAIN_MEMO_SIZE)
-def _vertex_solution(problem: _RiccatiProblem) -> RiccatiSolution:
-    """The read-only solution of a solved problem. A solve that raises
-    leaves nothing in the memo, so the same problem is solved (and fails)
-    again on its next design."""
-    return solve_dare(problem.Phi, problem.Gamma, Q_LQR, R_LQR)
+def _vertex_solution(phi_shape: tuple, phi_bytes: bytes, gamma_shape: tuple,
+                     gamma_bytes: bytes) -> RiccatiSolution:
+    """The read-only solution of the problem of the float64 (Phi, Gamma)
+    with these shapes and C-order bytes, the only inputs of a solve under
+    the stock weights. A solve that raises leaves nothing in the memo, so
+    the same problem is solved (and fails) again on its next design."""
+    return solve_dare(np.frombuffer(phi_bytes).reshape(phi_shape),
+                      np.frombuffer(gamma_bytes).reshape(gamma_shape), Q_LQR, R_LQR)
 
 
 def vertex_solutions(vertices: VertexSet) -> tuple:
@@ -133,14 +118,15 @@ def vertex_solutions(vertices: VertexSet) -> tuple:
     weights Q_LQR and R_LQR, in vertex order. Each distinct problem is
     solved once per process: the solutions of the last GAIN_MEMO_SIZE are
     kept, and a repeat returns its first solve's."""
-    return tuple(_vertex_solution(_RiccatiProblem(phi, vertices.Gamma))
+    gamma = vertices.Gamma
+    return tuple(_vertex_solution(phi.shape, phi.tobytes(), gamma.shape, gamma.tobytes())
                  for phi in vertices.Phi_vertices)
 
 
 def synthesize_vertex_gains(vertices: VertexSet) -> VertexSet:
     """The gain-filled copy of `vertices`, one LQR gain per vertex from
     `vertex_solutions`."""
-    return vertices.with_gains([s.K for s in vertex_solutions(vertices)])
+    return replace(vertices, K_vertices=[s.K for s in vertex_solutions(vertices)])
 
 
 def maps_gain(mu, gains) -> tuple:

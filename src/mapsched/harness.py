@@ -162,14 +162,14 @@ def constant_schedule(b: float) -> FrictionSchedule:
 
 def load_window_schedule(b_low: float, b_high: float, start: float, end: float,
                          ramp_time: float = 0.0) -> FrictionSchedule:
-    """No-load friction with a high-friction (loaded) window [start, end)."""
+    """No-load friction with a high-friction (loaded) window [start, end).
+    A window from 0 holds from the first tick, with no segment to ramp
+    from."""
     if not 0.0 <= start < end:
         raise ParameterError("load window needs 0 <= start < end")
-    segs = (
-        FrictionSegment(0.0, b_low, False),
-        FrictionSegment(start, b_high, True),
-        FrictionSegment(end, b_low, False),
-    )
+    segs = (FrictionSegment(start, b_high, True), FrictionSegment(end, b_low, False))
+    if start > 0.0:
+        segs = (FrictionSegment(0.0, b_low, False), *segs)
     return FrictionSchedule(segments=segs, ramp_time=ramp_time)
 
 
@@ -279,24 +279,22 @@ class ScenarioSpec:
         return out
 
 
-def _tick_count(duration: float, sample_rate: float) -> int:
+def _tick_count(duration: float, sample_rate: float, sample_time: float | None = None) -> int:
     """Ticks of a run; refuses a non-positive duration or sample rate and
-    fewer than 1 or more than MAX_TICKS ticks."""
+    fewer than 1 or more than MAX_TICKS ticks. A refusal names the motor's
+    `sample_time` when given one, as a scenario file sets no rate, and the
+    spec's `sample_rate` field otherwise."""
     if not duration > 0.0:
         raise ConfigError("duration must be positive")
     if not sample_rate > 0.0:
         raise ConfigError("sample_rate must be positive")
     ticks = duration * sample_rate
-    if not ticks <= MAX_TICKS:
-        raise ConfigError(
-            f"duration x sample_rate = {ticks:.6g} ticks exceeds the cap of {MAX_TICKS}"
-        )
-    n = int(round(ticks))
-    if n < 1:
-        raise ConfigError(
-            f"duration x sample_rate = {ticks:.6g} ticks rounds to no tick"
-        )
-    return n
+    if ticks <= MAX_TICKS and (n := int(round(ticks))) >= 1:
+        return n
+    per = (f"sample_rate {sample_rate:.6g} Hz" if sample_time is None
+           else f"sample_time {sample_time:.6g} s")
+    fault = "which rounds to no tick" if ticks <= MAX_TICKS else f"past the cap of {MAX_TICKS}"
+    raise ConfigError(f"duration {duration:.6g} s at {per} is {ticks:.6g} ticks, {fault}")
 
 
 def _parse_choice(text: str, what: str, allowed) -> tuple[str, int]:
@@ -659,7 +657,7 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
             f"ramp_time {ramp_time!r} needs friction = window; friction {kind!r} does not ramp"
         )
     # refuse oversized runs before any schedule is built
-    ticks = _tick_count(duration, sample_rate)
+    ticks = _tick_count(duration, sample_rate, motor.sample_time)
     if kind == "constant":
         schedule = constant_schedule(motor.b_min)
     elif kind == "window":

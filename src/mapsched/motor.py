@@ -11,7 +11,6 @@ has a stock value: the stock motor is the table `config.MOTOR_DEFAULTS`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,9 @@ OMEGA_REST = 1e-6
 
 
 def _frozen(a) -> np.ndarray:
-    """Read-only float copy, for the arrays held by frozen dataclasses."""
-    out = np.array(a, dtype=float)
+    """Read-only C-contiguous float copy, for the arrays held by frozen
+    dataclasses."""
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -73,7 +73,9 @@ class VertexSet:
     first state. MAPS schedules between two friction modes, so a set has
     exactly two vertices, b_min < b_max.
 
-    Gains are synthesized separately; `with_gains` returns a filled copy.
+    Gains are synthesized separately: the gain-filled set is
+    `dataclasses.replace(vertices, K_vertices=gains)`, validated and frozen
+    whole as any new set is.
     """
 
     rho: tuple
@@ -98,21 +100,10 @@ class VertexSet:
         object.__setattr__(self, "Phi_vertices", phis)
         object.__setattr__(self, "Gamma", _frozen(self.Gamma))
         if self.K_vertices is not None:
-            object.__setattr__(self, "K_vertices", self._gain_rows(self.K_vertices))
-
-    def _gain_rows(self, gains) -> tuple:
-        ks = tuple(_frozen(k) for k in gains)
-        if len(ks) != len(self.rho):
-            raise ParameterError("one gain row per vertex required")
-        return ks
-
-    def with_gains(self, gains) -> "VertexSet":
-        """A copy holding `gains`; the models were validated when this set
-        was made, so only the gains are checked and frozen."""
-        ks = self._gain_rows(gains)
-        filled = copy.copy(self)
-        object.__setattr__(filled, "K_vertices", ks)
-        return filled
+            ks = tuple(_frozen(k) for k in self.K_vertices)
+            if len(ks) != len(rho):
+                raise ParameterError("one gain row per vertex required")
+            object.__setattr__(self, "K_vertices", ks)
 
 
 def build_continuous_model(params: MotorParams, b: float) -> tuple:

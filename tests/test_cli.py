@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -331,6 +332,34 @@ def test_sample_rate_is_not_a_scenario_key(maps, tmp_path):
     assert out.returncode == 1
     assert "unknown scenario keys: ['sample_rate']" in out.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("duration, fault", [
+    ("1e9", "duration 1e+09 s at sample_time 0.002 s is 5e+11 ticks, past the cap of 1000000"),
+    ("1e-9", "duration 1e-09 s at sample_time 0.002 s is 5e-07 ticks, which rounds to no tick"),
+], ids=["cap", "no-tick"])
+def test_tick_count_refusal_names_the_motor_sample_time(maps, tmp_path, duration, fault):
+    cfg = tmp_path / "ticks.cfg"
+    cfg.write_text(f"duration = {duration}\n")
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert out.stderr == f"error: invalid config: {fault}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_window_from_zero_runs(maps, tmp_path):
+    # the window holds b_max from the first tick; Euler saturates on this
+    # scenario, so it is designed under ZOH
+    cfg = tmp_path / "window0.cfg"
+    cfg.write_text("discretization = zoh\nduration = 1.0\nfriction = window\n"
+                   "load_start = 0\nload_end = 0.5\n")
+    out = maps("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    with (tmp_path / "out" / "plot.csv").open(newline="") as fh:
+        b_true = [float(row["b_true"]) for row in csv.DictReader(fh)]
+    assert len(b_true) == 500
+    assert b_true[:250] == [MOTOR_DEFAULTS["b_max"]] * 250
+    assert b_true[250:] == [MOTOR_DEFAULTS["b_min"]] * 250
 
 
 def test_run_writes_outputs(maps, tmp_path, scenario_cfg):

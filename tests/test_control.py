@@ -198,8 +198,7 @@ class TestGainMemo:
 
     def test_gains_are_read_only(self, motor):
         vertices = design_from_motor(motor)
-        for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices):
-            held = control._vertex_solution(control._RiccatiProblem(phi, vertices.Gamma))
+        for K, held in zip(vertices.K_vertices, control.vertex_solutions(vertices)):
             for array in (K, held.K, held.P):
                 with pytest.raises(ValueError):
                     array[0, 0] = 1.0

@@ -95,6 +95,18 @@ class TestFrictionSchedule:
         assert sched.at(19.999) == (B_MAX, True)
         assert sched.at(20.0) == (B_MIN, False)
 
+    @pytest.mark.parametrize("ramp_time", [0.0, 0.25])
+    def test_window_from_zero_holds_from_the_first_tick(self, ramp_time):
+        sched = load_window_schedule(B_MIN, B_MAX, 0.0, 1.0, ramp_time=ramp_time)
+        assert sched.at(0.0) == (B_MAX, True)
+        assert sched.at(0.999) == (B_MAX, True)
+        assert sched.at(1.0 + ramp_time) == (B_MIN, False)
+        times = np.arange(0, 1000) * 0.002
+        values, coulomb = sched.at_times(times)
+        scan = [sched.at(float(t)) for t in times]
+        assert values.tobytes() == np.array([b for b, _ in scan]).tobytes()
+        assert coulomb.tolist() == [c for _, c in scan]
+
     def test_ramp_interpolation(self):
         sched = load_window_schedule(B_MIN, B_MAX, start=10.0, end=20.0, ramp_time=1.0)
         b_mid, _ = sched.at(10.5)

@@ -234,17 +234,18 @@ class TestVertexSet:
         assert vs.Gamma.shape == (3, 1) and vs.T == 0.002
         FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)
 
-    def test_with_gains_freezes_only_the_gains(self, motor):
+    def test_replace_fills_frozen_gain_copies(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, mode="zoh")
         gains = [np.ones((1, 3)), np.full((1, 3), 2.0)]
-        filled = vs.with_gains(gains)
+        filled = dataclasses.replace(vs, K_vertices=gains)
         gains[0][0, 0] = 5.0
         assert vs.K_vertices is None
         assert [K.tolist() for K in filled.K_vertices] == [[[1.0] * 3], [[2.0] * 3]]
         assert not any(K.flags.writeable for K in filled.K_vertices)
-        # the models were validated and frozen when the set was made
-        for name in ("rho", "Phi_vertices", "Gamma", "T", "mode"):
-            assert getattr(filled, name) is getattr(vs, name)
+        # the models are validated and frozen again, as copies of the same values
+        assert (filled.rho, filled.T, filled.mode) == (vs.rho, vs.T, vs.mode)
+        for a, b in zip((*filled.Phi_vertices, filled.Gamma), (*vs.Phi_vertices, vs.Gamma)):
+            assert np.array_equal(a, b) and not a.flags.writeable
 
     def test_refuses_a_non_finite_discrete_model(self, motor):
         # an electrical pole out of float range: expm returns NaN
@@ -259,7 +260,7 @@ class TestVertexSet:
             VertexSet(rho=vs.rho, Phi_vertices=vs.Phi_vertices, Gamma=vs.Gamma, T=T,
                       mode=vs.mode)
 
-    def test_with_gains_requires_one_per_vertex(self, motor):
+    def test_gains_require_one_per_vertex(self, motor):
         vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
-        with pytest.raises(ParameterError):
-            vs.with_gains([np.zeros((1, 3))])
+        with pytest.raises(ParameterError, match="one gain row per vertex required"):
+            dataclasses.replace(vs, K_vertices=[np.zeros((1, 3))])
