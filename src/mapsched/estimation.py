@@ -9,10 +9,11 @@ the 3-state motor models with the scalar angle measurement: per mode a mean
 3-tuple and the upper triangle (p00, p01, p02, p11, p12, p22) of its
 covariance. A bank holds one or two modes. MAPS schedules on two friction
 modes, the vertices b_min and b_max, and the `imm` estimator's two-mode
-bank takes `_two_mode_step`: the two mixing products, then per mode its
-mixed prior covariance and `_mode_step`, which predicts, updates and weighs
-the likelihood, then the probability update. The one-mode bank of `kf:<i>`
-is its own mixed prior: one `_mode_step`, and its probability stays 1.0.
+bank takes `_two_mode_step`: the predicted probabilities and the mixed
+means, then per mode its mixed prior covariance and `_mode_step`, which
+predicts, updates and weighs the likelihood, then the probability update,
+all with no numpy call. The one-mode bank of `kf:<i>` is its own mixed
+prior: one `_mode_step`, and its probability stays 1.0.
 `_mode_step` is the one copy of the per-mode filter arithmetic and of its
 failure checks. The per-mode step is folded for the motor's structure,
 H = [1, 0, 0] and Phi's first column e0: the products with those ones and
@@ -20,9 +21,10 @@ zeros are left out, which changes no bit of a result, and the failures the
 left-out zeros would have turned into a NaN innovation variance are tested
 for explicitly. A `FilterBank` takes the vertex arrays Phi_i and Gamma,
 refuses a Phi whose first column is not e0, and holds what the cycle reads:
-Phi's last two columns and Gamma per mode as one flat tuple, Pi and the
-covariances Q and R; every run passes the stock FILTER_Q and FILTER_R. A
-single Kalman filter is the one-mode bank with Pi = [[1]]. Every run's Pi
+Phi's last two columns and Gamma per mode as one flat tuple, the columns
+of Pi and the covariances Q and R; every run passes the stock FILTER_Q
+and FILTER_R. A single Kalman filter is the one-mode bank with
+Pi = [[1]]. Every run's Pi
 is `default_transition_matrix`'s: [[1]] for one mode, and for two, each
 mode kept with probability 0.9. `kf_predict` and `kf_update` are the
 per-mode array forms of the prediction and the angle update: no run calls
@@ -121,7 +123,7 @@ class FilterBank:
     `kf_predict` folds it.
     """
 
-    __slots__ = ("modes", "pi_t", "pi_cols", "q", "r")
+    __slots__ = ("modes", "pi_cols", "q", "r")
 
     def __init__(self, phis, Gamma, Pi, Q, R):
         phis = tuple(np.asarray(phi, dtype=float) for phi in phis)
@@ -147,7 +149,6 @@ class FilterBank:
             tuple(np.concatenate((phi[:, 1:].reshape(-1), Gamma[:, 0])).tolist())
             for phi in phis
         )
-        self.pi_t = _frozen(Pi).T
         self.pi_cols = tuple(map(tuple, Pi.T.tolist()))
         self.q = _upper(_sym(Q))
         self.r = float(R[0, 0])
@@ -183,33 +184,25 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
 
 
 def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
-    """The IMM cycle of a two-mode bank, on floats: `mu_pred = Pi' mu` and
-    the mixed means from two BLAS products, the floored mixing weights,
-    each mode's mixed prior covariance (`_spread`) and `_mode_step` on it,
-    then the probability update and the fused mean. The spread, the
-    probability total and the fused mean are each summed from 0.0 in mode
-    order.
-
-    The two products stay BLAS calls, whose rounding is the kernel's that
-    OpenBLAS picks at run time: on an avx512f Xeon (SkylakeX kernels,
-    OpenBLAS 0.3.31) both round x1 y1 + x0 y0 as fma(x1, y1, x0 y0), under
-    OPENBLAS_CORETYPE=Haswell Pi' mu rounds plainly, and under Sandybridge
-    both do. No one float loop matches every kernel, and the likelihood
-    ratio scales the last bit of the mixed angle by r/s (up to ~700 per rad
-    on the motor), so output bytes hold per machine and kernel. Called as
-    ndarray methods they skip np.dot's dispatch, with the same bits.
+    """The IMM cycle of a two-mode bank, on floats: `mu_pred = Pi' mu`, the
+    floored mixing weights and the mixed means, each mode's mixed prior
+    covariance (`_spread`) and `_mode_step` on it, then the probability
+    update and the fused mean. Every sum over the two modes, from mu_pred
+    to the fused mean, is summed from 0.0 in mode order.
     """
     mu0, mu1 = mu
-    mu_pred = bank.pi_t.dot(mu).tolist()
-    mp0, mp1 = mu_pred
-    # wji = P(mode i previously | mode j now) = Pi[i][j] mu_i / mu_pred_j
+    # mu_pred_j = sum_i Pi[i][j] mu_i
     (pi00, pi10), (pi01, pi11) = bank.pi_cols
+    mp0, mp1 = mu_pred = [0.0 + pi00 * mu0 + pi10 * mu1, 0.0 + pi01 * mu0 + pi11 * mu1]
+    # wji = P(mode i previously | mode j now) = Pi[i][j] mu_i / mu_pred_j
     c = MIX_FLOOR if MIX_FLOOR > mp0 else mp0
     w00, w01 = pi00 * mu0 / c, pi10 * mu1 / c
     c = MIX_FLOOR if MIX_FLOOR > mp1 else mp1
     w10, w11 = pi01 * mu0 / c, pi11 * mu1 / c
     # the mixed means, then each mode's filter step from its mixed prior
-    m, n = np.array(((w00, w01), (w10, w11))).dot(np.array(means)).tolist()
+    (a0, a1, a2), (b0, b1, b2) = means
+    m = (0.0 + w00 * a0 + w01 * b0, 0.0 + w00 * a1 + w01 * b1, 0.0 + w00 * a2 + w01 * b2)
+    n = (0.0 + w10 * a0 + w11 * b0, 0.0 + w10 * a1 + w11 * b1, 0.0 + w10 * a2 + w11 * b2)
     x, P, lik0 = _mode_step(bank, 0, m, _spread(w00, w01, m, means, covs), means, covs, mu, u, z)
     y, S, lik1 = _mode_step(bank, 1, n, _spread(w10, w11, n, means, covs), means, covs, mu, u, z)
     w0, w1 = lik0 * mp0, lik1 * mp1

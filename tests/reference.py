@@ -155,9 +155,17 @@ def _spread(weights, x, means, covs):
     return p00, p01, p02, p11, p12, p22
 
 
+def _weighted_sum(weights, values):
+    """sum_i weights[i] values[i], summed from 0.0 in index order."""
+    total = 0.0
+    for w, v in zip(weights, values):
+        total += w * v
+    return total
+
+
 def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
     """`estimation.imm_step` as two passes: every mode's mixed prior first
-    (`np.dot` on lists, `_spread`), then predict and update mode by mode
+    (`_weighted_sum`, `_spread`), then predict and update mode by mode
     with the full Phi of `phis`, the full Gamma and the measurement row
     H = [1, 0, 0] written out, then the probability update over the list of
     weights. Only Pi and the noise are read from `bank`. The package's
@@ -170,10 +178,11 @@ def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
         # Pi = [[1]]: the mode is its own mixed prior
         mu_pred, priors = mu, [(means[0], covs[0])]
     else:
-        mu_pred = np.dot(bank.pi_t, mu).tolist()
+        mu_pred = [_weighted_sum(col, mu) for col in bank.pi_cols]
         mixing = [[p * m / max(c, MIX_FLOOR) for p, m in zip(col, mu)]
                   for col, c in zip(bank.pi_cols, mu_pred)]
-        mixed_means = np.dot(mixing, means).tolist()
+        mixed_means = [tuple(_weighted_sum(w, column) for column in zip(*means))
+                       for w in mixing]
         priors = [(x, _spread(w, x, means, covs)) for w, x in zip(mixing, mixed_means)]
     out_means, out_covs, liks = [], [], []
     g0, g1, g2 = np.asarray(Gamma)[:, 0].tolist()

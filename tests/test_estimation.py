@@ -1,5 +1,10 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -322,14 +327,15 @@ def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z):
     """The IMM cycle written mode by mode from the single-filter pieces, on
     arrays: (fused mean, fused covariance, mu, per-mode means, covariances)."""
     mu = np.array(mu)
-    mu_pred = Pi.T @ mu
+    # the two-term sums from 0.0 in mode order, as the package forms them
+    mu_pred = np.array([0.0 + Pi[0, j] * mu[0] + Pi[1, j] * mu[1] for j in range(2)])
     mixing = Pi * mu[:, None] / np.maximum(mu_pred, 1e-300)[None, :]
     means = np.array(means)
     covs = [full(c) for c in covs]
     post_means, post_covs, likelihoods = [], [], []
     for j, phi in enumerate(phis):
         w = mixing[:, j]
-        x0 = w @ means
+        x0 = 0.0 + w[0] * means[0] + w[1] * means[1]
         P0 = np.zeros((3, 3))
         for i in range(len(phis)):
             d = means[i] - x0
@@ -402,6 +408,49 @@ def test_one_pass_cycle_matches_two_pass_cycle(motor_zoh, vertices_zoh, modes):
         out = imm_step(bank, *state, u_prev, z)
         assert out == imm_step_two_pass(bank, phis, Gamma, *state, u_prev, z)
         state = out[:3]
+
+
+# a child interpreter: the two-mode bank of the float.hex vertex arrays on
+# stdin, every return of imm_step over the (u, z) stream hashed
+_KERNEL_CHILD = """
+import hashlib, json, sys
+from mapsched.estimation import (FILTER_Q, FILTER_R, FilterBank,
+                                 default_transition_matrix, imm_step)
+data = json.load(sys.stdin)
+floats = lambda rows: [[float.fromhex(v) for v in row] for row in rows]
+bank = FilterBank([floats(phi) for phi in data["phis"]], floats(data["Gamma"]),
+                  default_transition_matrix(2), FILTER_Q, FILTER_R)
+state = bank.initial()
+digest = hashlib.sha256()
+for u, z in floats(data["stream"]):
+    out = imm_step(bank, *state, u, z)
+    digest.update(repr(out).encode())
+    state = out[:3]
+print(digest.hexdigest())
+"""
+
+
+def test_cycle_bits_do_not_depend_on_the_blas_kernel(motor_zoh, vertices_zoh):
+    # the two-mode cycle makes no BLAS call, so the kernel OpenBLAS picks
+    # for the CPU, Haswell's and Sandybridge's give it the same bits: the
+    # same vertex floats over the first 4000 ticks of criterion 3's stream
+    # hash alike. The design's expm is per kernel, so the children are
+    # handed this process's arrays rather than designing their own
+    hexed = lambda a: [[float.hex(v) for v in row] for row in np.asarray(a).tolist()]
+    data = json.dumps({
+        "phis": [hexed(phi) for phi in vertices_zoh.Phi_vertices],
+        "Gamma": hexed(vertices_zoh.Gamma),
+        "stream": hexed(list(islice(friction_switch_stream(motor_zoh), 4_000))),
+    })
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    digests = {}
+    for kernel in ("", "Haswell", "Sandybridge"):
+        done = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], input=data,
+                              env={**env, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests[kernel or "default"] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 def test_one_pass_cycle_matches_two_pass_cycle_on_held_priors():
