@@ -4,9 +4,10 @@ The Riccati equation of a vertex's (Phi, Gamma) pair under the stock cost
 weights Q_LQR and R_LQR is solved by scipy's Schur (QZ) method and then
 checked against a residual bound. Each distinct vertex problem is solved
 once per process: `vertex_solutions` keeps every vertex's solution (P, K,
-residual), from which `synthesize_vertex_gains` fills the design's gains
-and `maps gains` reports the same solves. The per-tick scheduled gain is
-the probability-weighted convex combination of the two vertex gains.
+residual, closed-loop eigenvalue moduli), from which
+`synthesize_vertex_gains` fills the design's gains and `maps gains` reports
+the same solves. The per-tick scheduled gain is the probability-weighted
+convex combination of the two vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
 applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 from .motor import VertexSet, _frozen
 
 RESIDUAL_LIMIT = 1e-9
@@ -41,6 +42,7 @@ class RiccatiSolution:
     P: np.ndarray
     K: np.ndarray
     residual: float
+    moduli: tuple  # |eig(Phi - Gamma K)|, ascending
 
     def __post_init__(self):
         object.__setattr__(self, "P", _frozen(self.P))
@@ -66,7 +68,8 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
     and Gamma of x+ = Phi x + Gamma u under the cost weights Q and R.
 
     The solution is validated against the residual bound, and the closed
-    loop Phi - Gamma K must be Schur stable. A model whose entries overflow
+    loop Phi - Gamma K must be Schur stable; its eigenvalue moduli, sorted,
+    are kept with the solution. A model whose entries overflow
     the solver's arithmetic fails as a NumericalError: the solve and the
     checks run with numpy's floating-point warnings off, a non-finite gain
     is refused by the eigenvalue solver, and scipy's LinAlgWarning (its QZ
@@ -80,7 +83,7 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
         try:
             P = solve_discrete_are(Phi, Gamma, Q, R)
             K, residual = _gain_and_defect(Phi, Gamma, Q, R, P)
-            radius = float(np.max(np.abs(np.linalg.eigvals(Phi - Gamma @ K))))
+            moduli = tuple(sorted(np.abs(np.linalg.eigvals(Phi - Gamma @ K)).tolist()))
         except LinAlgWarning as exc:
             raise NumericalError(f"Riccati solver failed: {exc}") from None
         except (LinAlgError, ValueError) as exc:
@@ -94,12 +97,12 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
             raise NumericalError(
                 f"Riccati equation has no stabilizing solution ({exc}); {cause}"
             ) from None
-    if not radius < 1.0:
+    if not moduli[-1] < 1.0:
         raise NumericalError(
-            f"closed loop is not Schur stable (spectral radius {radius:.6f}); "
+            f"closed loop is not Schur stable (spectral radius {moduli[-1]:.6f}); "
             "the model/weight pair is not stabilizable-detectable"
         )
-    return RiccatiSolution(P=P, K=K, residual=residual)
+    return RiccatiSolution(P=P, K=K, residual=residual, moduli=moduli)
 
 
 @lru_cache(maxsize=GAIN_MEMO_SIZE)
@@ -157,21 +160,17 @@ def control_input(K, x_ref, x_hat, v_limit: float, feedforward: float = 0.0):
 
 
 def gain_report(vertices: VertexSet, solutions) -> dict:
-    """JSON-friendly summary of the vertex gains, closed-loop eigenvalues and
-    the Riccati solutions the gains came from."""
-    if vertices.K_vertices is None:
-        raise ParameterError("vertex gains have not been synthesized")
+    """JSON-friendly summary of the vertex gains and the Riccati solutions
+    they came from, closed-loop eigenvalue moduli included."""
     report = {"mode": vertices.mode, "sample_time": vertices.T, "vertices": []}
-    for i, (rho, phi, K, solution) in enumerate(
-        zip(vertices.rho, vertices.Phi_vertices, vertices.K_vertices, solutions, strict=True)
+    for i, (rho, K, solution) in enumerate(
+        zip(vertices.rho, vertices.gains, solutions, strict=True)
     ):
-        closed = phi - vertices.Gamma @ K
-        moduli = sorted(float(m) for m in np.abs(np.linalg.eigvals(closed)))
         report["vertices"].append({
             "index": i + 1,
             "rho": rho,
             "K": [float(v) for v in np.asarray(K).reshape(-1)],
-            "closed_loop_eigenvalue_moduli": moduli,
+            "closed_loop_eigenvalue_moduli": list(solution.moduli),
             "riccati_residual": solution.residual,
             "P": np.asarray(solution.P).tolist(),
         })

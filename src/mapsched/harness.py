@@ -10,11 +10,12 @@ two modes for `imm`, one for `kf:<i>`. The truth plant is solved exactly,
 friction events included (`plant.plant_step`), so a scenario has no
 integration setting. A run takes the gain-filled design `design_from_motor`
 returns and filters with the stock covariances FILTER_Q and FILTER_R.
-`ScenarioSpec`'s field defaults are the only scenario defaults; its sample
-rate and constant friction are the stock motor's. A scenario file sets
-neither: its tick is its motor's sample_time, and its constant friction its
-motor's b_min. `kf:<i>` and `fixed:<i>` name vertex 0 (b_min) or 1 (b_max);
-any other index is refused when the spec is made.
+`ScenarioSpec`'s field defaults are the scenario defaults, but for the
+window's and the toggle's times, which `scenario_from_entries` sets; its
+sample time and constant friction are the stock motor's. A scenario file
+sets neither: its tick is its motor's sample_time, and its constant
+friction its motor's b_min. `kf:<i>` and `fixed:<i>` name vertex 0 (b_min)
+or 1 (b_max); any other index is refused when the spec is made.
 Runs are deterministic for a given seed; measurement noise is the only
 random input by default.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -70,7 +70,7 @@ SCENARIO_KEYS = frozenset(
 KIND_KEYS = {
     ("reference", "sine"): ("frequency",),
     ("reference", "step"): ("period",),
-    ("friction", "window"): ("load_start", "load_end"),
+    ("friction", "window"): ("load_start", "load_end", "ramp_time"),
     ("friction", "toggle"): ("toggle_start", "toggle_period"),
 }
 
@@ -202,7 +202,7 @@ class ScenarioSpec:
     frequency: float = 0.5           # Hz (sine)
     period: float = 10.0             # s (step square wave)
     duration: float = 30.0
-    sample_rate: float = 1.0 / MOTOR_DEFAULTS["sample_time"]
+    sample_time: float = MOTOR_DEFAULTS["sample_time"]  # s, the design's T
     friction: FrictionSchedule = field(
         default_factory=lambda: constant_schedule(MOTOR_DEFAULTS["b_min"])
     )
@@ -216,7 +216,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.reference not in ("sine", "step"):
             raise ConfigError(f"unknown reference kind {self.reference!r}")
-        _tick_count(self.duration, self.sample_rate)
+        _tick_count(self.duration, self.sample_time)
         if not 0.0 < self.amplitude <= 100.0:
             raise ConfigError("reference amplitude must be in (0, 100] rad")
         if self.reference == "sine":
@@ -245,11 +245,11 @@ class ScenarioSpec:
 
     @property
     def n_ticks(self) -> int:
-        return _tick_count(self.duration, self.sample_rate)
+        return _tick_count(self.duration, self.sample_time)
 
     @property
-    def tick(self) -> float:
-        return 1.0 / self.sample_rate
+    def sample_rate(self) -> float:
+        return 1.0 / self.sample_time
 
     def reference_state(self, t: float) -> tuple:
         """Full-state reference (theta, omega, current): position signal, its
@@ -279,22 +279,20 @@ class ScenarioSpec:
         return out
 
 
-def _tick_count(duration: float, sample_rate: float, sample_time: float | None = None) -> int:
-    """Ticks of a run; refuses a non-positive duration or sample rate and
-    fewer than 1 or more than MAX_TICKS ticks. A refusal names the motor's
-    `sample_time` when given one, as a scenario file sets no rate, and the
-    spec's `sample_rate` field otherwise."""
+def _tick_count(duration: float, sample_time: float) -> int:
+    """Ticks of a run, duration times the sample rate 1 / sample_time;
+    refuses a non-positive duration or sample time and fewer than 1 or more
+    than MAX_TICKS ticks."""
     if not duration > 0.0:
         raise ConfigError("duration must be positive")
-    if not sample_rate > 0.0:
-        raise ConfigError("sample_rate must be positive")
-    ticks = duration * sample_rate
+    if not sample_time > 0.0:
+        raise ConfigError("sample_time must be positive")
+    ticks = duration * (1.0 / sample_time)
     if ticks <= MAX_TICKS and (n := int(round(ticks))) >= 1:
         return n
-    per = (f"sample_rate {sample_rate:.6g} Hz" if sample_time is None
-           else f"sample_time {sample_time:.6g} s")
     fault = "which rounds to no tick" if ticks <= MAX_TICKS else f"past the cap of {MAX_TICKS}"
-    raise ConfigError(f"duration {duration:.6g} s at {per} is {ticks:.6g} ticks, {fault}")
+    raise ConfigError(f"duration {duration:.6g} s at sample_time {sample_time:.6g} s "
+                      f"is {ticks:.6g} ticks, {fault}")
 
 
 def _parse_choice(text: str, what: str, allowed) -> tuple[str, int]:
@@ -380,10 +378,9 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     The loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise in
     one call and packs its rows into the log with one `struct.pack_into`.
     """
-    if vertices.K_vertices is None:
-        raise ParameterError("vertex gains have not been synthesized")
-    T = spec.tick
-    if abs(T - vertices.T) > 1e-12:
+    gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.gains)
+    T = spec.sample_time
+    if T != vertices.T:
         raise ConfigError(
             f"scenario tick {T} does not match the design sample time {vertices.T}"
         )
@@ -397,7 +394,6 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     bank = FilterBank([vertices.Phi_vertices[i] for i in slots], vertices.Gamma,
                       default_transition_matrix(len(slots)), FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
-    gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.K_vertices)
     # fixed:<i> and open weigh the vertex gains the same on every tick,
     # one-hot at i or not at all, so their gain is formed once
     fixed_gain = None if ctl_kind == "maps" else maps_gain(
@@ -485,7 +481,7 @@ def compute_metrics(record: RunRecord) -> MetricsReport:
     if record.time.size == 0:
         raise ParameterError("cannot compute metrics on an empty run")
     err = record.reference[:, 0] - record.truth[:, 0]
-    T = record.spec.tick
+    T = record.spec.sample_time
     rmse = float(np.sqrt(np.mean(err**2)))
     mae = float(np.mean(np.abs(err)))
     iae = float(np.sum(np.abs(err)) * T)
@@ -626,10 +622,10 @@ def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:
 def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     """Build a ScenarioSpec from flat key/value entries (strings). A field
     the entries do not set keeps ScenarioSpec's default, except the sample
-    rate, 1 / the motor's sample_time, which no entry sets, and the constant
-    friction, the motor's b_min. A key that only another kind of reference
-    or friction schedule reads (KIND_KEYS) is refused, as it would be
-    ignored."""
+    time, the motor's, which no entry sets, and the constant friction, the
+    motor's b_min; the window's and the toggle's times default here. A key
+    that only another kind of reference or friction schedule reads
+    (KIND_KEYS) is refused, as it would be ignored."""
     unknown = set(entries) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
@@ -638,33 +634,23 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
         return _to_float(key, entries[key]) if key in entries else default
 
     fields = {}
-    seed = os.environ.get("MAPS_SEED", entries.get("seed"))
-    if seed is not None:
+    if "seed" in entries:
         try:
-            fields["seed"] = int(seed)
+            fields["seed"] = int(entries["seed"])
         except ValueError:
-            raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+            raise ConfigError(f"seed must be an integer, got {entries['seed']!r}") from None
 
     kind = entries.get("friction", "constant")
     duration = fget("duration", ScenarioSpec.duration)
-    sample_rate = 1.0 / motor.sample_time
-    ramp_time = fget("ramp_time", 0.0)
-    if not ramp_time >= 0.0:
-        raise ConfigError(f"ramp_time must be a number >= 0, got {ramp_time!r}")
-    # only the window schedule ramps
-    if ramp_time > 0.0 and kind != "window":
-        raise ConfigError(
-            f"ramp_time {ramp_time!r} needs friction = window; friction {kind!r} does not ramp"
-        )
     # refuse oversized runs before any schedule is built
-    ticks = _tick_count(duration, sample_rate, motor.sample_time)
+    ticks = _tick_count(duration, motor.sample_time)
     if kind == "constant":
         schedule = constant_schedule(motor.b_min)
     elif kind == "window":
         schedule = load_window_schedule(
             motor.b_min, motor.b_max,
             start=fget("load_start", 10.0), end=fget("load_end", 20.0),
-            ramp_time=ramp_time,
+            ramp_time=fget("ramp_time", 0.0),
         )
     elif kind == "toggle":
         first, period = fget("toggle_start", 0.3), fget("toggle_period", 5.0)
@@ -684,7 +670,8 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     fields.update((key, fget(key)) for key in (
         "amplitude", "frequency", "period", "v_limit", "process_noise_std", "meas_noise_std",
     ) if key in entries)
-    spec = ScenarioSpec(duration=duration, sample_rate=sample_rate, friction=schedule, **fields)
+    spec = ScenarioSpec(duration=duration, sample_time=motor.sample_time, friction=schedule,
+                        **fields)
     chosen = {"reference": spec.reference, "friction": kind}
     for (setting, reader), keys in KIND_KEYS.items():
         for key in keys:

@@ -25,6 +25,11 @@ class SteadyStateSample:
     velocity: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.voltage) and np.isfinite(self.velocity)):
+            raise ParameterError(
+                f"steady-state samples must be finite (got V={self.voltage}, "
+                f"omega={self.velocity})"
+            )
         if self.velocity != 0.0 and self.voltage * self.velocity < 0.0:
             raise ParameterError(
                 "steady-state voltage and velocity must share a sign "
@@ -44,7 +49,9 @@ def regress_slope(samples) -> tuple[float, float]:
     """Least-squares slope of V = mu * omega through the origin.
 
     Returns (mu, residual_rms). Requires at least two samples with distinct
-    velocities; all-zero velocities are degenerate.
+    velocities; all-zero velocities are degenerate. Samples whose sums
+    overflow or underflow float64 are refused, as their slope or residual
+    is not finite.
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -55,8 +62,14 @@ def regress_slope(samples) -> tuple[float, float]:
         raise ParameterError("all velocities are zero; slope is undefined")
     if np.unique(omega).size < 2:
         raise ParameterError("need at least two distinct velocities")
-    mu = float(np.dot(volts, omega) / np.dot(omega, omega))
-    residual_rms = float(np.sqrt(np.mean((volts - mu * omega) ** 2)))
+    with np.errstate(all="ignore"):
+        mu = float(np.dot(volts, omega) / np.dot(omega, omega))
+        residual_rms = float(np.sqrt(np.mean((volts - mu * omega) ** 2)))
+    if not (np.isfinite(mu) and np.isfinite(residual_rms)):
+        raise ParameterError(
+            f"slope {mu} or residual {residual_rms} is not finite: the samples' "
+            "squared sums are out of float range"
+        )
     return mu, residual_rms
 
 

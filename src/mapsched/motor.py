@@ -105,6 +105,13 @@ class VertexSet:
                 raise ParameterError("one gain row per vertex required")
             object.__setattr__(self, "K_vertices", ks)
 
+    @property
+    def gains(self) -> tuple:
+        """The vertex gains, K_vertices; a set without them is refused."""
+        if self.K_vertices is None:
+            raise ParameterError("vertex gains have not been synthesized")
+        return self.K_vertices
+
 
 def build_continuous_model(params: MotorParams, b: float) -> tuple:
     """Continuous state-space pair (A, B) of dx/dt = A x + B u at viscous

@@ -125,13 +125,8 @@ def verify_convex_stability(P: np.ndarray, closed_loops, n_samples: int = 1000,
     """
     loops = np.stack([np.asarray(A, dtype=float) for A in closed_loops])
     weights = np.random.default_rng(seed).dirichlet(np.ones(loops.shape[0]), size=n_samples)
-    worst = np.inf
-    for w in weights:
-        A = np.tensordot(w, loops, axes=1)
-        defect = A.T @ P @ A - P
-        margin = -float(np.linalg.eigvalsh(0.5 * (defect + defect.T))[-1])
-        worst = min(worst, margin)
-    return worst
+    samples = [np.tensordot(w, loops, axes=1) for w in weights]
+    return float(np.min(vertex_margins(P, samples), initial=np.inf))
 
 
 def lipschitz_constants(vertices: VertexSet) -> tuple[float, float, float]:
@@ -142,10 +137,8 @@ def lipschitz_constants(vertices: VertexSet) -> tuple[float, float, float]:
     the vertices' differences over the gap rho[1] - rho[0], which is
     positive since the set's rho is strictly increasing.
     """
-    if vertices.K_vertices is None:
-        raise ParameterError("vertex gains have not been synthesized")
     gap = vertices.rho[1] - vertices.rho[0]
-    (phi0, phi1), (k0, k1) = vertices.Phi_vertices, vertices.K_vertices
+    (phi0, phi1), (k0, k1) = vertices.Phi_vertices, vertices.gains
     L_phi = float(np.linalg.norm(phi1 - phi0, 2)) / gap
     L_k = float(np.linalg.norm(k1 - k0, 2)) / gap
     L = L_phi + float(np.linalg.norm(vertices.Gamma, 2)) * L_k
@@ -190,12 +183,7 @@ def certify(vertices: VertexSet, epsilon: float | None = None) -> StabilityCert:
     """
     if epsilon is not None and not epsilon >= 0.0:
         raise ParameterError(f"mismatch bound must be a number >= 0, got {epsilon!r}")
-    if vertices.K_vertices is None:
-        raise ParameterError("vertex gains have not been synthesized")
-    loops = [
-        phi - vertices.Gamma @ K
-        for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices)
-    ]
+    loops = [phi - vertices.Gamma @ K for phi, K in zip(vertices.Phi_vertices, vertices.gains)]
     search = find_common_lyapunov(loops)
     if not search.certified:
         raise CertificationError(

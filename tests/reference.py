@@ -11,8 +11,9 @@ way: the Gaussian likelihood of one innovation, the IMM probability update,
 the percent change of a comparison, a friction lookup by linear scan, the
 IMM cycle in two passes, the closed loop run tick by tick, the Lyapunov
 solve with its own stability check, uniform draws from the simplex, the
-design path that solves, validates and checks everything as many times as
-it is used, and the run CSV writer that formats every cell with repr.
+sampled convex-combination margin one sample at a time, the design path
+that solves, validates and checks everything as many times as it is used,
+and the run CSV writer that formats every cell with repr.
 """
 
 import dataclasses
@@ -267,7 +268,7 @@ def closed_loop_by_tick(spec, motor, vertices):
     meas_std = (spec.meas_noise_std if spec.meas_noise_std is not None
                 else math.sqrt(float(FILTER_R[0, 0])))
     dist_std = spec.process_noise_std
-    T = spec.tick
+    T = spec.sample_time
 
     @lru_cache(maxsize=16)
     def tick_map(b, coulomb_on):
@@ -326,14 +327,13 @@ def solve_dare_two_solve(Phi, Gamma, Q, R) -> RiccatiSolution:
         ) from None
     residual = dare_residual_two_solve(Phi, Gamma, Q, R, P)
     K = np.linalg.solve(Gamma.T @ P @ Gamma + R, Gamma.T @ P @ Phi)
-    closed = Phi - Gamma @ K
-    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
-    if not radius < 1.0:
+    moduli = sorted(float(m) for m in np.abs(np.linalg.eigvals(Phi - Gamma @ K)))
+    if not moduli[-1] < 1.0:
         raise NumericalError(
-            f"closed loop is not Schur stable (spectral radius {radius:.6f}); "
+            f"closed loop is not Schur stable (spectral radius {moduli[-1]:.6f}); "
             "the model/weight pair is not stabilizable-detectable"
         )
-    return RiccatiSolution(P=P, K=K, residual=residual)
+    return RiccatiSolution(P=P, K=K, residual=residual, moduli=tuple(moduli))
 
 
 def gains_by_replace(vertices):
@@ -361,6 +361,20 @@ def sample_simplex(n_samples: int, nv: int, seed: int = 42) -> np.ndarray:
     """`n_samples` weight vectors drawn uniformly from the nv-vertex simplex,
     the draws `stability.verify_convex_stability` makes for the same seed."""
     return np.random.default_rng(seed).dirichlet(np.ones(nv), size=n_samples)
+
+
+def convex_margin_by_sample(P, closed_loops, n_samples: int = 1000, seed: int = 42) -> float:
+    """`stability.verify_convex_stability` forming and checking one sample
+    at a time: the minimum decrease margin -lambda_max(A' P A - P) over
+    convex combinations A of the loops drawn by `sample_simplex`."""
+    loops = np.stack([np.asarray(A, dtype=float) for A in closed_loops])
+    worst = np.inf
+    for w in sample_simplex(n_samples, loops.shape[0], seed):
+        A = np.tensordot(w, loops, axes=1)
+        defect = A.T @ P @ A - P
+        margin = -float(np.linalg.eigvalsh(0.5 * (defect + defect.T))[-1])
+        worst = min(worst, margin)
+    return worst
 
 
 def find_common_lyapunov_checked(closed_loops, max_rounds: int = 500) -> LyapunovSearch:
@@ -391,12 +405,7 @@ def find_common_lyapunov_checked(closed_loops, max_rounds: int = 500) -> Lyapuno
 
 def certify_checked(vertices, epsilon=None) -> StabilityCert:
     """`stability.certify` over `find_common_lyapunov_checked`."""
-    if vertices.K_vertices is None:
-        raise ParameterError("vertex gains have not been synthesized")
-    loops = [
-        phi - vertices.Gamma @ K
-        for phi, K in zip(vertices.Phi_vertices, vertices.K_vertices)
-    ]
+    loops = [phi - vertices.Gamma @ K for phi, K in zip(vertices.Phi_vertices, vertices.gains)]
     search = find_common_lyapunov_checked(loops)
     if not search.certified:
         raise CertificationError(

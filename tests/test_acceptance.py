@@ -113,7 +113,7 @@ def friction_switch_spec(motor, seed, estimator):
         amplitude=0.25,
         period=10.0,
         duration=30.0,
-        sample_rate=500.0,
+        sample_time=0.002,
         friction=toggle_schedule(motor.b_min, motor.b_max, first=0.3, period=5.0,
                                  duration=30.0),
         seed=seed,

@@ -119,12 +119,9 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
     # (omega, i) modes are real and distinct over the scheduled friction range,
     # with noise of a non-negative spread
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv("MAPS_SEED", raising=False)
-            motor = motor_config_from_entries(
-                {k: v for k, v in entries.items() if k in MOTOR_KEYS})
-            spec = scenario_from_entries(
-                {k: v for k, v in entries.items() if k not in MOTOR_KEYS}, motor)
+        motor = motor_config_from_entries({k: v for k, v in entries.items() if k in MOTOR_KEYS})
+        spec = scenario_from_entries(
+            {k: v for k, v in entries.items() if k not in MOTOR_KEYS}, motor)
     except ConfigError:
         return
     assert 1 <= spec.n_ticks <= MAX_TICKS

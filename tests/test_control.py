@@ -295,6 +295,18 @@ def test_gain_report_shape(vertices_euler):
         assert entry["P"] == solution.P.tolist()
 
 
+@pytest.mark.parametrize("design", ["vertices_euler", "vertices_zoh"])
+def test_gain_report_moduli_are_the_closed_loop_spectrum(request, design):
+    # the moduli solve_dare keeps from its Schur check are the ones the
+    # report would form itself from the design's gains, bit for bit
+    vertices = request.getfixturevalue(design)
+    report = gain_report(vertices, control.vertex_solutions(vertices))
+    for entry, phi, K in zip(report["vertices"], vertices.Phi_vertices, vertices.K_vertices):
+        want = sorted(float(m) for m in np.abs(np.linalg.eigvals(phi - vertices.Gamma @ K)))
+        assert np.array(entry["closed_loop_eigenvalue_moduli"]).tobytes() == \
+            np.array(want).tobytes()
+
+
 def test_gain_report_requires_gains(motor):
     bare = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, "euler")
     solutions = [solve_dare(phi, bare.Gamma, Q_LQR, R_LQR) for phi in bare.Phi_vertices]

@@ -51,7 +51,7 @@ B_MIN, B_MAX = 2.46e-6, 1.63e-4
 def short_spec(**kw):
     base = dict(
         reference="sine", amplitude=2.0, frequency=0.5, duration=2.0,
-        sample_rate=500.0, friction=constant_schedule(B_MIN), seed=3,
+        sample_time=0.002, friction=constant_schedule(B_MIN), seed=3,
         controller="maps", estimator="imm",
     )
     base.update(kw)
@@ -198,9 +198,9 @@ class TestReferenceSignals:
         # a whole long run's times and exact multiples of half a period, both
         # from t = 0, and the last tick of a run of MAX_TICKS ticks
         times = np.concatenate((
-            np.arange(spec.n_ticks) * spec.tick,
+            np.arange(spec.n_ticks) * spec.sample_time,
             np.arange(200) * half,
-            [(harness.MAX_TICKS - 1) * spec.tick],
+            [(harness.MAX_TICKS - 1) * spec.sample_time],
         ))
         rows = spec.reference_states(times)
         assert rows.shape == (times.size, 3)
@@ -219,11 +219,11 @@ class TestReferenceSignals:
         with pytest.raises(ConfigError):
             short_spec(seed=-1)
         with pytest.raises(ConfigError):
-            # 1 / 5e-324 s is an infinite tick: no default substep count
-            short_spec(sample_rate=5e-324)
+            # an infinite tick: no tick fits in the run
+            short_spec(sample_time=math.inf)
         with pytest.raises(ConfigError):
             # under half a tick at 500 Hz rounds to an empty run
-            short_spec(duration=0.001, sample_rate=500.0)
+            short_spec(duration=0.001, sample_time=0.002)
         for kw in (dict(frequency=1e308), dict(amplitude=100.0, frequency=1e307),
                    dict(frequency=1e307, duration=30.0)):
             # the rate 2 pi f, the peak A 2 pi f or the phase 2 pi f t overflows
@@ -231,7 +231,7 @@ class TestReferenceSignals:
                 short_spec(**kw)
         # short of overflow the spec stands and its reference stays finite
         edge = short_spec(amplitude=20.0, frequency=1e306)
-        assert all(map(math.isfinite, edge.reference_state(edge.duration - edge.tick)))
+        assert all(map(math.isfinite, edge.reference_state(edge.duration - edge.sample_time)))
         for key in ("process_noise_std", "meas_noise_std"):
             for std in (-0.5, -5e-324, float("inf"), float("nan")):
                 with pytest.raises(ConfigError, match=key):
@@ -281,9 +281,20 @@ class TestRunScenario:
             run_scenario(short_spec(duration=0.1), motor_zoh, bare)
 
     def test_tick_mismatch_rejected(self, motor_zoh, vertices_zoh):
-        spec = short_spec(sample_rate=100.0)
+        spec = short_spec(sample_time=0.01)
         with pytest.raises(ConfigError):
             run_scenario(spec, motor_zoh, vertices_zoh)
+
+    def test_run_ticks_at_the_design_sample_time(self, motor_zoh):
+        # 1 / (1 / 0.00072) is not 0.00072: the run's tick is the motor's
+        # sample_time itself, the T its design was made at
+        motor = dataclasses.replace(motor_zoh, sample_time=0.00072)
+        assert 1.0 / (1.0 / motor.sample_time) != motor.sample_time
+        spec = scenario_from_entries({"duration": "0.05"}, motor)
+        design = harness.design_from_motor(motor)
+        rec = run_scenario(spec, motor, design)
+        assert spec.sample_time == design.T == 0.00072
+        assert rec.time.tobytes() == (np.arange(spec.n_ticks) * 0.00072).tobytes()
 
     def test_kf_variant_mu_one_hot(self, motor_zoh, vertices_zoh):
         spec = short_spec(duration=0.2, estimator="kf:1", controller="fixed:1")
@@ -729,27 +740,28 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             load_scenario(path)
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_seed_is_read_from_the_file_alone(self, tmp_path, monkeypatch):
+        # the seed has one source: a MAPS_SEED variable is not read
         path = tmp_path / "scen.cfg"
         path.write_text("seed = 5\n")
         monkeypatch.setenv("MAPS_SEED", "77")
         spec, _ = load_scenario(path)
-        assert spec.seed == 77
+        assert spec.seed == 5
 
-    def test_defaults(self, motor, tmp_path, monkeypatch):
-        # ScenarioSpec's field defaults are the one copy: an empty scenario
-        # file gives them, with the sample rate and the constant friction
-        # of its motor, the stock one's included
-        monkeypatch.delenv("MAPS_SEED", raising=False)
+    def test_defaults(self, motor, tmp_path):
+        # an empty scenario file gives ScenarioSpec's field defaults, with
+        # the sample time and the constant friction of its motor, the stock
+        # one's included; only the window's and the toggle's times default
+        # in scenario_from_entries instead
         empty = tmp_path / "empty.cfg"
         empty.write_text("")
         assert load_scenario(empty) == (ScenarioSpec(), motor)
         assert ScenarioSpec() == ScenarioSpec(
-            sample_rate=1.0 / MOTOR_DEFAULTS["sample_time"],
+            sample_time=MOTOR_DEFAULTS["sample_time"],
             friction=constant_schedule(MOTOR_DEFAULTS["b_min"]))
         other = dataclasses.replace(motor, sample_time=0.001, b_min=1e-6)
         assert scenario_from_entries({}, other) == ScenarioSpec(
-            sample_rate=1000.0, friction=constant_schedule(1e-6))
+            sample_time=0.001, friction=constant_schedule(1e-6))
         spec = scenario_from_entries({}, motor)
         assert spec.reference == "sine"
         assert spec.duration == 30.0

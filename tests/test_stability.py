@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from reference import certify_checked, dlyap_series, gains_by_replace, sample_simplex
+from reference import (
+    certify_checked,
+    convex_margin_by_sample,
+    dlyap_series,
+    gains_by_replace,
+    sample_simplex,
+)
 
 from mapsched.control import Q_LQR, R_LQR, solve_dare, synthesize_vertex_gains, vertex_solutions
 from mapsched.errors import CertificationError, ParameterError
@@ -90,6 +96,18 @@ class TestConvexVerification:
         a = verify_convex_stability(search.P, loops, n_samples=100, seed=7)
         b = verify_convex_stability(search.P, loops, n_samples=100, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("design", ["vertices_euler", "vertices_zoh"])
+    def test_matches_the_per_sample_loop(self, request, design, seed):
+        # the samples' margins come from vertex_margins in one call, with
+        # the bits of forming and checking one sample at a time
+        loops = closed_loops(request.getfixturevalue(design))
+        P = find_common_lyapunov(loops).P
+        got = verify_convex_stability(P, loops, n_samples=500, seed=seed)
+        want = convex_margin_by_sample(P, loops, n_samples=500, seed=seed)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_single_system_sample_equals_vertex_margin(self):
         A = np.array([[0.5]])
