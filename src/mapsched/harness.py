@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -96,11 +95,14 @@ class FrictionSegment:
 class FrictionSchedule:
     """Piecewise friction profile for the truth plant; segment values switch
     instantly when ramp_time is 0 and ramp linearly over ramp_time when it
-    is positive."""
+    is positive. The segments' starts, values and Coulomb flags are held as
+    arrays, formed once."""
 
     segments: tuple
     ramp_time: float = 0.0
-    _starts: tuple = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _b: np.ndarray = field(init=False, repr=False, compare=False)
+    _coulomb: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -112,7 +114,9 @@ class FrictionSchedule:
         if not self.ramp_time >= 0.0:
             raise ParameterError(f"ramp_time must be a number >= 0, got {self.ramp_time!r}")
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_starts", np.array(starts, dtype=float))
+        object.__setattr__(self, "_b", np.array([s.b for s in segs], dtype=float))
+        object.__setattr__(self, "_coulomb", np.array([s.coulomb_on for s in segs], dtype=bool))
 
     def validate_range(self, b_max: float) -> None:
         for s in self.segments:
@@ -122,29 +126,19 @@ class FrictionSchedule:
                 )
 
     def at(self, t: float) -> tuple[float, bool]:
-        """Friction value and Coulomb flag active at time t: those of the
-        last segment starting at or before t, the first segment before that."""
-        idx = max(bisect_right(self._starts, t) - 1, 0)
-        seg = self.segments[idx]
-        if self.ramp_time > 0.0 and idx > 0:
-            lapsed = t - seg.start
-            if lapsed < self.ramp_time:
-                prev = self.segments[idx - 1]
-                frac = lapsed / self.ramp_time
-                return prev.b + frac * (seg.b - prev.b), seg.coulomb_on
-        return seg.b, seg.coulomb_on
+        """Friction value and Coulomb flag active at time t: `at_times` at
+        the one time t."""
+        values, coulomb = self.at_times(np.array([t], dtype=float))
+        return float(values[0]), bool(coulomb[0])
 
     def at_times(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`at` at each of `times`, as a float array of friction values and
-        a bool array of Coulomb flags. The segment is found by
-        `searchsorted(side="right")`, `bisect_right`'s rule, and a ramp's
-        value by `at`'s float operations elementwise, so every value has
-        `at`'s bits."""
-        starts = np.array(self._starts)
+        """Friction value and Coulomb flag at each of `times`, as a float
+        and a bool array: those of the last segment starting at or before
+        t, the first segment before that. A ramp's value is the previous
+        segment's value plus lapsed / ramp_time of the step to this one."""
+        starts, b = self._starts, self._b
         idx = np.searchsorted(starts, times, side="right")
         idx = np.maximum(idx - 1, 0, out=idx)
-        b = np.array([s.b for s in self.segments])
-        coulomb = np.array([s.coulomb_on for s in self.segments], dtype=bool)[idx]
         values = b[idx]
         if self.ramp_time > 0.0:
             lapsed = times - starts[idx]
@@ -152,7 +146,7 @@ class FrictionSchedule:
             seg = idx[ramping]
             prev, frac = b[seg - 1], lapsed[ramping] / self.ramp_time
             values[ramping] = prev + frac * (b[seg] - prev)
-        return values, coulomb
+        return values, self._coulomb[idx]
 
 
 def constant_schedule(b: float) -> FrictionSchedule:
@@ -252,19 +246,15 @@ class ScenarioSpec:
         return 1.0 / self.sample_time
 
     def reference_state(self, t: float) -> tuple:
-        """Full-state reference (theta, omega, current): position signal, its
-        analytic derivative, zero current."""
-        if self.reference == "sine":
-            w = 2.0 * math.pi * self.frequency
-            return (self.amplitude * math.sin(w * t), self.amplitude * w * math.cos(w * t), 0.0)
-        phase = math.fmod(t, self.period)
-        level = self.amplitude if phase < 0.5 * self.period else -self.amplitude
-        return (level, 0.0, 0.0)
+        """Full-state reference (theta, omega, current) at time t:
+        `reference_states` at the one time t."""
+        return tuple(self.reference_states(np.array([t], dtype=float))[0].tolist())
 
     def reference_states(self, times: np.ndarray) -> np.ndarray:
-        """`reference_state` at each of `times`, one (theta, omega, current)
-        row per time, with its bits: the step's phase by `np.fmod`, exact as
-        `math.fmod` is, and the sine's `math.sin` and `math.cos` (not
+        """Full-state reference at each of `times`, one (theta, omega,
+        current) row per time: the position signal, its analytic derivative
+        and zero current. The step's phase is `np.fmod`, exact as
+        `math.fmod` is, and the sine is `math.sin` and `math.cos` (not
         numpy's, whose SIMD loops may round differently) mapped over the
         phases w t."""
         out = np.zeros((times.size, 3))

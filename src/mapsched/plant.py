@@ -6,8 +6,8 @@ closed-form solution:
 
 - slipping with sign s: Jeq omega' = Kt i + tau_ext - tau_c s - b omega.
   omega(t) = w_ss + a1 e^(lam1 t) + a2 e^(lam2 t) over the two real (omega, i)
-  modes; a whole tick that keeps its sign outside the rest band takes the
-  one-tick map x+ = Ad(b) x + Bd(b) [tau_ext - tau_c s, u];
+  modes, i(t) = i_ss + a1 m1 e^(lam1 t) + a2 m2 e^(lam2 t) and theta
+  advancing by the integral of omega;
 - at rest (|omega| <= OMEGA_REST) with |Kt i + tau_ext| below the breakaway
   torque: stuck. omega is held, theta advances by omega dt and i relaxes
   exponentially toward (u - Ke omega) / Rm.
@@ -31,20 +31,19 @@ Meas., Control 107, 1985):
 At most MAX_EVENTS events are located per tick. Motors whose (omega, i)
 modes are complex are refused.
 
-A `TickMap` binds one motor, friction model and dt: the one-tick maps, the
-modes, and the motor and friction constants the closed forms read, as
-floats. It is built once per friction segment, so a slipping tick reads
-one flat tuple and looks nothing up.
+A `TickMap` binds one motor, friction model and dt: the modes, their
+exponentials over dt, and the motor and friction constants the closed forms
+read, as floats. It is built once per friction segment, so a slipping tick
+reads one flat tuple and looks nothing up. Everything here is scalar float
+arithmetic and the `math` module, so no BLAS kernel rounds the truth.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NumericalError, ParameterError
-from .motor import OMEGA_REST, FrictionModel, MotorParams, build_continuous_model, zoh_discretize
+from .motor import OMEGA_REST, FrictionModel, MotorParams
 
 # friction events (band entries and breakaways) located within one tick
 MAX_EVENTS = 8
@@ -60,12 +59,12 @@ class TickMap:
     length dt, built once and read by every `plant_step` on them.
 
     `slip` is one flat float tuple, the slipping dynamics at viscous
-    coefficient b: the one-tick maps Ad and Bd row-major (9 and 6 entries),
-    the modes lam_slow and lam_fast with their (omega, i) eigenvectors
-    [1, m_slow] and [1, m_fast], m_slow - m_fast, dt, tau_c, Kt, Rm, Ke and
-    b Rm + Kt Ke. The stuck segments also read the breakaway torque tau_b,
-    Lm and Lm / Rm. Raises ParameterError when the modes are not real and
-    distinct.
+    coefficient b: the modes lam_slow and lam_fast with their (omega, i)
+    eigenvectors [1, m_slow] and [1, m_fast], m_slow - m_fast, each mode's
+    exp(lam dt) and expm1(lam dt) / lam (the integral of e^(lam t) over the
+    tick), dt, tau_c, Kt, Rm, Ke and b Rm + Kt Ke. The stuck segments also
+    read the breakaway torque tau_b, Lm and Lm / Rm. Raises ParameterError
+    when the modes are not real and distinct.
     """
 
     __slots__ = ("slip", "tau_b", "lm", "lm_rm", "b")
@@ -84,13 +83,10 @@ class TickMap:
         lam_slow = det / lam_fast  # product of the roots; avoids cancellation
         m_slow = (lam_slow + b / jeq) * jeq / kt
         m_fast = (lam_fast + b / jeq) * jeq / kt
-        # the motor's (A, B), with the external torque's column before B's
-        A, B_volt = build_continuous_model(params, b)
-        B = np.hstack(([[0.0], [1.0 / jeq], [0.0]], B_volt))
-        Ad, Bd = zoh_discretize(A, B, dt)
         self.slip = (
-            *Ad.reshape(-1).tolist(), *Bd.reshape(-1).tolist(),
             lam_slow, lam_fast, m_slow, m_fast, m_slow - m_fast,
+            math.exp(lam_slow * dt), math.exp(lam_fast * dt),
+            math.expm1(lam_slow * dt) / lam_slow, math.expm1(lam_fast * dt) / lam_fast,
             dt, friction.tau_c, kt, rm, ke, b * rm + kt * ke,
         )
         # breakaway torque: tau_s, or tau_c + b OMEGA_REST where that is
@@ -125,24 +121,23 @@ def _slip_step(theta, omega, cur, u, tau_ext, slip):
     throughout; None otherwise.
 
     omega(t) has at most one interior extremum, so the band test at both
-    ends and at that extremum covers the whole tick.
+    ends and at that extremum covers the whole tick. The end state is the
+    closed form `_event_step` takes over a slipping segment of length dt,
+    with the same bits.
     """
-    (a00, a01, a02, a10, a11, a12, a20, a21, a22, b00, b01, b10, b11, b20, b21,
-     lam1, lam2, _, m2, dm, dt, tau_c, kt, rm, ke, den) = slip
+    lam1, lam2, m1, m2, dm, e1, e2, f1, f2, dt, tau_c, kt, rm, ke, den = slip
     s = 1.0 if omega > 0.0 else -1.0
-    torque = tau_ext - tau_c * s
-    w_ss, _, a1, a2 = _modes(omega, cur, u, torque, kt, rm, ke, den, m2, dm)
+    w_ss, i_ss, a1, a2 = _modes(omega, cur, u, tau_ext - tau_c * s, kt, rm, ke, den, m2, dm)
     t_ext = _extremum(a1, a2, lam1, lam2)
     if t_ext is not None and 0.0 < t_ext < dt:
         w_ext = w_ss + a1 * math.exp(lam1 * t_ext) + a2 * math.exp(lam2 * t_ext)
         if not s * w_ext >= OMEGA_REST:
             return None
-    # the omega row first: a tick that ends inside the band needs no more
-    w = a10 * theta + a11 * omega + a12 * cur + b10 * torque + b11 * u
+    # omega first: a tick that ends inside the band needs no more
+    w = w_ss + a1 * e1 + a2 * e2
     if not s * w >= OMEGA_REST:
         return None
-    return (a00 * theta + a01 * omega + a02 * cur + b00 * torque + b01 * u, w,
-            a20 * theta + a21 * omega + a22 * cur + b20 * torque + b21 * u)
+    return theta + (w_ss * dt + a1 * f1 + a2 * f2), w, i_ss + a1 * m1 * e1 + a2 * m2 * e2
 
 
 def _entry_time(h, dh, lo, hi, h_lo, h_hi):
@@ -204,7 +199,7 @@ def _event_step(theta, omega, cur, u, tau_ext, tick):
     """Tick chained from exact segments, stuck or slipping with a fixed
     sign, split where the rotor enters the rest band or breaks away. A tick
     that stays stuck is one segment: the stuck map."""
-    (*_, lam1, lam2, m1, m2, dm, dt, tau_c, kt, rm, ke, den) = tick.slip
+    lam1, lam2, m1, m2, dm, _, _, _, _, dt, tau_c, kt, rm, ke, den = tick.slip
     tau_b, lm, lm_rm = tick.tau_b, tick.lm, tick.lm_rm
     sign = math.copysign(1.0, omega) if abs(omega) > OMEGA_REST else 0.0
     left = dt
@@ -232,8 +227,9 @@ def _event_step(theta, omega, cur, u, tau_ext, tick):
             entry = _band_entry(sign, w_ss, a1, a2, lam1, lam2, left)
             span = left if entry is None else entry
             e1, e2 = math.exp(lam1 * span), math.exp(lam2 * span)
-            theta += (w_ss * span + a1 * math.expm1(lam1 * span) / lam1
-                      + a2 * math.expm1(lam2 * span) / lam2)
+            # a1 * (expm1 / lam), as `_slip_step` reads it from the tick
+            theta += (w_ss * span + a1 * (math.expm1(lam1 * span) / lam1)
+                      + a2 * (math.expm1(lam2 * span) / lam2))
             cur = i_ss + a1 * m1 * e1 + a2 * m2 * e2
             omega = w_ss + a1 * e1 + a2 * e2
             if entry is None:
@@ -259,10 +255,10 @@ def plant_step(state, u: float, tick: TickMap, tau_ext: float = 0.0) -> tuple:
     Solves theta' = omega, Jeq omega' = Kt i + tau_ext - tau_fric,
     Lm i' = -Rm i - Ke omega + u with u and tau_ext held, exactly: a tick
     that stays in one friction regime (slipping with a fixed sign, or stuck)
-    takes its one-tick map, any other tick is chained from exact segments
-    split at its friction events. `tick` holds the motor's and the friction
-    model's constants; `state` is any 3-sequence (theta, omega, i). Returns
-    the next state as a 3-tuple of floats.
+    is one closed-form segment, any other tick is chained from exact
+    segments split at its friction events. `tick` holds the motor's and the
+    friction model's constants; `state` is any 3-sequence (theta, omega, i).
+    Returns the next state as a 3-tuple of floats.
     """
     theta, omega, cur = state
     theta, omega, cur = float(theta), float(omega), float(cur)

@@ -5,26 +5,30 @@ converged reference for `mapsched.plant.plant_step`. On a tick that changes
 friction regime its error is first order in the substep: the friction torque
 jumps inside the substep that straddles the event. It resolves sticking only
 when one substep moves omega less than the rest band's width.
+`slipping_state` is the other form of the plant's closed form: the matrix
+exponential of the slipping motor augmented with its held inputs.
 
 The rest are array or plain-loop forms of what the package computes another
 way: the Gaussian likelihood of one innovation, the IMM probability update,
-the percent change of a comparison, a friction lookup by linear scan, the
-IMM cycle in two passes, the closed loop run tick by tick, the Lyapunov
-solve with its own stability check, uniform draws from the simplex, the
-sampled convex-combination margin one sample at a time, the design path
-that solves, validates and checks everything as many times as it is used,
-and the run CSV writer that formats every cell with repr.
+the percent change of a comparison, the friction lookup by bisection and by
+linear scan, the reference signal one time at a time, the IMM cycle in two
+passes, the closed loop run tick by tick, the Lyapunov solve with its own
+stability check, uniform draws from the simplex, the sampled
+convex-combination margin one sample at a time, the design path that
+solves, validates and checks everything as many times as it is used, and
+the run CSV writer that formats every cell with repr.
 """
 
 import dataclasses
 import math
+from bisect import bisect_right
 from contextlib import ExitStack
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_discrete_are
+from scipy.linalg import LinAlgError, expm, solve_discrete_are
 
 from mapsched.control import Q_LQR, R_LQR, RiccatiSolution, control_input, maps_gain
 from mapsched.errors import CertificationError, NumericalError, ParameterError
@@ -39,6 +43,7 @@ from mapsched.estimation import (
     default_transition_matrix,
 )
 from mapsched.harness import CSV_CHUNK, _parse_choice, _percent_change
+from mapsched.motor import build_continuous_model
 from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     LyapunovSearch,
@@ -97,6 +102,18 @@ def motor_rk4(theta, omega, cur, u, dt, substeps,
     return theta, omega, cur
 
 
+def slipping_state(state, u, friction, params, t, tau_ext=0.0):
+    """(theta, omega, i) after t of slipping with omega's sign held, from
+    the exponential of the motor's (A, B) augmented with its constant
+    inputs: the external torque less Coulomb friction, and the voltage."""
+    sign = 1.0 if state[1] > 0.0 else -1.0
+    M = np.zeros((5, 5))
+    M[:3, :3], M[:3, 4:] = build_continuous_model(params, friction.b)
+    M[1, 3] = 1.0 / params.Jeq
+    x = np.r_[state, tau_ext - friction.tau_c * sign, u]
+    return tuple((expm(M * t) @ x)[:3].tolist())
+
+
 def imm_likelihood(r: float, s: float) -> float:
     """Gaussian density of the scalar innovation r with variance s, computed
     in log space and exponentiated once to dodge underflow."""
@@ -121,9 +138,37 @@ def delta_percent(comparison, attr, i=1, base=0):
                            getattr(comparison.metrics[i], attr))
 
 
+def friction_at(schedule, t):
+    """Friction value and Coulomb flag of `schedule` at time t: those of the
+    last segment starting at or before t (found by bisection), the first
+    segment before that, ramped from the previous segment's value over
+    ramp_time."""
+    segs = schedule.segments
+    idx = max(bisect_right(segs, t, key=lambda s: s.start) - 1, 0)
+    seg = segs[idx]
+    if schedule.ramp_time > 0.0 and idx > 0:
+        lapsed = t - seg.start
+        if lapsed < schedule.ramp_time:
+            prev = segs[idx - 1]
+            frac = lapsed / schedule.ramp_time
+            return prev.b + frac * (seg.b - prev.b), seg.coulomb_on
+    return seg.b, seg.coulomb_on
+
+
+def reference_state(spec, t):
+    """Full-state reference (theta, omega, current) of `spec` at time t:
+    position signal, its analytic derivative, zero current."""
+    if spec.reference == "sine":
+        w = 2.0 * math.pi * spec.frequency
+        return (spec.amplitude * math.sin(w * t), spec.amplitude * w * math.cos(w * t), 0.0)
+    phase = math.fmod(t, spec.period)
+    level = spec.amplitude if phase < 0.5 * spec.period else -spec.amplitude
+    return (level, 0.0, 0.0)
+
+
 def friction_by_scan(schedule, times):
-    """`FrictionSchedule.at` at each of the ascending `times`, by one scan
-    over the segments in time order."""
+    """`friction_at` at each of the ascending `times`, by one scan over the
+    segments in time order."""
     segs = schedule.segments
     out, idx = [], 0
     for t in times:
@@ -243,12 +288,13 @@ def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
 
 
 def closed_loop_by_tick(spec, motor, vertices):
-    """`harness.run_scenario`'s loop one tick at a time: scalar draws from
-    the seed's generator (the measurement noise, then the torque noise when
-    it is on), the two-pass IMM cycle, the mode probabilities spread over
-    the vertices, rho_hat, the controller weights `scale * mu + offset` and
-    the gain recomputed every tick, one log row stored per tick. `vertices`
-    must carry gains.
+    """`harness.run_scenario`'s loop one tick at a time: the friction and
+    the reference by `friction_at` and `reference_state` at each tick's
+    time, scalar draws from the seed's generator (the measurement noise,
+    then the torque noise when it is on), the two-pass IMM cycle, the mode
+    probabilities spread over the vertices, rho_hat, the controller weights
+    `scale * mu + offset` and the gain recomputed every tick, one log row
+    stored per tick. `vertices` must carry gains.
 
     Returns (log columns by RunRecord field, saturation count).
     """
@@ -289,10 +335,10 @@ def closed_loop_by_tick(spec, motor, vertices):
         for m, r in zip(mu_v, vertices.rho):
             rho_hat += m * r
         K = maps_gain([scale * m + o for m, o in zip(mu_v, offset)], gains)
-        ref = spec.reference_state(t)
+        ref = reference_state(spec, t)
         u, saturated = control_input(K, ref, x_hat, spec.v_limit, feedforward)
         saturations += saturated
-        b_t, coulomb_on = spec.friction.at(t)
+        b_t, coulomb_on = friction_at(spec.friction, t)
         rows.append((t, z, *truth, *x_hat, *mu_v, rho_hat, *K, u, *ref, b_t))
         truth = plant_step(truth, u, tick_map(b_t, coulomb_on), tau_dist)
     log = np.array(rows)

@@ -417,10 +417,11 @@ def test_run_byte_identical_reruns(maps, tmp_path, scenario_cfg):
 
 def test_run_metrics_agree_across_blas_kernels(tmp_path, scenario_cfg):
     # output bytes hold per BLAS kernel only: OpenBLAS rounds the design's expm
-    # and Riccati solve and the plant's tick maps per kernel. A run under the
-    # Sandybridge (AVX) kernels and one under the kernel OpenBLAS picks for the
-    # CPU still report the same metrics within a relative 1e-9 (they differed
-    # by 2.6e-14 at most over the Sandybridge, Nehalem and Haswell kernels
+    # and Riccati solve per kernel, and the run carries that design's bits
+    # (it makes no BLAS call of its own). A run under the Sandybridge (AVX)
+    # kernels and one under the kernel OpenBLAS picks for the CPU still
+    # report the same metrics within a relative 1e-9 (they differed by
+    # 5.7e-14 at most over the Sandybridge, Nehalem and Haswell kernels
     # against an avx512f CPU's SkylakeX), and the same saturation count
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     metrics = []

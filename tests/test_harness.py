@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -13,7 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import closed_loop_by_tick, delta_percent, friction_by_scan, write_run_csvs_repr
+from reference import (
+    closed_loop_by_tick,
+    delta_percent,
+    friction_at,
+    friction_by_scan,
+    reference_state,
+    write_run_csvs_repr,
+)
 
 from mapsched import harness
 from mapsched.config import MOTOR_DEFAULTS
@@ -103,7 +113,7 @@ class TestFrictionSchedule:
         assert sched.at(1.0 + ramp_time) == (B_MIN, False)
         times = np.arange(0, 1000) * 0.002
         values, coulomb = sched.at_times(times)
-        scan = [sched.at(float(t)) for t in times]
+        scan = [friction_at(sched, float(t)) for t in times]
         assert values.tobytes() == np.array([b for b, _ in scan]).tobytes()
         assert coulomb.tolist() == [c for _, c in scan]
 
@@ -151,6 +161,7 @@ class TestFrictionSchedule:
         ramp = FrictionSchedule(segments=segs, ramp_time=1.5e-3)
         for sched in (step, ramp):
             scan = friction_by_scan(sched, times)
+            assert [friction_at(sched, t) for t in times] == scan
             assert [sched.at(t) for t in times] == scan
             # the per-run lookup of run_scenario: the same values, bit for bit
             values, coulomb = sched.at_times(np.array(times))
@@ -204,7 +215,7 @@ class TestReferenceSignals:
         ))
         rows = spec.reference_states(times)
         assert rows.shape == (times.size, 3)
-        expected = np.array([spec.reference_state(t) for t in times.tolist()])
+        expected = np.array([reference_state(spec, t) for t in times.tolist()])
         assert rows.tobytes() == expected.tobytes()
 
     def test_spec_validation(self):
@@ -309,6 +320,55 @@ class TestRunScenario:
         assert np.all(rec.gain == 0.0)
 
 
+_RUN_KERNEL_CHILD = """
+import dataclasses, hashlib, json, sys
+from mapsched.config import load_motor_config
+from mapsched.harness import ScenarioSpec, load_window_schedule, run_scenario
+from mapsched.motor import VertexSet
+data = json.load(sys.stdin)
+floats = lambda rows: [[float.fromhex(v) for v in row] for row in rows]
+vertices = VertexSet(rho=[float.fromhex(r) for r in data["rho"]],
+                     Phi_vertices=[floats(phi) for phi in data["phis"]],
+                     Gamma=floats(data["Gamma"]), T=float.fromhex(data["T"]), mode="zoh",
+                     K_vertices=[floats(K) for K in data["gains"]])
+motor = dataclasses.replace(load_motor_config(), discretization="zoh")
+spec = ScenarioSpec(duration=6.0, seed=4, friction=load_window_schedule(
+    motor.b_min, motor.b_max, start=2.0, end=4.0))
+rec = run_scenario(spec, motor, vertices)
+digest = hashlib.sha256()
+for array in (rec.truth, rec.estimate, rec.mu, rec.u):
+    digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_run_bits_depend_on_the_blas_kernel_only_through_the_design(vertices_zoh):
+    # the truth plant, the two-mode IMM cycle and the control law make no
+    # BLAS call, so a run handed one design's floats gives the same bits
+    # under the kernel OpenBLAS picks for the CPU, Haswell's and
+    # Sandybridge's: the truth, estimate, mode probabilities and voltage of
+    # a 6 s sine run with a 2-4 s load window hash alike. The design's expm
+    # and Riccati solve round per kernel, so the children are handed this
+    # process's stock ZOH design rather than designing their own
+    hexed = lambda a: [[float.hex(v) for v in row] for row in np.asarray(a).tolist()]
+    data = json.dumps({
+        "rho": [float.hex(r) for r in vertices_zoh.rho],
+        "phis": [hexed(phi) for phi in vertices_zoh.Phi_vertices],
+        "Gamma": hexed(vertices_zoh.Gamma),
+        "gains": [hexed(K) for K in vertices_zoh.gains],
+        "T": float.hex(vertices_zoh.T),
+    })
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    digests = {}
+    for kernel in ("", "Haswell", "Sandybridge"):
+        done = subprocess.run([sys.executable, "-c", _RUN_KERNEL_CHILD], input=data,
+                              env={**env, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests[kernel or "default"] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
+
+
 def friction_switch_run(motor, vertices, estimator):
     """2 s of the friction-switch scenario: b_min -> b_max at 0.3 s, a
     0.25 rad step reference with a 2 s period, fixed vertex-0 gain."""
@@ -408,7 +468,7 @@ class TestRunPathEstimators:
     def test_friction_and_reference_formed_per_run(self, monkeypatch, motor_zoh, vertices_zoh,
                                                    estimator, reference, friction):
         # the loop reads friction and reference from arrays formed before it;
-        # the scalar rules are for the tick-by-tick replay and the tracer
+        # the one-time forms are for callers and the benchmark's tracer
         def refused(*args, **kwargs):
             raise AssertionError("scalar lookup called by the run")
 

@@ -11,11 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def imported_top_level_modules(package_dir):
-    """Top-level names of every absolute import in the package's modules,
-    function-level imports included."""
+def imported_top_level_modules(source):
+    """Top-level names of every absolute import in a module, or in every
+    module of a package directory, function-level imports included."""
     names = set()
-    for path in package_dir.rglob("*.py"):
+    for path in [source] if source.is_file() else source.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.partition(".")[0] for alias in node.names)
@@ -37,6 +37,13 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"mapsched"}
     assert {"numpy", "scipy", "orjson"} <= third_party
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
+
+
+def test_truth_plant_imports_neither_numpy_nor_scipy():
+    # the truth plant is scalar float arithmetic and `math`, so no BLAS
+    # kernel rounds it and a run's truth is the same on every one
+    imported = imported_top_level_modules(ROOT / "src" / "mapsched" / "plant.py")
+    assert imported and not imported & {"numpy", "scipy"}, sorted(imported)
 
 
 # imports the module does not use, kept because the benchmark's tracer

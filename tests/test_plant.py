@@ -2,14 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from reference import motor_rk4
-from scipy.linalg import expm
+from reference import motor_rk4, slipping_state
 from scipy.optimize import minimize_scalar
 
 from mapsched import plant
 from mapsched.config import motor_config_from_entries
 from mapsched.errors import ConfigError, NumericalError, ParameterError
-from mapsched.motor import OMEGA_REST, FrictionModel, build_continuous_model
+from mapsched.motor import OMEGA_REST, FrictionModel
 from mapsched.plant import TickMap, plant_step
 
 
@@ -69,27 +68,20 @@ def _rk4(state, u, f, params, substeps, tau_ext=0.0, dt=0.002):
     )
 
 
-def _slip_map(state, u, tick, tau_c, tau_ext):
-    """Ad x + Bd [tau, u] from `tick`'s one-tick maps (Ad and Bd row-major,
-    the first 15 entries of `slip`), with tau the external torque less
-    Coulomb friction against the motion, each row summed left to right."""
-    theta, omega, cur = state
-    a, b = tick.slip[:9], tick.slip[9:15]
-    tau = tau_ext - tau_c * (1.0 if omega > 0.0 else -1.0)
-    return tuple(a[3 * r] * theta + a[3 * r + 1] * omega + a[3 * r + 2] * cur
-                 + b[2 * r] * tau + b[2 * r + 1] * u for r in range(3))
-
-
-# a slipping tick's `expected` is its map evaluated here: Ad and Bd come
-# from `expm`, whose last bit OpenBLAS rounds per kernel. A stuck tick's
-# pin holds on every kernel
+# every pin is a literal: the plant is scalar float arithmetic, so its bits
+# hold on every BLAS kernel. A slipping tick is also held within 1e-12 of
+# the exponential of the augmented (A, B), the other form of its closed form
 @pytest.mark.parametrize(
     "state, u, f, tau_ext, expected",
     [
-        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0, None),
-        ([0.1, -3.0, 0.02], -2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0, None),
-        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.0, 2.46e-6), 0.0, None),
-        ([-0.2, -30.0, 0.3], 1.0, FrictionModel(0.003, 0.0, 2.46e-6), 1e-3, None),
+        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0,
+         (0.10653540639538726, 3.5906879496974686, 0.22036580185391438)),
+        ([0.1, -3.0, 0.02], -2.0, FrictionModel(0.003, 0.002, 1.63e-4), 0.0,
+         (0.09346459360461275, -3.5906879496974686, -0.22036580185391438)),
+        ([0.1, 3.0, -0.02], 2.0, FrictionModel(0.003, 0.0, 2.46e-6), 0.0,
+         (0.10677749879838648, 3.833615778086858, 0.21923578908716718)),
+        ([-0.2, -30.0, 0.3], 1.0, FrictionModel(0.003, 0.0, 2.46e-6), 1e-3,
+         (-0.258789330047167, -28.80085838941359, 0.26345929030017323)),
         ([0.3, 0.0, 0.01], 0.3, STOCK_FRICTION, 0.0,
          (0.3, 0.0, 0.03571427251980467)),
         ([0.3, 5e-7, 0.01], -0.2, STOCK_FRICTION, 1e-3,
@@ -99,25 +91,35 @@ def _slip_map(state, u, tick, tau_c, tau_ext):
          "stuck", "stuck-creeping"],
 )
 def test_one_regime_ticks_exact(motor, state, u, f, tau_ext, expected):
-    # bitwise the one-regime map, and within 1e-9 of RK4 at 400 substeps
+    # bitwise the pinned state, and within 1e-9 of RK4 at 400 substeps
     ref = np.array(_rk4(state, u, f, motor.params, 400, tau_ext=tau_ext))
-    tick = TickMap(motor.params, f, 0.002)
-    got = plant_step(state, u, tick, tau_ext=tau_ext)
-    if expected is None:
-        expected = _slip_map(state, u, tick, f.tau_c, tau_ext)
+    got = plant_step(state, u, TickMap(motor.params, f, 0.002), tau_ext=tau_ext)
     assert type(got) is tuple and all(type(v) is float for v in got)
     assert got == expected
     assert np.max(np.abs(np.array(got) - ref) / np.maximum(np.abs(ref), 1e-12)) < 1e-9
+    if abs(state[1]) > OMEGA_REST:
+        exact = np.array(slipping_state(state, u, f, motor.params, 0.002, tau_ext))
+        assert np.max(np.abs(np.array(got) - exact) / np.abs(exact)) < 1e-12
 
 
-def _slipping_omega(state, u, f, params, t):
-    """omega(t) of the forward-slipping affine dynamics, by the exponential
-    of the system augmented with its constant inputs."""
-    M = np.zeros((5, 5))
-    M[:3, :3], _ = build_continuous_model(params, f.b)
-    M[1, 3] = 1.0 / params.Jeq
-    M[2, 4] = 1.0 / params.Lm
-    return float((expm(M * t) @ np.r_[state, -f.tau_c, u])[1])
+@pytest.mark.parametrize("scale, coulomb_on", [(0.0, False), (1.0, True), (10.0, True)],
+                         ids=["b_min", "b_max-coulomb", "10b_max-coulomb"])
+def test_slip_step_is_the_event_step_without_events(motor, scale, coulomb_on):
+    # a slipping tick with no event takes the same closed form through
+    # either function, so the fast path returns the event step's bits
+    b = motor.b_min if scale == 0.0 else scale * motor.b_max
+    tick = TickMap(motor.params, motor.friction(b, coulomb_on), 0.002)
+    rng = np.random.default_rng(26)
+    fast = 0
+    for _ in range(3_000):
+        theta, cur, u, tau_ext = rng.normal(0.0, (3.0, 0.3, 3.0, 2e-3))
+        omega = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 2.0)
+        args = (float(theta), float(omega), float(cur), float(u), float(tau_ext))
+        got = plant._slip_step(*args, tick.slip)
+        if got is not None:
+            fast += 1
+            assert got == plant._event_step(*args, tick)
+    assert fast > 1_500
 
 
 @pytest.mark.parametrize("omega0", [0.1457725, 0.12], ids=["graze-band", "reverse-and-back"])
@@ -127,9 +129,13 @@ def test_interior_dip_reaches_rest_band(motor, omega0):
     # both ends of the tick lie far outside the rest band. These ticks are
     # inputs of test_event_ticks_match_reference
     state, u, p = [0.0, omega0, -1.0], 4.0, motor.params
-    ends = [_slipping_omega(state, u, STOCK_FRICTION, p, t) for t in (0.0, 0.002)]
-    dip = minimize_scalar(lambda t: _slipping_omega(state, u, STOCK_FRICTION, p, t),
-                          bounds=(0.0, 0.002), method="bounded", options={"xatol": 1e-12})
+
+    def omega(t):
+        return slipping_state(state, u, STOCK_FRICTION, p, t)[1]
+
+    ends = [omega(t) for t in (0.0, 0.002)]
+    dip = minimize_scalar(omega, bounds=(0.0, 0.002), method="bounded",
+                          options={"xatol": 1e-12})
     assert min(ends) > 0.1 and dip.fun < OMEGA_REST
 
 
