@@ -56,7 +56,6 @@ from .harness import (
 from .ident import IdentResult, SteadyStateSample, identify, regress_slope, viscous_from_slope
 from .motor import (
     FrictionModel,
-    MotorParams,
     VertexSet,
     build_continuous_model,
     build_vertex_set,

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_ident(args) -> int:
     motor = load_motor_config(args.motor)
     samples = read_samples_csv(args.csv)
-    result = identify(motor.params, samples)
+    result = identify(motor, samples)
     print(f"slope mu        = {result.slope:.6e} V*s/rad")
     print(f"viscous coeff b = {result.viscous_coeff:.6e} N*m*s/rad")
     print(f"residual rms    = {result.residual_rms:.6e} V")
@@ -97,6 +97,9 @@ def _cmd_ident(args) -> int:
 
 
 def _cmd_gains(args) -> int:
+    for option, path in (("--json", args.json), ("--csv", args.csv)):
+        if path:
+            _refuse_bad_file(Path(path), option)
     vertices = design_from_motor(load_motor_config(args.motor))
     # the Riccati solutions that design's gains came from, out of its memo
     report = gain_report(vertices, vertex_solutions(vertices))
@@ -145,16 +148,16 @@ def _refuse_non_directory(out: Path) -> None:
             return
 
 
-def _refuse_bad_file(out: Path) -> None:
-    """Refuse an output file path that is a directory, or whose parent is
-    missing or not a directory, before the work whose result it would hold;
-    opening it would refuse it only after."""
+def _refuse_bad_file(out: Path, option: str) -> None:
+    """Refuse the output file path of `option` that is a directory, or whose
+    parent is missing or not a directory, before the work whose result it
+    would hold; opening it would refuse it only after."""
     if out.is_dir():
-        raise IsADirectoryError(f"--out {out}: is a directory")
+        raise IsADirectoryError(f"{option} {out}: is a directory")
     if not out.parent.exists():
-        raise FileNotFoundError(f"--out {out}: {out.parent} does not exist")
+        raise FileNotFoundError(f"{option} {out}: {out.parent} does not exist")
     if not out.parent.is_dir():
-        raise NotADirectoryError(f"--out {out}: {out.parent} is not a directory")
+        raise NotADirectoryError(f"{option} {out}: {out.parent} is not a directory")
 
 
 def _cmd_run(args) -> int:
@@ -195,7 +198,7 @@ def _parse_variants(raw) -> list:
 
 def _cmd_compare(args) -> int:
     if args.out:
-        _refuse_bad_file(Path(args.out))
+        _refuse_bad_file(Path(args.out), "--out")
     spec, motor = load_scenario(args.scenario)
     vertices = design_from_motor(motor)
     variants = _parse_variants(args.variant)

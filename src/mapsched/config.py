@@ -1,20 +1,24 @@
-"""Plain-text key/value configuration files.
+"""The motor and its plain-text key/value configuration files.
 
-Motor files use exactly the keys kt, ke, jr, jh, jd, lm, rm, b_m, b_min,
-b_max, tau_s, tau_c, sample_time, discretization; missing keys fall back to
-MOTOR_DEFAULTS, the one table of the stock motor. Scenario files share the
-same flat `key = value` syntax (see harness.scenario_from_entries for the
-scenario keys).
+`MotorConfig` is the one motor value: its physical constants, the friction
+range [b_min, b_max] the design schedules over, the friction torques, the
+sample time and the discretization. The design, the truth plant and the
+identification all read it. Motor files use exactly the keys kt, ke, jr,
+jh, jd, lm, rm, b_m, b_min, b_max, tau_s, tau_c, sample_time,
+discretization, each the lower-case name of its `MotorConfig` field;
+missing keys fall back to MOTOR_DEFAULTS, the one table of the stock motor.
+Scenario files share the same flat `key = value` syntax (see
+harness.scenario_from_entries for the scenario keys).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .motor import FrictionModel, MotorParams
+from .motor import FrictionModel
 
 MOTOR_DEFAULTS = {
     "kt": 0.042,
@@ -41,17 +45,30 @@ B_RANGE = 10.0
 
 @dataclass(frozen=True)
 class MotorConfig:
-    """Motor parameters plus the friction range and design-time choices."""
+    """One motor: its physical constants (inertias in kg*m^2, Lm in H, Rm in
+    ohm), the friction range and torques, and the design-time choices."""
 
-    params: MotorParams
+    Kt: float        # torque constant, N*m/A
+    Ke: float        # back-EMF constant, V*s/rad
+    Jr: float        # rotor inertia
+    Jh: float        # hub inertia
+    Jd: float        # disc inertia
+    Lm: float        # inductance
+    Rm: float        # resistance
+    b_m: float       # nominal viscous coefficient, N*m*s/rad
     b_min: float
     b_max: float
     tau_s: float
     tau_c: float
     sample_time: float
     discretization: str
+    Jeq: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("Kt", "Ke", "Jr", "Jh", "Jd", "Lm", "Rm", "b_m"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError(f"motor parameter {name} must be strictly positive")
+        object.__setattr__(self, "Jeq", self.Jr + self.Jh + self.Jd)
         if not (0.0 <= self.b_min < self.b_max):
             raise ParameterError("need 0 <= b_min < b_max")
         if self.discretization not in ("euler", "zoh"):
@@ -66,9 +83,8 @@ class MotorConfig:
         # (omega, i) modes; their discriminant (b/J - R/L)^2 - 4 Kt Ke/(J L)
         # is positive over every b in [0, B_RANGE b_max] iff the interval of
         # b/J - R/L lies below -2 sqrt(Kt Ke/(J L))
-        p = self.params
-        if not B_RANGE * self.b_max / p.Jeq - p.Rm / p.Lm < -2.0 * math.sqrt(
-                p.Kt * p.Ke / p.Jeq / p.Lm):
+        if not B_RANGE * self.b_max / self.Jeq - self.Rm / self.Lm < -2.0 * math.sqrt(
+                self.Kt * self.Ke / self.Jeq / self.Lm):
             raise ParameterError(
                 "the motor's (omega, i) modes are not real and distinct for every "
                 f"viscous coefficient in [0, {B_RANGE * self.b_max:.3e}]"
@@ -77,9 +93,10 @@ class MotorConfig:
         # ends of the range; a motor whose terms overflow or divide by an
         # underflowed J L has no float modes to solve over
         for b in (0.0, B_RANGE * self.b_max):
-            tr = b / p.Jeq + p.Rm / p.Lm
-            jl = p.Jeq * p.Lm
-            if not (jl > 0.0 and math.isfinite(tr * tr - 4.0 * (b * p.Rm + p.Kt * p.Ke) / jl)):
+            tr = b / self.Jeq + self.Rm / self.Lm
+            jl = self.Jeq * self.Lm
+            if not (jl > 0.0
+                    and math.isfinite(tr * tr - 4.0 * (b * self.Rm + self.Kt * self.Ke) / jl)):
                 raise ParameterError(
                     f"the motor's (omega, i) modes at b = {b:.3e} are out of float range"
                 )
@@ -90,10 +107,6 @@ class MotorConfig:
             tau_c=self.tau_c if coulomb_on else 0.0,
             b=b,
         )
-
-    @property
-    def vertex_rho(self) -> tuple:
-        return (self.b_min, self.b_max)
 
 
 def read_text_file(path) -> str:
@@ -147,25 +160,8 @@ def motor_config_from_entries(entries: dict) -> MotorConfig:
         else v
         for k, v in merged.items()
     }
-    params = MotorParams(
-        Kt=values["kt"],
-        Ke=values["ke"],
-        Jr=values["jr"],
-        Jh=values["jh"],
-        Jd=values["jd"],
-        Lm=values["lm"],
-        Rm=values["rm"],
-        b_m=values["b_m"],
-    )
-    return MotorConfig(
-        params=params,
-        b_min=values["b_min"],
-        b_max=values["b_max"],
-        tau_s=values["tau_s"],
-        tau_c=values["tau_c"],
-        sample_time=values["sample_time"],
-        discretization=values["discretization"],
-    )
+    # each key is its field's name in lower case
+    return MotorConfig(**{f.name: values[f.name.lower()] for f in fields(MotorConfig) if f.init})
 
 
 def load_motor_config(path=None) -> MotorConfig:

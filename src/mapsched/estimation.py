@@ -12,8 +12,10 @@ modes, the vertices b_min and b_max, and the `imm` estimator's two-mode
 bank takes `_two_mode_step`: the predicted probabilities and the mixed
 means, then per mode its mixed prior covariance and `_mode_step`, which
 predicts, updates and weighs the likelihood, then the probability update,
-all with no numpy call. The one-mode bank of `kf:<i>` is its own mixed
-prior: one `_mode_step`, and its probability stays 1.0.
+all with no numpy call. Each mode's innovation (r, s), the angle residual
+and its variance, is returned in place of its likelihood: the normalized
+innovation squared of the mode is r^2 / s. The one-mode bank of `kf:<i>`
+is its own mixed prior: one `_mode_step`, and its probability stays 1.0.
 `_mode_step` is the one copy of the per-mode filter arithmetic and of its
 failure checks. The per-mode step is folded for the motor's structure,
 H = [1, 0, 0] and Phi's first column e0: the products with those ones and
@@ -170,17 +172,18 @@ def imm_step(bank: FilterBank, means, covs, mu, u: float, z: float):
     prior, and its probability lik mu / lik mu is 1.0 wherever that
     product is positive and finite.
 
-    Returns (means, covs, mu, likelihoods, fused mean), all floats.
+    Returns (means, covs, mu, innovations, fused mean), all floats; each
+    mode's innovation is its (residual r, variance s).
     """
     if len(bank.modes) == 2:
         return _two_mode_step(bank, means, covs, mu, u, z)
-    x, P, lik = _mode_step(bank, 0, means[0], covs[0], means, covs, mu, u, z)
+    x, P, lik, inn = _mode_step(bank, 0, means[0], covs[0], means, covs, mu, u, z)
     # Bayes update; if the product underflows the prediction is kept
     if 0.0 < lik * mu[0] < math.inf:
         mu = [1.0]
     m = mu[0]
     # summed from 0.0, as the two-mode mean is: a mean of -0.0 fuses to +0.0
-    return [x], [P], mu, [lik], (0.0 + m * x[0], 0.0 + m * x[1], 0.0 + m * x[2])
+    return [x], [P], mu, [inn], (0.0 + m * x[0], 0.0 + m * x[1], 0.0 + m * x[2])
 
 
 def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
@@ -203,8 +206,10 @@ def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
     (a0, a1, a2), (b0, b1, b2) = means
     m = (0.0 + w00 * a0 + w01 * b0, 0.0 + w00 * a1 + w01 * b1, 0.0 + w00 * a2 + w01 * b2)
     n = (0.0 + w10 * a0 + w11 * b0, 0.0 + w10 * a1 + w11 * b1, 0.0 + w10 * a2 + w11 * b2)
-    x, P, lik0 = _mode_step(bank, 0, m, _spread(w00, w01, m, means, covs), means, covs, mu, u, z)
-    y, S, lik1 = _mode_step(bank, 1, n, _spread(w10, w11, n, means, covs), means, covs, mu, u, z)
+    x, P, lik0, inn0 = _mode_step(bank, 0, m, _spread(w00, w01, m, means, covs),
+                                  means, covs, mu, u, z)
+    y, S, lik1, inn1 = _mode_step(bank, 1, n, _spread(w10, w11, n, means, covs),
+                                  means, covs, mu, u, z)
     w0, w1 = lik0 * mp0, lik1 * mp1
     total = 0.0 + w0 + w1
     # Bayes update; if every product underflows the prediction is kept
@@ -212,7 +217,7 @@ def _two_mode_step(bank: FilterBank, means, covs, mu, u: float, z: float):
         mu0, mu1 = mu = [w0 / total, w1 / total]
     else:
         mu0, mu1 = mu = mu_pred
-    return ([x, y], [P, S], mu, [lik0, lik1],
+    return ([x, y], [P, S], mu, [inn0, inn1],
             (0.0 + mu0 * x[0] + mu1 * y[0], 0.0 + mu0 * x[1] + mu1 * y[1],
              0.0 + mu0 * x[2] + mu1 * y[2]))
 
@@ -239,8 +244,8 @@ def _mode_step(bank: FilterBank, j: int, mean, prior, means, covs, mu, u: float,
     update on the angle z and weigh the likelihood. `means`, `covs` and `mu`
     are the cycle's inputs, read only to name a failure.
 
-    Returns the updated mean, the upper triangle of its covariance and the
-    floored likelihood.
+    Returns the updated mean, the upper triangle of its covariance, the
+    floored likelihood and the innovation (r, s).
     """
     m0, m1, m2 = mean
     p00, p01, p02, p11, p12, p22 = prior
@@ -291,7 +296,7 @@ def _mode_step(bank: FilterBank, j: int, mean, prior, means, covs, mu, u: float,
     return ((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res),
             (n00 - k0 * n00, n01 - k0 * n01, n02 - k0 * n02,
              n11 - k1 * n01, n12 - k1 * n02, n22 - k2 * n02),
-            lik)
+            lik, (res, s))
 
 
 def _innovation_error(j, means, covs, mu, u, z, prior, predicted, R) -> NumericalError:

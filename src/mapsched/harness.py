@@ -410,12 +410,12 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
         else math.sqrt(float(FILTER_R[0, 0]))
     )
     dist_std = spec.process_noise_std
-    params, v_limit = motor.params, spec.v_limit
+    v_limit = spec.v_limit
 
     # one TickMap per schedule segment, not per tick; a ramp misses
     @lru_cache(maxsize=16)
     def tick_map(b, coulomb_on):
-        return TickMap(params, motor.friction(b, coulomb_on), T)
+        return TickMap(motor, motor.friction(b, coulomb_on), T)
 
     truth = (0.0, 0.0, 0.0)
     u = 0.0
@@ -684,7 +684,4 @@ def load_scenario(path) -> tuple[ScenarioSpec, MotorConfig]:
 def design_from_motor(motor: MotorConfig) -> VertexSet:
     """Vertex models at (b_min, b_max) under the configured discretization,
     with LQR gains synthesized under the stock weights Q_LQR and R_LQR."""
-    vertices = build_vertex_set(
-        motor.params, motor.vertex_rho, motor.sample_time, mode=motor.discretization
-    )
-    return synthesize_vertex_gains(vertices)
+    return synthesize_vertex_gains(build_vertex_set(motor))

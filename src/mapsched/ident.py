@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_text_file
+from .config import MotorConfig, read_text_file
 from .errors import ConfigError, ParameterError
-from .motor import MotorParams
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,15 @@ def regress_slope(samples) -> tuple[float, float]:
     return mu, residual_rms
 
 
-def viscous_from_slope(params: MotorParams, mu: float) -> float:
+def viscous_from_slope(motor: MotorConfig, mu: float) -> float:
     """b = (Kt/Rm) * (mu - Ke); may be negative, the caller decides what to do."""
-    return params.Kt / params.Rm * (mu - params.Ke)
+    return motor.Kt / motor.Rm * (mu - motor.Ke)
 
 
-def identify(params: MotorParams, samples) -> IdentResult:
+def identify(motor: MotorConfig, samples) -> IdentResult:
     """Full identification: regress the slope, convert to b, flag b <= 0."""
     mu, residual_rms = regress_slope(samples)
-    b = viscous_from_slope(params, mu)
+    b = viscous_from_slope(motor, mu)
     warning = None
     if b <= 0.0:
         warning = (

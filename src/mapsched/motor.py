@@ -1,22 +1,28 @@
-"""DC motor models: physical parameters, the continuous (A, B) pair and its
+"""DC motor models: the continuous (A, B) pair of a motor and its
 discretizations, the friction parameters, and the polytopic vertex set
 used by the scheduled controller.
 
 State ordering is [theta, omega, i] (rad, rad/s, A) throughout; the single
 input is the armature voltage and the single measurement is theta. The
-vertex set is the one design container: its arrays are passed as they are
-to the Riccati solver, the filter bank and the certificate. Nothing here
-has a stock value: the stock motor is the table `config.MOTOR_DEFAULTS`.
+motor itself, its constants, friction range and design choices, is one
+`config.MotorConfig`. The vertex set is the one design container, built
+from the motor alone: its arrays are passed as they are to the Riccati
+solver, the filter bank and the certificate. Nothing here has a stock
+value: the stock motor is the table `config.MOTOR_DEFAULTS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from .config import MotorConfig
 
 # |omega| below this counts as "at rest" for the stiction branch
 OMEGA_REST = 1e-6
@@ -28,27 +34,6 @@ def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class MotorParams:
-    """Physical constants of the motor; inertias in kg*m^2, Lm in H, Rm in ohm."""
-
-    Kt: float        # torque constant, N*m/A
-    Ke: float        # back-EMF constant, V*s/rad
-    Jr: float        # rotor inertia
-    Jh: float        # hub inertia
-    Jd: float        # disc inertia
-    Lm: float        # inductance
-    Rm: float        # resistance
-    b_m: float       # nominal viscous coefficient, N*m*s/rad
-    Jeq: float = field(init=False)
-
-    def __post_init__(self):
-        for name in ("Kt", "Ke", "Jr", "Jh", "Jd", "Lm", "Rm", "b_m"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"motor parameter {name} must be strictly positive")
-        object.__setattr__(self, "Jeq", self.Jr + self.Jh + self.Jd)
 
 
 @dataclass(frozen=True)
@@ -113,9 +98,9 @@ class VertexSet:
         return self.K_vertices
 
 
-def build_continuous_model(params: MotorParams, b: float) -> tuple:
-    """Continuous state-space pair (A, B) of dx/dt = A x + B u at viscous
-    coefficient b.
+def build_continuous_model(motor: MotorConfig, b: float) -> tuple:
+    """Continuous state-space pair (A, B) of the motor's dx/dt = A x + B u
+    at viscous coefficient b.
 
     A couples omega and i through the torque and back-EMF constants; the
     voltage input enters the electrical state through 1/Lm.
@@ -125,11 +110,11 @@ def build_continuous_model(params: MotorParams, b: float) -> tuple:
     A = np.array(
         [
             [0.0, 1.0, 0.0],
-            [0.0, -b / params.Jeq, params.Kt / params.Jeq],
-            [0.0, -params.Ke / params.Lm, -params.Rm / params.Lm],
+            [0.0, -b / motor.Jeq, motor.Kt / motor.Jeq],
+            [0.0, -motor.Ke / motor.Lm, -motor.Rm / motor.Lm],
         ]
     )
-    B = np.array([[0.0], [0.0], [1.0 / params.Lm]])
+    B = np.array([[0.0], [0.0], [1.0 / motor.Lm]])
     return A, B
 
 
@@ -152,34 +137,28 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, T: float):
     return E[:n, :n], E[:n, n:]
 
 
-def build_vertex_set(params: MotorParams, rho_values, T: float, mode: str) -> VertexSet:
-    """Construct the polytopic vertex models at the given scheduling values.
+def build_vertex_set(motor: MotorConfig) -> VertexSet:
+    """The motor's polytopic vertex models at its friction range (b_min,
+    b_max), at its sample time T under its discretization.
 
     Under forward Euler the family is affine in rho by construction: each
     vertex is Phi0 + rho * Phi_hat, the Euler map at b = 0 plus rho times
     the viscous entry's slope -T/Jeq. Under exact ZOH each vertex is
     discretized independently. The shared Gamma is T*B under Euler and the
-    ZOH input map at the nominal viscous coefficient otherwise.
+    ZOH input map at the nominal viscous coefficient b_m otherwise.
     """
-    rho = [float(r) for r in rho_values]
-    if mode not in ("euler", "zoh"):
-        raise ParameterError(f"unknown discretization mode {mode!r}")
-    # VertexSet refuses the same T, but only after the arithmetic below,
-    # where a NaN T reads as a float-range fault and -inf raises a warning
-    if not T > 0.0:
-        raise ParameterError("sample time must be positive")
-
+    rho, T, mode = (motor.b_min, motor.b_max), motor.sample_time, motor.discretization
     if mode == "euler":
-        Phi0, Gamma = euler_discretize(*build_continuous_model(params, 0.0), T)
+        Phi0, Gamma = euler_discretize(*build_continuous_model(motor, 0.0), T)
         Phi_hat = np.zeros((3, 3))
-        Phi_hat[1, 1] = -T / params.Jeq
+        Phi_hat[1, 1] = -T / motor.Jeq
         phis = [Phi0 + r * Phi_hat for r in rho]
     else:
-        phis = [zoh_discretize(*build_continuous_model(params, r), T)[0] for r in rho]
-        _, Gamma = zoh_discretize(*build_continuous_model(params, params.b_m), T)
+        phis = [zoh_discretize(*build_continuous_model(motor, r), T)[0] for r in rho]
+        _, Gamma = zoh_discretize(*build_continuous_model(motor, motor.b_m), T)
     if not all(np.isfinite(a).all() for a in (*phis, Gamma)):
         raise ParameterError(
             f"the {mode} discrete model at T = {T!r} s is not finite; "
             "the motor's time constants are out of float range at this sample time"
         )
-    return VertexSet(rho=tuple(rho), Phi_vertices=tuple(phis), Gamma=Gamma, T=T, mode=mode)
+    return VertexSet(rho=rho, Phi_vertices=tuple(phis), Gamma=Gamma, T=T, mode=mode)

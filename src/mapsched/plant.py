@@ -41,9 +41,13 @@ arithmetic and the `math` module, so no BLAS kernel rounds the truth.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .errors import NumericalError, ParameterError
-from .motor import OMEGA_REST, FrictionModel, MotorParams
+from .motor import OMEGA_REST, FrictionModel
+
+if TYPE_CHECKING:
+    from .config import MotorConfig
 
 # friction events (band entries and breakaways) located within one tick
 MAX_EVENTS = 8
@@ -69,8 +73,8 @@ class TickMap:
 
     __slots__ = ("slip", "tau_b", "lm", "lm_rm", "b")
 
-    def __init__(self, params: MotorParams, friction: FrictionModel, dt: float):
-        kt, ke, jeq, lm, rm = params.Kt, params.Ke, params.Jeq, params.Lm, params.Rm
+    def __init__(self, motor: MotorConfig, friction: FrictionModel, dt: float):
+        kt, ke, jeq, lm, rm = motor.Kt, motor.Ke, motor.Jeq, motor.Lm, motor.Rm
         b = friction.b
         tr = -(b / jeq + rm / lm)
         det = (b * rm + kt * ke) / (jeq * lm)

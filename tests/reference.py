@@ -102,14 +102,14 @@ def motor_rk4(theta, omega, cur, u, dt, substeps,
     return theta, omega, cur
 
 
-def slipping_state(state, u, friction, params, t, tau_ext=0.0):
+def slipping_state(state, u, friction, motor, t, tau_ext=0.0):
     """(theta, omega, i) after t of slipping with omega's sign held, from
     the exponential of the motor's (A, B) augmented with its constant
     inputs: the external torque less Coulomb friction, and the voltage."""
     sign = 1.0 if state[1] > 0.0 else -1.0
     M = np.zeros((5, 5))
-    M[:3, :3], M[:3, 4:] = build_continuous_model(params, friction.b)
-    M[1, 3] = 1.0 / params.Jeq
+    M[:3, :3], M[:3, 4:] = build_continuous_model(motor, friction.b)
+    M[1, 3] = 1.0 / motor.Jeq
     x = np.r_[state, tau_ext - friction.tau_c * sign, u]
     return tuple((expm(M * t) @ x)[:3].tolist())
 
@@ -216,7 +216,8 @@ def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
     H = [1, 0, 0] written out, then the probability update over the list of
     weights. Only Pi and the noise are read from `bank`. The package's
     one-pass cycle, which folds H = e0 and Phi's first column e0 into its
-    arithmetic, must return the same bits."""
+    arithmetic, must return the same bits, each mode's innovation (r, s)
+    among them."""
     q00, q01, q02, q11, q12, q22 = bank.q
     R = bank.r
     nv = len(mu)
@@ -230,7 +231,7 @@ def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
         mixed_means = [tuple(_weighted_sum(w, column) for column in zip(*means))
                        for w in mixing]
         priors = [(x, _spread(w, x, means, covs)) for w, x in zip(mixing, mixed_means)]
-    out_means, out_covs, liks = [], [], []
+    out_means, out_covs, liks, innovations = [], [], [], []
     g0, g1, g2 = np.asarray(Gamma)[:, 0].tolist()
     h0, h1, h2 = 1.0, 0.0, 0.0
     for j in range(nv):
@@ -269,6 +270,7 @@ def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
         except OverflowError:
             raise NumericalError(f"innovation {res!r} overflows the likelihood") from None
         liks.append(max(lik, LIKELIHOOD_FLOOR))
+        innovations.append((res, s))
         k0, k1, k2 = v0 / s, v1 / s, v2 / s
         out_means.append((y0 + k0 * res, y1 + k1 * res, y2 + k2 * res))
         out_covs.append((n00 - k0 * v0, n01 - k0 * v1, n02 - k0 * v2,
@@ -284,7 +286,7 @@ def imm_step_two_pass(bank, phis, Gamma, means, covs, mu, u, z):
         x0 += m * e0
         x1 += m * e1
         x2 += m * e2
-    return out_means, out_covs, mu, liks, (x0, x1, x2)
+    return out_means, out_covs, mu, innovations, (x0, x1, x2)
 
 
 def closed_loop_by_tick(spec, motor, vertices):
@@ -318,7 +320,7 @@ def closed_loop_by_tick(spec, motor, vertices):
 
     @lru_cache(maxsize=16)
     def tick_map(b, coulomb_on):
-        return TickMap(motor.params, motor.friction(b, coulomb_on), T)
+        return TickMap(motor, motor.friction(b, coulomb_on), T)
 
     rows = []
     truth, u, saturations = (0.0, 0.0, 0.0), 0.0, 0

@@ -124,20 +124,20 @@ def friction_switch_spec(motor, seed, estimator):
 
 def test_criterion_1_friction_identification(motor_euler):
     with criterion("criterion 1: friction identification", 1.0):
-        params = motor_euler.params
-        b_low = viscous_from_slope(params, params.Ke + 4.9208e-4)
+        motor = motor_euler
+        b_low = viscous_from_slope(motor, motor.Ke + 4.9208e-4)
         assert b_low == pytest.approx(2.4604e-6, rel=1e-6)
         assert abs(b_low - 2.46e-6) / 2.46e-6 < 0.01
-        b_high = viscous_from_slope(params, params.Ke + 0.0325)
+        b_high = viscous_from_slope(motor, motor.Ke + 0.0325)
         assert b_high == pytest.approx(1.625e-4, rel=1e-6)
         assert abs(b_high - 1.63e-4) / 1.63e-4 < 0.01
         # noiseless synthetic data round-trips to machine precision
         for b_true in (3.3e-6, 4.0e-5, 1.5e-4):
-            mu = params.Rm * b_true / params.Kt + params.Ke
+            mu = motor.Rm * b_true / motor.Kt + motor.Ke
             samples = [
                 SteadyStateSample(voltage=mu * w, velocity=w) for w in (5.0, 12.0, 31.0)
             ]
-            got = identify(params, samples)
+            got = identify(motor, samples)
             assert got.viscous_coeff == pytest.approx(b_true, rel=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_criterion_3_imm_invariants(motor_zoh, design_zoh):
         # open-loop drive: precompute one truth/measurement stream, with one
         # plant TickMap per friction value of the schedule
         ticks = {(g.b, g.coulomb_on):
-                 TickMap(motor_zoh.params, motor_zoh.friction(g.b, g.coulomb_on), T)
+                 TickMap(motor_zoh, motor_zoh.friction(g.b, g.coulomb_on), T)
                  for g in sched.segments}
         truth = np.zeros(3)
         us = np.empty(n)

@@ -114,6 +114,29 @@ def test_gains_json_export(maps, tmp_path):
     assert len(payload["vertices"]) == 2
 
 
+@pytest.mark.parametrize("target", ["directory", "under-missing", "good-json-bad-csv"])
+def test_gains_refuses_a_bad_output_before_designing(maps, tmp_path, monkeypatch, target):
+    # both output paths are checked before the design, so a bad one prints
+    # no report and leaves no file, not even the other, good one
+    def never(*args, **kwargs):
+        raise AssertionError("the design started")
+
+    monkeypatch.setattr(cli, "design_from_motor", never)
+    good = str(tmp_path / "g.json")
+    args, reason = {
+        "directory": (["--json", str(tmp_path)], f"--json {tmp_path}: is a directory"),
+        "under-missing": (["--csv", str(tmp_path / "missing" / "g.csv")],
+                          "missing does not exist"),
+        "good-json-bad-csv": (["--json", good, "--csv", str(tmp_path)],
+                              f"--csv {tmp_path}: is a directory"),
+    }[target]
+    out = maps("gains", *args)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: invalid config: ")
+    assert reason in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_success_exit_zero():
     out = run_cli("certify")
     assert out.returncode == 0
@@ -301,14 +324,13 @@ def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
 
     monkeypatch.setattr(control, "solve_discrete_are", counted)
     control._vertex_solution.cache_clear()
-    n_vertices = len(motor.vertex_rho)
+    n_vertices = 2
     assert solves(harness.design_from_motor, motor) == n_vertices
     assert solves(harness.design_from_motor, motor) == 0
     # the b_min vertex is the same model; only the b_max vertex is new
     assert solves(harness.design_from_motor, dataclasses.replace(motor, b_max=6e-4)) == 1
     # another sample time makes every vertex problem new
-    bare = build_vertex_set(motor.params, motor.vertex_rho, 0.5 * motor.sample_time,
-                            motor.discretization)
+    bare = build_vertex_set(dataclasses.replace(motor, sample_time=0.5 * motor.sample_time))
     assert solves(control.synthesize_vertex_gains, bare) == n_vertices
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from mapsched.config import (
     B_RANGE,
     MOTOR_DEFAULTS,
     MOTOR_KEYS,
+    MotorConfig,
     load_motor_config,
     motor_config_from_entries,
 )
@@ -16,11 +19,11 @@ from mapsched.harness import MAX_TICKS, SCENARIO_KEYS, scenario_from_entries
 
 def test_defaults_without_file():
     cfg = load_motor_config()
-    assert cfg.params.Kt == 0.042
-    assert cfg.params.Ke == 0.042
-    assert cfg.params.Lm == pytest.approx(1.16e-3)
-    assert cfg.params.Rm == 8.4
-    assert cfg.params.Jeq == pytest.approx(2.06e-5)
+    assert cfg.Kt == 0.042
+    assert cfg.Ke == 0.042
+    assert cfg.Lm == pytest.approx(1.16e-3)
+    assert cfg.Rm == 8.4
+    assert cfg.Jeq == pytest.approx(2.06e-5)
     assert cfg.b_min == pytest.approx(2.46e-6)
     assert cfg.b_max == pytest.approx(1.63e-4)
     assert cfg.sample_time == 0.002
@@ -36,11 +39,34 @@ def test_file_overrides_and_fallbacks(tmp_path):
         "tau_s = 0.004  # inline comment\n"
     )
     cfg = load_motor_config(path)
-    assert cfg.params.b_m == 2.0e-5
+    assert cfg.b_m == 2.0e-5
     assert cfg.discretization == "zoh"
     assert cfg.tau_s == 0.004
     # untouched keys fall back
-    assert cfg.params.Rm == MOTOR_DEFAULTS["rm"]
+    assert cfg.Rm == MOTOR_DEFAULTS["rm"]
+
+
+# the MotorConfig field each motor key sets, written out
+FIELD_OF_KEY = {"kt": "Kt", "ke": "Ke", "jr": "Jr", "jh": "Jh", "jd": "Jd", "lm": "Lm",
+                "rm": "Rm"}
+
+
+@pytest.mark.parametrize("key", sorted(MOTOR_KEYS))
+def test_each_motor_key_sets_its_own_field(tmp_path, key):
+    # a valid value that no stock key holds changes the key's field alone
+    # (and Jeq, the sum of the inertias); the stock kt and ke are equal, so
+    # only a value of its own tells the two apart
+    stock = load_motor_config()
+    value = "zoh" if key == "discretization" else 1.25 * MOTOR_DEFAULTS[key]
+    assert value not in MOTOR_DEFAULTS.values()
+    path = tmp_path / "motor.cfg"
+    path.write_text(f"{key} = {value}\n")
+    got = load_motor_config(path)
+    name = FIELD_OF_KEY.get(key, key)
+    assert getattr(got, name) == value
+    changed = {f.name for f in dataclasses.fields(MotorConfig)
+               if getattr(got, f.name) != getattr(stock, f.name)}
+    assert changed == ({name, "Jeq"} if key in ("jr", "jh", "jd") else {name})
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -125,10 +151,10 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
     except ConfigError:
         return
     assert 1 <= spec.n_ticks <= MAX_TICKS
-    p = motor.params
     for b in (0.0, B_RANGE * motor.b_max):
-        assert (b / p.Jeq - p.Rm / p.Lm) ** 2 > 4.0 * p.Kt * p.Ke / (p.Jeq * p.Lm)
-    assert B_RANGE * motor.b_max / p.Jeq < p.Rm / p.Lm
+        assert ((b / motor.Jeq - motor.Rm / motor.Lm) ** 2
+                > 4.0 * motor.Kt * motor.Ke / (motor.Jeq * motor.Lm))
+    assert B_RANGE * motor.b_max / motor.Jeq < motor.Rm / motor.Lm
     assert spec.process_noise_std >= 0.0
     assert spec.meas_noise_std is None or spec.meas_noise_std >= 0.0
     np.random.default_rng(spec.seed)

@@ -52,7 +52,7 @@ class TestSolveDare:
 
     @pytest.mark.parametrize("mode", ["euler", "zoh"])
     def test_motor_vertices_stabilized(self, motor, mode):
-        vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, mode=mode)
+        vs = build_vertex_set(dataclasses.replace(motor, discretization=mode))
         vs = synthesize_vertex_gains(vs)
         for phi, K in zip(vs.Phi_vertices, vs.K_vertices):
             closed = phi - vs.Gamma @ K
@@ -79,7 +79,7 @@ class TestSolveDare:
             [0.4876469109705959, 0.01393943684978135, -6.956799150669618],
             [0.4926684553752959, -0.0006540751422416855, -6.980618093608604],
         )
-        vs = build_vertex_set(motor.params, (B_MIN, 6e-4), 0.001, mode="euler")
+        vs = build_vertex_set(dataclasses.replace(motor, b_max=6e-4, sample_time=0.001))
         for phi, K_ref in zip(vs.Phi_vertices, pinned):
             K = solve_dare(phi, vs.Gamma, Q_LQR, R_LQR).K.reshape(-1)
             assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
@@ -107,8 +107,8 @@ class TestSolveDare:
         # an Euler electrical pole 1 - T Rm / Lm of -1.7e148 (Lm = 1e-150):
         # the solve fails because the model is past float64 round-off, not
         # because the pair is not stabilizable
-        tiny = dataclasses.replace(motor.params, Lm=1e-150)
-        vs = build_vertex_set(tiny, (B_MIN, B_MAX), 0.002, "euler")
+        tiny = dataclasses.replace(motor, Lm=1e-150)
+        vs = build_vertex_set(tiny)
         with pytest.raises(NumericalError, match="reach 1.68e[+]148.*out of float range"):
             solve_dare(vs.Phi_vertices[0], vs.Gamma, Q_LQR, R_LQR)
 
@@ -124,7 +124,7 @@ class TestSolveDare:
 
 class TestVertexGains:
     def test_identical_vertices_equal_gains(self, motor):
-        vs = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, "euler")
+        vs = build_vertex_set(motor)
         # same Phi at both corners
         same = dataclasses.replace(vs, Phi_vertices=(vs.Phi_vertices[0], vs.Phi_vertices[0]))
         got = synthesize_vertex_gains(same)
@@ -141,9 +141,8 @@ class TestVertexGains:
         # designs is the same
         mid = 0.5 * (B_MIN + B_MAX)
         K_lo, K_mid = synthesize_vertex_gains(
-            build_vertex_set(motor.params, (B_MIN, mid), 0.002, mode="euler")).K_vertices
-        K_corner, K_hi = synthesize_vertex_gains(
-            build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, mode="euler")).K_vertices
+            build_vertex_set(dataclasses.replace(motor, b_max=mid))).K_vertices
+        K_corner, K_hi = synthesize_vertex_gains(build_vertex_set(motor)).K_vertices
         assert K_corner.tobytes() == K_lo.tobytes()
         avg = 0.5 * (K_lo + K_hi)
         gap = float(np.max(np.abs(K_mid - avg)))
@@ -189,9 +188,8 @@ class TestGainMemo:
         # each sample time makes both vertex problems of the design new
         control._vertex_solution.cache_clear()
         designs = control.GAIN_MEMO_SIZE // 2 + 4
-        for T in np.linspace(0.001, 0.003, designs):
-            synthesize_vertex_gains(build_vertex_set(motor.params, motor.vertex_rho, float(T),
-                                                     motor.discretization))
+        for T in np.linspace(0.001, 0.003, designs).tolist():
+            synthesize_vertex_gains(build_vertex_set(dataclasses.replace(motor, sample_time=T)))
         info = control._vertex_solution.cache_info()
         assert info.misses == 2 * designs
         assert info.currsize == control.GAIN_MEMO_SIZE
@@ -308,7 +306,7 @@ def test_gain_report_moduli_are_the_closed_loop_spectrum(request, design):
 
 
 def test_gain_report_requires_gains(motor):
-    bare = build_vertex_set(motor.params, (B_MIN, B_MAX), 0.002, "euler")
+    bare = build_vertex_set(motor)
     solutions = [solve_dare(phi, bare.Gamma, Q_LQR, R_LQR) for phi in bare.Phi_vertices]
     with pytest.raises(ParameterError, match="gains have not been synthesized"):
         gain_report(bare, solutions)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -325,14 +326,16 @@ class TestFilterBank:
 
 def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z):
     """The IMM cycle written mode by mode from the single-filter pieces, on
-    arrays: (fused mean, fused covariance, mu, per-mode means, covariances)."""
+    arrays: (fused mean, fused covariance, mu, per-mode means, covariances,
+    innovations). Each mode's likelihood is `imm_likelihood` of its
+    innovation (r, s)."""
     mu = np.array(mu)
     # the two-term sums from 0.0 in mode order, as the package forms them
     mu_pred = np.array([0.0 + Pi[0, j] * mu[0] + Pi[1, j] * mu[1] for j in range(2)])
     mixing = Pi * mu[:, None] / np.maximum(mu_pred, 1e-300)[None, :]
     means = np.array(means)
     covs = [full(c) for c in covs]
-    post_means, post_covs, likelihoods = [], [], []
+    post_means, post_covs, likelihoods, innovations = [], [], [], []
     for j, phi in enumerate(phis):
         w = mixing[:, j]
         x0 = 0.0 + w[0] * means[0] + w[1] * means[1]
@@ -345,13 +348,14 @@ def per_mode_imm_step(Pi, phis, Gamma, means, covs, mu, u, z):
         post_means.append(x)
         post_covs.append(P)
         likelihoods.append(imm_likelihood(r, s))
+        innovations.append((r, s))
     mu = imm_update_probabilities(np.maximum(likelihoods, 1e-300), mu_pred)
     x = mu @ np.stack(post_means)
     P = np.zeros((3, 3))
     for j in range(len(phis)):
         d = post_means[j] - x
         P += mu[j] * (post_covs[j] + np.outer(d, d))
-    return x, 0.5 * (P + P.T), mu, post_means, post_covs
+    return x, 0.5 * (P + P.T), mu, post_means, post_covs, innovations
 
 
 def friction_switch_stream(motor_zoh):
@@ -361,7 +365,7 @@ def friction_switch_stream(motor_zoh):
     sched = toggle_schedule(motor_zoh.b_min, motor_zoh.b_max, first=0.3,
                             period=5.0, duration=30.0)
     ticks = {(g.b, g.coulomb_on):
-             TickMap(motor_zoh.params, motor_zoh.friction(g.b, g.coulomb_on), 0.002)
+             TickMap(motor_zoh, motor_zoh.friction(g.b, g.coulomb_on), 0.002)
              for g in sched.segments}
     rng = np.random.default_rng(2024)
     truth = np.zeros(3)
@@ -384,10 +388,11 @@ def test_stacked_cycle_matches_per_mode_cycle(motor_zoh, vertices_zoh):
     for u_prev, z in friction_switch_stream(motor_zoh):
         # both cycles start from the same state each tick, so the check does
         # not depend on how round-off grows over the run
-        x, P, mu_ref, ref_means, ref_covs = per_mode_imm_step(
+        x, P, mu_ref, ref_means, ref_covs, ref_innovations = per_mode_imm_step(
             Pi, phis, Gamma, means, covs, mu, u_prev, z)
-        means, covs, mu, _, fused = imm_step(bank, means, covs, mu, u_prev, z)
+        means, covs, mu, innovations, fused = imm_step(bank, means, covs, mu, u_prev, z)
         pairs = [(fused, x), (fused_cov(means, covs, mu), P), (mu, mu_ref)]
+        pairs += list(zip(innovations, ref_innovations))
         pairs += list(zip(means, ref_means))
         pairs += [(full(a), b) for a, b in zip(covs, ref_covs)]
         worst = max(worst, *(float(np.max(np.abs(np.subtract(a, b)))) for a, b in pairs))
@@ -498,7 +503,7 @@ def test_folded_cycle_fails_where_the_full_cycle_fails(motor, mode, nv):
     # entries itself. One non-finite or overflowing entry in each position
     # of one mode's prior covariance, from finite and non-finite inputs,
     # must give the same error, or the same output where neither raises
-    vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, mode)
+    vs = build_vertex_set(dataclasses.replace(motor, discretization=mode))
     phis, Gamma = vs.Phi_vertices[:nv], vs.Gamma
     bank = FilterBank(phis, Gamma, default_transition_matrix(nv), FILTER_Q, FILTER_R)
     means, covs, mu = bank.initial()
@@ -521,7 +526,7 @@ def test_folded_cycle_names_each_diverged_covariance(motor):
     # the full cycle's. Under the default Pi each mode mixes from the other
     # and mode 0 fails first. Under an upper-triangular Pi mode 0 mixes
     # from itself alone, so mode 1 can fail by itself
-    vs = build_vertex_set(motor.params, motor.vertex_rho, 0.002, "zoh")
+    vs = build_vertex_set(dataclasses.replace(motor, discretization="zoh"))
     outcomes = []
     for Pi in (default_transition_matrix(2), [[0.9, 0.1], [0.0, 1.0]]):
         bank = FilterBank(vs.Phi_vertices, vs.Gamma, Pi, FILTER_Q, FILTER_R)
@@ -548,7 +553,8 @@ def test_folded_cycle_names_each_diverged_covariance(motor):
 def test_bank_takes_every_vertex_model(motor, mode, T, b_max):
     # Phi's first column e0 holds exactly for every model the vertex set
     # builds, under either discretization
-    vs = build_vertex_set(motor.params, (motor.b_min, b_max), T, mode)
+    vs = build_vertex_set(dataclasses.replace(motor, b_max=b_max, sample_time=T,
+                                              discretization=mode))
     for phi in vs.Phi_vertices:
         assert phi[:, 0].tolist() == [1.0, 0.0, 0.0]
     FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)

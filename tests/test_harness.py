@@ -791,7 +791,7 @@ class TestScenarioConfig:
         assert spec.seed == 42
         assert spec.controller == "fixed:1"
         assert motor.discretization == "zoh"
-        assert motor.params.b_m == 1.2e-5
+        assert motor.b_m == 1.2e-5
         assert spec.friction.at(0.3)[0] == motor.b_max
 
     def test_unknown_key_rejected(self, tmp_path):

@@ -66,31 +66,31 @@ class TestRegressSlope:
 class TestViscousFromSlope:
     def test_low_friction_anchor(self, motor):
         # slope excess over the back-EMF constant of 4.9208e-4
-        b = viscous_from_slope(motor.params, motor.params.Ke + 4.9208e-4)
+        b = viscous_from_slope(motor, motor.Ke + 4.9208e-4)
         assert b == pytest.approx((0.042 / 8.4) * 4.9208e-4, rel=1e-12)
         assert b == pytest.approx(2.46e-6, rel=0.01)
 
     def test_high_friction_anchor(self, motor):
-        b = viscous_from_slope(motor.params, motor.params.Ke + 0.0325)
+        b = viscous_from_slope(motor, motor.Ke + 0.0325)
         assert b == pytest.approx(1.625e-4, rel=1e-12)
         assert b == pytest.approx(1.63e-4, rel=0.01)
 
     def test_back_emf_only_slope(self, motor):
-        assert viscous_from_slope(motor.params, motor.params.Ke) == 0.0
+        assert viscous_from_slope(motor, motor.Ke) == 0.0
 
 
 class TestIdentify:
-    def _synthetic(self, params, b, velocities):
-        mu = params.Rm * b / params.Kt + params.Ke
+    def _synthetic(self, motor, b, velocities):
+        mu = motor.Rm * b / motor.Kt + motor.Ke
         return samples([(mu * w, w) for w in velocities])
 
     def test_round_trip_recovers_b(self, motor):
-        got = identify(motor.params, self._synthetic(motor.params, 1.0e-4, [5, 10, 20, 40]))
+        got = identify(motor, self._synthetic(motor, 1.0e-4, [5, 10, 20, 40]))
         assert got.viscous_coeff == pytest.approx(1.0e-4, rel=1e-12)
         assert got.warning is None
 
     def test_round_trip_zero_b(self, motor):
-        got = identify(motor.params, self._synthetic(motor.params, 0.0, [5.0, 15.0]))
+        got = identify(motor, self._synthetic(motor, 0.0, [5.0, 15.0]))
         assert abs(got.viscous_coeff) < 1e-12
 
     @given(
@@ -100,22 +100,22 @@ class TestIdentify:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, motor, b, scale):
         velocities = [3.0 * scale, 11.0 * scale, 27.0 * scale]
-        got = identify(motor.params, self._synthetic(motor.params, b, velocities))
+        got = identify(motor, self._synthetic(motor, b, velocities))
         assert got.viscous_coeff == pytest.approx(b, rel=1e-12, abs=1e-15)
 
     def test_no_load_table_flags_nonphysical_result(self, motor):
         # the printed no-load velocities regress to a slope below the
         # back-EMF constant, so the implied b is slightly negative; the
         # result records the value and carries a warning instead of hiding it
-        got = identify(motor.params, samples(NO_LOAD_ROWS))
+        got = identify(motor, samples(NO_LOAD_ROWS))
         assert got.slope == pytest.approx(0.0415, abs=1e-4)
         assert got.viscous_coeff < 0.0
         assert got.warning is not None
 
     def test_load_table_reports_consistent_result(self, motor):
-        got = identify(motor.params, samples(LOAD_ROWS))
+        got = identify(motor, samples(LOAD_ROWS))
         assert got.viscous_coeff == pytest.approx(
-            viscous_from_slope(motor.params, got.slope), rel=0, abs=0
+            viscous_from_slope(motor, got.slope), rel=0, abs=0
         )
         assert np.isfinite(got.residual_rms)
 

@@ -39,41 +39,39 @@ def expm_series(M, terms=20):
 
 class TestContinuousModel:
     def test_table_values_nominal_friction(self, motor):
-        A, B = build_continuous_model(motor.params, 1.0e-5)
-        p = motor.params
+        A, B = build_continuous_model(motor, 1.0e-5)
         assert A[1, 1] == pytest.approx(-1.0e-5 / 2.06e-5, rel=1e-12)
-        assert A[1, 2] == pytest.approx(p.Kt / p.Jeq, rel=1e-12)
+        assert A[1, 2] == pytest.approx(motor.Kt / motor.Jeq, rel=1e-12)
         assert A[1, 2] == pytest.approx(2038.83, rel=1e-5)
         assert A[2, 2] == pytest.approx(-7241.38, rel=1e-6)
-        assert A[2, 1] == pytest.approx(-p.Ke / p.Lm, rel=1e-12)
-        assert np.array_equal(B.ravel(), [0.0, 0.0, 1.0 / p.Lm])
+        assert A[2, 1] == pytest.approx(-motor.Ke / motor.Lm, rel=1e-12)
+        assert np.array_equal(B.ravel(), [0.0, 0.0, 1.0 / motor.Lm])
 
     def test_zero_friction(self, motor):
-        A, _ = build_continuous_model(motor.params, 0.0)
+        A, _ = build_continuous_model(motor, 0.0)
         assert A[1, 1] == 0.0
         assert A[1, 2] == pytest.approx(2038.83, rel=1e-5)
 
     def test_max_friction(self, motor):
-        A, _ = build_continuous_model(motor.params, 1.63e-4)
+        A, _ = build_continuous_model(motor, 1.63e-4)
         assert A[1, 1] == pytest.approx(-7.9126, rel=1e-4)
 
     def test_jeq_is_sum_of_inertias(self, motor):
-        p = motor.params
-        assert p.Jeq == pytest.approx(p.Jr + p.Jh + p.Jd, rel=0, abs=0)
-        assert p.Jeq == pytest.approx(2.06e-5)
+        assert motor.Jeq == pytest.approx(motor.Jr + motor.Jh + motor.Jd, rel=0, abs=0)
+        assert motor.Jeq == pytest.approx(2.06e-5)
 
     def test_nonpositive_parameters_rejected(self, motor):
         with pytest.raises(ParameterError):
-            dataclasses.replace(motor.params, Lm=0.0)
+            dataclasses.replace(motor, Lm=0.0)
         with pytest.raises(ParameterError):
-            dataclasses.replace(motor.params, Jr=-1e-6)
+            dataclasses.replace(motor, Jr=-1e-6)
         with pytest.raises(ParameterError):
-            build_continuous_model(motor.params, -1e-6)
+            build_continuous_model(motor, -1e-6)
 
     @given(b=st.floats(min_value=0.0, max_value=1e-2))
     @settings(max_examples=50, deadline=None)
     def test_structural_zeros_for_all_b(self, motor, b):
-        A, B = build_continuous_model(motor.params, b)
+        A, B = build_continuous_model(motor, b)
         assert A[0, 0] == 0.0 and A[0, 2] == 0.0 and A[0, 1] == 1.0
         assert A[1, 0] == 0.0 and A[2, 0] == 0.0
         assert B[0, 0] == 0.0 and B[1, 0] == 0.0
@@ -87,7 +85,7 @@ class TestForwardEuler:
         assert np.array_equal(Gamma, 0.01 * B)
 
     def test_motor_entries(self, motor):
-        A, B = build_continuous_model(motor.params, 1.0e-5)
+        A, B = build_continuous_model(motor, 1.0e-5)
         Phi, _ = euler_discretize(A, B, 0.002)
         assert Phi[1, 1] == pytest.approx(0.9990291, abs=1e-7)
         assert Phi[1, 2] == pytest.approx(4.07767, rel=1e-6)
@@ -95,14 +93,16 @@ class TestForwardEuler:
         assert np.allclose(Phi, np.eye(3) + 0.002 * A, atol=0, rtol=0)
 
     def test_gamma_is_t_over_lm(self, motor):
-        _, Gamma = euler_discretize(*build_continuous_model(motor.params, motor.params.b_m), 0.002)
+        _, Gamma = euler_discretize(*build_continuous_model(motor, motor.b_m), 0.002)
         assert Gamma[2, 0] == pytest.approx(0.002 / 0.00116, rel=1e-12)
         assert Gamma[2, 0] == pytest.approx(1.72414, rel=1e-5)
         assert Gamma[0, 0] == 0.0 and Gamma[1, 0] == 0.0
 
     def test_requires_positive_sample_time(self, motor):
-        with pytest.raises(ParameterError, match="sample time must be positive"):
-            build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.0, mode="euler")
+        # the motor refuses it, so no design ever discretizes at it
+        for T in (0.0, -0.002, math.nan):
+            with pytest.raises(ParameterError, match="sample_time must be positive"):
+                dataclasses.replace(motor, sample_time=T)
 
 
 class TestExactZoh:
@@ -118,18 +118,18 @@ class TestExactZoh:
         assert Gamma[0, 0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_motor_matches_series_oracle(self, motor):
-        A, B = build_continuous_model(motor.params, motor.params.b_m)
+        A, B = build_continuous_model(motor, motor.b_m)
         Phi, _ = zoh_discretize(A, B, 0.002)
         ref = expm_series(A * 0.002)
         assert np.allclose(Phi, ref, rtol=1e-9, atol=1e-12)
 
     def test_motor_spectral_radius_at_most_one(self, motor):
-        Phi, _ = zoh_discretize(*build_continuous_model(motor.params, motor.params.b_m), 0.002)
+        Phi, _ = zoh_discretize(*build_continuous_model(motor, motor.b_m), 0.002)
         assert np.max(np.abs(np.linalg.eigvals(Phi))) <= 1.0 + 1e-12
 
     def test_first_order_agreement_with_euler(self, motor):
         # || Phi_zoh - Phi_euler || = O(T^2): errors at T and T/10 differ ~100x
-        A, B = build_continuous_model(motor.params, motor.params.b_m)
+        A, B = build_continuous_model(motor, motor.b_m)
         errs = []
         for T in (1e-5, 1e-6):
             pz, _ = zoh_discretize(A, B, T)
@@ -182,7 +182,7 @@ class TestVertexSet:
     def test_euler_vertices_differ_only_in_the_viscous_entry(self, motor):
         # Phi(rho) = I + T A(rho): rho enters A only at [1, 1], as -rho / Jeq
         rho = (2.46e-6, 1.63e-4)
-        vs = build_vertex_set(motor.params, rho, 0.002, mode="euler")
+        vs = build_vertex_set(motor)
         diff = vs.Phi_vertices[1] - vs.Phi_vertices[0]
         assert diff[1, 1] / (rho[1] - rho[0]) == pytest.approx(-0.002 / 2.06e-5, rel=1e-12)
         assert diff[1, 1] / (rho[1] - rho[0]) == pytest.approx(-97.087, rel=1e-5)
@@ -191,20 +191,24 @@ class TestVertexSet:
         assert np.all(diff[mask] == 0.0)
 
     def test_rejects_non_increasing(self, motor):
-        with pytest.raises(ParameterError):
-            build_vertex_set(motor.params, (0.0, 0.0), 0.002, "euler")
-        with pytest.raises(ParameterError):
-            build_vertex_set(motor.params, (1e-4,), 0.002, "euler")
+        # a motor with an empty friction range is refused before any design
+        with pytest.raises(ParameterError, match="need 0 <= b_min < b_max"):
+            dataclasses.replace(motor, b_max=motor.b_min)
         # MAPS schedules between two friction modes: a set has two vertices
-        with pytest.raises(ParameterError, match="2 vertices, got 3"):
-            build_vertex_set(motor.params, (2.46e-6, 8.3e-5, 1.63e-4), 0.002, "euler")
+        vs = build_vertex_set(motor)
+        for rho, message in (((0.0, 0.0), "strictly increasing"),
+                             ((1e-4,), "2 vertices, got 1"),
+                             ((2.46e-6, 8.3e-5, 1.63e-4), "2 vertices, got 3")):
+            with pytest.raises(ParameterError, match=message):
+                dataclasses.replace(vs, rho=rho)
 
     def test_two_vertex_affine_difference(self, motor):
         # the two vertices of any set differ by -(rho_1 - rho_0) T / Jeq at [1, 1]
         slope = np.zeros((3, 3))
-        slope[1, 1] = -0.002 / motor.params.Jeq
+        slope[1, 1] = -0.002 / motor.Jeq
         for rho in ((2.46e-6, 8.3e-5), (8.3e-5, 1.63e-4), (2.46e-6, 1.63e-4)):
-            lo, hi = build_vertex_set(motor.params, rho, 0.002, mode="euler").Phi_vertices
+            lo, hi = build_vertex_set(
+                dataclasses.replace(motor, b_min=rho[0], b_max=rho[1])).Phi_vertices
             assert np.allclose(hi - lo, (rho[1] - rho[0]) * slope, rtol=0, atol=1e-15)
 
     @given(f=st.floats(min_value=0.0, max_value=1.0))
@@ -212,30 +216,30 @@ class TestVertexSet:
     def test_euler_affine_in_b_everywhere(self, motor, f):
         # the Euler map at any b between the vertices is their interpolation
         b_lo, b_hi = 2.46e-6, 1.63e-4
-        vs = build_vertex_set(motor.params, (b_lo, b_hi), 0.002, mode="euler")
+        vs = build_vertex_set(motor)
         b = b_lo + f * (b_hi - b_lo)
-        phi_direct, _ = euler_discretize(*build_continuous_model(motor.params, b), 0.002)
+        phi_direct, _ = euler_discretize(*build_continuous_model(motor, b), 0.002)
         lo, hi = vs.Phi_vertices
         frac = (b - b_lo) / (b_hi - b_lo)
         assert np.max(np.abs(phi_direct - (lo + frac * (hi - lo)))) < 1e-12
 
     def test_zoh_vertices_independently_discretized(self, motor):
         rho = (2.46e-6, 1.63e-4)
-        vs = build_vertex_set(motor.params, rho, 0.002, mode="zoh")
+        vs = build_vertex_set(dataclasses.replace(motor, discretization="zoh"))
         for r, phi in zip(rho, vs.Phi_vertices):
-            ref, _ = zoh_discretize(*build_continuous_model(motor.params, r), 0.002)
+            ref, _ = zoh_discretize(*build_continuous_model(motor, r), 0.002)
             assert np.allclose(phi, ref, atol=0, rtol=0)
 
     def test_models_share_gamma_and_h(self, motor):
         # one Phi per vertex and the one Gamma of the set; the measurement
         # row H = e0 is the filter bank's, which takes the arrays as they are
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
+        vs = build_vertex_set(motor)
         assert len(vs.Phi_vertices) == 2
         assert vs.Gamma.shape == (3, 1) and vs.T == 0.002
         FilterBank(vs.Phi_vertices, vs.Gamma, default_transition_matrix(2), FILTER_Q, FILTER_R)
 
     def test_replace_fills_frozen_gain_copies(self, motor):
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, mode="zoh")
+        vs = build_vertex_set(dataclasses.replace(motor, discretization="zoh"))
         gains = [np.ones((1, 3)), np.full((1, 3), 2.0)]
         filled = dataclasses.replace(vs, K_vertices=gains)
         gains[0][0, 0] = 5.0
@@ -249,18 +253,18 @@ class TestVertexSet:
 
     def test_refuses_a_non_finite_discrete_model(self, motor):
         # an electrical pole out of float range: expm returns NaN
-        tiny = dataclasses.replace(motor.params, Lm=1e-150)
+        tiny = dataclasses.replace(motor, Lm=1e-150, discretization="zoh")
         with pytest.raises(ParameterError, match="zoh discrete model at T = 0.002 s is not finite"):
-            build_vertex_set(tiny, (2.46e-6, 1.63e-4), 0.002, mode="zoh")
+            build_vertex_set(tiny)
 
     @pytest.mark.parametrize("T", [0.0, -0.002, math.nan])
     def test_refuses_a_non_positive_sample_time(self, motor, T):
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
+        vs = build_vertex_set(motor)
         with pytest.raises(ParameterError, match="sample time must be positive"):
             VertexSet(rho=vs.rho, Phi_vertices=vs.Phi_vertices, Gamma=vs.Gamma, T=T,
                       mode=vs.mode)
 
     def test_gains_require_one_per_vertex(self, motor):
-        vs = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
+        vs = build_vertex_set(motor)
         with pytest.raises(ParameterError, match="one gain row per vertex required"):
             dataclasses.replace(vs, K_vertices=[np.zeros((1, 3))])

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -37,6 +38,22 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"mapsched"}
     assert {"numpy", "scipy", "orjson"} <= third_party
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_console_script_and_version_are_the_package_s():
+    # tier-1 runs from the source tree and never installs the package, so
+    # nothing else checks what an install would make of pyproject.toml
+    import tomllib
+
+    import mapsched
+    from mapsched import cli
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    module, _, attr = project["scripts"]["maps"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
+    assert project["version"] == mapsched.__version__
 
 
 def test_truth_plant_imports_neither_numpy_nor_scipy():

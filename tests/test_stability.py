@@ -232,7 +232,7 @@ class TestCertify:
             certify(vertices_zoh, epsilon=epsilon)
 
     def test_gains_required(self, motor):
-        bare = build_vertex_set(motor.params, (2.46e-6, 1.63e-4), 0.002, "euler")
+        bare = build_vertex_set(motor)
         with pytest.raises(ParameterError):
             certify(bare)
 
@@ -264,10 +264,11 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# the benchmark's design grid, then a ZOH set from b_min to a b_max below
-# the grid's, built and filled without the motor configuration
+# the benchmark's design grid, then a ZOH set from b_min to a b_max of
+# 8.3e-5, below the grid's, filled by synthesize_vertex_gains rather than
+# design_from_motor
 DESIGNS = [*itertools.product(("euler", "zoh"), (0.001, 0.002), (1.63e-4, 6e-4)),
-           pytest.param("zoh", 0.002, (2.46e-6, 8.3e-5), id="zoh-0.002-bare")]
+           pytest.param("zoh", 0.002, None, id="zoh-0.002-bare")]
 
 
 @pytest.mark.parametrize("mode, T, b_max", DESIGNS)
@@ -277,13 +278,10 @@ def test_design_and_certificate_match_the_checked_path(motor, mode, T, b_max):
     # twice per vertex, fills the gains through dataclasses.replace and
     # checks every loop's spectral radius on every Lyapunov solve. Every
     # bit of the design and of the certificate must agree.
-    if isinstance(b_max, tuple):
-        bare = build_vertex_set(motor.params, b_max, T, mode=mode)
-        vertices = synthesize_vertex_gains(bare)
-    else:
-        designed = dataclasses.replace(motor, b_max=b_max, sample_time=T, discretization=mode)
-        bare = build_vertex_set(designed.params, designed.vertex_rho, T, mode=mode)
-        vertices = design_from_motor(designed)
+    designed = dataclasses.replace(motor, b_max=b_max or 8.3e-5, sample_time=T,
+                                   discretization=mode)
+    bare = build_vertex_set(designed)
+    vertices = synthesize_vertex_gains(bare) if b_max is None else design_from_motor(designed)
     ref_vertices, ref_solutions = gains_by_replace(bare)
     for field in dataclasses.fields(vertices):
         got, want = getattr(vertices, field.name), getattr(ref_vertices, field.name)
