@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,9 +201,11 @@ def _cmd_compare(args) -> int:
     if args.out:
         _refuse_bad_file(Path(args.out), "--out")
     spec, motor = load_scenario(args.scenario)
-    vertices = design_from_motor(motor)
     variants = _parse_variants(args.variant)
-    comparison = compare_runs(spec, variants, motor, vertices)
+    # every variant's spec is checked before the design or any run
+    for _, controller, estimator in variants:
+        replace(spec, controller=controller, estimator=estimator)
+    comparison = compare_runs(spec, variants, motor, design_from_motor(motor))
     print(comparison.to_text())
     if args.out:
         comparison.to_csv(args.out)

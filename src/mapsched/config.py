@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .motor import FrictionModel
+from .motor import DISCRETIZERS, FrictionModel
 
 MOTOR_DEFAULTS = {
     "kt": 0.042,
@@ -71,8 +71,8 @@ class MotorConfig:
         object.__setattr__(self, "Jeq", self.Jr + self.Jh + self.Jd)
         if not (0.0 <= self.b_min < self.b_max):
             raise ParameterError("need 0 <= b_min < b_max")
-        if self.discretization not in ("euler", "zoh"):
-            raise ParameterError("discretization must be 'euler' or 'zoh'")
+        if self.discretization not in DISCRETIZERS:
+            raise ParameterError("discretization must be " + " or ".join(map(repr, DISCRETIZERS)))
         if not self.sample_time > 0.0:
             raise ParameterError("sample_time must be positive")
         # every schedule's friction holds these torques, with the Coulomb one

@@ -2,11 +2,11 @@
 
 The Riccati equation of a vertex's (Phi, Gamma) pair under the stock cost
 weights Q_LQR and R_LQR is solved by scipy's Schur (QZ) method and then
-checked against a residual bound. Each distinct vertex problem is solved
-once per process: `vertex_solutions` keeps every vertex's solution (P, K,
-residual, closed-loop eigenvalue moduli), from which
-`synthesize_vertex_gains` fills the design's gains and `maps gains` reports
-the same solves. The per-tick scheduled gain is the probability-weighted
+checked against a residual bound relative to its terms. Each distinct
+vertex problem is solved once per process: `vertex_solutions` keeps every
+vertex's solution (P, K, residual, closed-loop eigenvalue moduli), from
+which `synthesize_vertex_gains` fills the design's gains and `maps gains`
+reports the same solves. The per-tick scheduled gain is the probability-weighted
 convex combination of the two vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
 applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
@@ -15,6 +15,7 @@ applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -26,7 +27,8 @@ from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 from .errors import NumericalError
 from .motor import VertexSet, _frozen
 
-RESIDUAL_LIMIT = 1e-9
+# bound on the DARE defect relative to the equation's largest term
+RESIDUAL_LIMIT = 1e-12
 # distinct vertex Riccati problems whose solutions a process keeps
 GAIN_MEMO_SIZE = 128
 
@@ -47,19 +49,17 @@ class RiccatiSolution:
     def __post_init__(self):
         object.__setattr__(self, "P", _frozen(self.P))
         object.__setattr__(self, "K", _frozen(self.K))
-        if not self.residual <= RESIDUAL_LIMIT:
-            raise NumericalError(
-                f"Riccati residual {self.residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"
-            )
 
 
 def _gain_and_defect(Phi, Gamma, Q, R, P) -> tuple:
     """LQR gain K = (Gamma' P Gamma + R)^-1 Gamma' P Phi of a DARE solution P,
-    and the max-norm defect of P, Phi' P Phi - (Phi' P Gamma) K + Q - P."""
+    the max-norm defect of P, Phi' P Phi - (Phi' P Gamma) K + Q - P, and the
+    largest |entry| of those four terms, the scale of the equation."""
     PhiT_P, GammaT_P = Phi.T @ P, Gamma.T @ P
     K = np.linalg.solve(GammaT_P @ Gamma + R, GammaT_P @ Phi)
-    defect = PhiT_P @ Phi - PhiT_P @ Gamma @ K + Q - P
-    return K, float(np.max(np.abs(defect)))
+    terms = (PhiT_P @ Phi, PhiT_P @ Gamma @ K, Q, P)
+    defect = terms[0] - terms[1] + terms[2] - terms[3]
+    return K, float(np.max(np.abs(defect))), float(np.abs(terms).max())
 
 
 def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
@@ -67,9 +67,11 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
     """Stabilizing DARE solution and its LQR gain for the float arrays Phi
     and Gamma of x+ = Phi x + Gamma u under the cost weights Q and R.
 
-    The solution is validated against the residual bound, and the closed
-    loop Phi - Gamma K must be Schur stable; its eigenvalue moduli, sorted,
-    are kept with the solution. A model whose entries overflow
+    The closed loop Phi - Gamma K must be Schur stable; its eigenvalue
+    moduli, sorted, are kept with the solution. The defect of P, kept as
+    its residual, must be at most RESIDUAL_LIMIT times the largest |entry|
+    of Phi' P Phi, Phi' P Gamma K, Q and P, as round-off grows with those
+    terms. A model whose entries overflow
     the solver's arithmetic fails as a NumericalError: the solve and the
     checks run with numpy's floating-point warnings off, a non-finite gain
     is refused by the eigenvalue solver, and scipy's LinAlgWarning (its QZ
@@ -82,7 +84,7 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
         warnings.simplefilter("error", LinAlgWarning)
         try:
             P = solve_discrete_are(Phi, Gamma, Q, R)
-            K, residual = _gain_and_defect(Phi, Gamma, Q, R, P)
+            K, residual, scale = _gain_and_defect(Phi, Gamma, Q, R, P)
             moduli = tuple(sorted(np.abs(np.linalg.eigvals(Phi - Gamma @ K)).tolist()))
         except LinAlgWarning as exc:
             raise NumericalError(f"Riccati solver failed: {exc}") from None
@@ -102,6 +104,9 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
             f"closed loop is not Schur stable (spectral radius {moduli[-1]:.6f}); "
             "the model/weight pair is not stabilizable-detectable"
         )
+    if not residual <= RESIDUAL_LIMIT * scale < math.inf:
+        raise NumericalError(f"Riccati residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} "
+                             f"of the equation's largest term, {scale:.3e}")
     return RiccatiSolution(P=P, K=K, residual=residual, moduli=moduli)
 
 

@@ -118,8 +118,8 @@ class FilterBank:
 
     Every Phi must have the motor's structure exactly: its first column e0
     (the angle enters only its own integration). That holds for every
-    vertex `build_vertex_set` makes: under Euler Phi = I + T A, under ZOH
-    Phi is the exponential of a matrix, and A's first column is zero. So
+    vertex `build_vertex_set` makes: A's first column is zero, which each
+    of DISCRETIZERS maps to e0 (I + T A under Euler, expm(T A) under ZOH). So
     per mode only Phi's last two columns and Gamma are held, the nine
     floats `imm_step` reads. Q is folded into its symmetric part, as
     `kf_predict` folds it.

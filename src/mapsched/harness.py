@@ -205,7 +205,7 @@ class ScenarioSpec:
     estimator: str = "imm"           # "imm" | "kf:<model>"
     v_limit: float = 4.0
     process_noise_std: float = 0.0   # N*m torque disturbance, default off
-    meas_noise_std: float | None = None  # rad; None -> sqrt(FILTER_R)
+    meas_noise_std: float = math.sqrt(FILTER_R[0, 0])  # rad, the filters' own R
 
     def __post_init__(self):
         if self.reference not in ("sine", "step"):
@@ -232,7 +232,7 @@ class ScenarioSpec:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for key in ("process_noise_std", "meas_noise_std"):
             std = getattr(self, key)
-            if std is not None and not 0.0 <= std < math.inf:
+            if not 0.0 <= std < math.inf:
                 raise ConfigError(f"{key} must be a finite number >= 0, got {std!r}")
         _parse_choice(self.controller, "controller", ("maps", "fixed", "open"))
         _parse_choice(self.estimator, "estimator", ("imm", "kf"))
@@ -404,12 +404,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     # mu (2), gain (3), u; a chunk's rows are packed into it at once
     log = np.empty((n, 13))
     normal = np.random.default_rng(spec.seed).standard_normal
-    meas_std = (
-        spec.meas_noise_std
-        if spec.meas_noise_std is not None
-        else math.sqrt(float(FILTER_R[0, 0]))
-    )
-    dist_std = spec.process_noise_std
+    meas_std, dist_std = spec.meas_noise_std, spec.process_noise_std
     v_limit = spec.v_limit
 
     # one TickMap per schedule segment, not per tick; a ramp misses

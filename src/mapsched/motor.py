@@ -1,6 +1,7 @@
 """DC motor models: the continuous (A, B) pair of a motor and its
 discretizations, the friction parameters, and the polytopic vertex set
-used by the scheduled controller.
+used by the scheduled controller. DISCRETIZERS maps each discretization
+name a motor may give to its function, and one rule builds every vertex.
 
 State ordering is [theta, omega, i] (rad, rad/s, A) throughout; the single
 input is the armature voltage and the single measurement is theta. The
@@ -137,25 +138,20 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, T: float):
     return E[:n, :n], E[:n, n:]
 
 
+# the discretizations a motor may name, each mapping (A, B, T) to (Phi, Gamma)
+DISCRETIZERS = {"euler": euler_discretize, "zoh": zoh_discretize}
+
+
 def build_vertex_set(motor: MotorConfig) -> VertexSet:
     """The motor's polytopic vertex models at its friction range (b_min,
-    b_max), at its sample time T under its discretization.
-
-    Under forward Euler the family is affine in rho by construction: each
-    vertex is Phi0 + rho * Phi_hat, the Euler map at b = 0 plus rho times
-    the viscous entry's slope -T/Jeq. Under exact ZOH each vertex is
-    discretized independently. The shared Gamma is T*B under Euler and the
-    ZOH input map at the nominal viscous coefficient b_m otherwise.
+    b_max), at its sample time T under its discretization D, one entry of
+    DISCRETIZERS: Phi_i = D(A(b_i), B, T)[0] at each vertex and the shared
+    Gamma = D(A(b_m), B, T)[1] at the nominal viscous coefficient b_m.
     """
     rho, T, mode = (motor.b_min, motor.b_max), motor.sample_time, motor.discretization
-    if mode == "euler":
-        Phi0, Gamma = euler_discretize(*build_continuous_model(motor, 0.0), T)
-        Phi_hat = np.zeros((3, 3))
-        Phi_hat[1, 1] = -T / motor.Jeq
-        phis = [Phi0 + r * Phi_hat for r in rho]
-    else:
-        phis = [zoh_discretize(*build_continuous_model(motor, r), T)[0] for r in rho]
-        _, Gamma = zoh_discretize(*build_continuous_model(motor, motor.b_m), T)
+    discretize = DISCRETIZERS[mode]
+    phis = [discretize(*build_continuous_model(motor, r), T)[0] for r in rho]
+    _, Gamma = discretize(*build_continuous_model(motor, motor.b_m), T)
     if not all(np.isfinite(a).all() for a in (*phis, Gamma)):
         raise ParameterError(
             f"the {mode} discrete model at T = {T!r} s is not finite; "

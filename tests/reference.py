@@ -15,8 +15,9 @@ linear scan, the reference signal one time at a time, the IMM cycle in two
 passes, the closed loop run tick by tick, the Lyapunov solve with its own
 stability check, uniform draws from the simplex, the sampled
 convex-combination margin one sample at a time, the design path that
-solves, validates and checks everything as many times as it is used, and
-the run CSV writer that formats every cell with repr.
+solves, validates and checks everything as many times as it is used, the
+Euler vertex set built as an affine family, and the run CSV writer that
+formats every cell with repr.
 """
 
 import dataclasses
@@ -43,7 +44,7 @@ from mapsched.estimation import (
     default_transition_matrix,
 )
 from mapsched.harness import CSV_CHUNK, _parse_choice, _percent_change
-from mapsched.motor import build_continuous_model
+from mapsched.motor import VertexSet, build_continuous_model, euler_discretize
 from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
     LyapunovSearch,
@@ -313,8 +314,7 @@ def closed_loop_by_tick(spec, motor, vertices):
     offset = tuple(1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in range(nv))
     feedforward = 1.0 if ctl_kind == "open" else 0.0
     normal = np.random.default_rng(spec.seed).standard_normal
-    meas_std = (spec.meas_noise_std if spec.meas_noise_std is not None
-                else math.sqrt(float(FILTER_R[0, 0])))
+    meas_std = spec.meas_noise_std
     dist_std = spec.process_noise_std
     T = spec.sample_time
 
@@ -352,6 +352,19 @@ def closed_loop_by_tick(spec, motor, vertices):
         "reference": log[:, c + 5:c + 8], "b_true": log[:, c + 8],
     }
     return columns, saturations
+
+
+def euler_vertices_affine(motor) -> VertexSet:
+    """The motor's Euler vertex set as an affine family in rho: each vertex
+    is Phi0 + rho * Phi_hat, the Euler map at b = 0 plus rho times the
+    viscous entry's slope -T/Jeq, and Gamma is T B."""
+    T = motor.sample_time
+    Phi0, Gamma = euler_discretize(*build_continuous_model(motor, 0.0), T)
+    Phi_hat = np.zeros((3, 3))
+    Phi_hat[1, 1] = -T / motor.Jeq
+    rho = (motor.b_min, motor.b_max)
+    return VertexSet(rho=rho, Phi_vertices=tuple(Phi0 + r * Phi_hat for r in rho),
+                     Gamma=Gamma, T=T, mode="euler")
 
 
 def dare_residual_two_solve(Phi, Gamma, Q, R, P) -> float:

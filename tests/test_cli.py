@@ -17,6 +17,7 @@ from scipy.linalg import LinAlgWarning, solve_discrete_are
 
 from mapsched import cli, control, harness
 from mapsched.config import MOTOR_DEFAULTS
+from mapsched.errors import NumericalError
 from mapsched.motor import build_vertex_set
 
 CLI = [sys.executable, "-m", "mapsched"]
@@ -189,14 +190,54 @@ def test_oversized_work_exit_one(maps, tmp_path, text):
 
 
 def test_numerical_failure_exit_two(tmp_path):
-    # forward Euler with a microsecond electrical constant at a 2 ms tick is
-    # far outside the well-conditioned regime: the Riccati residual misses
-    # its bound
+    # forward Euler with Lm = 1e-20 H at a 2 ms tick puts the discrete
+    # model's entries at 1.7e18, past float64 round-off against its unit
+    # diagonal: the Riccati solve finds no solution
     cfg = tmp_path / "stiff.cfg"
-    cfg.write_text("lm = 1e-6\n")
+    cfg.write_text("lm = 1e-20\n")
     out = run_cli("gains", "--motor", str(cfg))
     assert out.returncode == 2
     assert "numerical failure" in out.stderr
+
+
+# the motor files whose Riccati defects are large in absolute terms but
+# round-off against the equation's terms: ZOH at a 10 us tick (defects of
+# 1.6e-9 and 6.5e-9, 1.4e-15 and 5.7e-15 of the largest term), and Euler
+# with a microhenry inductance (1.1e-6 and 2.9e-6, at most 1.3e-17)
+STIFF_MOTORS = {
+    "zoh-10us": "discretization = zoh\nsample_time = 1e-5\n",
+    "euler-1uH": "lm = 1e-6\n",
+}
+
+
+@pytest.mark.parametrize("command", ["gains", "certify"])
+@pytest.mark.parametrize("name", STIFF_MOTORS)
+def test_accurate_stiff_designs_pass_the_residual_bound(maps, tmp_path, command, name):
+    # the defect is bounded relative to the largest entry of Phi'P Phi,
+    # Phi'P Gamma K, Q and P, so an accurate solve is kept however large
+    # its terms; `gains` still prints the absolute residual
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(STIFF_MOTORS[name])
+    out = maps(command, "--motor", str(cfg))
+    assert out.returncode == 0, out.stderr
+    if command == "gains":
+        assert out.stdout.count("riccati residual = ") == 2
+    else:
+        assert "certified: yes" in out.stdout
+
+
+def test_residual_above_the_bound_exits_two(maps, tmp_path, monkeypatch):
+    # a solution P off by 1e-6 relative leaves a defect far above the bound
+    monkeypatch.setattr(control, "solve_discrete_are",
+                        lambda *args: solve_discrete_are(*args) * (1.0 + 1e-6))
+    control._vertex_solution.cache_clear()
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(STIFF_MOTORS["zoh-10us"])
+    for command in ("gains", "certify"):
+        out = maps(command, "--motor", str(cfg))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: numerical failure: Riccati residual ")
+        assert "exceeds 1e-12 of the equation's largest term" in out.stderr
 
 
 @pytest.mark.parametrize("discretization, code", [("zoh", 1), ("euler", 2)])
@@ -609,6 +650,29 @@ def test_compare_refuses_a_bad_out_before_running(tmp_path, scenario_cfg, monkey
     assert reason in err.getvalue()
     assert blocker.read_text() == "kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("variant, reason", [
+    ("b=fixed:7/kf:0", "controller index must be vertex 0 or 1, got 'fixed:7'"),
+    ("b=maps/ukf", "unknown estimator 'ukf'"),
+    ("b=maps", "variant 'b=maps' must look like NAME=CONTROLLER/ESTIMATOR"),
+], ids=["vertex-index", "estimator", "malformed"])
+def test_compare_refuses_a_bad_variant_before_designing(maps, scenario_cfg, monkeypatch,
+                                                        variant, reason):
+    # every variant is checked as the scenario loads: a bad second one is
+    # refused (exit 1) before the design, which here would fail (exit 2),
+    # and before the first variant runs
+    def design_fails(motor):
+        raise NumericalError("the design started")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a variant ran")
+
+    monkeypatch.setattr(cli, "design_from_motor", design_fails)
+    monkeypatch.setattr(harness, "run_scenario", never)
+    out = maps("compare", str(scenario_cfg), "--variant", "a=maps/imm", "--variant", variant)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == f"error: invalid config: {reason}\n"
 
 
 def test_compare_custom_variants(maps, scenario_cfg):

@@ -156,5 +156,5 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
                 > 4.0 * motor.Kt * motor.Ke / (motor.Jeq * motor.Lm))
     assert B_RANGE * motor.b_max / motor.Jeq < motor.Rm / motor.Lm
     assert spec.process_noise_std >= 0.0
-    assert spec.meas_noise_std is None or spec.meas_noise_std >= 0.0
+    assert spec.meas_noise_std >= 0.0
     np.random.default_rng(spec.seed)

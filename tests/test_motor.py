@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _domega
+from reference import _domega, euler_vertices_affine
 
 from mapsched.errors import ParameterError
 from mapsched.estimation import FILTER_Q, FILTER_R, FilterBank, default_transition_matrix
 from mapsched.motor import (
+    DISCRETIZERS,
     OMEGA_REST,
     FrictionModel,
     VertexSet,
@@ -222,6 +223,43 @@ class TestVertexSet:
         lo, hi = vs.Phi_vertices
         frac = (b - b_lo) / (b_hi - b_lo)
         assert np.max(np.abs(phi_direct - (lo + frac * (hi - lo)))) < 1e-12
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        *({"sample_time": T, "b_max": b} for T in (0.001, 0.002) for b in (1.63e-4, 6e-4)),
+    ], ids=["stock", "1ms-stock", "1ms-6e-4", "2ms-stock", "2ms-6e-4"])
+    def test_euler_rule_is_the_affine_construction_bit_for_bit(self, motor, changes):
+        # I + T A(b_i) at each vertex, on the stock motor and the Euler
+        # points of the benchmark's design grid, has the bits of the affine
+        # family Phi0 + rho Phi_hat, and Gamma those of T B
+        euler = dataclasses.replace(motor, discretization="euler", **changes)
+        got, ref = build_vertex_set(euler), euler_vertices_affine(euler)
+        for a, b in zip((*got.Phi_vertices, got.Gamma), (*ref.Phi_vertices, ref.Gamma)):
+            assert a.tobytes() == b.tobytes()
+
+    @given(name=st.sampled_from(("euler", "zoh", "ZOH", "Euler", "tustin", "", "zoh "))
+           | st.text(max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_motor_accepts_exactly_the_table_names(self, motor, name):
+        if name in DISCRETIZERS:
+            assert dataclasses.replace(motor, discretization=name).discretization == name
+        else:
+            with pytest.raises(ParameterError,
+                               match="^discretization must be 'euler' or 'zoh'$"):
+                dataclasses.replace(motor, discretization=name)
+
+    def test_a_table_entry_is_a_discretization(self, motor, monkeypatch):
+        # the motor's refusal and the vertex rule both read the table: an
+        # entry added to it is accepted and builds every vertex
+        def doubled(A, B, T):
+            return euler_discretize(A, B, 2.0 * T)
+
+        monkeypatch.setitem(DISCRETIZERS, "doubled", doubled)
+        vs = build_vertex_set(dataclasses.replace(motor, discretization="doubled"))
+        ref = build_vertex_set(dataclasses.replace(motor, sample_time=2.0 * motor.sample_time))
+        assert vs.mode == "doubled" and vs.T == motor.sample_time
+        for a, b in zip((*vs.Phi_vertices, vs.Gamma), (*ref.Phi_vertices, ref.Gamma)):
+            assert a.tobytes() == b.tobytes()
 
     def test_zoh_vertices_independently_discretized(self, motor):
         rho = (2.46e-6, 1.63e-4)
