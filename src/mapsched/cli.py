@@ -2,7 +2,9 @@
 
 Subcommands: ident, gains, certify, run, compare. Exit codes: 0 success,
 1 invalid config or command line, 2 numerical failure, 3 certification
-failure.
+failure. `gains`, `certify` and `run` end a success with a `warning:` line
+on stderr when the design's discrete model is unstable where the motor is
+not (`_warn_unstable_model`).
 """
 
 from __future__ import annotations
@@ -97,6 +99,23 @@ def _cmd_ident(args) -> int:
     return 0
 
 
+def _warn_unstable_model(vertices) -> None:
+    """Print one warning line to stderr when a vertex Phi's (omega, i)
+    block has a pole on or outside the unit circle. The motor's own
+    (omega, i) modes are stable, so such a pole is the discretization's:
+    forward Euler's electrical pole, near 1 - T Rm / Lm, leaves the circle
+    at a tick past about 2 Lm / Rm. The design and its certificate still
+    hold for the model; the model does not hold for the motor. The worst
+    pole over the vertices is named."""
+    pole, b = max(((z, rho) for rho, phi in zip(vertices.rho, vertices.Phi_vertices)
+                   for z in np.linalg.eigvals(phi[1:, 1:])), key=lambda zb: abs(zb[0]))
+    if abs(pole) >= 1.0:
+        print(f"warning: the {vertices.mode} model at T = {vertices.T} s puts an open-loop "
+              f"(omega, i) pole at {pole:.4g} (b = {b:.3e}), on or outside the unit "
+              "circle, though the motor's own poles are stable; discretization = zoh "
+              "keeps them inside", file=sys.stderr)
+
+
 def _cmd_gains(args) -> int:
     for option, path in (("--json", args.json), ("--csv", args.csv)):
         if path:
@@ -118,12 +137,13 @@ def _cmd_gains(args) -> int:
     if args.csv:
         write_gain_csv(args.csv, report)
         print(f"wrote {args.csv}")
+    _warn_unstable_model(vertices)
     return 0
 
 
 def _cmd_certify(args) -> int:
-    motor = load_motor_config(args.motor)
-    cert = certify(design_from_motor(motor), epsilon=args.epsilon)
+    vertices = design_from_motor(load_motor_config(args.motor))
+    cert = certify(vertices, epsilon=args.epsilon)
     with np.printoptions(precision=6, suppress=False):
         print("common Lyapunov matrix P:")
         print(cert.P_lyap)
@@ -135,6 +155,7 @@ def _cmd_certify(args) -> int:
     print(f"C = {cert.C:.6e}  lambda = {cert.lambda_:.6e} "
           f"(at epsilon = {cert.epsilon_used:.6e})")
     print("certified: yes")
+    _warn_unstable_model(vertices)
     return 0
 
 
@@ -179,6 +200,7 @@ def _cmd_run(args) -> int:
           + ", ".join(f"{v:.6f}" for v in metrics.est_rmse))
     print(f"saturated ticks = {record.saturation_count}")
     print(f"wrote {out / 'trace.csv'}, {out / 'plot.csv'}, {out / 'metrics.json'}")
+    _warn_unstable_model(vertices)
     return 0
 
 

@@ -7,6 +7,8 @@ identification all read it. Motor files use exactly the keys kt, ke, jr,
 jh, jd, lm, rm, b_m, b_min, b_max, tau_s, tau_c, sample_time,
 discretization, each the lower-case name of its `MotorConfig` field;
 missing keys fall back to MOTOR_DEFAULTS, the one table of the stock motor.
+The stock motor designs by ZOH, the discretization the accuracy gates run
+and certify; forward Euler is there only when a file names it.
 Scenario files share the same flat `key = value` syntax (see
 harness.scenario_from_entries for the scenario keys).
 """
@@ -34,7 +36,7 @@ MOTOR_DEFAULTS = {
     "tau_s": 0.003,
     "tau_c": 0.002,
     "sample_time": 0.002,
-    "discretization": "euler",
+    "discretization": "zoh",
 }
 
 MOTOR_KEYS = frozenset(MOTOR_DEFAULTS)

@@ -10,12 +10,13 @@ two modes for `imm`, one for `kf:<i>`. The truth plant is solved exactly,
 friction events included (`plant.plant_step`), so a scenario has no
 integration setting. A run takes the gain-filled design `design_from_motor`
 returns and filters with the stock covariances FILTER_Q and FILTER_R.
-`ScenarioSpec`'s field defaults are the scenario defaults, but for the
-window's and the toggle's times, which `scenario_from_entries` sets; its
-sample time and constant friction are the stock motor's. A scenario file
-sets neither: its tick is its motor's sample_time, and its constant
-friction its motor's b_min. `kf:<i>` and `fixed:<i>` name vertex 0 (b_min)
-or 1 (b_max); any other index is refused when the spec is made.
+A `ScenarioSpec` is made for one motor: its `sample_time` and `friction`
+have no default and are passed by keyword. A scenario file sets neither:
+its tick is its motor's sample_time, and its constant friction its motor's
+b_min. The spec's other field defaults are the scenario defaults, but for
+the window's and the toggle's times, which `scenario_from_entries` sets.
+`kf:<i>` and `fixed:<i>` name vertex 0 (b_min) or 1 (b_max); any other
+index is refused when the spec is made.
 Runs are deterministic for a given seed; measurement noise is the only
 random input by default.
 """
@@ -38,7 +39,6 @@ import orjson
 
 from .config import (
     B_RANGE,
-    MOTOR_DEFAULTS,
     MOTOR_KEYS,
     MotorConfig,
     _to_float,
@@ -186,9 +186,11 @@ def toggle_schedule(b_low: float, b_high: float, first: float, period: float,
 class ScenarioSpec:
     """Everything needed to reproduce one run.
 
-    controller "open" turns the run into an estimation bench: the reference
-    signal is applied directly as a voltage command (amplitude in volts) and
-    no state feedback acts, so every estimator variant sees identical data.
+    `sample_time` and `friction` are its motor's, so they have no default
+    and are keyword-only. controller "open" turns the run into an
+    estimation bench: the reference signal is applied directly as a voltage
+    command (amplitude in volts) and no state feedback acts, so every
+    estimator variant sees identical data.
     """
 
     reference: str = "sine"          # "sine" | "step"
@@ -196,10 +198,8 @@ class ScenarioSpec:
     frequency: float = 0.5           # Hz (sine)
     period: float = 10.0             # s (step square wave)
     duration: float = 30.0
-    sample_time: float = MOTOR_DEFAULTS["sample_time"]  # s, the design's T
-    friction: FrictionSchedule = field(
-        default_factory=lambda: constant_schedule(MOTOR_DEFAULTS["b_min"])
-    )
+    sample_time: float = field(kw_only=True)  # s, its motor's, the design's T
+    friction: FrictionSchedule = field(kw_only=True)
     seed: int = 1
     controller: str = "maps"         # "maps" | "fixed:<vertex>" | "open"
     estimator: str = "imm"           # "imm" | "kf:<model>"
@@ -606,11 +606,12 @@ def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:
 
 def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     """Build a ScenarioSpec from flat key/value entries (strings). A field
-    the entries do not set keeps ScenarioSpec's default, except the sample
-    time, the motor's, which no entry sets, and the constant friction, the
-    motor's b_min; the window's and the toggle's times default here. A key
-    that only another kind of reference or friction schedule reads
-    (KIND_KEYS) is refused, as it would be ignored."""
+    the entries do not set keeps ScenarioSpec's default. The sample time,
+    which no entry sets, is the motor's, and every schedule is built from
+    the motor's b_min and b_max (constant: b_min); the window's and the
+    toggle's times default here. A key that only another kind of reference
+    or friction schedule reads (KIND_KEYS) is refused, as it would be
+    ignored."""
     unknown = set(entries) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")

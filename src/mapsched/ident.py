@@ -91,19 +91,21 @@ def identify(motor: MotorConfig, samples) -> IdentResult:
 
 
 def read_samples_csv(path) -> list[SteadyStateSample]:
-    """Read (voltage, velocity) rows from a two-column CSV; header optional."""
+    """Read (voltage, velocity) rows from a two-column CSV; blank rows are
+    skipped, and the first row that is not blank may be a header. Row
+    numbers in messages count every row, blank ones included."""
     rows = []
-    for i, row in enumerate(csv.reader(io.StringIO(read_text_file(path), newline=""))):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    lines = enumerate(csv.reader(io.StringIO(read_text_file(path), newline="")), start=1)
+    filled = ((i, row) for i, row in lines if any(cell.strip() for cell in row))
+    for n, (i, row) in enumerate(filled):
         if len(row) < 2:
-            raise ConfigError(f"{path}: row {i + 1} needs two columns (voltage, velocity)")
+            raise ConfigError(f"{path}: row {i} needs two columns (voltage, velocity)")
         try:
             v, w = float(row[0]), float(row[1])
         except ValueError:
-            if i == 0:
+            if n == 0:
                 continue  # header row
-            raise ConfigError(f"{path}: row {i + 1} is not numeric") from None
+            raise ConfigError(f"{path}: row {i} is not numeric") from None
         rows.append(SteadyStateSample(voltage=v, velocity=w))
     if not rows:
         raise ConfigError(f"{path}: no samples found")

@@ -17,8 +17,13 @@ def motor_zoh(motor):
 
 
 @pytest.fixture(scope="session")
-def vertices_euler(motor):
-    return design_from_motor(motor)
+def motor_euler(motor):
+    return dataclasses.replace(motor, discretization="euler")
+
+
+@pytest.fixture(scope="session")
+def vertices_euler(motor_euler):
+    return design_from_motor(motor_euler)
 
 
 @pytest.fixture(scope="session")

@@ -88,13 +88,16 @@ def criterion(name, budget_s):
 
 
 @pytest.fixture(scope="module")
-def motor_euler():
-    return load_motor_config()
+def motor_zoh():
+    # the stock motor designs by ZOH
+    motor = load_motor_config()
+    assert motor.discretization == "zoh"
+    return motor
 
 
 @pytest.fixture(scope="module")
-def motor_zoh(motor_euler):
-    return dataclasses.replace(motor_euler, discretization="zoh")
+def motor_euler(motor_zoh):
+    return dataclasses.replace(motor_zoh, discretization="euler")
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +116,7 @@ def friction_switch_spec(motor, seed, estimator):
         amplitude=0.25,
         period=10.0,
         duration=30.0,
-        sample_time=0.002,
+        sample_time=motor.sample_time,
         friction=toggle_schedule(motor.b_min, motor.b_max, first=0.3, period=5.0,
                                  duration=30.0),
         seed=seed,
@@ -259,6 +262,7 @@ def test_criterion_5_control_improvement(motor_zoh, design_zoh, motor_euler,
 
         sine_load = ScenarioSpec(
             reference="sine", amplitude=2.0, frequency=0.5, duration=30.0,
+            sample_time=motor_zoh.sample_time,
             friction=load_window_schedule(motor_zoh.b_min, motor_zoh.b_max,
                                           start=10.0, end=20.0),
             seed=1, controller="maps", estimator="imm",
@@ -275,7 +279,7 @@ def test_criterion_5_control_improvement(motor_zoh, design_zoh, motor_euler,
 
         step_noload = ScenarioSpec(
             reference="step", amplitude=2.0, period=10.0, duration=30.0,
-            friction=constant_schedule(motor_zoh.b_min),
+            sample_time=motor_zoh.sample_time, friction=constant_schedule(motor_zoh.b_min),
             seed=1, controller="maps", estimator="imm",
         )
         p_maps, p_fixed = run_pair(motor_zoh, design_zoh, step_noload)
@@ -294,20 +298,22 @@ def test_criterion_5_control_improvement(motor_zoh, design_zoh, motor_euler,
               f"vs fixed {e_fixed.iae:.3f}")
 
 
-def test_criterion_6_stability_certification(design_euler):
+def test_criterion_6_stability_certification(design_euler, design_zoh):
     with criterion("criterion 6: stability certification", 5.0):
-        loops = [
-            phi - design_euler.Gamma @ K
-            for phi, K in zip(design_euler.Phi_vertices, design_euler.K_vertices)
-        ]
-        search = find_common_lyapunov(loops)
-        assert search.certified
-        assert search.worst_margin > 0.0
-        sampled = verify_convex_stability(search.P, loops, n_samples=1000, seed=42)
-        assert sampled > 0.0
-        cert = certify(design_euler)
-        for value in (cert.eps_star, cert.C, cert.lambda_):
-            assert np.isfinite(value)
+        # the stock design (ZOH) and the Euler one, each at the same bound
+        for design in (design_zoh, design_euler):
+            loops = [
+                phi - design.Gamma @ K
+                for phi, K in zip(design.Phi_vertices, design.K_vertices)
+            ]
+            search = find_common_lyapunov(loops)
+            assert search.certified
+            assert search.worst_margin > 0.0
+            sampled = verify_convex_stability(search.P, loops, n_samples=1000, seed=42)
+            assert sampled > 0.0
+            cert = certify(design)
+            for value in (cert.eps_star, cert.C, cert.lambda_):
+                assert np.isfinite(value)
         # scalar analytic anchor
         A = np.array([[0.5]])
         P = dlyap_series(A)
@@ -322,6 +328,7 @@ def test_criterion_7_metric_identities(motor_zoh, design_zoh):
         for reference in ("sine", "step"):
             spec = ScenarioSpec(
                 reference=reference, amplitude=1.0, duration=2.0,
+                sample_time=motor_zoh.sample_time,
                 friction=load_window_schedule(motor_zoh.b_min, motor_zoh.b_max,
                                               start=0.5, end=1.5),
                 seed=4, controller="maps", estimator="imm",

@@ -194,7 +194,7 @@ def test_numerical_failure_exit_two(tmp_path):
     # model's entries at 1.7e18, past float64 round-off against its unit
     # diagonal: the Riccati solve finds no solution
     cfg = tmp_path / "stiff.cfg"
-    cfg.write_text("lm = 1e-20\n")
+    cfg.write_text("lm = 1e-20\ndiscretization = euler\n")
     out = run_cli("gains", "--motor", str(cfg))
     assert out.returncode == 2
     assert "numerical failure" in out.stderr
@@ -206,7 +206,7 @@ def test_numerical_failure_exit_two(tmp_path):
 # with a microhenry inductance (1.1e-6 and 2.9e-6, at most 1.3e-17)
 STIFF_MOTORS = {
     "zoh-10us": "discretization = zoh\nsample_time = 1e-5\n",
-    "euler-1uH": "lm = 1e-6\n",
+    "euler-1uH": "lm = 1e-6\ndiscretization = euler\n",
 }
 
 
@@ -224,6 +224,70 @@ def test_accurate_stiff_designs_pass_the_residual_bound(maps, tmp_path, command,
         assert out.stdout.count("riccati residual = ") == 2
     else:
         assert "certified: yes" in out.stdout
+
+
+# motor files whose design puts an open-loop (omega, i) pole on or outside
+# the unit circle: forward Euler at the stock 2 ms tick (-13.46) and with a
+# microhenry inductance (-16,799)
+UNSTABLE_MODELS = {"euler-stock": ("discretization = euler\n", "-13.46"),
+                   "euler-1uH": ("discretization = euler\nlm = 1e-6\n", "-1.68e+04")}
+
+
+def command_args(command, cfg, tmp_path):
+    if command == "run":
+        return ("run", str(cfg), "--out", str(tmp_path / "out"))
+    return (command, "--motor", str(cfg))
+
+
+# (the estimate diverges on a run of the microhenry model: see the
+# failing-command test below)
+@pytest.mark.parametrize("command, name", [
+    ("gains", "euler-stock"), ("certify", "euler-stock"), ("run", "euler-stock"),
+    ("gains", "euler-1uH"), ("certify", "euler-1uH"),
+])
+def test_unstable_model_warns_after_success(maps, tmp_path, command, name):
+    # one line on stderr after the command's output, which succeeds
+    text, pole = UNSTABLE_MODELS[name]
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(text + ("duration = 0.1\n" if command == "run" else ""))
+    out = maps(*command_args(command, cfg, tmp_path))
+    assert out.returncode == 0
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith(f"warning: the euler model at T = 0.002 s puts an open-loop "
+                                 f"(omega, i) pole at {pole} (b = 2.460e-06), on or outside "
+                                 "the unit circle")
+    if command == "certify":
+        assert "certified: yes" in out.stdout
+
+
+@pytest.mark.parametrize("command", ["gains", "certify", "run"])
+@pytest.mark.parametrize("text", ["", "discretization = zoh\nlm = 1e-6\n",
+                                  "discretization = euler\nsample_time = 1e-4\n"],
+                         ids=["stock-zoh", "zoh-1uH", "euler-100us"])
+def test_stable_model_prints_no_warning(maps, tmp_path, command, text):
+    # every ZOH pole is inside the unit circle, and so is Euler's at a tick
+    # short against Lm / Rm (0.277 at 100 us)
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(text + ("duration = 0.01\n" if command == "run" else ""))
+    out = maps(*command_args(command, cfg, tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("certify", "discretization = euler\n", 3),
+    ("run", "discretization = euler\nlm = 1e-6\nduration = 0.1\n", 2),
+], ids=["certify-epsilon", "run-diverges"])
+def test_failing_command_prints_no_warning(maps, tmp_path, command, text, code):
+    # the warning follows a success only: a command that fails after its
+    # design still writes the error line alone
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(text)
+    args = command_args(command, cfg, tmp_path)
+    out = maps(*args, *(("--epsilon", "1.0") if command == "certify" else ()))
+    assert out.returncode == code
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "warning" not in out.stderr
 
 
 def test_residual_above_the_bound_exits_two(maps, tmp_path, monkeypatch):
@@ -602,7 +666,8 @@ def test_ramp_time_a_schedule_takes_runs(maps, tmp_path, motor, base, ramp, spec
     if spec_friction is None:
         assert files["ramp"] == files["plain"]
         return
-    spec = harness.ScenarioSpec(duration=0.4, seed=2, friction=spec_friction(motor))
+    spec = harness.ScenarioSpec(duration=0.4, seed=2, sample_time=motor.sample_time,
+                                friction=spec_friction(motor))
     record = harness.run_scenario(spec, motor, harness.design_from_motor(motor))
     harness.write_run_csvs(tmp_path / "trace.csv", tmp_path / "plot.csv", record)
     assert files["ramp"] == [(tmp_path / f).read_bytes() for f in ("trace.csv", "plot.csv")]

@@ -27,7 +27,7 @@ def test_defaults_without_file():
     assert cfg.b_min == pytest.approx(2.46e-6)
     assert cfg.b_max == pytest.approx(1.63e-4)
     assert cfg.sample_time == 0.002
-    assert cfg.discretization == "euler"
+    assert cfg.discretization == "zoh"
 
 
 def test_file_overrides_and_fallbacks(tmp_path):
@@ -35,12 +35,12 @@ def test_file_overrides_and_fallbacks(tmp_path):
     path.write_text(
         "# overrides\n"
         "b_m = 2.0e-5\n"
-        "discretization = zoh\n"
+        "discretization = euler\n"
         "tau_s = 0.004  # inline comment\n"
     )
     cfg = load_motor_config(path)
     assert cfg.b_m == 2.0e-5
-    assert cfg.discretization == "zoh"
+    assert cfg.discretization == "euler"
     assert cfg.tau_s == 0.004
     # untouched keys fall back
     assert cfg.Rm == MOTOR_DEFAULTS["rm"]
@@ -57,7 +57,7 @@ def test_each_motor_key_sets_its_own_field(tmp_path, key):
     # (and Jeq, the sum of the inertias); the stock kt and ke are equal, so
     # only a value of its own tells the two apart
     stock = load_motor_config()
-    value = "zoh" if key == "discretization" else 1.25 * MOTOR_DEFAULTS[key]
+    value = "euler" if key == "discretization" else 1.25 * MOTOR_DEFAULTS[key]
     assert value not in MOTOR_DEFAULTS.values()
     path = tmp_path / "motor.cfg"
     path.write_text(f"{key} = {value}\n")

@@ -71,7 +71,7 @@ class TestSolveDare:
             _, defect, scale = _gain_and_defect(phi, vertices_euler.Gamma, Q_LQR, R_LQR, sol.P)
             assert defect <= 1e-9 and defect <= 1e-14 * scale
 
-    def test_pinned_gains_euler_1ms(self, motor):
+    def test_pinned_gains_euler_1ms(self, motor_euler):
         # Euler, T = 1 ms, b_max = 6e-4: the b_max vertex took the former
         # fixed-point iteration to its 100k-step cap; these gains are what
         # that iteration returned
@@ -79,7 +79,7 @@ class TestSolveDare:
             [0.4876469109705959, 0.01393943684978135, -6.956799150669618],
             [0.4926684553752959, -0.0006540751422416855, -6.980618093608604],
         )
-        vs = build_vertex_set(dataclasses.replace(motor, b_max=6e-4, sample_time=0.001))
+        vs = build_vertex_set(dataclasses.replace(motor_euler, b_max=6e-4, sample_time=0.001))
         for phi, K_ref in zip(vs.Phi_vertices, pinned):
             K = solve_dare(phi, vs.Gamma, Q_LQR, R_LQR).K.reshape(-1)
             assert np.max(np.abs(K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
@@ -103,11 +103,11 @@ class TestSolveDare:
             warnings.simplefilter("error")
             solve_dare(vertices_euler.Phi_vertices[0], vertices_euler.Gamma, Q_LQR, R_LQR)
 
-    def test_model_out_of_float_range_is_named(self, motor):
+    def test_model_out_of_float_range_is_named(self, motor_euler):
         # an Euler electrical pole 1 - T Rm / Lm of -1.7e148 (Lm = 1e-150):
         # the solve fails because the model is past float64 round-off, not
         # because the pair is not stabilizable
-        tiny = dataclasses.replace(motor, Lm=1e-150)
+        tiny = dataclasses.replace(motor_euler, Lm=1e-150)
         vs = build_vertex_set(tiny)
         with pytest.raises(NumericalError, match="reach 1.68e[+]148.*out of float range"):
             solve_dare(vs.Phi_vertices[0], vs.Gamma, Q_LQR, R_LQR)

@@ -24,7 +24,13 @@ from mapsched.estimation import (
     kf_predict,
     kf_update,
 )
-from mapsched.harness import ScenarioSpec, run_scenario, toggle_schedule, write_run_csvs
+from mapsched.harness import (
+    ScenarioSpec,
+    constant_schedule,
+    run_scenario,
+    toggle_schedule,
+    write_run_csvs,
+)
 from mapsched.motor import build_vertex_set
 from mapsched.plant import TickMap, plant_step
 
@@ -606,7 +612,9 @@ class TestStateValidation:
 
 def test_filter_trace_csv(tmp_path, motor_zoh, vertices_zoh):
     # the run trace carries the IMM outputs of every tick, round-tripped exactly
-    rec = run_scenario(ScenarioSpec(duration=0.01, seed=3), motor_zoh, vertices_zoh)
+    spec = ScenarioSpec(duration=0.01, seed=3, sample_time=motor_zoh.sample_time,
+                        friction=constant_schedule(motor_zoh.b_min))
+    rec = run_scenario(spec, motor_zoh, vertices_zoh)
     path = tmp_path / "trace.csv"
     write_run_csvs(path, None, rec)
     with path.open(newline="") as fh:

@@ -26,7 +26,6 @@ from reference import (
 )
 
 from mapsched import harness
-from mapsched.config import MOTOR_DEFAULTS
 from mapsched.errors import ConfigError, ParameterError
 from mapsched.estimation import (
     FILTER_Q,
@@ -249,13 +248,23 @@ class TestReferenceSignals:
                     short_spec(**{key: std})
             assert getattr(short_spec(**{key: 0.0}), key) == 0.0
 
+    def test_spec_is_made_for_its_motor(self):
+        # the tick and the friction are a motor's: no stock motor's value
+        # stands in for either
+        with pytest.raises(TypeError, match="missing 2 required keyword-only arguments: "
+                                            "'sample_time' and 'friction'"):
+            ScenarioSpec(duration=1.0)
+        with pytest.raises(TypeError, match="missing 1 required keyword-only argument: "
+                                            "'friction'"):
+            ScenarioSpec(sample_time=0.002)
+
     @pytest.mark.parametrize("kw", [dict(estimator="kf:2"), dict(controller="fixed:-1")],
                              ids=["kf:2", "fixed:-1"])
     def test_spec_refuses_a_vertex_other_than_0_or_1(self, kw):
         # kf:<i> and fixed:<i> name a vertex of the two-vertex design, b_min
         # or b_max; another index is refused when the spec is made
         with pytest.raises(ConfigError, match="index must be vertex 0 or 1"):
-            ScenarioSpec(**kw)
+            short_spec(**kw)
 
 
 class TestRunScenario:
@@ -332,8 +341,8 @@ vertices = VertexSet(rho=[float.fromhex(r) for r in data["rho"]],
                      Gamma=floats(data["Gamma"]), T=float.fromhex(data["T"]), mode="zoh",
                      K_vertices=[floats(K) for K in data["gains"]])
 motor = dataclasses.replace(load_motor_config(), discretization="zoh")
-spec = ScenarioSpec(duration=6.0, seed=4, friction=load_window_schedule(
-    motor.b_min, motor.b_max, start=2.0, end=4.0))
+spec = ScenarioSpec(duration=6.0, seed=4, sample_time=motor.sample_time,
+                    friction=load_window_schedule(motor.b_min, motor.b_max, start=2.0, end=4.0))
 rec = run_scenario(spec, motor, vertices)
 digest = hashlib.sha256()
 for array in (rec.truth, rec.estimate, rec.mu, rec.u):
@@ -608,7 +617,8 @@ class TestModeDetection:
         sched = toggle_schedule(B_MIN, B_MAX, first=0.3, period=5.0, duration=30.0)
         spec = ScenarioSpec(
             reference="step", amplitude=0.25, period=10.0, duration=1.5,
-            friction=sched, seed=1, controller="fixed:0", estimator="imm",
+            sample_time=motor_zoh.sample_time, friction=sched,
+            seed=1, controller="fixed:0", estimator="imm",
         )
         rec = run_scenario(spec, motor_zoh, vertices_zoh)
         after = (rec.time >= 0.3) & (rec.time <= 0.45)
@@ -810,15 +820,13 @@ class TestScenarioConfig:
 
     def test_defaults(self, motor, tmp_path):
         # an empty scenario file gives ScenarioSpec's field defaults, with
-        # the sample time and the constant friction of its motor, the stock
-        # one's included; only the window's and the toggle's times default
-        # in scenario_from_entries instead
+        # the sample time and the constant friction of its motor; only the
+        # window's and the toggle's times default in scenario_from_entries
+        # instead
         empty = tmp_path / "empty.cfg"
         empty.write_text("")
-        assert load_scenario(empty) == (ScenarioSpec(), motor)
-        assert ScenarioSpec() == ScenarioSpec(
-            sample_time=MOTOR_DEFAULTS["sample_time"],
-            friction=constant_schedule(MOTOR_DEFAULTS["b_min"]))
+        assert load_scenario(empty) == (ScenarioSpec(
+            sample_time=motor.sample_time, friction=constant_schedule(motor.b_min)), motor)
         other = dataclasses.replace(motor, sample_time=0.001, b_min=1e-6)
         assert scenario_from_entries({}, other) == ScenarioSpec(
             sample_time=0.001, friction=constant_schedule(1e-6))

@@ -140,6 +140,23 @@ class TestCsvReading:
         assert len(rows) == 2
         assert rows[0].voltage == 1.0 and rows[0].velocity == 22.5
 
+    def test_header_after_blank_lines(self, tmp_path):
+        # the first row that is not blank may be the header
+        path = tmp_path / "data.csv"
+        path.write_text("\nvoltage,velocity\n1.0,20.0\n2.0,41.0\n")
+        rows = read_samples_csv(path)
+        assert [(r.voltage, r.velocity) for r in rows] == [(1.0, 20.0), (2.0, 41.0)]
+
+    @pytest.mark.parametrize("text, row", [
+        ("\n\nvoltage,velocity\nv,w\n1.0,20.0\n", 4),
+        ("\n1.0,20.0\n\nvoltage,velocity\n", 4),
+    ], ids=["second-header", "header-after-data"])
+    def test_one_header_at_most_and_rows_count_every_line(self, tmp_path, text, row):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"row {row} is not numeric"):
+            read_samples_csv(path)
+
     def test_without_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1.0,22.5\n2.0,46.3\n")

@@ -180,10 +180,10 @@ class TestFrictionTorque:
 
 
 class TestVertexSet:
-    def test_euler_vertices_differ_only_in_the_viscous_entry(self, motor):
+    def test_euler_vertices_differ_only_in_the_viscous_entry(self, motor_euler):
         # Phi(rho) = I + T A(rho): rho enters A only at [1, 1], as -rho / Jeq
         rho = (2.46e-6, 1.63e-4)
-        vs = build_vertex_set(motor)
+        vs = build_vertex_set(motor_euler)
         diff = vs.Phi_vertices[1] - vs.Phi_vertices[0]
         assert diff[1, 1] / (rho[1] - rho[0]) == pytest.approx(-0.002 / 2.06e-5, rel=1e-12)
         assert diff[1, 1] / (rho[1] - rho[0]) == pytest.approx(-97.087, rel=1e-5)
@@ -203,23 +203,24 @@ class TestVertexSet:
             with pytest.raises(ParameterError, match=message):
                 dataclasses.replace(vs, rho=rho)
 
-    def test_two_vertex_affine_difference(self, motor):
-        # the two vertices of any set differ by -(rho_1 - rho_0) T / Jeq at [1, 1]
+    def test_two_vertex_affine_difference(self, motor_euler):
+        # the two Euler vertices of any set differ by -(rho_1 - rho_0) T / Jeq
+        # at [1, 1]
         slope = np.zeros((3, 3))
-        slope[1, 1] = -0.002 / motor.Jeq
+        slope[1, 1] = -0.002 / motor_euler.Jeq
         for rho in ((2.46e-6, 8.3e-5), (8.3e-5, 1.63e-4), (2.46e-6, 1.63e-4)):
             lo, hi = build_vertex_set(
-                dataclasses.replace(motor, b_min=rho[0], b_max=rho[1])).Phi_vertices
+                dataclasses.replace(motor_euler, b_min=rho[0], b_max=rho[1])).Phi_vertices
             assert np.allclose(hi - lo, (rho[1] - rho[0]) * slope, rtol=0, atol=1e-15)
 
     @given(f=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
-    def test_euler_affine_in_b_everywhere(self, motor, f):
+    def test_euler_affine_in_b_everywhere(self, motor_euler, f):
         # the Euler map at any b between the vertices is their interpolation
         b_lo, b_hi = 2.46e-6, 1.63e-4
-        vs = build_vertex_set(motor)
+        vs = build_vertex_set(motor_euler)
         b = b_lo + f * (b_hi - b_lo)
-        phi_direct, _ = euler_discretize(*build_continuous_model(motor, b), 0.002)
+        phi_direct, _ = euler_discretize(*build_continuous_model(motor_euler, b), 0.002)
         lo, hi = vs.Phi_vertices
         frac = (b - b_lo) / (b_hi - b_lo)
         assert np.max(np.abs(phi_direct - (lo + frac * (hi - lo)))) < 1e-12
@@ -248,16 +249,17 @@ class TestVertexSet:
                                match="^discretization must be 'euler' or 'zoh'$"):
                 dataclasses.replace(motor, discretization=name)
 
-    def test_a_table_entry_is_a_discretization(self, motor, monkeypatch):
+    def test_a_table_entry_is_a_discretization(self, motor_euler, monkeypatch):
         # the motor's refusal and the vertex rule both read the table: an
         # entry added to it is accepted and builds every vertex
         def doubled(A, B, T):
             return euler_discretize(A, B, 2.0 * T)
 
         monkeypatch.setitem(DISCRETIZERS, "doubled", doubled)
-        vs = build_vertex_set(dataclasses.replace(motor, discretization="doubled"))
-        ref = build_vertex_set(dataclasses.replace(motor, sample_time=2.0 * motor.sample_time))
-        assert vs.mode == "doubled" and vs.T == motor.sample_time
+        vs = build_vertex_set(dataclasses.replace(motor_euler, discretization="doubled"))
+        ref = build_vertex_set(
+            dataclasses.replace(motor_euler, sample_time=2.0 * motor_euler.sample_time))
+        assert vs.mode == "doubled" and vs.T == motor_euler.sample_time
         for a, b in zip((*vs.Phi_vertices, vs.Gamma), (*ref.Phi_vertices, ref.Gamma)):
             assert a.tobytes() == b.tobytes()
 
