@@ -43,6 +43,7 @@ from .estimation import (
     initial_belief,
 )
 from .harness import (
+    Controller,
     FrictionSchedule,
     MetricsReport,
     RunRecord,

@@ -2,9 +2,9 @@
 
 Subcommands: ident, gains, certify, run, compare. Exit codes: 0 success,
 1 invalid config or command line, 2 numerical failure, 3 certification
-failure. `gains`, `certify` and `run` end a success with a `warning:` line
-on stderr when the design's discrete model is unstable where the motor is
-not (`_warn_unstable_model`).
+failure. `gains`, `certify`, `run` and `compare` end a success with a
+`warning:` line on stderr when the design's discrete model is unstable
+where the motor is not (`_warn_unstable_model`).
 """
 
 from __future__ import annotations
@@ -215,6 +215,8 @@ def _parse_variants(raw) -> list:
             raise ConfigError(
                 f"variant {item!r} must look like NAME=CONTROLLER/ESTIMATOR"
             )
+        if any(name == seen for seen, _, _ in variants):
+            raise ConfigError(f"variant {item!r} repeats the NAME {name!r} of an earlier variant")
         variants.append((name, controller, estimator))
     return variants
 
@@ -227,11 +229,13 @@ def _cmd_compare(args) -> int:
     # every variant's spec is checked before the design or any run
     for _, controller, estimator in variants:
         replace(spec, controller=controller, estimator=estimator)
-    comparison = compare_runs(spec, variants, motor, design_from_motor(motor))
+    vertices = design_from_motor(motor)
+    comparison = compare_runs(spec, variants, motor, vertices)
     print(comparison.to_text())
     if args.out:
         comparison.to_csv(args.out)
         print(f"wrote {args.out}")
+    _warn_unstable_model(vertices)
     return 0
 
 

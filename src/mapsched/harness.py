@@ -1,22 +1,18 @@
 """Scenario simulation harness.
 
-Runs the nonlinear truth plant in closed loop with a chosen estimator
-(the IMM over the design's two friction vertices, or a single Kalman
-filter at one of them) and controller (fixed vertex gain, the
-probability-scheduled gain, or open-loop drive), under a scheduled friction
-profile, and computes tracking/estimation metrics. Every variant runs the
-same loop on plain floats, and both estimators are an `imm_step` bank:
-two modes for `imm`, one for `kf:<i>`. The truth plant is solved exactly,
+Runs the nonlinear truth plant in closed loop with a `Controller`, the
+estimator and gain of one controller tick, under a scheduled friction
+profile, and computes tracking/estimation metrics. Every estimator and
+controller variant runs the same loop on plain floats; the variant rules
+are written in `Controller`'s docstring. The truth plant is solved exactly,
 friction events included (`plant.plant_step`), so a scenario has no
 integration setting. A run takes the gain-filled design `design_from_motor`
-returns and filters with the stock covariances FILTER_Q and FILTER_R.
-A `ScenarioSpec` is made for one motor: its `sample_time` and `friction`
-have no default and are passed by keyword. A scenario file sets neither:
-its tick is its motor's sample_time, and its constant friction its motor's
-b_min. The spec's other field defaults are the scenario defaults, but for
-the window's and the toggle's times, which `scenario_from_entries` sets.
-`kf:<i>` and `fixed:<i>` name vertex 0 (b_min) or 1 (b_max); any other
-index is refused when the spec is made.
+returns. A `ScenarioSpec` is made for one motor: its `sample_time` and
+`friction` have no default and are passed by keyword. A scenario file sets
+neither: its tick is its motor's sample_time, and its constant friction its
+motor's b_min. The spec's other field defaults are the scenario defaults,
+but for the window's and the toggle's times, which `scenario_from_entries`
+sets. A spec refuses a controller or estimator choice `Controller` would.
 Runs are deterministic for a given seed; measurement noise is the only
 random input by default.
 """
@@ -345,19 +341,76 @@ class MetricsReport:
         }
 
 
+class Controller:
+    """One controller tick of MAPS, built once per run from the design:
+    the estimator's `FilterBank` and belief, the mode weights and the gain.
+
+    `step(u_prev, z, ref)` takes the input applied on the previous tick, the
+    measured angle and the (theta, omega, current) reference, and returns
+    `(x_hat, weights, K, u, saturated)`: the fused estimate, the vertex
+    weights, the gain row, the input and whether it was clipped to
+    `v_limit`. It calls `imm_step`, `maps_gain` and `control_input` by
+    their names in this module, where the benchmark's tracer wraps them.
+
+    The variants, each a choice the constructor forms once:
+
+    - estimator `imm`: `imm_step` over both vertices' Phi with the default
+      0.9-stay transition matrix; the weights are its mode probabilities.
+    - estimator `kf:<i>`: the one-mode bank of vertex i's Phi, a Kalman
+      filter through the same `imm_step`. Its one mode has probability
+      lik / lik = 1.0 on every tick, so its weights are one-hot at i.
+    - controller `maps`: the gain `maps_gain(weights, gains)`, each tick.
+    - controller `fixed:<i>`: vertex gain i, the `maps_gain` of weights
+      one-hot at i.
+    - controller `open`: a zero gain, with theta_ref fed forward as the
+      voltage.
+
+    `fixed:<i>` and `open` weigh the vertex gains the same on every tick,
+    so their gain is formed once. `kf:<i>` and `fixed:<i>` name vertex 0
+    (b_min) or 1 (b_max); any other choice raises ConfigError, and a design
+    without gains ParameterError. The filters run with the stock
+    covariances FILTER_Q and FILTER_R.
+    """
+
+    __slots__ = ("bank", "means", "covs", "mu", "gains", "fixed_gain", "feedforward",
+                 "kf_weights", "v_limit")
+
+    def __init__(self, vertices: VertexSet, controller: str, estimator: str, v_limit: float):
+        self.gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.gains)
+        est_kind, est_idx = _parse_choice(estimator, "estimator", ("imm", "kf"))
+        ctl_kind, ctl_idx = _parse_choice(controller, "controller", ("maps", "fixed", "open"))
+        # the vertex each filter mode stands for
+        slots = (0, 1) if est_kind == "imm" else (est_idx,)
+        self.bank = FilterBank([vertices.Phi_vertices[i] for i in slots], vertices.Gamma,
+                               default_transition_matrix(len(slots)), FILTER_Q, FILTER_R)
+        self.means, self.covs, self.mu = self.bank.initial()
+        self.fixed_gain = None if ctl_kind == "maps" else maps_gain(
+            [1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in (0, 1)], self.gains
+        )
+        self.feedforward = 1.0 if ctl_kind == "open" else 0.0
+        self.kf_weights = None if est_kind == "imm" else [
+            1.0 if i == est_idx else 0.0 for i in (0, 1)
+        ]
+        self.v_limit = v_limit
+
+    def step(self, u_prev: float, z: float, ref) -> tuple:
+        self.means, self.covs, self.mu, _, x_hat = imm_step(
+            self.bank, self.means, self.covs, self.mu, u_prev, z)
+        weights = self.mu if self.kf_weights is None else self.kf_weights
+        K = maps_gain(weights, self.gains) if self.fixed_gain is None else self.fixed_gain
+        u, saturated = control_input(K, ref, x_hat, self.v_limit, self.feedforward)
+        return x_hat, weights, K, u, saturated
+
+
 def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) -> RunRecord:
     """Simulate one closed-loop run of the spec against the truth plant.
 
     `vertices` is a gain-filled design, as `design_from_motor` returns; a
     set without gains is refused with ParameterError. Every variant runs
-    one loop, and a tick does only the feedback work: the measurement, the
-    estimator `imm_step` over a `FilterBank` (`imm` holds both vertices'
-    Phi, `kf:<i>` vertex i's alone), the gain, `control_input` and
-    `plant_step` on the tick's `TickMap`, taken from a 16-entry cache. The
-    gain is `maps_gain` of the mode probabilities for `maps`; `fixed:<i>`
-    takes vertex gain i and `open` a zero gain, feeding theta_ref forward
-    as the voltage instead, both formed once per run. Under `kf:<i>` the
-    weights are one-hot at i, also formed once per run.
+    one loop, and a tick does only the feedback work: the measurement, one
+    `step` of the run's `Controller` (whose docstring holds the variant
+    rules) and `plant_step` on the tick's `TickMap`, taken from a 16-entry
+    cache.
 
     What the loop only reads by time or only records is formed once per
     run with numpy, by the float operations of one tick, so its bits are
@@ -368,31 +421,13 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     The loop runs in chunks of CSV_CHUNK ticks: a chunk draws its noise in
     one call and packs its rows into the log with one `struct.pack_into`.
     """
-    gains = tuple(tuple(K.reshape(-1).tolist()) for K in vertices.gains)
+    step = Controller(vertices, spec.controller, spec.estimator, spec.v_limit).step
     T = spec.sample_time
     if T != vertices.T:
         raise ConfigError(
             f"scenario tick {T} does not match the design sample time {vertices.T}"
         )
     spec.friction.validate_range(motor.b_max)
-
-    est_kind, est_idx = _parse_choice(spec.estimator, "estimator", ("imm", "kf"))
-    ctl_kind, ctl_idx = _parse_choice(spec.controller, "controller", ("maps", "fixed", "open"))
-
-    # the vertex each filter mode stands for
-    slots = (0, 1) if est_kind == "imm" else (est_idx,)
-    bank = FilterBank([vertices.Phi_vertices[i] for i in slots], vertices.Gamma,
-                      default_transition_matrix(len(slots)), FILTER_Q, FILTER_R)
-    means, covs, mu = bank.initial()
-    # fixed:<i> and open weigh the vertex gains the same on every tick,
-    # one-hot at i or not at all, so their gain is formed once
-    fixed_gain = None if ctl_kind == "maps" else maps_gain(
-        [1.0 if ctl_kind == "fixed" and i == ctl_idx else 0.0 for i in (0, 1)], gains
-    )
-    feedforward = 1.0 if ctl_kind == "open" else 0.0
-    # kf:<i>'s one mode has probability lik / lik = 1.0 on every tick, so
-    # its weights are one-hot at i for the whole run
-    kf_weights = None if est_kind == "imm" else [1.0 if i == est_idx else 0.0 for i in (0, 1)]
 
     n = spec.n_ticks
     # what the loop only reads by time, formed once with one tick's float
@@ -405,7 +440,6 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     log = np.empty((n, 13))
     normal = np.random.default_rng(spec.seed).standard_normal
     meas_std, dist_std = spec.meas_noise_std, spec.process_noise_std
-    v_limit = spec.v_limit
 
     # one TickMap per schedule segment, not per tick; a ramp misses
     @lru_cache(maxsize=16)
@@ -431,12 +465,9 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
         ):
             z = truth[0] + meas_std * e_z
             tau_dist = dist_std * e_d
-            means, covs, mu, _, x_hat = imm_step(bank, means, covs, mu, u, z)
-            mu_v = mu if kf_weights is None else kf_weights
-            K = maps_gain(mu_v, gains) if fixed_gain is None else fixed_gain
-            u, saturated = control_input(K, ref, x_hat, v_limit, feedforward)
+            x_hat, weights, K, u, saturated = step(u, z, ref)
             saturations += saturated
-            rows.append((z, *truth, *x_hat, *mu_v, *K, u))
+            rows.append((z, *truth, *x_hat, *weights, *K, u))
             truth = plant_step(truth, u, tick_map(b_t, coulomb_on), tau_dist)
         pack_into(f"{len(rows) * 13}d", log, start * 13 * 8, *chain.from_iterable(rows))
 

@@ -236,6 +236,8 @@ UNSTABLE_MODELS = {"euler-stock": ("discretization = euler\n", "-13.46"),
 def command_args(command, cfg, tmp_path):
     if command == "run":
         return ("run", str(cfg), "--out", str(tmp_path / "out"))
+    if command == "compare":
+        return ("compare", str(cfg))
     return (command, "--motor", str(cfg))
 
 
@@ -243,13 +245,13 @@ def command_args(command, cfg, tmp_path):
 # failing-command test below)
 @pytest.mark.parametrize("command, name", [
     ("gains", "euler-stock"), ("certify", "euler-stock"), ("run", "euler-stock"),
-    ("gains", "euler-1uH"), ("certify", "euler-1uH"),
+    ("compare", "euler-stock"), ("gains", "euler-1uH"), ("certify", "euler-1uH"),
 ])
 def test_unstable_model_warns_after_success(maps, tmp_path, command, name):
     # one line on stderr after the command's output, which succeeds
     text, pole = UNSTABLE_MODELS[name]
     cfg = tmp_path / "motor.cfg"
-    cfg.write_text(text + ("duration = 0.1\n" if command == "run" else ""))
+    cfg.write_text(text + ("duration = 0.1\n" if command in ("run", "compare") else ""))
     out = maps(*command_args(command, cfg, tmp_path))
     assert out.returncode == 0
     assert out.stderr.count("\n") == 1
@@ -258,9 +260,11 @@ def test_unstable_model_warns_after_success(maps, tmp_path, command, name):
                                  "the unit circle")
     if command == "certify":
         assert "certified: yes" in out.stdout
+    if command == "compare":
+        assert out.stdout.startswith("metric")
 
 
-@pytest.mark.parametrize("command", ["gains", "certify", "run"])
+@pytest.mark.parametrize("command", ["gains", "certify", "run", "compare"])
 @pytest.mark.parametrize("text", ["", "discretization = zoh\nlm = 1e-6\n",
                                   "discretization = euler\nsample_time = 1e-4\n"],
                          ids=["stock-zoh", "zoh-1uH", "euler-100us"])
@@ -268,7 +272,7 @@ def test_stable_model_prints_no_warning(maps, tmp_path, command, text):
     # every ZOH pole is inside the unit circle, and so is Euler's at a tick
     # short against Lm / Rm (0.277 at 100 us)
     cfg = tmp_path / "motor.cfg"
-    cfg.write_text(text + ("duration = 0.01\n" if command == "run" else ""))
+    cfg.write_text(text + ("duration = 0.01\n" if command in ("run", "compare") else ""))
     out = maps(*command_args(command, cfg, tmp_path))
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
@@ -721,7 +725,8 @@ def test_compare_refuses_a_bad_out_before_running(tmp_path, scenario_cfg, monkey
     ("b=fixed:7/kf:0", "controller index must be vertex 0 or 1, got 'fixed:7'"),
     ("b=maps/ukf", "unknown estimator 'ukf'"),
     ("b=maps", "variant 'b=maps' must look like NAME=CONTROLLER/ESTIMATOR"),
-], ids=["vertex-index", "estimator", "malformed"])
+    ("a=fixed:0/kf:0", "variant 'a=fixed:0/kf:0' repeats the NAME 'a' of an earlier variant"),
+], ids=["vertex-index", "estimator", "malformed", "repeated-name"])
 def test_compare_refuses_a_bad_variant_before_designing(maps, scenario_cfg, monkeypatch,
                                                         variant, reason):
     # every variant is checked as the scenario loads: a bad second one is

@@ -38,6 +38,7 @@ from mapsched.estimation import (
     kf_update,
 )
 from mapsched.harness import (
+    Controller,
     FrictionSchedule,
     FrictionSegment,
     RunRecord,
@@ -448,26 +449,6 @@ class TestRunPathEstimators:
         if spec.controller == "fixed:1":
             assert saturations > 0
 
-    @pytest.mark.parametrize("estimator", ["imm", "kf:0"])
-    def test_plant_and_estimator_called_once_per_tick(self, monkeypatch, motor_zoh,
-                                                      vertices_zoh, estimator):
-        # the benchmark times the plant and the estimator layers by wrapping
-        # harness.plant_step and harness.imm_step where the loop looks them
-        # up, so the loop must call each of them once per tick
-        calls = {"plant_step": 0, "imm_step": 0}
-        for name in calls:
-            def counted(*args, _name=name, _call=getattr(harness, name), **kwargs):
-                calls[_name] += 1
-                return _call(*args, **kwargs)
-
-            monkeypatch.setattr(harness, name, counted)
-        spec = short_spec(reference="step", amplitude=0.25, period=1.0, controller="fixed:0",
-                          estimator=estimator,
-                          friction=toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.5,
-                                                   duration=2.0))
-        run_scenario(spec, motor_zoh, vertices_zoh)
-        assert calls == {"plant_step": spec.n_ticks, "imm_step": spec.n_ticks}
-
     @pytest.mark.parametrize("estimator,reference,friction", [
         ("imm", "step", toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.5, duration=2.0)),
         ("kf:0", "step", toggle_schedule(B_MIN, B_MAX, first=0.3, period=0.5, duration=2.0)),
@@ -525,6 +506,63 @@ class TestRunPathEstimators:
                            default_transition_matrix(2), q, FILTER_R)
                 for q in (Q, 0.5 * (Q + Q.T)))
         assert a.q == b.q and a.r == b.r
+
+
+class TestController:
+    @pytest.mark.parametrize("kw", [
+        dict(friction=load_window_schedule(B_MIN, B_MAX, start=0.3, end=0.7)),
+        dict(reference="step", amplitude=3.0, period=1.0, controller="fixed:1",
+             estimator="kf:1"),
+        dict(controller="open", estimator="kf:0", amplitude=5.0),
+    ], ids=["maps-imm", "fixed1-kf1", "open-kf0"])
+    def test_reproduces_a_run_from_its_logged_measurements(self, motor_zoh, vertices_zoh, kw):
+        # driven as on hardware: built from the design alone, and fed each
+        # tick's measured z, the reference row and the previous tick's u
+        spec = short_spec(duration=1.0, process_noise_std=1e-4, **kw)
+        rec = run_scenario(spec, motor_zoh, vertices_zoh)
+        controller = Controller(vertices_zoh, spec.controller, spec.estimator, spec.v_limit)
+        rows, u, saturations = [], 0.0, 0
+        for z, ref in zip(rec.z.tolist(), rec.reference.tolist()):
+            x_hat, weights, K, u, saturated = controller.step(u, z, ref)
+            rows.append((*x_hat, *weights, *K, u))
+            saturations += saturated
+        log = np.array(rows)
+        assert log[:, 0:3].tobytes() == rec.estimate.tobytes()
+        assert log[:, 3:5].tobytes() == rec.mu.tobytes()
+        assert log[:, 5:8].tobytes() == rec.gain.tobytes()
+        assert log[:, 8].tobytes() == rec.u.tobytes()
+        assert saturations == rec.saturation_count
+        if spec.controller != "maps":
+            assert saturations > 0
+
+    @pytest.mark.parametrize("controller, estimator", [("maps", "imm"), ("fixed:0", "kf:0")])
+    def test_benchmark_spans_fire_once_per_tick(self, monkeypatch, motor_zoh, vertices_zoh,
+                                                controller, estimator):
+        # the benchmark times the plant, estimator, gain and control-law
+        # layers by wrapping these names on harness, so the loop and `step`
+        # must look them up there on every call
+        calls = dict.fromkeys(("imm_step", "maps_gain", "control_input", "plant_step"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(harness, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        spec = short_spec(duration=0.1, controller=controller, estimator=estimator)
+        run_scenario(spec, motor_zoh, vertices_zoh)
+        n = spec.n_ticks
+        # a fixed gain is formed once per run
+        gains = n if controller == "maps" else 1
+        assert calls == {"imm_step": n, "maps_gain": gains, "control_input": n, "plant_step": n}
+
+    @pytest.mark.parametrize("controller, estimator, reason", [
+        ("fixed:2", "imm", "controller index must be vertex 0 or 1"),
+        ("maps", "ukf", "unknown estimator 'ukf'"),
+        ("open:1", "imm", "controller 'open' takes no index"),
+    ])
+    def test_refuses_a_bad_choice(self, vertices_zoh, controller, estimator, reason):
+        with pytest.raises(ConfigError, match=reason):
+            Controller(vertices_zoh, controller, estimator, 4.0)
 
 
 class TestMetrics:
