@@ -2,9 +2,10 @@
 
 Subcommands: ident, gains, certify, run, compare. Exit codes: 0 success,
 1 invalid config or command line, 2 numerical failure, 3 certification
-failure. `gains`, `certify`, `run` and `compare` end a success with a
-`warning:` line on stderr when the design's discrete model is unstable
-where the motor is not (`_warn_unstable_model`).
+failure (no common Lyapunov matrix found). `gains`, `certify`, `run` and
+`compare` end a success with a `warning:` line on stderr when the
+design's discrete model is unstable where the motor is not
+(`_warn_unstable_model`).
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="certify quadratic stability of the scheduled loop")
     p_cert.add_argument("--motor", help="motor config file", default=None)
-    p_cert.add_argument("--epsilon", type=float, default=None,
-                        help="scheduling mismatch bound to evaluate the rate at")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     p_run.add_argument("scenario", help="scenario config file (key = value lines)")
@@ -143,7 +142,7 @@ def _cmd_gains(args) -> int:
 
 def _cmd_certify(args) -> int:
     vertices = design_from_motor(load_motor_config(args.motor))
-    cert = certify(vertices, epsilon=args.epsilon)
+    cert = certify(vertices)
     with np.printoptions(precision=6, suppress=False):
         print("common Lyapunov matrix P:")
         print(cert.P_lyap)
@@ -153,7 +152,7 @@ def _cmd_certify(args) -> int:
     print(f"L_phi = {cert.L_phi:.6e}  L_k = {cert.L_k:.6e}  L = {cert.L:.6e}")
     print(f"eps_star = {cert.eps_star:.6e}")
     print(f"C = {cert.C:.6e}  lambda = {cert.lambda_:.6e} "
-          f"(at epsilon = {cert.epsilon_used:.6e})")
+          f"(at epsilon = {0.5 * cert.eps_star:.6e})")
     print("certified: yes")
     _warn_unstable_model(vertices)
     return 0

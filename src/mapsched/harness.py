@@ -23,7 +23,7 @@ import csv
 import json
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
@@ -51,15 +51,6 @@ from .estimation import FILTER_Q, FILTER_R, FilterBank, default_transition_matri
 from .estimation import kf_predict, kf_update  # noqa: F401
 from .motor import VertexSet, build_vertex_set
 from .plant import TickMap, plant_step
-
-SCENARIO_KEYS = frozenset(
-    {
-        "reference", "amplitude", "frequency", "period", "duration",
-        "seed", "controller", "estimator", "v_limit",
-        "friction", "load_start", "load_end", "toggle_start", "toggle_period",
-        "ramp_time", "process_noise_std", "meas_noise_std",
-    }
-)
 
 # the keys only one kind of reference or friction schedule reads
 KIND_KEYS = {
@@ -263,6 +254,13 @@ class ScenarioSpec:
             first_half = np.fmod(times, self.period) < 0.5 * self.period
             out[:, 0] = np.where(first_half, self.amplitude, -self.amplitude)
         return out
+
+
+# the keys a scenario file may set: ScenarioSpec's fields but the motor's
+# sample time, and the keys only one kind of reference or friction reads
+SCENARIO_KEYS = frozenset(
+    {f.name for f in fields(ScenarioSpec) if f.name != "sample_time"}.union(*KIND_KEYS.values())
+)
 
 
 def _tick_count(duration: float, sample_time: float) -> int:

@@ -150,8 +150,10 @@ def build_vertex_set(motor: MotorConfig) -> VertexSet:
     """
     rho, T, mode = (motor.b_min, motor.b_max), motor.sample_time, motor.discretization
     discretize = DISCRETIZERS[mode]
-    phis = [discretize(*build_continuous_model(motor, r), T)[0] for r in rho]
-    _, Gamma = discretize(*build_continuous_model(motor, motor.b_m), T)
+    # a model that leaves float range is refused below, not warned about
+    with np.errstate(all="ignore"):
+        phis = [discretize(*build_continuous_model(motor, r), T)[0] for r in rho]
+        _, Gamma = discretize(*build_continuous_model(motor, motor.b_m), T)
     if not all(np.isfinite(a).all() for a in (*phis, Gamma)):
         raise ParameterError(
             f"the {mode} discrete model at T = {T!r} s is not finite; "

@@ -5,9 +5,9 @@ combination: A' P A - P < 0 is, by a Schur complement, an LMI linear in A,
 so it holds on the convex hull once it holds at the vertices. On top of
 that, Lipschitz constants of the polytopic maps give the largest scheduling
 mismatch eps_star for which exponential stability survives, with overshoot
-constant C and contraction rate lambda. `certify` takes a gain-filled
-vertex set and reads the closed loops, Gamma included, from its arrays;
-the scheduling mismatch to evaluate the rate at is a plain number.
+constant C and contraction rate lambda, the rate taken at half that
+budget. `certify` takes a gain-filled vertex set and reads the closed
+loops, Gamma included, from its arrays.
 
 The common-P search is a heuristic (averaged Lyapunov solutions), so failure
 is reported as "not certified", never as "unstable".
@@ -53,7 +53,6 @@ class StabilityCert:
     eps_star: float
     C: float
     lambda_: float
-    epsilon_used: float
 
     def __post_init__(self):
         object.__setattr__(self, "P_lyap", _frozen(self.P_lyap))
@@ -145,11 +144,10 @@ def lipschitz_constants(vertices: VertexSet) -> tuple[float, float, float]:
     return L_phi, L_k, L
 
 
-def epsilon_star(P: np.ndarray, alpha: float, L: float,
-                 epsilon: float | None = None) -> tuple[float, float, float]:
+def epsilon_star(P: np.ndarray, alpha: float, L: float) -> tuple[float, float, float]:
     """Mismatch budget eps_star = sqrt(alpha / (2 lambda_max(P) L^2)),
-    overshoot constant C, and the contraction rate evaluated at `epsilon`
-    (defaults to eps_star / 2).
+    overshoot constant C, and the contraction rate at a mismatch of
+    eps_star / 2, where the decrease left is alpha_tilde = 7 alpha / 8.
 
     The rate normalizes the Lyapunov decrease by lambda_max(P) so that
     ||x_k|| <= C * lambda^k * ||x_0|| holds along certified trajectories.
@@ -162,27 +160,19 @@ def epsilon_star(P: np.ndarray, alpha: float, L: float,
         raise ParameterError("need alpha > 0 and L > 0")
     eps_star = float(np.sqrt(alpha / (2.0 * hi * L * L)))
     C = float(np.sqrt(hi / lo))
-    if epsilon is None:
-        epsilon = 0.5 * eps_star
+    epsilon = 0.5 * eps_star
     alpha_tilde = alpha - hi * L * L * epsilon * epsilon
-    if alpha_tilde <= 0.0:
-        raise CertificationError(
-            f"mismatch bound {epsilon:.3e} exceeds the certified budget (alpha_tilde <= 0)"
-        )
     lam = float(np.sqrt(1.0 - alpha_tilde / hi))
     return eps_star, C, lam
 
 
-def certify(vertices: VertexSet, epsilon: float | None = None) -> StabilityCert:
+def certify(vertices: VertexSet) -> StabilityCert:
     """Full certification pipeline for a gain-filled vertex set, with the
-    rate evaluated at the scheduling mismatch bound `epsilon` (eps_star / 2
-    when None).
+    rate evaluated at a scheduling mismatch of eps_star / 2.
 
     Raises CertificationError when the common-P heuristic finds no P with a
     positive decrease margin at every vertex.
     """
-    if epsilon is not None and not epsilon >= 0.0:
-        raise ParameterError(f"mismatch bound must be a number >= 0, got {epsilon!r}")
     loops = [phi - vertices.Gamma @ K for phi, K in zip(vertices.Phi_vertices, vertices.gains)]
     search = find_common_lyapunov(loops)
     if not search.certified:
@@ -192,7 +182,7 @@ def certify(vertices: VertexSet, epsilon: float | None = None) -> StabilityCert:
             "this does not prove instability"
         )
     L_phi, L_k, L = lipschitz_constants(vertices)
-    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=epsilon)
+    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L)
     return StabilityCert(
         P_lyap=search.P,
         alpha=search.worst_margin,
@@ -203,5 +193,4 @@ def certify(vertices: VertexSet, epsilon: float | None = None) -> StabilityCert:
         eps_star=eps_star,
         C=C,
         lambda_=lam,
-        epsilon_used=epsilon if epsilon is not None else 0.5 * eps_star,
     )

@@ -464,7 +464,7 @@ def find_common_lyapunov_checked(closed_loops, max_rounds: int = 500) -> Lyapuno
                           rounds=rounds)
 
 
-def certify_checked(vertices, epsilon=None) -> StabilityCert:
+def certify_checked(vertices) -> StabilityCert:
     """`stability.certify` over `find_common_lyapunov_checked`."""
     loops = [phi - vertices.Gamma @ K for phi, K in zip(vertices.Phi_vertices, vertices.gains)]
     search = find_common_lyapunov_checked(loops)
@@ -475,7 +475,7 @@ def certify_checked(vertices, epsilon=None) -> StabilityCert:
             "this does not prove instability"
         )
     L_phi, L_k, L = lipschitz_constants(vertices)
-    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L, epsilon=epsilon)
+    eps_star, C, lam = epsilon_star(search.P, search.worst_margin, L)
     return StabilityCert(
         P_lyap=search.P,
         alpha=search.worst_margin,
@@ -486,7 +486,6 @@ def certify_checked(vertices, epsilon=None) -> StabilityCert:
         eps_star=eps_star,
         C=C,
         lambda_=lam,
-        epsilon_used=epsilon if epsilon is not None else 0.5 * eps_star,
     )
 
 

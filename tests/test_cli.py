@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -145,11 +147,33 @@ def test_certify_success_exit_zero():
     assert "eps_star" in out.stdout
 
 
-def test_certify_failure_exit_three():
-    # an epsilon far beyond the certified budget is a certification failure
-    out = run_cli("certify", "--epsilon", "1.0")
+# an Euler design whose vertex loops share no Lyapunov matrix the
+# averaging search can find
+NO_COMMON_P_MOTOR = "discretization = euler\nb_max = 3e-3\n"
+
+
+def test_certify_failure_exit_three(tmp_path):
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(NO_COMMON_P_MOTOR)
+    out = run_cli("certify", "--motor", str(cfg))
     assert out.returncode == 3
-    assert "certification failed" in out.stderr
+    assert out.stdout == ""
+    assert out.stderr == ("error: certification failed: no common Lyapunov matrix found "
+                          "(worst vertex margin -1.846e+00, after 500 rounds); "
+                          "this does not prove instability\n")
+
+
+def test_certify_epsilon_is_an_unknown_option(maps):
+    # the rate is always taken at eps_star / 2, so certify has no mismatch
+    # option: --epsilon is a usage error, exit 1
+    out = maps("certify", "--epsilon", "1e-5")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: maps")
+    assert "unrecognized arguments" in out.stderr
+    assert "Traceback" not in out.stderr
+    # its help lists --motor as its one option
+    assert set(re.findall(r"--[a-z]+", maps("certify", "--help").stdout)) == {"--help", "--motor"}
 
 
 def test_invalid_config_exit_one(tmp_path):
@@ -279,7 +303,7 @@ def test_stable_model_prints_no_warning(maps, tmp_path, command, text):
 
 
 @pytest.mark.parametrize("command, text, code", [
-    ("certify", "discretization = euler\n", 3),
+    ("certify", NO_COMMON_P_MOTOR, 3),
     ("run", "discretization = euler\nlm = 1e-6\nduration = 0.1\n", 2),
 ], ids=["certify-epsilon", "run-diverges"])
 def test_failing_command_prints_no_warning(maps, tmp_path, command, text, code):
@@ -287,8 +311,7 @@ def test_failing_command_prints_no_warning(maps, tmp_path, command, text, code):
     # design still writes the error line alone
     cfg = tmp_path / "motor.cfg"
     cfg.write_text(text)
-    args = command_args(command, cfg, tmp_path)
-    out = maps(*args, *(("--epsilon", "1.0") if command == "certify" else ()))
+    out = maps(*command_args(command, cfg, tmp_path))
     assert out.returncode == code
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert "warning" not in out.stderr
@@ -381,7 +404,7 @@ def test_riccati_qz_failure_exit_two(monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ["run"],                                    # no scenario
-    ["certify", "--epsilon", "abc"],            # not a number
+    ["certify", "--epsilon", "abc"],            # an unknown option
     ["bogus"],                                  # unknown subcommand
     [],                                         # no subcommand
     ["gains", "--bogus"],                       # unknown option
@@ -401,18 +424,6 @@ def test_help_and_version_exit_zero(maps, flag):
     out = maps(flag)
     assert out.returncode == 0
     assert out.stdout and not out.stderr
-
-
-@pytest.mark.parametrize("epsilon, code", [("nan", 1), ("-0.1", 1), ("inf", 3)])
-def test_certify_epsilon_outside_the_budget(maps, epsilon, code):
-    # NaN is no mismatch bound (exit 1, as a negative one); an infinite one
-    # exceeds every certified budget (exit 3)
-    out = maps("certify", "--epsilon", epsilon)
-    assert out.returncode == code
-    assert "certified: yes" not in out.stdout
-    assert "Traceback" not in out.stderr
-    if code == 1:
-        assert "invalid config: mismatch bound must be a number >= 0" in out.stderr
 
 
 def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
@@ -826,6 +837,8 @@ def mutated_stock_scenario(draw):
 @given(data=st.one_of(st.binary(max_size=300), mutated_stock_motor()))
 @example(data=STOCK_MOTOR.encode())
 @example(data=b"\xff\xfe")
+@example(data=b"sample_time = 1e308\ndiscretization = zoh\n")    # T * A overflows
+@example(data=b"sample_time = 1e308\ndiscretization = euler\n")
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_motor_file_exits_with_a_documented_code(command, data):
     # `gains` and `certify` design from the motor file and simulate nothing;
@@ -897,11 +910,21 @@ def test_fuzzed_scenario_file_under_compare_exits_with_a_documented_code(data):
 # scenario of 50 ticks, the stock motor, an ident CSV, a file that is not
 # UTF-8, a missing file and a directory)
 SUBCOMMANDS = ("ident", "gains", "certify", "run", "compare", "", "bogus")
-FLAGS = ("--motor", "--json", "--csv", "--epsilon", "--out", "--variant", "--help", "--version",
-         "--bogus")
-OWN_FLAGS = {"ident": ("--motor",), "gains": ("--motor", "--json", "--csv"),
-             "certify": ("--motor", "--epsilon"), "run": ("--out",),
-             "compare": ("--variant", "--out")}
+
+
+def subcommand_flags() -> dict:
+    """Each subcommand's options, read from the parser, less -h/--help."""
+    (sub,) = (action for action in cli._build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction))
+    return {name: tuple(flag for action in parser._actions for flag in action.option_strings
+                        if flag not in ("-h", "--help"))
+            for name, parser in sub.choices.items()}
+
+
+OWN_FLAGS = subcommand_flags()
+# every option, then the top-level ones and two unknown flags
+FLAGS = tuple(dict.fromkeys([*(flag for flags in OWN_FLAGS.values() for flag in flags),
+                             "--help", "--version", "--bogus", "--epsilon"]))
 HOSTILE = ("nan", "inf", "-inf", "-0.1", "", "0", "1e-5", "9" * 400, "-" + "9" * 400)
 PATHS = ("scenario.cfg", "motor.cfg", "samples.csv", "binary.dat", "missing.cfg", "subdir", ".",
          "out")

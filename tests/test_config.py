@@ -76,6 +76,17 @@ def test_unknown_key_rejected(tmp_path):
         load_motor_config(path)
 
 
+def test_scenario_keys_are_the_spec_fields_and_the_kind_keys():
+    # SCENARIO_KEYS is derived from ScenarioSpec and KIND_KEYS; a scenario
+    # file keeps accepting exactly these keys
+    assert SCENARIO_KEYS == {
+        "reference", "amplitude", "frequency", "period", "duration",
+        "seed", "controller", "estimator", "v_limit",
+        "friction", "load_start", "load_end", "toggle_start", "toggle_period",
+        "ramp_time", "process_noise_std", "meas_noise_std",
+    }
+
+
 def test_bad_discretization_rejected(tmp_path):
     path = tmp_path / "motor.cfg"
     path.write_text("discretization = tustin\n")

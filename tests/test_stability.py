@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from reference import (
 )
 
 from mapsched.control import Q_LQR, R_LQR, solve_dare, synthesize_vertex_gains, vertex_solutions
-from mapsched.errors import CertificationError, ParameterError
+from mapsched.errors import ParameterError
 from mapsched.harness import design_from_motor
 from mapsched.motor import build_vertex_set
 from mapsched.stability import (
@@ -165,18 +164,18 @@ class TestLipschitzConstants:
 
 class TestEpsilonStar:
     def test_plug_in_formula(self):
-        eps, C, lam = epsilon_star(np.diag([1.0, 2.0]), alpha=1.0, L=1.0, epsilon=0.0)
+        eps, C, lam = epsilon_star(np.diag([1.0, 2.0]), alpha=1.0, L=1.0)
         assert eps == pytest.approx(0.5, rel=1e-12)
         assert C == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_identity_p(self):
-        eps, C, lam = epsilon_star(np.eye(2), alpha=1.0, L=1.0, epsilon=0.0)
+        eps, C, lam = epsilon_star(np.eye(2), alpha=1.0, L=1.0)
         assert eps == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert C == 1.0
 
     def test_large_l_shrinks_budget(self):
-        eps1, _, _ = epsilon_star(np.eye(2), alpha=1.0, L=10.0, epsilon=0.0)
-        eps2, _, _ = epsilon_star(np.eye(2), alpha=1.0, L=1000.0, epsilon=0.0)
+        eps1, _, _ = epsilon_star(np.eye(2), alpha=1.0, L=10.0)
+        eps2, _, _ = epsilon_star(np.eye(2), alpha=1.0, L=1000.0)
         assert eps2 < eps1 < 1.0
 
     def test_monotonicity_grid(self):
@@ -186,7 +185,7 @@ class TestEpsilonStar:
         ls = [1.0, 10.0, 100.0]
         values = {}
         for a, p, l in itertools.product(alphas, pmaxes, ls):
-            values[(a, p, l)] = epsilon_star(np.diag([0.5, p]), alpha=a, L=l, epsilon=0.0)[0]
+            values[(a, p, l)] = epsilon_star(np.diag([0.5, p]), alpha=a, L=l)[0]
         for a, p, l in itertools.product(alphas, pmaxes, ls):
             for a2 in alphas:
                 if a2 > a:
@@ -197,10 +196,6 @@ class TestEpsilonStar:
             for l2 in ls:
                 if l2 > l:
                     assert values[(a, p, l2)] < values[(a, p, l)]
-
-    def test_epsilon_beyond_budget_rejected(self):
-        with pytest.raises(CertificationError):
-            epsilon_star(np.eye(2), alpha=1.0, L=1.0, epsilon=10.0)
 
     def test_requires_positive_definite_p(self):
         with pytest.raises(ParameterError):
@@ -215,21 +210,6 @@ class TestCertify:
         assert np.isfinite(cert.eps_star) and cert.eps_star > 0.0
         assert np.isfinite(cert.C) and cert.C >= 1.0
         assert 0.0 < cert.lambda_ < 1.0
-
-    def test_reports_assumed_epsilon(self, vertices_zoh):
-        cert0 = certify(vertices_zoh)
-        eps = 0.25 * cert0.eps_star
-        cert = certify(vertices_zoh, epsilon=eps)
-        assert cert.epsilon_used == eps
-        # smaller mismatch leaves more decrease: faster certified rate
-        assert cert.lambda_ < certify(vertices_zoh, epsilon=0.9 * cert0.eps_star).lambda_
-
-    @pytest.mark.parametrize("epsilon", [-0.1, math.nan])
-    def test_refuses_a_mismatch_bound_that_is_not_a_number_at_least_zero(self, vertices_zoh,
-                                                                        epsilon):
-        with pytest.raises(ParameterError,
-                           match=f"mismatch bound must be a number >= 0, got {epsilon!r}"):
-            certify(vertices_zoh, epsilon=epsilon)
 
     def test_gains_required(self, motor):
         bare = build_vertex_set(motor)
