@@ -1,4 +1,10 @@
-"""Command line interface.
+"""Command line interface, and the one module that writes files.
+
+Every format `maps` prints or writes is here: `write_run_csvs` (trace.csv
+and plot.csv in one pass; `write_trace_csv` and `write_plot_csv` write one
+of them), `write_metrics_json`, `compare_table` and `compare_text` (the
+`compare` table), and `gain_report` (the `gains` report). Every JSON file
+goes through `write_json` and every small CSV table through `write_csv`.
 
 Subcommands: ident, gains, certify, run, compare. Exit codes: 0 success,
 1 invalid config or command line, 2 numerical failure, 3 certification
@@ -11,30 +17,29 @@ design's discrete model is unstable where the motor is not
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .config import load_motor_config
-from .control import gain_report, vertex_solutions, write_gain_csv, write_gain_report
+from .control import vertex_solutions
 from .errors import CertificationError, ConfigError, NumericalError
 from .harness import (
+    CSV_CHUNK,
     compare_runs,
     compute_metrics,
     design_from_motor,
     load_scenario,
     run_scenario,
-    write_metrics_json,
-    write_run_csvs,
 )
-
-# not called here: `run` writes both CSVs through write_run_csvs. The
-# benchmark's tracer looks these names up on this module, so they stay
-# importable from it
-from .harness import write_plot_csv, write_trace_csv  # noqa: F401
 from .ident import identify, read_samples_csv
 from .stability import certify
 
@@ -86,6 +91,157 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_json(path, payload: dict) -> None:
+    """The JSON writer of every JSON file `maps` writes: `payload` indented
+    by 2, then a newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """The CSV writer of every small table `maps` writes: the header, then
+    the rows. csv writes a float as its repr, which reads back as the same
+    float."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_run_csvs(trace_path, plot_path, record) -> None:
+    """Write trace.csv (every logged signal) and plot.csv (a reduced table
+    for plotting tools) of a `RunRecord` in one pass; either path may be
+    None to skip that file.
+
+    CSV_CHUNK rows of the union of the two files' columns are stacked at a
+    time and every value is formatted once, in shortest round-trip form: the
+    bytes csv.writer writes for repr(float(v)), so identical runs write
+    identical bytes. One orjson call formats the whole chunk; its digits are
+    repr's everywhere (both print the shortest string that reads back as the
+    same float), and so is its layout for 1e-4 <= |v| < 1e16 and for zeros.
+    The values outside that range, non-finite ones included, are picked by
+    value and formatted again with repr. Each file's rows are joined from
+    those same cells.
+    """
+    # the union row: the 18 trace.csv columns, then tracking_error and b_true
+    trace = (
+        ["time", "z", "theta_true", "omega_true", "current_true",
+         "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
+         "k_theta", "k_omega", "k_current", "u",
+         "theta_ref", "omega_ref", "current_ref"],
+        itemgetter(slice(0, 18)),
+    )
+    plot = (
+        ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
+         "mu_1", "mu_2", "rho_hat", "b_true", "u"],
+        itemgetter(0, 15, 2, 5, 18, 8, 9, 10, 19, 14),
+    )
+    theta_ref, theta = record.reference[:, 0], record.truth[:, 0]
+    columns = [
+        record.time, record.z, record.truth, record.estimate, record.mu,
+        record.rho_hat, record.gain, record.u, record.reference,
+        theta_ref - theta, record.b_true,
+    ]
+    with ExitStack() as stack:
+        outputs = []
+        for path, (header, cells) in ((trace_path, trace), (plot_path, plot)):
+            if path is not None:
+                fh = stack.enter_context(Path(path).open("w", newline=""))
+                fh.write(",".join(header) + "\r\n")
+                outputs.append((fh, cells))
+        for start in range(0, len(record.time), CSV_CHUNK):
+            block = np.column_stack([c[start:start + CSV_CHUNK] for c in columns])
+            values = block.ravel()
+            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+            flat = text[1:-1].decode().split(",")
+            # orjson prints 1e-05 as 0.00001, 1e+16 as 1e16 and nan as null
+            mag = np.abs(values)
+            redo = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)))
+            for i, v in zip(redo.tolist(), values[redo].tolist()):
+                flat[i] = repr(v)
+            step = block.shape[1]
+            rows = [flat[i:i + step] for i in range(0, len(flat), step)]
+            for fh, cells in outputs:
+                fh.write("".join([",".join(cells(row)) + "\r\n" for row in rows]))
+
+
+def write_trace_csv(path, record) -> None:
+    """trace.csv alone, from the pass `maps run` writes both files with."""
+    write_run_csvs(path, None, record)
+
+
+def write_plot_csv(path, record) -> None:
+    """plot.csv alone, from the pass `maps run` writes both files with."""
+    write_run_csvs(None, path, record)
+
+
+def _estimation_rmse(metrics) -> dict:
+    """A run's estimation RMSE, keyed by state."""
+    return dict(zip(("theta", "omega", "current"), metrics.est_rmse.tolist()))
+
+
+def write_metrics_json(path, record, metrics) -> None:
+    """metrics.json of a `RunRecord` and its `MetricsReport`: the tracking
+    metrics and per-state estimation RMSE, the scenario's choices and the
+    saturation count."""
+    spec = record.spec
+    write_json(path, {
+        "channel": "tracking",
+        "rmse": metrics.rmse,
+        "mae": metrics.mae,
+        "iae": metrics.iae,
+        "estimation_rmse": _estimation_rmse(metrics),
+        "seed": spec.seed,
+        "controller": spec.controller,
+        "estimator": spec.estimator,
+        "duration": spec.duration,
+        "sample_rate": spec.sample_rate,
+        "saturation_count": record.saturation_count,
+    })
+
+
+def _percent_change(ref: float, val: float) -> float:
+    return 100.0 * (val - ref) / ref if ref else 0.0
+
+
+def compare_table(comparison) -> tuple:
+    """Header and rows of a `Comparison`'s table: each tracking metric and
+    per-state estimation RMSE, its value under each variant, then the
+    percent change of the second variant against the first."""
+    metrics = comparison.metrics
+    table = [(attr, [getattr(m, attr) for m in metrics]) for attr in ("rmse", "mae", "iae")]
+    est = [_estimation_rmse(m) for m in metrics]
+    table += [(f"est_rmse_{state}", [e[state] for e in est]) for state in est[0]]
+    rows = [[label, *vals, _percent_change(*vals[:2]) if len(vals) > 1 else 0.0]
+            for label, vals in table]
+    return ["metric", *comparison.names, "delta_percent"], rows
+
+
+def compare_text(header, rows) -> str:
+    """The table of `compare_table` in fixed-width columns."""
+    lines = [f"{'metric':<14}" + "".join(f"{n:>14}" for n in header[1:-1]) + f"{'delta%':>10}"]
+    for label, *vals, delta in rows:
+        lines.append(f"{label:<14}" + "".join(f"{v:>14.6f}" for v in vals) + f"{delta:>10.2f}")
+    return "\n".join(lines)
+
+
+def gain_report(vertices, solutions) -> dict:
+    """JSON-friendly summary of a `VertexSet`'s gains and the Riccati
+    solutions they came from, closed-loop eigenvalue moduli included."""
+    report = {"mode": vertices.mode, "sample_time": vertices.T, "vertices": []}
+    for i, (rho, K, solution) in enumerate(
+        zip(vertices.rho, vertices.gains, solutions, strict=True)
+    ):
+        report["vertices"].append({
+            "index": i + 1,
+            "rho": rho,
+            "K": [float(v) for v in np.asarray(K).reshape(-1)],
+            "closed_loop_eigenvalue_moduli": list(solution.moduli),
+            "riccati_residual": solution.residual,
+            "P": np.asarray(solution.P).tolist(),
+        })
+    return report
+
+
 def _cmd_ident(args) -> int:
     motor = load_motor_config(args.motor)
     samples = read_samples_csv(args.csv)
@@ -131,10 +287,14 @@ def _cmd_gains(args) -> int:
         print(f"  closed-loop |eig| = [{moduli}]")
         print(f"  riccati residual = {entry['riccati_residual']:.3e}")
     if args.json:
-        write_gain_report(args.json, report)
+        write_json(args.json, report)
         print(f"wrote {args.json}")
     if args.csv:
-        write_gain_csv(args.csv, report)
+        # one row per vertex: scheduling value, gain entries, eigenvalue moduli
+        write_csv(args.csv, ["vertex", "rho", "k_theta", "k_omega", "k_current",
+                             "eig_mod_1", "eig_mod_2", "eig_mod_3"],
+                  [[entry["index"], entry["rho"], *entry["K"],
+                    *entry["closed_loop_eigenvalue_moduli"]] for entry in report["vertices"]])
         print(f"wrote {args.csv}")
     _warn_unstable_model(vertices)
     return 0
@@ -229,10 +389,10 @@ def _cmd_compare(args) -> int:
     for _, controller, estimator in variants:
         replace(spec, controller=controller, estimator=estimator)
     vertices = design_from_motor(motor)
-    comparison = compare_runs(spec, variants, motor, vertices)
-    print(comparison.to_text())
+    header, rows = compare_table(compare_runs(spec, variants, motor, vertices))
+    print(compare_text(header, rows))
     if args.out:
-        comparison.to_csv(args.out)
+        write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
     _warn_unstable_model(vertices)
     return 0

@@ -6,20 +6,18 @@ checked against a residual bound relative to its terms. Each distinct
 vertex problem is solved once per process: `vertex_solutions` keeps every
 vertex's solution (P, K, residual, closed-loop eigenvalue moduli), from
 which `synthesize_vertex_gains` fills the design's gains and `maps gains`
-reports the same solves. The per-tick scheduled gain is the probability-weighted
-convex combination of the two vertex gains.
+reports the same solves (`cli.gain_report`). The per-tick scheduled gain
+is the probability-weighted convex combination of the two vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
 applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
@@ -162,43 +160,3 @@ def control_input(K, x_ref, x_hat, v_limit: float, feedforward: float = 0.0):
     if u < -v_limit:
         return -v_limit, True
     return u, False
-
-
-def gain_report(vertices: VertexSet, solutions) -> dict:
-    """JSON-friendly summary of the vertex gains and the Riccati solutions
-    they came from, closed-loop eigenvalue moduli included."""
-    report = {"mode": vertices.mode, "sample_time": vertices.T, "vertices": []}
-    for i, (rho, K, solution) in enumerate(
-        zip(vertices.rho, vertices.gains, solutions, strict=True)
-    ):
-        report["vertices"].append({
-            "index": i + 1,
-            "rho": rho,
-            "K": [float(v) for v in np.asarray(K).reshape(-1)],
-            "closed_loop_eigenvalue_moduli": list(solution.moduli),
-            "riccati_residual": solution.residual,
-            "P": np.asarray(solution.P).tolist(),
-        })
-    return report
-
-
-def write_gain_report(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
-
-
-def write_gain_csv(path, report: dict) -> None:
-    """One row per vertex: scheduling value, gain entries, eigenvalue moduli."""
-    import csv
-
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["vertex", "rho", "k_theta", "k_omega", "k_current",
-             "eig_mod_1", "eig_mod_2", "eig_mod_3"]
-        )
-        for entry in report["vertices"]:
-            writer.writerow(
-                [entry["index"], repr(entry["rho"]),
-                 *[repr(v) for v in entry["K"]],
-                 *[repr(v) for v in entry["closed_loop_eigenvalue_moduli"]]]
-            )

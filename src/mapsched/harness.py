@@ -14,24 +14,19 @@ motor's b_min. The spec's other field defaults are the scenario defaults,
 but for the window's and the toggle's times, which `scenario_from_entries`
 sets. A spec refuses a controller or estimator choice `Controller` would.
 Runs are deterministic for a given seed; measurement noise is the only
-random input by default.
+random input by default. The harness writes no file: `cli` formats and
+writes a run's and a comparison's outputs.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import itemgetter
-from pathlib import Path
 from struct import pack_into
 
 import numpy as np
-import orjson
 
 from .config import (
     B_RANGE,
@@ -64,10 +59,11 @@ KIND_KEYS = {
 # (~150 bytes each)
 MAX_TICKS = 1_000_000
 
-# rows formatted per write; a chunk holds both files' cells and rows as
-# Python strings, so small chunks keep the writer's peak memory low (on a
-# 6 s run, against not writing, 1,024 rows added ~4.8 MiB of peak RSS,
-# 256 rows ~1.0 MiB, 64 rows ~0.4 MiB; 32 to 256 rows wrote equally fast)
+# ticks per chunk of the run loop, and rows `cli.write_run_csvs` formats per
+# write; a chunk holds both files' cells and rows as Python strings, so small
+# chunks keep the writer's peak memory low (on a 6 s run, against not
+# writing, 1,024 rows added ~4.8 MiB of peak RSS, 256 rows ~1.0 MiB, 64 rows
+# ~0.4 MiB; 32 to 256 rows wrote equally fast)
 CSV_CHUNK = 64
 
 
@@ -325,19 +321,6 @@ class MetricsReport:
     iae: float
     est_rmse: np.ndarray    # (theta, omega, current)
 
-    def as_dict(self) -> dict:
-        return {
-            "channel": "tracking",
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "iae": self.iae,
-            "estimation_rmse": {
-                "theta": float(self.est_rmse[0]),
-                "omega": float(self.est_rmse[1]),
-                "current": float(self.est_rmse[2]),
-            },
-        }
-
 
 class Controller:
     """One controller tick of MAPS, built once per run from the design:
@@ -506,36 +489,11 @@ def compute_metrics(record: RunRecord) -> MetricsReport:
 
 @dataclass(frozen=True)
 class Comparison:
+    """Each variant's name and metrics, in variant order; `cli` renders the
+    table."""
+
     names: tuple
     metrics: tuple          # MetricsReport per variant
-
-    def _rows(self) -> list:
-        """(label, value per variant, percent change of the second variant
-        against the first) for the tracking metrics and per-state
-        estimation RMSE."""
-        table = [(attr, [getattr(m, attr) for m in self.metrics])
-                 for attr in ("rmse", "mae", "iae")]
-        table += [(f"est_rmse_{state}", [float(m.est_rmse[j]) for m in self.metrics])
-                  for j, state in enumerate(("theta", "omega", "current"))]
-        return [(label, vals, _percent_change(*vals[:2]) if len(vals) > 1 else 0.0)
-                for label, vals in table]
-
-    def to_text(self) -> str:
-        lines = [f"{'metric':<14}" + "".join(f"{n:>14}" for n in self.names) + f"{'delta%':>10}"]
-        for label, vals, delta in self._rows():
-            lines.append(f"{label:<14}" + "".join(f"{v:>14.6f}" for v in vals) + f"{delta:>10.2f}")
-        return "\n".join(lines)
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", *self.names, "delta_percent"])
-            for label, vals, delta in self._rows():
-                writer.writerow([label, *[repr(v) for v in vals], repr(delta)])
-
-
-def _percent_change(ref: float, val: float) -> float:
-    return 100.0 * (val - ref) / ref if ref else 0.0
 
 
 def compare_runs(spec: ScenarioSpec, variants, motor: MotorConfig,
@@ -549,88 +507,6 @@ def compare_runs(spec: ScenarioSpec, variants, motor: MotorConfig,
         metrics.append(compute_metrics(run_scenario(
             replace(spec, controller=controller, estimator=estimator), motor, vertices)))
     return Comparison(names=tuple(names), metrics=tuple(metrics))
-
-
-def write_run_csvs(trace_path, plot_path, record: RunRecord) -> None:
-    """Write trace.csv (every logged signal) and plot.csv (a reduced table
-    for plotting tools) in one pass; either path may be None to skip that
-    file.
-
-    CSV_CHUNK rows of the union of the two files' columns are stacked at a
-    time and every value is formatted once, in shortest round-trip form: the
-    bytes csv.writer writes for repr(float(v)), so identical runs write
-    identical bytes. One orjson call formats the whole chunk; its digits are
-    repr's everywhere (both print the shortest string that reads back as the
-    same float), and so is its layout for 1e-4 <= |v| < 1e16 and for zeros.
-    The values outside that range, non-finite ones included, are picked by
-    value and formatted again with repr. Each file's rows are joined from
-    those same cells.
-    """
-    # the union row: the 18 trace.csv columns, then tracking_error and b_true
-    trace = (
-        ["time", "z", "theta_true", "omega_true", "current_true",
-         "theta_est", "omega_est", "current_est", "mu_1", "mu_2", "rho_hat",
-         "k_theta", "k_omega", "k_current", "u",
-         "theta_ref", "omega_ref", "current_ref"],
-        itemgetter(slice(0, 18)),
-    )
-    plot = (
-        ["time", "theta_ref", "theta_true", "theta_est", "tracking_error",
-         "mu_1", "mu_2", "rho_hat", "b_true", "u"],
-        itemgetter(0, 15, 2, 5, 18, 8, 9, 10, 19, 14),
-    )
-    theta_ref, theta = record.reference[:, 0], record.truth[:, 0]
-    columns = [
-        record.time, record.z, record.truth, record.estimate, record.mu,
-        record.rho_hat, record.gain, record.u, record.reference,
-        theta_ref - theta, record.b_true,
-    ]
-    with ExitStack() as stack:
-        outputs = []
-        for path, (header, cells) in ((trace_path, trace), (plot_path, plot)):
-            if path is not None:
-                fh = stack.enter_context(Path(path).open("w", newline=""))
-                fh.write(",".join(header) + "\r\n")
-                outputs.append((fh, cells))
-        for start in range(0, len(record.time), CSV_CHUNK):
-            block = np.column_stack([c[start:start + CSV_CHUNK] for c in columns])
-            values = block.ravel()
-            text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-            flat = text[1:-1].decode().split(",")
-            # orjson prints 1e-05 as 0.00001, 1e+16 as 1e16 and nan as null
-            mag = np.abs(values)
-            redo = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)))
-            for i, v in zip(redo.tolist(), values[redo].tolist()):
-                flat[i] = repr(v)
-            step = block.shape[1]
-            rows = [flat[i:i + step] for i in range(0, len(flat), step)]
-            for fh, cells in outputs:
-                fh.write("".join([",".join(cells(row)) + "\r\n" for row in rows]))
-
-
-def write_trace_csv(path, record: RunRecord) -> None:
-    """trace.csv alone, from the pass `maps run` writes both files with."""
-    write_run_csvs(path, None, record)
-
-
-def write_plot_csv(path, record: RunRecord) -> None:
-    """plot.csv alone, from the pass `maps run` writes both files with."""
-    write_run_csvs(None, path, record)
-
-
-def write_metrics_json(path, record: RunRecord, metrics: MetricsReport) -> None:
-    payload = metrics.as_dict()
-    payload.update(
-        {
-            "seed": record.spec.seed,
-            "controller": record.spec.controller,
-            "estimator": record.spec.estimator,
-            "duration": record.spec.duration,
-            "sample_rate": record.spec.sample_rate,
-            "saturation_count": record.saturation_count,
-        }
-    )
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
@@ -648,10 +524,10 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     def fget(key, default=None):
         return _to_float(key, entries[key]) if key in entries else default
 
-    fields = {}
+    values = {}
     if "seed" in entries:
         try:
-            fields["seed"] = int(entries["seed"])
+            values["seed"] = int(entries["seed"])
         except ValueError:
             raise ConfigError(f"seed must be an integer, got {entries['seed']!r}") from None
 
@@ -680,13 +556,13 @@ def scenario_from_entries(entries: dict, motor: MotorConfig) -> ScenarioSpec:
     else:
         raise ConfigError(f"unknown friction schedule {kind!r}")
 
-    fields.update((key, entries[key]) for key in ("reference", "controller", "estimator")
+    values.update((key, entries[key]) for key in ("reference", "controller", "estimator")
                   if key in entries)
-    fields.update((key, fget(key)) for key in (
+    values.update((key, fget(key)) for key in (
         "amplitude", "frequency", "period", "v_limit", "process_noise_std", "meas_noise_std",
     ) if key in entries)
     spec = ScenarioSpec(duration=duration, sample_time=motor.sample_time, friction=schedule,
-                        **fields)
+                        **values)
     chosen = {"reference": spec.reference, "friction": kind}
     for (setting, reader), keys in KIND_KEYS.items():
         for key in keys:

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import LinAlgError, expm, solve_discrete_are
 
+from mapsched.cli import _percent_change
 from mapsched.control import Q_LQR, R_LQR, RiccatiSolution, control_input, maps_gain
 from mapsched.errors import CertificationError, NumericalError, ParameterError
 from mapsched.estimation import (
@@ -43,7 +44,7 @@ from mapsched.estimation import (
     _innovation_error,
     default_transition_matrix,
 )
-from mapsched.harness import CSV_CHUNK, _parse_choice, _percent_change
+from mapsched.harness import CSV_CHUNK, _parse_choice
 from mapsched.motor import VertexSet, build_continuous_model, euler_discretize
 from mapsched.plant import TickMap, plant_step
 from mapsched.stability import (
@@ -490,7 +491,7 @@ def certify_checked(vertices) -> StabilityCert:
 
 
 def write_run_csvs_repr(trace_path, plot_path, record):
-    """`harness.write_run_csvs` with every cell formatted by repr(float(v)),
+    """`cli.write_run_csvs` with every cell formatted by repr(float(v)),
     chunk by chunk, and each file's rows joined from those cells."""
     nv = record.mu.shape[1]
     mu_names = [f"mu_{j + 1}" for j in range(nv)]

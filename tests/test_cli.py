@@ -684,7 +684,7 @@ def test_ramp_time_a_schedule_takes_runs(maps, tmp_path, motor, base, ramp, spec
     spec = harness.ScenarioSpec(duration=0.4, seed=2, sample_time=motor.sample_time,
                                 friction=spec_friction(motor))
     record = harness.run_scenario(spec, motor, harness.design_from_motor(motor))
-    harness.write_run_csvs(tmp_path / "trace.csv", tmp_path / "plot.csv", record)
+    cli.write_run_csvs(tmp_path / "trace.csv", tmp_path / "plot.csv", record)
     assert files["ramp"] == [(tmp_path / f).read_bytes() for f in ("trace.csv", "plot.csv")]
     assert files["ramp"] != files["plain"]
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 
 from mapsched import control
+from mapsched.cli import gain_report
 from mapsched.control import (
     Q_LQR,
     R_LQR,
     _gain_and_defect,
     control_input,
-    gain_report,
     maps_gain,
     solve_dare,
     synthesize_vertex_gains,

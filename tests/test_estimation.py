@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import imm_likelihood, imm_step_two_pass, imm_update_probabilities
 
+from mapsched.cli import write_run_csvs
 from mapsched.errors import NumericalError, ParameterError
 from mapsched.estimation import (
     FILTER_Q,
@@ -29,7 +30,6 @@ from mapsched.harness import (
     constant_schedule,
     run_scenario,
     toggle_schedule,
-    write_run_csvs,
 )
 from mapsched.motor import build_vertex_set
 from mapsched.plant import TickMap, plant_step

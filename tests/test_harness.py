@@ -25,7 +25,8 @@ from reference import (
     write_run_csvs_repr,
 )
 
-from mapsched import harness
+from mapsched import cli, harness
+from mapsched.cli import write_metrics_json, write_run_csvs
 from mapsched.errors import ConfigError, ParameterError
 from mapsched.estimation import (
     FILTER_Q,
@@ -51,8 +52,6 @@ from mapsched.harness import (
     run_scenario,
     scenario_from_entries,
     toggle_schedule,
-    write_metrics_json,
-    write_run_csvs,
 )
 
 B_MIN, B_MAX = 2.46e-6, 1.63e-4
@@ -605,7 +604,7 @@ class TestCompareRuns:
         )
         for attr in ("rmse", "mae", "iae"):
             assert delta_percent(cmpr, attr) == pytest.approx(0.0, abs=1e-12)
-        text = cmpr.to_text()
+        text = cli.compare_text(*cli.compare_table(cmpr))
         assert "rmse" in text and "a" in text and "b" in text
 
     def test_scheduled_gain_beats_wrong_fixed_gain(self, motor_zoh, vertices_zoh):
@@ -627,7 +626,7 @@ class TestCompareRuns:
             spec, [("a", "maps", "imm"), ("b", "fixed:0", "kf:0")], motor_zoh, vertices_zoh
         )
         out = tmp_path / "cmp.csv"
-        cmpr.to_csv(out)
+        cli.write_csv(out, *cli.compare_table(cmpr))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "metric,a,b,delta_percent"
         assert len(lines) == 7  # rmse, mae, iae + 3 estimation rows
@@ -728,7 +727,7 @@ def csv_module_bytes(directory, rec):
 
 def test_writers_match_csv_module_bytes(tmp_path, monkeypatch):
     # chunks of 2 rows, so a 5-row record spans three of them
-    monkeypatch.setattr(harness, "CSV_CHUNK", 2)
+    monkeypatch.setattr(cli, "CSV_CHUNK", 2)
     rec = synthetic_record([0.5, -1e-05, 3.0e-300, -0.0, 123456789.125])
     n = rec.time.size
     rec.estimate = np.array([[1e-05, -2.5, 7.0], [0.1, 0.2, 0.3], [-1e-300, 1e300, 0.0],
@@ -787,7 +786,7 @@ def test_writers_match_csv_module_bytes_on_any_float(data, n):
                                    max_size=int(np.prod(shape))), label=name)
         setattr(rec, name, np.array(cells, dtype=float).reshape(shape))
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(harness, "CSV_CHUNK", 2), \
+            mock.patch.object(cli, "CSV_CHUNK", 2), \
             np.errstate(invalid="ignore", over="ignore"):
         directory = Path(tmp)
         trace_ref, plot_ref = csv_module_bytes(directory, rec)

@@ -63,13 +63,21 @@ def test_truth_plant_imports_neither_numpy_nor_scipy():
     assert imported and not imported & {"numpy", "scipy"}, sorted(imported)
 
 
+def test_only_cli_imports_json_and_csv_writers():
+    # every format `maps` prints or writes lives in `cli`, the one module
+    # that writes files; `ident` reads its samples with csv
+    imported = {path.name: imported_top_level_modules(path)
+                for path in sorted((ROOT / "src" / "mapsched").glob("*.py"))}
+    assert {name for name, modules in imported.items() if modules & {"json", "orjson"}} \
+        == {"cli.py"}
+    assert {name for name, modules in imported.items() if "csv" in modules} \
+        == {"cli.py", "ident.py"}
+
+
 # imports the module does not use, kept because the benchmark's tracer
 # (perfbench/tracing.py) looks the names up on that module; an entry goes
 # when the tracer stops naming it
-TRACED_REEXPORTS = {
-    ("cli.py", "write_plot_csv"), ("cli.py", "write_trace_csv"),
-    ("harness.py", "kf_predict"), ("harness.py", "kf_update"),
-}
+TRACED_REEXPORTS = {("harness.py", "kf_predict"), ("harness.py", "kf_update")}
 
 
 def unused_imports(path):
