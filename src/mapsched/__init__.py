@@ -10,8 +10,8 @@ import os
 
 # The package's linear algebra is on 3x3 and smaller matrices, where a BLAS
 # thread pool only costs: OpenBLAS wakes its idle threads in steps of a few
-# ms, and on a 2-vCPU machine one solve_discrete_are took 16 ms against
-# 0.5 ms on one thread. Set before numpy loads its BLAS, so it takes effect
+# ms, and on a 2-vCPU machine one Riccati solve (scipy's, at the time) took
+# 16 ms against 0.5 ms on one thread. Set before numpy loads its BLAS, so it takes effect
 # only when mapsched is imported first; a value the user has set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -217,10 +217,14 @@ def compare_table(comparison) -> tuple:
 
 
 def compare_text(header, rows) -> str:
-    """The table of `compare_table` in fixed-width columns."""
-    lines = [f"{'metric':<14}" + "".join(f"{n:>14}" for n in header[1:-1]) + f"{'delta%':>10}"]
+    """The table of `compare_table` in fixed-width columns, the label column
+    as wide as its longest label."""
+    width = max(len(row[0]) for row in (header, *rows))
+    lines = [f"{'metric':<{width}}" + "".join(f"{n:>14}" for n in header[1:-1])
+             + f"{'delta%':>10}"]
     for label, *vals, delta in rows:
-        lines.append(f"{label:<14}" + "".join(f"{v:>14.6f}" for v in vals) + f"{delta:>10.2f}")
+        lines.append(f"{label:<{width}}" + "".join(f"{v:>14.6f}" for v in vals)
+                     + f"{delta:>10.2f}")
     return "\n".join(lines)
 
 

@@ -91,10 +91,19 @@ class MotorConfig:
                 "the motor's (omega, i) modes are not real and distinct for every "
                 f"viscous coefficient in [0, {B_RANGE * self.b_max:.3e}]"
             )
+        # the ZOH design takes Gamma at b_m, through the same modes, which
+        # may lie past that range: its discriminant, as zoh_discretize forms
+        # it, must be positive too
+        gap = self.Rm / self.Lm - self.b_m / self.Jeq
+        if not gap * gap - 4.0 * (self.Kt / self.Jeq) * (self.Ke / self.Lm) > 0.0:
+            raise ParameterError(
+                "the motor's (omega, i) modes are not real and distinct at the nominal "
+                f"viscous coefficient b_m = {self.b_m:.3e}"
+            )
         # the plant forms that discriminant as tr^2 - 4 det, largest at the
         # ends of the range; a motor whose terms overflow or divide by an
         # underflowed J L has no float modes to solve over
-        for b in (0.0, B_RANGE * self.b_max):
+        for b in (0.0, B_RANGE * self.b_max, self.b_m):
             tr = b / self.Jeq + self.Rm / self.Lm
             jl = self.Jeq * self.Lm
             if not (jl > 0.0

@@ -1,11 +1,12 @@
 """LQR synthesis and probabilistically scheduled gain computation.
 
 The Riccati equation of a vertex's (Phi, Gamma) pair under the stock cost
-weights Q_LQR and R_LQR is solved by scipy's Schur (QZ) method and then
-checked against a residual bound relative to its terms. Each distinct
-vertex problem is solved once per process: `vertex_solutions` keeps every
-vertex's solution (P, K, residual, closed-loop eigenvalue moduli), from
-which `synthesize_vertex_gains` fills the design's gains and `maps gains`
+weights Q_LQR and R_LQR is solved by the structure-preserving doubling
+algorithm (`riccati_doubling`) and then checked against a residual bound
+relative to its terms. Each distinct vertex problem is solved once per
+process: `vertex_solutions` keeps every vertex's solution (P, K,
+residual, closed-loop eigenvalue moduli), from which
+`synthesize_vertex_gains` fills the design's gains and `maps gains`
 reports the same solves (`cli.gain_report`). The per-tick scheduled gain
 is the probability-weighted convex combination of the two vertex gains.
 Sign convention: K is the regulator gain for which u = -K x stabilizes,
@@ -15,18 +16,19 @@ applied as u = K (x_ref - x_hat), so every closed loop is Phi - Gamma K.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_are
 
 from .errors import NumericalError
 from .motor import VertexSet, _frozen
 
 # bound on the DARE defect relative to the equation's largest term
 RESIDUAL_LIMIT = 1e-12
+# doublings after which the Riccati iteration is taken to have failed; each
+# one squares the error, so the stock designs settle in 9 to 22
+DARE_MAX_ITER = 64
 # distinct vertex Riccati problems whose solutions a process keeps
 GAIN_MEMO_SIZE = 128
 
@@ -60,6 +62,32 @@ def _gain_and_defect(Phi, Gamma, Q, R, P) -> tuple:
     return K, float(np.max(np.abs(defect))), float(np.abs(terms).max())
 
 
+def riccati_doubling(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
+                     R: np.ndarray) -> np.ndarray:
+    """The DARE solution P by the structure-preserving doubling algorithm
+    (Anderson, Int. J. Control 28(2), 1978; Chu, Fan, Lin & Wang, Int. J.
+    Control 77(8), 2004): from A = Phi, G = Gamma R^-1 Gamma' and H = Q,
+
+        A <- A W^-1 A,  G <- G + A W^-1 G A',  H <- H + A' H W^-1 A,
+
+    W = I + G H, until a doubling leaves H unchanged. H converges
+    quadratically to the stabilizing solution when there is one. Raises
+    LinAlgError after DARE_MAX_ITER doublings, or when W is singular."""
+    n = Phi.shape[0]
+    A, H, eye = Phi, Q, np.eye(n)
+    G = Gamma @ np.linalg.solve(R, Gamma.T)
+    for _ in range(DARE_MAX_ITER):
+        X = np.linalg.solve(eye + G @ H, np.hstack((A, G)))
+        WA, WG = X[:, :n], X[:, n:]
+        H_next = H + A.T @ H @ WA
+        G = G + A @ WG @ A.T
+        A = A @ WA
+        if np.array_equal(H_next, H):
+            return 0.5 * (H + H.T)
+        H = H_next
+    raise np.linalg.LinAlgError(f"the doubling did not settle in {DARE_MAX_ITER} doublings")
+
+
 def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
                R: np.ndarray) -> RiccatiSolution:
     """Stabilizing DARE solution and its LQR gain for the float arrays Phi
@@ -69,24 +97,19 @@ def solve_dare(Phi: np.ndarray, Gamma: np.ndarray, Q: np.ndarray,
     moduli, sorted, are kept with the solution. The defect of P, kept as
     its residual, must be at most RESIDUAL_LIMIT times the largest |entry|
     of Phi' P Phi, Phi' P Gamma K, Q and P, as round-off grows with those
-    terms. A model whose entries overflow
-    the solver's arithmetic fails as a NumericalError: the solve and the
-    checks run with numpy's floating-point warnings off, a non-finite gain
-    is refused by the eigenvalue solver, and scipy's LinAlgWarning (its QZ
-    iteration failed, so the pencil it orders is not in Schur form) is
-    raised as the failure it reports. A failed solve of a model with an
-    entry past 1/eps is blamed on the model's float range, not on its
-    stabilizability.
+    terms. A model whose entries overflow the solver's arithmetic fails as
+    a NumericalError: the solve and the checks run with numpy's
+    floating-point warnings off, and a non-finite gain is refused by the
+    eigenvalue solver. A doubling that does not settle fails the same way.
+    A failed solve of a model with an entry past 1/eps is blamed on the
+    model's float range, not on its stabilizability.
     """
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
+    with np.errstate(all="ignore"):
         try:
-            P = solve_discrete_are(Phi, Gamma, Q, R)
+            P = riccati_doubling(Phi, Gamma, Q, R)
             K, residual, scale = _gain_and_defect(Phi, Gamma, Q, R, P)
             moduli = tuple(sorted(np.abs(np.linalg.eigvals(Phi - Gamma @ K)).tolist()))
-        except LinAlgWarning as exc:
-            raise NumericalError(f"Riccati solver failed: {exc}") from None
-        except (LinAlgError, ValueError) as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             size = max(float(np.max(np.abs(Phi))), float(np.max(np.abs(Gamma))))
             if not size * np.finfo(float).eps <= 1.0:
                 cause = (f"the discrete model's entries reach {size:.3g}, past float64 "

@@ -28,6 +28,10 @@ from struct import pack_into
 
 import numpy as np
 
+# numpy loads numpy.random on first use; run_scenario draws its noise from it,
+# so it is loaded with the package, not inside the first run
+from numpy.random import default_rng
+
 from .config import (
     B_RANGE,
     MOTOR_KEYS,
@@ -419,7 +423,7 @@ def run_scenario(spec: ScenarioSpec, motor: MotorConfig, vertices: VertexSet) ->
     # what the loop computes, one row per tick: z, truth (3), estimate (3),
     # mu (2), gain (3), u; a chunk's rows are packed into it at once
     log = np.empty((n, 13))
-    normal = np.random.default_rng(spec.seed).standard_normal
+    normal = default_rng(spec.seed).standard_normal
     meas_std, dist_std = spec.meas_noise_std, spec.process_noise_std
 
     # one TickMap per schedule segment, not per tick; a ramp misses

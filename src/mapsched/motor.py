@@ -14,11 +14,11 @@ value: the stock motor is the table `config.MOTOR_DEFAULTS`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ParameterError
 
@@ -27,6 +27,12 @@ if TYPE_CHECKING:
 
 # |omega| below this counts as "at rest" for the stiction branch
 OMEGA_REST = 1e-6
+
+# the ZOH map sums an exponential divided difference as its Taylor series
+# when its nodes span at most ZOH_SERIES_SPAN (in units of 1/T), where the
+# recurrence would cancel; ZOH_SERIES_TERMS terms reach float round-off
+ZOH_SERIES_SPAN = 1.0
+ZOH_SERIES_TERMS = 24
 
 
 def _frozen(a) -> np.ndarray:
@@ -126,16 +132,79 @@ def euler_discretize(A: np.ndarray, B: np.ndarray, T: float):
     return np.eye(A.shape[0]) + T * A, T * B
 
 
+def _phi1(x: float) -> float:
+    """(e^x - 1) / x, the divided difference e[0, x] of the exponential."""
+    return math.expm1(x) / x if x != 0.0 else 1.0
+
+
+def _dd_series(x1: float, x2: float, m: int) -> float:
+    """The exponential's divided difference over the m + 1 nodes 0 (m - 1
+    times), x1 and x2, summed as its Taylor series sum_n h_n(x1, x2) / (n +
+    m)!, h_n the complete symmetric polynomial of degree n; for nodes within
+    a unit span."""
+    total, h, x2n, fact = 0.0, 1.0, 1.0, float(math.factorial(m))
+    for n in range(ZOH_SERIES_TERMS):
+        total += h / fact
+        x2n *= x2
+        h = x1 * h + x2n
+        fact *= n + 1 + m
+    return total
+
+
 def zoh_discretize(A: np.ndarray, B: np.ndarray, T: float):
-    """Exact zero-order-hold pair via the augmented-matrix exponential."""
+    """Exact zero-order-hold pair of a motor's (A, B) in closed form.
+
+    The (omega, i) block M = [[s, p], [q, r]] has the real, distinct,
+    negative modes lam1 > lam2 (refused otherwise, as is a pair without the
+    motor's structure: theta' = omega, the input driving i alone). With x_k =
+    lam_k T, Putzer's form exp(M t) = e^(lam_k t) I + f(t) (M - lam_k I),
+    f = (e^(lam1 t) - e^(lam2 t)) / (lam1 - lam2), holds for either k, and
+    its integrals over the tick are the exponential's divided differences
+    e[0, x1, x2] and e[0, 0, x1, x2] times powers of T. Each diagonal entry
+    takes the mode nearest it, with the offset d - lam_near = -p q / (d -
+    lam_far), so no entry subtracts close numbers. Everything is scalar
+    `math`, so no BLAS kernel rounds the map; Phi's first column is exactly
+    e0.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n, m = A.shape[0], B.shape[1]
-    M = np.zeros((n + m, n + m))
-    M[:n, :n] = A
-    M[:n, n:] = B
-    E = expm(M * T)
-    return E[:n, :n], E[:n, n:]
+    if not (A.shape == (3, 3) and B.shape == (3, 1) and not A[:, 0].any()
+            and A[0, 1] == 1.0 and A[0, 2] == 0.0 and not B[:2].any()):
+        raise ParameterError("the ZOH closed form needs a motor's (A, B): theta' = omega "
+                             "and the input entering the current alone")
+    ((s, p), (q, r)), g = A[1:, 1:].tolist(), float(B[2, 0])
+    tr, det, disc = s + r, s * r - p * q, (s - r) * (s - r) + 4.0 * p * q
+    lam2 = 0.5 * (tr - math.sqrt(disc)) if disc > 0.0 and tr < 0.0 and det > 0.0 else math.nan
+    lam1 = det / lam2  # product of the roots; avoids cancellation
+    if not lam2 < lam1:
+        raise ParameterError("the ZOH closed form needs real, distinct, negative "
+                             "(omega, i) modes")
+    x1, x2 = lam1 * T, lam2 * T
+    e12 = math.exp(x1) * _phi1(x2 - x1)  # e[x1, x2]
+    if -x2 <= ZOH_SERIES_SPAN:
+        d2, d3 = _dd_series(x1, x2, 2), _dd_series(x1, x2, 3)
+    else:
+        # recurrences over the span 0 - x2, which is at least 1
+        phi2 = _dd_series(x1, 0.0, 2) if -x1 <= ZOH_SERIES_SPAN else (_phi1(x1) - 1.0) / x1
+        d2 = (_phi1(x1) - e12) / -x2
+        d3 = (phi2 - d2) / -x2
+
+    def nearest_mode(d):
+        """(e^x, x, d - lam) of the mode nearest the diagonal entry d."""
+        if abs(d - lam1) <= abs(d - lam2):
+            return math.exp(x1), x1, -p * q / (d - lam2)
+        return math.exp(x2), x2, -p * q / (d - lam1)
+
+    (es, xs, ds), (er, xr, dr) = nearest_mode(s), nearest_mode(r)
+    TT = T * T
+    Phi = np.array([
+        [1.0, T * _phi1(xs) + TT * d2 * ds, TT * d2 * p],
+        [0.0, es + T * e12 * ds, T * e12 * p],
+        [0.0, T * e12 * q, er + T * e12 * dr],
+    ])
+    Gamma = np.array([[g * TT * T * d3 * p], [g * TT * d2 * p],
+                      [g * (T * _phi1(xr) + TT * d2 * dr)]])
+    return Phi, Gamma
 
 
 # the discretizations a motor may name, each mapping (A, B, T) to (Phi, Gamma)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import CertificationError, ParameterError
 from .motor import VertexSet, _frozen
@@ -62,8 +61,10 @@ class StabilityCert:
 def _dlyap(A: np.ndarray) -> np.ndarray:
     """Solve A' P A - P = -I for a float array A already known to be Schur
     stable; the solution is the convergent series P = sum_k (A')^k A^k,
-    symmetrized."""
-    P = solve_discrete_lyapunov(A.T, np.eye(A.shape[0]))
+    symmetrized. The direct method: vec P solves (I - A' (x) A') vec P =
+    vec I, one n^2 x n^2 linear system."""
+    n = A.shape[0]
+    P = np.linalg.solve(np.eye(n * n) - np.kron(A.T, A.T), np.eye(n).reshape(-1)).reshape(n, n)
     return 0.5 * (P + P.T)
 
 

@@ -29,10 +29,17 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, expm, solve_discrete_are
+from scipy.linalg import expm
 
 from mapsched.cli import _percent_change
-from mapsched.control import Q_LQR, R_LQR, RiccatiSolution, control_input, maps_gain
+from mapsched.control import (
+    Q_LQR,
+    R_LQR,
+    RiccatiSolution,
+    control_input,
+    maps_gain,
+    riccati_doubling,
+)
 from mapsched.errors import CertificationError, NumericalError, ParameterError
 from mapsched.estimation import (
     _LOG_2PI,
@@ -381,8 +388,8 @@ def solve_dare_two_solve(Phi, Gamma, Q, R) -> RiccatiSolution:
     """`control.solve_dare` solving Gamma' P Gamma + R twice: once in the
     residual, once for K."""
     try:
-        P = solve_discrete_are(Phi, Gamma, Q, R)
-    except (LinAlgError, ValueError) as exc:
+        P = riccati_doubling(Phi, Gamma, Q, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(
             f"Riccati equation has no stabilizing solution ({exc}); "
             "the model/weight pair is likely not stabilizable"

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning, solve_discrete_are
 
 from mapsched import cli, control, harness
 from mapsched.config import MOTOR_DEFAULTS
+from mapsched.control import riccati_doubling
 from mapsched.errors import NumericalError
 from mapsched.motor import build_vertex_set
 
@@ -224,6 +224,20 @@ def test_numerical_failure_exit_two(tmp_path):
     assert "numerical failure" in out.stderr
 
 
+@pytest.mark.parametrize("b_m", ["0.139", "0.15", "0.159"])
+@pytest.mark.parametrize("command", ["gains", "certify"])
+def test_complex_modes_at_b_m_exit_one(maps, tmp_path, command, b_m):
+    # the design takes Gamma at b_m, past the scheduled range [0, 10 b_max]
+    # here; around b_m / J = R / L the (omega, i) modes there are complex,
+    # which the ZOH closed form cannot map: refused as the motor loads
+    cfg = tmp_path / "motor.cfg"
+    cfg.write_text(f"b_m = {b_m}\n")
+    out = maps(command, "--motor", str(cfg))
+    assert out.returncode == 1
+    assert out.stderr == ("error: invalid config: the motor's (omega, i) modes are not real "
+                          f"and distinct at the nominal viscous coefficient b_m = {float(b_m):.3e}\n")
+
+
 # the motor files whose Riccati defects are large in absolute terms but
 # round-off against the equation's terms: ZOH at a 10 us tick (defects of
 # 1.6e-9 and 6.5e-9, 1.4e-15 and 5.7e-15 of the largest term), and Euler
@@ -319,8 +333,8 @@ def test_failing_command_prints_no_warning(maps, tmp_path, command, text, code):
 
 def test_residual_above_the_bound_exits_two(maps, tmp_path, monkeypatch):
     # a solution P off by 1e-6 relative leaves a defect far above the bound
-    monkeypatch.setattr(control, "solve_discrete_are",
-                        lambda *args: solve_discrete_are(*args) * (1.0 + 1e-6))
+    monkeypatch.setattr(control, "riccati_doubling",
+                        lambda *args: riccati_doubling(*args) * (1.0 + 1e-6))
     control._vertex_solution.cache_clear()
     cfg = tmp_path / "motor.cfg"
     cfg.write_text(STIFF_MOTORS["zoh-10us"])
@@ -331,14 +345,14 @@ def test_residual_above_the_bound_exits_two(maps, tmp_path, monkeypatch):
         assert "exceeds 1e-12 of the equation's largest term" in out.stderr
 
 
-@pytest.mark.parametrize("discretization, code", [("zoh", 1), ("euler", 2)])
+@pytest.mark.parametrize("discretization, code", [("zoh", 0), ("euler", 2)])
 @pytest.mark.parametrize("command", ["gains", "certify"])
 def test_non_finite_design_exits_with_its_code(tmp_path, command, discretization, code):
-    # lm = 1e-150 puts the electrical pole out of float range: under ZOH the
-    # matrix exponential is NaN, which the vertex set refuses (exit 1);
-    # under Euler Phi is finite (~1.7e148) and the Riccati solve fails (exit
-    # 2). Both messages name the float range, and neither lets a
-    # floating-point warning escape.
+    # lm = 1e-150 puts the electrical pole at -7.2e153 /s: the ZOH closed
+    # form maps it exactly (e^(lam T) = 0) and the design certifies (exit
+    # 0); under Euler Phi reaches ~1.7e148 and the Riccati solve fails (exit
+    # 2), with a message that names the float range. Neither lets a
+    # floating-point warning or a traceback escape.
     cfg = tmp_path / "motor.cfg"
     cfg.write_text(f"lm = 1e-150\ndiscretization = {discretization}\n")
     out, err = io.StringIO(), io.StringIO()
@@ -346,14 +360,14 @@ def test_non_finite_design_exits_with_its_code(tmp_path, command, discretization
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         assert cli.main([command, "--motor", str(cfg)]) == code
-    assert err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
-    if code == 1:
-        assert f"the {discretization} discrete model at T = 0.002 s is not finite" in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
     else:
+        assert err.getvalue().startswith("error: ")
         assert "model's entries reach 1.68e+148" in err.getvalue()
         assert "not stabilizable" not in err.getvalue()
-    assert "out of float range" in err.getvalue()
+        assert "out of float range" in err.getvalue()
 
 
 @pytest.mark.parametrize("tau_s, tau_c", [(0.001, 0.002), (-0.001, -0.002), (0.003, -0.001)],
@@ -382,24 +396,22 @@ def test_friction_torques_out_of_order_exit_one(maps, monkeypatch, tmp_path, com
     assert not (tmp_path / "out").exists()
 
 
-def test_riccati_qz_failure_exit_two(monkeypatch):
-    # scipy's QZ warning is the solve's failure: exit 2, no stray warning
-    def qz_fails(*args):
-        warnings.warn("The QZ iteration failed. (a,b) are not in Schur form",
-                      LinAlgWarning, stacklevel=1)
-        return solve_discrete_are(*args)
-
-    monkeypatch.setattr(control, "solve_discrete_are", qz_fails)
+def test_riccati_doubling_failure_exit_two(monkeypatch):
+    # a doubling that has not settled at its cap is the solve's failure:
+    # exit 2, no stray warning (the stock design settles in 11 doublings)
+    monkeypatch.setattr(control, "DARE_MAX_ITER", 2)
     # `gains` reads the design's solutions from the memo: empty it so that
-    # the stock design is solved again, through the patched solver
+    # the stock design is solved again, under the lowered cap
     control._vertex_solution.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         assert cli.main(["gains"]) == 2
-    assert err.getvalue().startswith("error: numerical failure: Riccati solver failed: "
-                                     "The QZ iteration failed")
+    assert err.getvalue() == ("error: numerical failure: Riccati equation has no stabilizing "
+                              "solution (the doubling did not settle in 2 doublings); the "
+                              "model/weight pair is likely not stabilizable\n")
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -435,14 +447,14 @@ def test_each_riccati_equation_is_solved_once(monkeypatch, motor):
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return solve_discrete_are(*args, **kwargs)
+        return riccati_doubling(*args, **kwargs)
 
     def solves(fn, *args):
         calls.clear()
         fn(*args)
         return len(calls)
 
-    monkeypatch.setattr(control, "solve_discrete_are", counted)
+    monkeypatch.setattr(control, "riccati_doubling", counted)
     control._vertex_solution.cache_clear()
     n_vertices = 2
     assert solves(harness.design_from_motor, motor) == n_vertices
@@ -466,9 +478,9 @@ def test_vertex_index_refused_before_the_design(maps, monkeypatch, tmp_path, cho
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return solve_discrete_are(*args, **kwargs)
+        return riccati_doubling(*args, **kwargs)
 
-    monkeypatch.setattr(control, "solve_discrete_are", counted)
+    monkeypatch.setattr(control, "riccati_doubling", counted)
     control._vertex_solution.cache_clear()
     cfg = tmp_path / "index.cfg"
     cfg.write_text(f"duration = 0.1\n{choice}\n")
@@ -558,8 +570,8 @@ def test_run_byte_identical_reruns(maps, tmp_path, scenario_cfg):
 
 
 def test_run_metrics_agree_across_blas_kernels(tmp_path, scenario_cfg):
-    # output bytes hold per BLAS kernel only: OpenBLAS rounds the design's expm
-    # and Riccati solve per kernel, and the run carries that design's bits
+    # output bytes hold per BLAS kernel only: OpenBLAS rounds the design's
+    # Riccati solve per kernel, and the run carries that design's bits
     # (it makes no BLAS call of its own). A run under the Sandybridge (AVX)
     # kernels and one under the kernel OpenBLAS picks for the CPU still
     # report the same metrics within a relative 1e-9 (they differed by
@@ -708,6 +720,22 @@ def test_compare_default_variants(maps, scenario_cfg, tmp_path):
     assert out_csv.exists()
 
 
+def test_compare_table_values_start_at_one_column(maps, scenario_cfg):
+    # the label column is as wide as the longest label, est_rmse_current:
+    # every row's values (two columns of 14 and delta% of 10) start where
+    # the header's variant names do
+    out = maps("compare", str(scenario_cfg))
+    assert out.returncode == 0
+    lines = out.stdout.splitlines()[:7]
+    labels = ["metric", "rmse", "mae", "iae", "est_rmse_theta", "est_rmse_omega",
+              "est_rmse_current"]
+    start = len(max(labels, key=len))
+    for line, label in zip(lines, labels, strict=True):
+        assert len(line) == start + 2 * 14 + 10, line
+        assert line[:start].rstrip() == label and line[start] == " ", line
+        assert len(line[start:].split()) == 3, line
+
+
 @pytest.mark.parametrize("target", ["directory", "under-file", "under-missing"])
 def test_compare_refuses_a_bad_out_before_running(tmp_path, scenario_cfg, monkeypatch, target):
     # refused before the scenario is loaded, designed or compared
@@ -839,6 +867,8 @@ def mutated_stock_scenario(draw):
 @example(data=b"\xff\xfe")
 @example(data=b"sample_time = 1e308\ndiscretization = zoh\n")    # T * A overflows
 @example(data=b"sample_time = 1e308\ndiscretization = euler\n")
+@example(data=b"b_m = 0.15\n")                 # complex modes at b_m: exit 1
+@example(data=b"b_m = 1e300\ndiscretization = euler\n")
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_motor_file_exits_with_a_documented_code(command, data):
     # `gains` and `certify` design from the motor file and simulate nothing;

@@ -147,14 +147,16 @@ VALUES = st.one_of(
 @example(entries={"lm": "1e0"})       # complex (omega, i) modes at every b
 @example(entries={"b_max": "2e-2"})   # complex modes for b in (0.138, 0.160)
 @example(entries={"lm": "3.35062960497086e-257"})  # (R/L)^2 overflows a float
+@example(entries={"b_m": "0.15"})     # complex modes at b_m, past 10 b_max
+@example(entries={"b_m": "0.139", "b_max": "1e-5"})
 @example(entries={"process_noise_std": "-1"})
 @example(entries={"meas_noise_std": "-0.5"})
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_entries_are_refused_or_bounded(entries):
     # every scenario + motor input either fails as a ConfigError or asks for
     # bounded work (ticks and a seed the generator accepts) of a motor whose
-    # (omega, i) modes are real and distinct over the scheduled friction range,
-    # with noise of a non-negative spread
+    # (omega, i) modes are real and distinct over the scheduled friction range
+    # and at b_m, with noise of a non-negative spread
     try:
         motor = motor_config_from_entries({k: v for k, v in entries.items() if k in MOTOR_KEYS})
         spec = scenario_from_entries(
@@ -166,6 +168,8 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
         assert ((b / motor.Jeq - motor.Rm / motor.Lm) ** 2
                 > 4.0 * motor.Kt * motor.Ke / (motor.Jeq * motor.Lm))
     assert B_RANGE * motor.b_max / motor.Jeq < motor.Rm / motor.Lm
+    assert ((motor.b_m / motor.Jeq - motor.Rm / motor.Lm) ** 2
+            > 4.0 * motor.Kt * motor.Ke / (motor.Jeq * motor.Lm))
     assert spec.process_noise_std >= 0.0
     assert spec.meas_noise_std >= 0.0
     np.random.default_rng(spec.seed)

@@ -445,8 +445,8 @@ def test_cycle_bits_do_not_depend_on_the_blas_kernel(motor_zoh, vertices_zoh):
     # the two-mode cycle makes no BLAS call, so the kernel OpenBLAS picks
     # for the CPU, Haswell's and Sandybridge's give it the same bits: the
     # same vertex floats over the first 4000 ticks of criterion 3's stream
-    # hash alike. The design's expm is per kernel, so the children are
-    # handed this process's arrays rather than designing their own
+    # hash alike. The children are handed this process's arrays rather than
+    # designing their own, so the cycle alone is held
     hexed = lambda a: [[float.hex(v) for v in row] for row in np.asarray(a).tolist()]
     data = json.dumps({
         "phis": [hexed(phi) for phi in vertices_zoh.Phi_vertices],

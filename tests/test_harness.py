@@ -356,9 +356,10 @@ def test_run_bits_depend_on_the_blas_kernel_only_through_the_design(vertices_zoh
     # BLAS call, so a run handed one design's floats gives the same bits
     # under the kernel OpenBLAS picks for the CPU, Haswell's and
     # Sandybridge's: the truth, estimate, mode probabilities and voltage of
-    # a 6 s sine run with a 2-4 s load window hash alike. The design's expm
-    # and Riccati solve round per kernel, so the children are handed this
-    # process's stock ZOH design rather than designing their own
+    # a 6 s sine run with a 2-4 s load window hash alike. The design's
+    # Riccati solve rounds per kernel (its ZOH vertex arrays do not), so the
+    # children are handed this process's stock ZOH design rather than
+    # designing their own
     hexed = lambda a: [[float.hex(v) for v in row] for row in np.asarray(a).tolist()]
     data = json.dumps({
         "rho": [float.hex(r) for r in vertices_zoh.rho],

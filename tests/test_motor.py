@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import _domega, euler_vertices_affine
+from scipy.linalg import expm
 
 from mapsched.errors import ParameterError
 from mapsched.estimation import FILTER_Q, FILTER_R, FilterBank, default_transition_matrix
@@ -106,17 +110,53 @@ class TestForwardEuler:
                 dataclasses.replace(motor, sample_time=T)
 
 
-class TestExactZoh:
-    def test_zero_dynamics(self):
-        B = np.array([[1.0], [2.0], [3.0]])
-        Phi, Gamma = zoh_discretize(np.zeros((3, 3)), B, 0.5)
-        assert np.allclose(Phi, np.eye(3), atol=1e-15)
-        assert np.allclose(Gamma, 0.5 * B, atol=1e-15)
+# the sample times the ZOH oracle spans, 10 us to 10 ms
+ZOH_SAMPLE_TIMES = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 2e-3, 3e-3, 1e-2)
 
-    def test_scalar_closed_form(self):
-        Phi, Gamma = zoh_discretize([[-1.0]], [[1.0]], 1.0)
-        assert Phi[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert Gamma[0, 0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+
+class TestExactZoh:
+    @pytest.mark.parametrize("A, B", [
+        (np.zeros((3, 3)), [[1.0], [2.0], [3.0]]),      # no theta' = omega
+        ([[-1.0]], [[1.0]]),                           # not a motor's size
+        ([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]],
+         [[0.0], [1.0], [1.0]]),                       # the input drives omega
+    ], ids=["zero-dynamics", "scalar", "input-on-omega"])
+    def test_refuses_a_pair_without_the_motor_structure(self, A, B):
+        with pytest.raises(ParameterError, match="needs a motor's"):
+            zoh_discretize(A, B, 0.002)
+
+    @pytest.mark.parametrize("block", [
+        [[-1.0, 1.0], [-1.0, -1.0]],                   # complex modes
+        [[-2.0, 1.0], [0.0, -2.0]],                    # a double mode
+        [[0.0, 1.0], [-1.0, -2.0]],                    # a double mode at -1
+        [[0.5, 1.0], [0.0, -1.0]],                     # a growing mode
+    ], ids=["complex", "double", "double-coupled", "unstable"])
+    def test_refuses_modes_that_are_not_real_distinct_and_negative(self, block):
+        A = np.zeros((3, 3))
+        A[0, 1], A[1:, 1:] = 1.0, block
+        with pytest.raises(ParameterError, match="real, distinct, negative"):
+            zoh_discretize(A, [[0.0], [0.0], [1.0]], 0.002)
+
+    # past 10 ms expm's scaling and squaring loses digits (2.6e-14 per
+    # entry at T = 0.2 s against a 60-digit exponential, 1.3e-12 at 1 s,
+    # where the closed form is within 1.1e-14), so the long ticks, which
+    # also take the slow mode's recurrence, are held to 1e-13
+    @pytest.mark.parametrize("T, bound", [*((T, 2e-15) for T in ZOH_SAMPLE_TIMES),
+                                          (0.2, 1e-13), (1.0, 1e-13)])
+    def test_matches_expm_at_each_vertex(self, motor, T, bound):
+        # scipy's augmented-matrix exponential is the oracle: every entry of
+        # Phi and Gamma agrees within 2e-15 of the largest from T = 10 us to
+        # 10 ms, at b_min, b_m, b_max and the top of the scheduled range;
+        # Phi's first column is e0
+        for b in (motor.b_min, motor.b_m, motor.b_max, 10.0 * motor.b_max):
+            A, B = build_continuous_model(motor, b)
+            M = np.zeros((4, 4))
+            M[:3, :3], M[:3, 3:] = A, B
+            E = expm(M * T)
+            Phi, Gamma = zoh_discretize(A, B, T)
+            assert Phi[:, 0].tolist() == [1.0, 0.0, 0.0]
+            assert np.max(np.abs(Phi - E[:3, :3])) <= bound * np.max(np.abs(E[:3, :3]))
+            assert np.max(np.abs(Gamma - E[:3, 3:])) <= bound * np.max(np.abs(E[:3, 3:]))
 
     def test_motor_matches_series_oracle(self, motor):
         A, B = build_continuous_model(motor, motor.b_m)
@@ -292,10 +332,21 @@ class TestVertexSet:
             assert np.array_equal(a, b) and not a.flags.writeable
 
     def test_refuses_a_non_finite_discrete_model(self, motor):
-        # an electrical pole out of float range: expm returns NaN
+        # an Euler tick so long that T A overflows: Phi holds inf
+        long_tick = dataclasses.replace(motor, sample_time=1e306, discretization="euler")
+        with pytest.raises(ParameterError,
+                           match="euler discrete model at T = 1e[+]306 s is not finite"):
+            build_vertex_set(long_tick)
+
+    def test_zoh_maps_an_electrical_pole_past_float_range(self, motor):
+        # Lm = 1e-150 puts the electrical pole at -7.2e153 /s: the closed
+        # form maps it to e^(lam T) = 0 and the current to its quasi-static
+        # value, every entry finite; Euler's Phi reaches 1.7e148
         tiny = dataclasses.replace(motor, Lm=1e-150, discretization="zoh")
-        with pytest.raises(ParameterError, match="zoh discrete model at T = 0.002 s is not finite"):
-            build_vertex_set(tiny)
+        vs = build_vertex_set(tiny)
+        for a in (*vs.Phi_vertices, vs.Gamma):
+            assert np.isfinite(a).all()
+        assert max(abs(phi[2, 2]) for phi in vs.Phi_vertices) < 1e-140
 
     @pytest.mark.parametrize("T", [0.0, -0.002, math.nan])
     def test_refuses_a_non_positive_sample_time(self, motor, T):
@@ -308,3 +359,26 @@ class TestVertexSet:
         vs = build_vertex_set(motor)
         with pytest.raises(ParameterError, match="one gain row per vertex required"):
             dataclasses.replace(vs, K_vertices=[np.zeros((1, 3))])
+
+
+# builds the stock ZOH vertex set and prints the bytes of its Phi and Gamma
+_ZOH_BYTES_CHILD = """
+from mapsched.config import load_motor_config
+from mapsched.motor import build_vertex_set
+vs = build_vertex_set(load_motor_config())
+print(b"".join(a.tobytes() for a in (*vs.Phi_vertices, vs.Gamma)).hex())
+"""
+
+
+def test_zoh_vertex_bytes_do_not_depend_on_the_blas_kernel():
+    # the closed form is scalar `math`, so the kernel OpenBLAS picks for the
+    # CPU, Haswell's and Sandybridge's build the same vertex floats
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    found = {}
+    for kernel in ("", "Haswell", "Sandybridge"):
+        done = subprocess.run([sys.executable, "-c", _ZOH_BYTES_CHILD],
+                              env={**env, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        found[kernel or "default"] = done.stdout.strip()
+    assert len(set(found.values())) == 1, found

@@ -36,8 +36,37 @@ def test_every_third_party_import_is_a_declared_dependency():
                 for req in project["dependencies"]}
     imported = imported_top_level_modules(ROOT / "src" / "mapsched")
     third_party = imported - set(sys.stdlib_module_names) - {"mapsched"}
-    assert {"numpy", "scipy", "orjson"} <= third_party
+    # scipy is the tests' oracle only: the package designs with numpy alone
+    assert third_party == {"numpy", "orjson"}
     assert third_party <= declared, f"imported but not declared: {sorted(third_party - declared)}"
+
+
+# runs `maps` with scipy blocked: an import of it raises ImportError
+_NO_SCIPY_CHILD = """
+import sys
+sys.modules["scipy"] = None
+from mapsched.cli import main
+code = main(sys.argv[1:])
+assert not [m for m in sys.modules if m.startswith("scipy.")], "a scipy module loaded"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [["run", "{scenario}", "--out", "{out}"], ["certify"]],
+                         ids=["run", "certify"])
+def test_runtime_needs_no_scipy(tmp_path, argv):
+    # the design (ZOH map, Riccati and Lyapunov solves) and the run are
+    # numpy, math and orjson: `maps run` on a short scenario and `maps
+    # certify` succeed in a process that cannot import scipy
+    scenario = tmp_path / "short.cfg"
+    scenario.write_text("duration = 0.2\n")
+    args = [a.format(scenario=scenario, out=tmp_path / "out") for a in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
