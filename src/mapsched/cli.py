@@ -217,13 +217,16 @@ def compare_table(comparison) -> tuple:
 
 
 def compare_text(header, rows) -> str:
-    """The table of `compare_table` in fixed-width columns, the label column
-    as wide as its longest label."""
+    """The table of `compare_table` in fixed-width columns: the label column
+    as wide as its longest label, each variant's column one wider than its
+    widest cell and at least 14 wide."""
     width = max(len(row[0]) for row in (header, *rows))
-    lines = [f"{'metric':<{width}}" + "".join(f"{n:>14}" for n in header[1:-1])
+    names, cells = header[1:-1], [[f"{v:.6f}" for v in row[1:-1]] for row in rows]
+    widths = [max(14, *(1 + len(c) for c in column)) for column in zip(names, *cells)]
+    lines = [f"{'metric':<{width}}" + "".join(f"{n:>{w}}" for n, w in zip(names, widths))
              + f"{'delta%':>10}"]
-    for label, *vals, delta in rows:
-        lines.append(f"{label:<{width}}" + "".join(f"{v:>14.6f}" for v in vals)
+    for (label, *_, delta), row in zip(rows, cells):
+        lines.append(f"{label:<{width}}" + "".join(f"{c:>{w}}" for c, w in zip(row, widths))
                      + f"{delta:>10.2f}")
     return "\n".join(lines)
 

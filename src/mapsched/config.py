@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .motor import DISCRETIZERS, FrictionModel
+from .motor import DISCRETIZERS, FrictionModel, slip_modes
 
 MOTOR_DEFAULTS = {
     "kt": 0.042,
@@ -91,26 +91,18 @@ class MotorConfig:
                 "the motor's (omega, i) modes are not real and distinct for every "
                 f"viscous coefficient in [0, {B_RANGE * self.b_max:.3e}]"
             )
-        # the ZOH design takes Gamma at b_m, through the same modes, which
-        # may lie past that range: its discriminant, as zoh_discretize forms
-        # it, must be positive too
-        gap = self.Rm / self.Lm - self.b_m / self.Jeq
-        if not gap * gap - 4.0 * (self.Kt / self.Jeq) * (self.Ke / self.Lm) > 0.0:
-            raise ParameterError(
-                "the motor's (omega, i) modes are not real and distinct at the nominal "
-                f"viscous coefficient b_m = {self.b_m:.3e}"
-            )
-        # the plant forms that discriminant as tr^2 - 4 det, largest at the
-        # ends of the range; a motor whose terms overflow or divide by an
-        # underflowed J L has no float modes to solve over
-        for b in (0.0, B_RANGE * self.b_max, self.b_m):
-            tr = b / self.Jeq + self.Rm / self.Lm
-            jl = self.Jeq * self.Lm
-            if not (jl > 0.0
-                    and math.isfinite(tr * tr - 4.0 * (b * self.Rm + self.Kt * self.Ke) / jl)):
-                raise ParameterError(
-                    f"the motor's (omega, i) modes at b = {b:.3e} are out of float range"
-                )
+        # the truth plant and the ZOH design take their modes from slip_modes,
+        # at that range's ends and at b_m, where the ZOH Gamma may lie past it;
+        # modes that are not real there are refused as the nominal b_m's
+        for b in (0.0, B_RANGE * self.b_max):
+            slip_modes(self, b)
+        try:
+            slip_modes(self, self.b_m)
+        except ParameterError as exc:
+            if "not real" not in str(exc):
+                raise
+            raise ParameterError("the motor's (omega, i) modes are not real and distinct at the "
+                                 f"nominal viscous coefficient b_m = {self.b_m:.3e}") from None
 
     def friction(self, b: float, coulomb_on: bool) -> FrictionModel:
         return FrictionModel(

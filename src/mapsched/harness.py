@@ -145,9 +145,12 @@ def load_window_schedule(b_low: float, b_high: float, start: float, end: float,
                          ramp_time: float = 0.0) -> FrictionSchedule:
     """No-load friction with a high-friction (loaded) window [start, end).
     A window from 0 holds from the first tick, with no segment to ramp
-    from."""
+    from; a later one must finish its ramp up before it ends."""
     if not 0.0 <= start < end:
         raise ParameterError("load window needs 0 <= start < end")
+    if start > 0.0 and ramp_time > end - start:
+        raise ParameterError(f"ramp_time {ramp_time!r} outlasts the load window: "
+                             f"load_end - load_start = {end - start!r}")
     segs = (FrictionSegment(start, b_high, True), FrictionSegment(end, b_low, False))
     if start > 0.0:
         segs = (FrictionSegment(0.0, b_low, False), *segs)

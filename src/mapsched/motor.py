@@ -1,7 +1,7 @@
-"""DC motor models: the continuous (A, B) pair of a motor and its
-discretizations, the friction parameters, and the polytopic vertex set
-used by the scheduled controller. DISCRETIZERS maps each discretization
-name a motor may give to its function, and one rule builds every vertex.
+"""DC motor models: a motor's continuous (A, B) pair, (omega, i) modes and
+discretizations, the friction parameters, and the polytopic vertex set used
+by the scheduled controller. DISCRETIZERS maps each discretization name a
+motor may give to its function, and one rule builds every vertex.
 
 State ordering is [theta, omega, i] (rad, rad/s, A) throughout; the single
 input is the armature voltage and the single measurement is theta. The
@@ -125,11 +125,31 @@ def build_continuous_model(motor: MotorConfig, b: float) -> tuple:
     return A, B
 
 
-def euler_discretize(A: np.ndarray, B: np.ndarray, T: float):
-    """Forward-Euler pair (I + T*A, T*B)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return np.eye(A.shape[0]) + T * A, T * B
+def slip_modes(motor: MotorConfig, b: float) -> tuple:
+    """(lam_slow, lam_fast), lam_fast < lam_slow < 0: the two real modes of
+    the motor's slipping (omega, i) dynamics at viscous coefficient b, the
+    one rule the truth plant, the ZOH map and the motor's checks share.
+    Raises ParameterError naming b when they are not real and distinct, or
+    are out of float range."""
+    jl = motor.Jeq * motor.Lm
+    tr = -(b / motor.Jeq + motor.Rm / motor.Lm)
+    det = (b * motor.Rm + motor.Kt * motor.Ke) / jl if jl > 0.0 else math.inf
+    disc = tr * tr - 4.0 * det
+    lam_fast = 0.5 * (tr - math.sqrt(disc)) if disc > 0.0 else math.nan
+    lam_slow = det / lam_fast  # product of the roots; avoids cancellation
+    if not math.isfinite(disc) or lam_slow == 0.0:
+        raise ParameterError(f"the motor's (omega, i) modes at b = {b:.3e} are out of float range")
+    if not lam_slow < 0.0:
+        raise ParameterError(
+            f"the motor's (omega, i) modes are not real and distinct at b = {b:.3e}")
+    return lam_slow, lam_fast
+
+
+def euler_discretize(motor: MotorConfig, b: float, T: float):
+    """Forward-Euler pair (I + T A(b), T B) of the motor at viscous
+    coefficient b."""
+    A, B = build_continuous_model(motor, b)
+    return np.eye(3) + T * A, T * B
 
 
 def _phi1(x: float) -> float:
@@ -151,34 +171,23 @@ def _dd_series(x1: float, x2: float, m: int) -> float:
     return total
 
 
-def zoh_discretize(A: np.ndarray, B: np.ndarray, T: float):
-    """Exact zero-order-hold pair of a motor's (A, B) in closed form.
+def zoh_discretize(motor: MotorConfig, b: float, T: float):
+    """The motor's exact zero-order-hold pair at viscous coefficient b.
 
-    The (omega, i) block M = [[s, p], [q, r]] has the real, distinct,
-    negative modes lam1 > lam2 (refused otherwise, as is a pair without the
-    motor's structure: theta' = omega, the input driving i alone). With x_k =
-    lam_k T, Putzer's form exp(M t) = e^(lam_k t) I + f(t) (M - lam_k I),
-    f = (e^(lam1 t) - e^(lam2 t)) / (lam1 - lam2), holds for either k, and
-    its integrals over the tick are the exponential's divided differences
-    e[0, x1, x2] and e[0, 0, x1, x2] times powers of T. Each diagonal entry
-    takes the mode nearest it, with the offset d - lam_near = -p q / (d -
-    lam_far), so no entry subtracts close numbers. Everything is scalar
-    `math`, so no BLAS kernel rounds the map; Phi's first column is exactly
-    e0.
+    In closed form: A(b)'s (omega, i) block is M = [[s, p], [q, r]], and the
+    input drives i alone, through g = 1/Lm. With lam1 > lam2 the two real
+    modes of `slip_modes` and x_k = lam_k T, Putzer's form exp(M t) =
+    e^(lam_k t) I + f(t) (M - lam_k I), f = (e^(lam1 t) - e^(lam2 t)) /
+    (lam1 - lam2), holds for either k, and its integrals over the tick are
+    the exponential's divided differences e[0, x1, x2] and e[0, 0, x1, x2]
+    times powers of T. Each diagonal entry takes the mode nearest it, with
+    the offset d - lam_near = -p q / (d - lam_far), so no entry subtracts
+    close numbers. Everything is scalar `math`, so no BLAS kernel rounds the
+    map; Phi's first column is exactly e0.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if not (A.shape == (3, 3) and B.shape == (3, 1) and not A[:, 0].any()
-            and A[0, 1] == 1.0 and A[0, 2] == 0.0 and not B[:2].any()):
-        raise ParameterError("the ZOH closed form needs a motor's (A, B): theta' = omega "
-                             "and the input entering the current alone")
-    ((s, p), (q, r)), g = A[1:, 1:].tolist(), float(B[2, 0])
-    tr, det, disc = s + r, s * r - p * q, (s - r) * (s - r) + 4.0 * p * q
-    lam2 = 0.5 * (tr - math.sqrt(disc)) if disc > 0.0 and tr < 0.0 and det > 0.0 else math.nan
-    lam1 = det / lam2  # product of the roots; avoids cancellation
-    if not lam2 < lam1:
-        raise ParameterError("the ZOH closed form needs real, distinct, negative "
-                             "(omega, i) modes")
+    s, p = -b / motor.Jeq, motor.Kt / motor.Jeq
+    q, r, g = -motor.Ke / motor.Lm, -motor.Rm / motor.Lm, 1.0 / motor.Lm
+    lam1, lam2 = slip_modes(motor, b)
     x1, x2 = lam1 * T, lam2 * T
     e12 = math.exp(x1) * _phi1(x2 - x1)  # e[x1, x2]
     if -x2 <= ZOH_SERIES_SPAN:
@@ -207,22 +216,22 @@ def zoh_discretize(A: np.ndarray, B: np.ndarray, T: float):
     return Phi, Gamma
 
 
-# the discretizations a motor may name, each mapping (A, B, T) to (Phi, Gamma)
+# the discretizations a motor may name, each mapping (motor, b, T) to (Phi, Gamma)
 DISCRETIZERS = {"euler": euler_discretize, "zoh": zoh_discretize}
 
 
 def build_vertex_set(motor: MotorConfig) -> VertexSet:
     """The motor's polytopic vertex models at its friction range (b_min,
     b_max), at its sample time T under its discretization D, one entry of
-    DISCRETIZERS: Phi_i = D(A(b_i), B, T)[0] at each vertex and the shared
-    Gamma = D(A(b_m), B, T)[1] at the nominal viscous coefficient b_m.
+    DISCRETIZERS: Phi_i = D(motor, b_i, T)[0] at each vertex and the shared
+    Gamma = D(motor, b_m, T)[1] at the nominal viscous coefficient b_m.
     """
     rho, T, mode = (motor.b_min, motor.b_max), motor.sample_time, motor.discretization
     discretize = DISCRETIZERS[mode]
     # a model that leaves float range is refused below, not warned about
     with np.errstate(all="ignore"):
-        phis = [discretize(*build_continuous_model(motor, r), T)[0] for r in rho]
-        _, Gamma = discretize(*build_continuous_model(motor, motor.b_m), T)
+        phis = [discretize(motor, r, T)[0] for r in rho]
+        _, Gamma = discretize(motor, motor.b_m, T)
     if not all(np.isfinite(a).all() for a in (*phis, Gamma)):
         raise ParameterError(
             f"the {mode} discrete model at T = {T!r} s is not finite; "

@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import NumericalError, ParameterError
-from .motor import OMEGA_REST, FrictionModel
+from .errors import NumericalError
+from .motor import OMEGA_REST, FrictionModel, slip_modes
 
 if TYPE_CHECKING:
     from .config import MotorConfig
@@ -67,8 +67,8 @@ class TickMap:
     eigenvectors [1, m_slow] and [1, m_fast], m_slow - m_fast, each mode's
     exp(lam dt) and expm1(lam dt) / lam (the integral of e^(lam t) over the
     tick), dt, tau_c, Kt, Rm, Ke and b Rm + Kt Ke. The stuck segments also
-    read the breakaway torque tau_b, Lm and Lm / Rm. Raises ParameterError
-    when the modes are not real and distinct.
+    read the breakaway torque tau_b, Lm and Lm / Rm. Raises ParameterError,
+    through `motor.slip_modes`, when the modes are not real and distinct.
     """
 
     __slots__ = ("slip", "tau_b", "lm", "lm_rm", "b")
@@ -76,15 +76,7 @@ class TickMap:
     def __init__(self, motor: MotorConfig, friction: FrictionModel, dt: float):
         kt, ke, jeq, lm, rm = motor.Kt, motor.Ke, motor.Jeq, motor.Lm, motor.Rm
         b = friction.b
-        tr = -(b / jeq + rm / lm)
-        det = (b * rm + kt * ke) / (jeq * lm)
-        disc = tr * tr - 4.0 * det
-        if not disc > 0.0:
-            raise ParameterError(
-                f"the motor's (omega, i) modes are not real and distinct at b = {b:.3e}"
-            )
-        lam_fast = 0.5 * (tr - math.sqrt(disc))
-        lam_slow = det / lam_fast  # product of the roots; avoids cancellation
+        lam_slow, lam_fast = slip_modes(motor, b)
         m_slow = (lam_slow + b / jeq) * jeq / kt
         m_fast = (lam_fast + b / jeq) * jeq / kt
         self.slip = (

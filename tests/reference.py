@@ -367,7 +367,7 @@ def euler_vertices_affine(motor) -> VertexSet:
     is Phi0 + rho * Phi_hat, the Euler map at b = 0 plus rho times the
     viscous entry's slope -T/Jeq, and Gamma is T B."""
     T = motor.sample_time
-    Phi0, Gamma = euler_discretize(*build_continuous_model(motor, 0.0), T)
+    Phi0, Gamma = euler_discretize(motor, 0.0, T)
     Phi_hat = np.zeros((3, 3))
     Phi_hat[1, 1] = -T / motor.Jeq
     rho = (motor.b_min, motor.b_max)

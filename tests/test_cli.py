@@ -631,6 +631,8 @@ def test_negative_noise_exit_one(maps, tmp_path, text):
 
 @pytest.mark.parametrize("text, reason", [
     ("duration = 1\nfriction = window\nramp_time = -1\n", "ramp_time must be a number >= 0"),
+    ("duration = 11\nfriction = window\nload_start = 10\nload_end = 10.5\nramp_time = 2\n",
+     "ramp_time 2.0 outlasts the load window: load_end - load_start = 0.5"),
     ("duration = 1\nfriction = toggle\nramp_time = -1\n",
      "ramp_time is read by friction = window; friction 'toggle' does not read it"),
     ("duration = 1\nfriction = constant\nramp_time = -0.5\n",
@@ -656,12 +658,14 @@ def test_negative_noise_exit_one(maps, tmp_path, text):
      "toggle_start is read by friction = toggle; friction 'constant' does not read it"),
     ("duration = 1\nfriction = window\ntoggle_period = 0.5\n",
      "toggle_period is read by friction = toggle; friction 'window' does not read it"),
-], ids=["negative-ramp", "negative-ramp-toggle", "negative-ramp-constant", "ramp-constant",
-        "ramp-toggle", "zero-ramp-toggle", "rate", "peak", "phase", "frequency-step",
-        "period-sine", "load_start-constant", "load_end-toggle", "toggle_start-constant",
-        "toggle_period-window"])
+], ids=["negative-ramp", "ramp-outlasts-window", "negative-ramp-toggle",
+        "negative-ramp-constant", "ramp-constant", "ramp-toggle", "zero-ramp-toggle", "rate",
+        "peak", "phase", "frequency-step", "period-sine", "load_start-constant",
+        "load_end-toggle", "toggle_start-constant", "toggle_period-window"])
 def test_schedule_and_reference_out_of_range_exit_one(maps, tmp_path, text, reason):
-    # a negative ramp would run as step switches, and is refused; a sine
+    # a negative ramp would run as step switches, and is refused, as is a
+    # ramp longer than its window, whose friction would peak after the
+    # window ends; a sine
     # whose rate, peak or phase overflows would reach the plant as a NaN
     # input or raise in sin. A key that only another kind of reference or
     # schedule reads would be ignored, and is refused, naming the kind that
@@ -722,18 +726,25 @@ def test_compare_default_variants(maps, scenario_cfg, tmp_path):
 
 def test_compare_table_values_start_at_one_column(maps, scenario_cfg):
     # the label column is as wide as the longest label, est_rmse_current:
-    # every row's values (two columns of 14 and delta% of 10) start where
-    # the header's variant names do
-    out = maps("compare", str(scenario_cfg))
-    assert out.returncode == 0
-    lines = out.stdout.splitlines()[:7]
+    # every row's values (one column per variant, at least 14 wide and one
+    # wider than a longer NAME, and delta% of 10) start where the header's
+    # variant names do
     labels = ["metric", "rmse", "mae", "iae", "est_rmse_theta", "est_rmse_omega",
               "est_rmse_current"]
     start = len(max(labels, key=len))
-    for line, label in zip(lines, labels, strict=True):
-        assert len(line) == start + 2 * 14 + 10, line
-        assert line[:start].rstrip() == label and line[start] == " ", line
-        assert len(line[start:].split()) == 3, line
+    long_names = ("--variant", "scheduled_with_imm_estimator=maps/imm",
+                  "--variant", "fixed=fixed:0/kf:0")
+    for variants, widths in (((), (14, 14)), (long_names, (29, 14))):
+        ends = [start + sum(widths[:k + 1]) for k in range(len(widths))]
+        out = maps("compare", str(scenario_cfg), *variants)
+        assert out.returncode == 0
+        for line, label in zip(out.stdout.splitlines()[:7], labels, strict=True):
+            assert len(line) == start + sum(widths) + 10, line
+            assert line[:start].rstrip() == label and line[start] == " ", line
+            assert len(line[start:].split()) == 3, line
+            # each variant column holds one right-aligned cell
+            for a, b in zip([start, *ends], ends):
+                assert line[a] == " " and len(line[a:b].split()) == 1, line
 
 
 @pytest.mark.parametrize("target", ["directory", "under-file", "under-missing"])

@@ -15,6 +15,8 @@ from mapsched.config import (
 )
 from mapsched.errors import ConfigError, ParameterError
 from mapsched.harness import MAX_TICKS, SCENARIO_KEYS, scenario_from_entries
+from mapsched.motor import DISCRETIZERS, build_vertex_set
+from mapsched.plant import TickMap
 
 
 def test_defaults_without_file():
@@ -149,6 +151,7 @@ VALUES = st.one_of(
 @example(entries={"lm": "3.35062960497086e-257"})  # (R/L)^2 overflows a float
 @example(entries={"b_m": "0.15"})     # complex modes at b_m, past 10 b_max
 @example(entries={"b_m": "0.139", "b_max": "1e-5"})
+@example(entries={"kt": "5e-324"})   # Kt Ke underflows: no slow mode at b = 0
 @example(entries={"process_noise_std": "-1"})
 @example(entries={"meas_noise_std": "-0.5"})
 @settings(max_examples=300, deadline=None)
@@ -159,6 +162,21 @@ def test_fuzzed_entries_are_refused_or_bounded(entries):
     # and at b_m, with noise of a non-negative spread
     try:
         motor = motor_config_from_entries({k: v for k, v in entries.items() if k in MOTOR_KEYS})
+    except ConfigError:
+        return
+    # no consumer of the modes refuses a motor the config accepted: the
+    # truth plant at both ends of the scheduled range, with Coulomb friction
+    # off and on, and each discretization, which may still find its model
+    # out of float range at an extreme sample time
+    for b in (0.0, B_RANGE * motor.b_max):
+        for coulomb_on in (False, True):
+            TickMap(motor, motor.friction(b, coulomb_on), motor.sample_time)
+    for mode in DISCRETIZERS:
+        try:
+            build_vertex_set(dataclasses.replace(motor, discretization=mode))
+        except ParameterError as exc:
+            assert f"{mode} discrete model at T = " in str(exc) and "is not finite" in str(exc)
+    try:
         spec = scenario_from_entries(
             {k: v for k, v in entries.items() if k not in MOTOR_KEYS}, motor)
     except ConfigError:

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mapsched.motor import (
     build_continuous_model,
     build_vertex_set,
     euler_discretize,
+    slip_modes,
     zoh_discretize,
 )
 
@@ -83,22 +86,16 @@ class TestContinuousModel:
 
 
 class TestForwardEuler:
-    def test_zero_dynamics_gives_identity(self):
-        B = np.array([[0.0], [0.0], [5.0]])
-        Phi, Gamma = euler_discretize(np.zeros((3, 3)), B, 0.01)
-        assert np.array_equal(Phi, np.eye(3))
-        assert np.array_equal(Gamma, 0.01 * B)
-
     def test_motor_entries(self, motor):
-        A, B = build_continuous_model(motor, 1.0e-5)
-        Phi, _ = euler_discretize(A, B, 0.002)
+        A, _ = build_continuous_model(motor, 1.0e-5)
+        Phi, _ = euler_discretize(motor, 1.0e-5, 0.002)
         assert Phi[1, 1] == pytest.approx(0.9990291, abs=1e-7)
         assert Phi[1, 2] == pytest.approx(4.07767, rel=1e-6)
         assert Phi[2, 2] == pytest.approx(-13.4828, rel=1e-5)
         assert np.allclose(Phi, np.eye(3) + 0.002 * A, atol=0, rtol=0)
 
     def test_gamma_is_t_over_lm(self, motor):
-        _, Gamma = euler_discretize(*build_continuous_model(motor, motor.b_m), 0.002)
+        _, Gamma = euler_discretize(motor, motor.b_m, 0.002)
         assert Gamma[2, 0] == pytest.approx(0.002 / 0.00116, rel=1e-12)
         assert Gamma[2, 0] == pytest.approx(1.72414, rel=1e-5)
         assert Gamma[0, 0] == 0.0 and Gamma[1, 0] == 0.0
@@ -115,16 +112,6 @@ ZOH_SAMPLE_TIMES = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 2e-3, 3e-3, 1e-2)
 
 
 class TestExactZoh:
-    @pytest.mark.parametrize("A, B", [
-        (np.zeros((3, 3)), [[1.0], [2.0], [3.0]]),      # no theta' = omega
-        ([[-1.0]], [[1.0]]),                           # not a motor's size
-        ([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]],
-         [[0.0], [1.0], [1.0]]),                       # the input drives omega
-    ], ids=["zero-dynamics", "scalar", "input-on-omega"])
-    def test_refuses_a_pair_without_the_motor_structure(self, A, B):
-        with pytest.raises(ParameterError, match="needs a motor's"):
-            zoh_discretize(A, B, 0.002)
-
     @pytest.mark.parametrize("block", [
         [[-1.0, 1.0], [-1.0, -1.0]],                   # complex modes
         [[-2.0, 1.0], [0.0, -2.0]],                    # a double mode
@@ -132,10 +119,15 @@ class TestExactZoh:
         [[0.5, 1.0], [0.0, -1.0]],                     # a growing mode
     ], ids=["complex", "double", "double-coupled", "unstable"])
     def test_refuses_modes_that_are_not_real_distinct_and_negative(self, block):
-        A = np.zeros((3, 3))
-        A[0, 1], A[1:, 1:] = 1.0, block
-        with pytest.raises(ParameterError, match="real, distinct, negative"):
-            zoh_discretize(A, [[0.0], [0.0], [1.0]], 0.002)
+        # the ZOH map takes its modes from slip_modes, which refuses them; a
+        # stand-in motor with unit Jeq and Lm has the (omega, i) block
+        # [[-b, Kt], [-Ke, -Rm]]
+        (s, p), (q, r) = block
+        motor = SimpleNamespace(Jeq=1.0, Lm=1.0, Kt=p, Ke=-q, Rm=-r)
+        with pytest.raises(ParameterError, match=re.escape(f"distinct at b = {-s:.3e}")):
+            slip_modes(motor, -s)
+        with pytest.raises(ParameterError, match="not real and distinct"):
+            zoh_discretize(motor, -s, 0.002)
 
     # past 10 ms expm's scaling and squaring loses digits (2.6e-14 per
     # entry at T = 0.2 s against a 60-digit exponential, 1.3e-12 at 1 s,
@@ -149,32 +141,30 @@ class TestExactZoh:
         # 10 ms, at b_min, b_m, b_max and the top of the scheduled range;
         # Phi's first column is e0
         for b in (motor.b_min, motor.b_m, motor.b_max, 10.0 * motor.b_max):
-            A, B = build_continuous_model(motor, b)
             M = np.zeros((4, 4))
-            M[:3, :3], M[:3, 3:] = A, B
+            M[:3, :3], M[:3, 3:] = build_continuous_model(motor, b)
             E = expm(M * T)
-            Phi, Gamma = zoh_discretize(A, B, T)
+            Phi, Gamma = zoh_discretize(motor, b, T)
             assert Phi[:, 0].tolist() == [1.0, 0.0, 0.0]
             assert np.max(np.abs(Phi - E[:3, :3])) <= bound * np.max(np.abs(E[:3, :3]))
             assert np.max(np.abs(Gamma - E[:3, 3:])) <= bound * np.max(np.abs(E[:3, 3:]))
 
     def test_motor_matches_series_oracle(self, motor):
-        A, B = build_continuous_model(motor, motor.b_m)
-        Phi, _ = zoh_discretize(A, B, 0.002)
+        A, _ = build_continuous_model(motor, motor.b_m)
+        Phi, _ = zoh_discretize(motor, motor.b_m, 0.002)
         ref = expm_series(A * 0.002)
         assert np.allclose(Phi, ref, rtol=1e-9, atol=1e-12)
 
     def test_motor_spectral_radius_at_most_one(self, motor):
-        Phi, _ = zoh_discretize(*build_continuous_model(motor, motor.b_m), 0.002)
+        Phi, _ = zoh_discretize(motor, motor.b_m, 0.002)
         assert np.max(np.abs(np.linalg.eigvals(Phi))) <= 1.0 + 1e-12
 
     def test_first_order_agreement_with_euler(self, motor):
         # || Phi_zoh - Phi_euler || = O(T^2): errors at T and T/10 differ ~100x
-        A, B = build_continuous_model(motor, motor.b_m)
         errs = []
         for T in (1e-5, 1e-6):
-            pz, _ = zoh_discretize(A, B, T)
-            pe, _ = euler_discretize(A, B, T)
+            pz, _ = zoh_discretize(motor, motor.b_m, T)
+            pe, _ = euler_discretize(motor, motor.b_m, T)
             errs.append(np.max(np.abs(pz - pe)))
         ratio = errs[0] / errs[1]
         assert 50.0 < ratio < 150.0
@@ -260,7 +250,7 @@ class TestVertexSet:
         b_lo, b_hi = 2.46e-6, 1.63e-4
         vs = build_vertex_set(motor_euler)
         b = b_lo + f * (b_hi - b_lo)
-        phi_direct, _ = euler_discretize(*build_continuous_model(motor_euler, b), 0.002)
+        phi_direct, _ = euler_discretize(motor_euler, b, 0.002)
         lo, hi = vs.Phi_vertices
         frac = (b - b_lo) / (b_hi - b_lo)
         assert np.max(np.abs(phi_direct - (lo + frac * (hi - lo)))) < 1e-12
@@ -292,8 +282,8 @@ class TestVertexSet:
     def test_a_table_entry_is_a_discretization(self, motor_euler, monkeypatch):
         # the motor's refusal and the vertex rule both read the table: an
         # entry added to it is accepted and builds every vertex
-        def doubled(A, B, T):
-            return euler_discretize(A, B, 2.0 * T)
+        def doubled(motor, b, T):
+            return euler_discretize(motor, b, 2.0 * T)
 
         monkeypatch.setitem(DISCRETIZERS, "doubled", doubled)
         vs = build_vertex_set(dataclasses.replace(motor_euler, discretization="doubled"))
@@ -307,7 +297,7 @@ class TestVertexSet:
         rho = (2.46e-6, 1.63e-4)
         vs = build_vertex_set(dataclasses.replace(motor, discretization="zoh"))
         for r, phi in zip(rho, vs.Phi_vertices):
-            ref, _ = zoh_discretize(*build_continuous_model(motor, r), 0.002)
+            ref, _ = zoh_discretize(motor, r, 0.002)
             assert np.allclose(phi, ref, atol=0, rtol=0)
 
     def test_models_share_gamma_and_h(self, motor):

@@ -52,15 +52,20 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv", [["run", "{scenario}", "--out", "{out}"], ["certify"]],
-                         ids=["run", "certify"])
+@pytest.mark.parametrize("argv", [["run", "{scenario}", "--out", "{out}"], ["certify"],
+                                  ["gains"], ["compare", "{scenario}", "--out", "{out}"],
+                                  ["ident", "{samples}"]],
+                         ids=["run", "certify", "gains", "compare", "ident"])
 def test_runtime_needs_no_scipy(tmp_path, argv):
-    # the design (ZOH map, Riccati and Lyapunov solves) and the run are
-    # numpy, math and orjson: `maps run` on a short scenario and `maps
-    # certify` succeed in a process that cannot import scipy
+    # the design (ZOH map, Riccati and Lyapunov solves), the run and the
+    # identification are numpy, math and orjson: every subcommand, on a
+    # short scenario or four samples, succeeds in a process that cannot
+    # import scipy
     scenario = tmp_path / "short.cfg"
     scenario.write_text("duration = 0.2\n")
-    args = [a.format(scenario=scenario, out=tmp_path / "out") for a in argv]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("voltage,velocity\n-4,-41.0\n-2,-9.8\n2,9.3\n4,40.0\n")
+    args = [a.format(scenario=scenario, out=tmp_path / "out", samples=samples) for a in argv]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, *args], env=env,
